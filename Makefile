@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet accuvet vet-fix fix fuzz-smoke bench serve service-e2e clean
+.PHONY: all build test race lint vet accuvet vet-fix fuzz-smoke bench serve service-e2e clean
 
 all: build test lint
 
@@ -25,15 +25,15 @@ lint: vet accuvet
 vet:
 	$(GO) vet ./...
 
-# The standalone pass mirrors CI: findings already recorded in the
-# committed .accuvet-baseline.json are subtracted (only new findings
-# fail), and the full verdict lands in bin/accuvet.sarif for inspection
-# or code-scanning upload. Refresh the snapshot after triaging a wave:
-#   ./bin/accuvet -write-baseline .accuvet-baseline.json ./...
+# The standalone pass mirrors CI: it sees every package at once (so
+# metricname catches cross-package duplicates) and diffs the //accu:wire
+# schemas against the committed lockfile. After a deliberate wire-struct
+# change, refresh the lockfile:
+#   ./bin/accuvet -write-wire-lock .accuwire.lock.json ./...
 accuvet:
 	$(GO) build -o bin/accuvet ./cmd/accuvet
 	$(GO) vet -vettool=$(CURDIR)/bin/accuvet ./...
-	./bin/accuvet -sarif bin/accuvet.sarif -baseline .accuvet-baseline.json -wire-lock .accuwire.lock.json ./...
+	./bin/accuvet -wire-lock .accuwire.lock.json ./...
 
 # vet-fix prints every accuvet finding — including ones already covered
 # by an //accu:allow directive, marked "(allowed)" — together with the
@@ -42,15 +42,6 @@ accuvet:
 vet-fix:
 	$(GO) build -o bin/accuvet ./cmd/accuvet
 	./bin/accuvet -suggest ./...
-
-# fix applies the machine-applicable suggested fixes in place (json wire
-# tags, keyed wire literals, time.Tick -> time.NewTicker(d).C), atomically
-# per fix and gofmt-gated per file. Running it twice is a no-op. After a
-# wire-struct change, refresh the committed schema lockfile:
-#   ./bin/accuvet -write-wire-lock .accuwire.lock.json ./...
-fix:
-	$(GO) build -o bin/accuvet ./cmd/accuvet
-	./bin/accuvet -fix ./...
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations — the decoder surfaces (store block

@@ -131,13 +131,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	// Catch signals before serving: once /healthz answers, a SIGTERM must
+	// reach the graceful path below, or the default handler kills the
+	// process before coord.Close's final journal fsync.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+
 	httpSrv := &http.Server{Addr: *addr, Handler: coord.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
 	logger.Printf("coordinating %d cells on %s (dir %s)", spec.Networks*spec.Runs, *addr, *dir)
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 
 	select {
 	case err := <-serveErr:

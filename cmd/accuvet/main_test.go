@@ -2,10 +2,8 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -57,7 +55,7 @@ func Stamp() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestListAnalyzers: -list names all nineteen analyzers.
+// TestListAnalyzers: -list names all fifteen analyzers.
 func TestListAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
@@ -66,8 +64,8 @@ func TestListAnalyzers(t *testing.T) {
 	names := []string{
 		"detrand", "maporder", "seedflow", "metricname",
 		"lockbalance", "atomicmix", "ctxcancel", "scratchescape", "errcmp",
-		"httpbody", "respwrite", "lockedio", "ctxflow", "timerleak",
-		"detflow", "errdrop", "fsyncack", "wiretag", "chanleak",
+		"httpbody", "respwrite", "ctxflow", "timerleak",
+		"errdrop", "wiretag",
 	}
 	for _, name := range names {
 		if !strings.Contains(stdout.String(), name) {
@@ -161,251 +159,6 @@ func Boot() int64 {
 	}
 }
 
-// writeViolationModule lays out a throwaway module with one detrand
-// violation in a deterministic package and chdirs into it.
-func writeViolationModule(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	corePkg := filepath.Join(dir, "internal", "core")
-	if err := os.MkdirAll(corePkg, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	files := map[string]string{
-		filepath.Join(dir, "go.mod"): "module example.test\n\ngo 1.22\n",
-		filepath.Join(corePkg, "bad.go"): `package core
-
-import "time"
-
-// Stamp leaks wall-clock time into the record path.
-func Stamp() int64 { return time.Now().UnixNano() }
-`,
-	}
-	for name, content := range files {
-		if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Chdir(dir)
-	return dir
-}
-
-// TestBaselineRatchet drives the full ratchet cycle on a throwaway
-// module: a live finding fails the plain run, -write-baseline snapshots
-// it, -baseline then passes, and a second (new) violation fails again
-// with only the new finding reported.
-func TestBaselineRatchet(t *testing.T) {
-	dir := writeViolationModule(t)
-	base := filepath.Join(dir, "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("pre-baseline exit = %d, want 1\n%s", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-write-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d: %s", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0 (finding should be absorbed):\n%s", code, stderr.String())
-	}
-	if out := stderr.String(); !strings.Contains(out, "0 new, 0 fixed, 0 suppressed") {
-		t.Errorf("missing ratchet summary in baselined run stderr:\n%s", out)
-	}
-
-	// A new violation — same analyzer, different site/message — must
-	// still fail: the baseline fingerprint is (file, analyzer, message).
-	extra := filepath.Join(dir, "internal", "core", "worse.go")
-	if err := os.WriteFile(extra, []byte(`package core
-
-import "time"
-
-// Elapsed also reads the clock.
-func Elapsed() time.Time { return time.Now() }
-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", base, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("new-finding exit = %d, want 1\n%s", code, stderr.String())
-	}
-	out := stderr.String()
-	if !strings.Contains(out, "worse.go") {
-		t.Errorf("new finding missing from output:\n%s", out)
-	}
-	if strings.Contains(out, "bad.go") {
-		t.Errorf("baselined finding leaked into output:\n%s", out)
-	}
-	if !strings.Contains(out, "1 new, 0 fixed") {
-		t.Errorf("ratchet summary should count the new finding:\n%s", out)
-	}
-}
-
-// TestWriteBaselineShrinkGuard: re-snapshotting over a baseline with
-// fewer findings (here: a run over a subset of packages) is refused
-// without -force, so partial runs cannot wipe ratchet state.
-func TestWriteBaselineShrinkGuard(t *testing.T) {
-	dir := writeViolationModule(t)
-	base := filepath.Join(dir, "baseline.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-write-baseline", base, "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d: %s", code, stderr.String())
-	}
-	before, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fix the violation: the next snapshot would shrink from 1 to 0.
-	bad := filepath.Join(dir, "internal", "core", "bad.go")
-	if err := os.WriteFile(bad, []byte("package core\n\n// Stamp is fixed.\nfunc Stamp() int64 { return 0 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-write-baseline", base, "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("shrinking -write-baseline exit = %d, want 2 (refused)\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "refusing to shrink baseline") {
-		t.Errorf("missing refusal message:\n%s", stderr.String())
-	}
-	after, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("refused write still modified the baseline file")
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-write-baseline", base, "-force", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline -force exit = %d: %s", code, stderr.String())
-	}
-	var b analysis.Baseline
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Total() != 0 {
-		t.Errorf("forced baseline absorbs %d findings, want 0", b.Total())
-	}
-}
-
-// writeTickModule lays out a throwaway module with a time.Tick call —
-// the finding whose fix is machine-applicable — and chdirs into it.
-func writeTickModule(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	pkg := filepath.Join(dir, "internal", "sim")
-	if err := os.MkdirAll(pkg, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	files := map[string]string{
-		filepath.Join(dir, "go.mod"): "module example.test\n\ngo 1.22\n",
-		filepath.Join(pkg, "tick.go"): `package sim
-
-import "time"
-
-// Poll wakes on a leaked ticker.
-func Poll(stop chan struct{}) {
-	for {
-		select {
-		case <-time.Tick(time.Second):
-		case <-stop:
-			return
-		}
-	}
-}
-`,
-	}
-	for name, content := range files {
-		if err := os.WriteFile(name, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Chdir(dir)
-	return dir
-}
-
-// TestFixMode: -fix rewrites time.Tick to time.NewTicker(d).C, leaves
-// the tree finding-free, and a second -fix run is a no-op.
-func TestFixMode(t *testing.T) {
-	dir := writeTickModule(t)
-	tick := filepath.Join(dir, "internal", "sim", "tick.go")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fix", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-fix exit = %d\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "applied 1 fix(es)") {
-		t.Errorf("missing fix summary:\n%s", stderr.String())
-	}
-	data, err := os.ReadFile(tick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "time.NewTicker(time.Second).C") {
-		t.Fatalf("fix not applied:\n%s", data)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("post-fix plain run exit = %d, want 0 (finding resolved)\n%s", code, stderr.String())
-	}
-
-	// Idempotency: nothing left to apply, file untouched.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-fix", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("second -fix exit = %d\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "applied 0 fix(es)") {
-		t.Errorf("second -fix was not a no-op:\n%s", stderr.String())
-	}
-	again, err := os.ReadFile(tick)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, again) {
-		t.Error("second -fix rewrote the file")
-	}
-}
-
-// TestFixSuggestMode: -fix -suggest inserts an //accu:allow directive
-// above a finding that has no code fix, suppressing it on the next run.
-func TestFixSuggestMode(t *testing.T) {
-	writeViolationModule(t)
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fix", "-suggest", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-fix -suggest exit = %d\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(filepath.Join("internal", "core", "bad.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "//accu:allow detrand -- TODO") {
-		t.Fatalf("directive not inserted:\n%s", data)
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("post-insert plain run exit = %d, want 0 (finding allowed)\n%s", code, stderr.String())
-	}
-}
-
 // TestWireLock drives the lockfile cycle on a throwaway module: snapshot
 // the //accu:wire schemas, verify a clean diff, then rename a wire field
 // and assert the drift fails the run.
@@ -468,151 +221,6 @@ type Line struct {
 	}
 	if out := stderr.String(); !strings.Contains(out, "wire drift") || !strings.Contains(out, `"count" -> "n"`) {
 		t.Errorf("missing drift detail:\n%s", out)
-	}
-}
-
-// TestSARIFOutput: -sarif renders findings as a parseable SARIF 2.1.0
-// log with the analyzer as ruleId and a repo-relative URI, while the
-// exit code still reflects the findings.
-func TestSARIFOutput(t *testing.T) {
-	dir := writeViolationModule(t)
-	sarifPath := filepath.Join(dir, "out.sarif")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-sarif", sarifPath, "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit = %d, want 1: %s", code, stderr.String())
-	}
-	data, err := os.ReadFile(sarifPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(data, &log); err != nil {
-		t.Fatalf("SARIF output does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("version/schema = %q / %q, want 2.1.0", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(log.Runs))
-	}
-	r := log.Runs[0]
-	if r.Tool.Driver.Name != "accuvet" {
-		t.Errorf("driver name = %q", r.Tool.Driver.Name)
-	}
-	if len(r.Tool.Driver.Rules) != 19 {
-		t.Errorf("rules table has %d entries, want 19 (one per analyzer)", len(r.Tool.Driver.Rules))
-	}
-	if len(r.Results) == 0 {
-		t.Fatal("no results in SARIF log for a module with a violation")
-	}
-	res := r.Results[0]
-	if res.RuleID != "detrand" || res.Level != "warning" {
-		t.Errorf("result ruleId/level = %q/%q, want detrand/warning", res.RuleID, res.Level)
-	}
-	loc := res.Locations[0].PhysicalLocation
-	if want := "internal/core/bad.go"; loc.ArtifactLocation.URI != want {
-		t.Errorf("result uri = %q, want %q", loc.ArtifactLocation.URI, want)
-	}
-	if loc.Region.StartLine == 0 {
-		t.Error("result has no startLine")
-	}
-}
-
-// TestVetUnitSARIFDir: in vettool mode, ACCUVET_SARIF_DIR collects one
-// SARIF log per analyzed unit. The test hand-crafts the unit.cfg the go
-// command would pass (export data for "time" comes from go list), so it
-// exercises the real vetUnitMode path without re-execing the binary.
-func TestVetUnitSARIFDir(t *testing.T) {
-	dir := writeViolationModule(t)
-	badGo := filepath.Join(dir, "internal", "core", "bad.go")
-
-	export, err := exec.Command("go", "list", "-export", "-f", "{{.Export}}", "time").Output()
-	if err != nil {
-		t.Skipf("go list -export time: %v", err)
-	}
-	cfg := analysis.VetConfig{
-		ID:          "example.test/internal/core",
-		Compiler:    "gc",
-		Dir:         filepath.Join(dir, "internal", "core"),
-		ImportPath:  "example.test/internal/core",
-		GoFiles:     []string{badGo},
-		ImportMap:   map[string]string{"time": "time"},
-		PackageFile: map[string]string{"time": strings.TrimSpace(string(export))},
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "unit.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	sarifDir := t.TempDir()
-	t.Setenv("ACCUVET_SARIF_DIR", sarifDir)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 1 {
-		t.Fatalf("vet unit exit = %d, want 1\n%s", code, stderr.String())
-	}
-	entries, err := os.ReadDir(sarifDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("ACCUVET_SARIF_DIR holds %d files, want 1", len(entries))
-	}
-	name := entries[0].Name()
-	if !strings.HasPrefix(name, "unit-") || !strings.HasSuffix(name, ".sarif") {
-		t.Errorf("per-unit log name = %q, want unit-<hash>.sarif", name)
-	}
-	logData, err := os.ReadFile(filepath.Join(sarifDir, name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Results []struct {
-				RuleID string `json:"ruleId"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(logData, &log); err != nil {
-		t.Fatalf("per-unit SARIF does not parse: %v", err)
-	}
-	if log.Version != "2.1.0" || len(log.Runs) != 1 || len(log.Runs[0].Results) == 0 {
-		t.Fatalf("per-unit SARIF malformed: %s", logData)
-	}
-	if got := log.Runs[0].Results[0].RuleID; got != "detrand" {
-		t.Errorf("per-unit result ruleId = %q, want detrand", got)
 	}
 }
 

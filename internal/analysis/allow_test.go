@@ -11,7 +11,9 @@ import (
 // directive listing several analyzers suppresses exactly the named ones
 // on the covered line. The fixture violates lockbalance and ctxcancel on
 // a single line; a two-name directive silences both, a one-name
-// directive leaves the other analyzer's finding live.
+// directive leaves the other analyzer's finding live. A directive that
+// names an analyzer outside the suite is flagged at the directive, while
+// the suite analyzer listed beside it stays suppressed.
 func TestAllowMultipleNames(t *testing.T) {
 	analysistest.RunAll(t,
 		[]*analysis.Analyzer{analysis.LockBalance(), analysis.CtxCancel()},

@@ -54,33 +54,6 @@ type Diagnostic struct {
 	// The checkers drop suppressed findings; RunAnalyzersAll keeps them
 	// so audits and regression tests can pin the allowed sites.
 	Suppressed bool
-
-	// SuggestedFixes are source edits that would resolve the finding.
-	// Fixes marked MachineApplicable are safe to apply without human
-	// review and are what `accuvet -fix` applies; advisory fixes are
-	// carried through to the SARIF log only.
-	SuggestedFixes []SuggestedFix
-}
-
-// A SuggestedFix is one candidate resolution of a diagnostic: a set of
-// non-overlapping text edits applied together.
-type SuggestedFix struct {
-	// Message describes the fix ("add explicit json tag").
-	Message string
-	// Edits are the source changes, in any order; the applier sorts and
-	// rejects overlaps.
-	Edits []TextEdit
-	// MachineApplicable marks a fix that is behavior-preserving by
-	// construction and safe for unattended application.
-	MachineApplicable bool
-}
-
-// A TextEdit replaces the source range [Pos, End) with NewText. A
-// zero-width range (End == Pos) is an insertion.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
 }
 
 // A Pass carries one type-checked package through one analyzer.
@@ -103,17 +76,11 @@ type Pass struct {
 // //accu:allow directive are recorded with Suppressed set; the checkers
 // filter them out, audit mode keeps them.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFix(pos, nil, format, args...)
-}
-
-// ReportfFix is Reportf with suggested fixes attached to the finding.
-func (p *Pass) ReportfFix(pos token.Pos, fixes []SuggestedFix, format string, args ...any) {
 	*p.diagnostics = append(*p.diagnostics, Diagnostic{
-		Pos:            pos,
-		Analyzer:       p.Analyzer.Name,
-		Message:        fmt.Sprintf(format, args...),
-		Suppressed:     p.allow.covers(p.Fset, pos, p.Analyzer.Name),
-		SuggestedFixes: fixes,
+		Pos:        pos,
+		Analyzer:   p.Analyzer.Name,
+		Message:    fmt.Sprintf(format, args...),
+		Suppressed: p.allow.covers(p.Fset, pos, p.Analyzer.Name),
 	})
 }
 
@@ -124,11 +91,19 @@ type allowIndex map[string]map[int]map[string]bool
 // "//") must start exactly with "accu:allow".
 var allowDirective = regexp.MustCompile(`^//accu:allow\s+([a-z0-9_,\s]+?)\s*(?:--.*)?$`)
 
+// AllowCheck is the Analyzer name on findings about the //accu:allow
+// directives themselves. It names no analyzer, so no directive can
+// suppress such a finding.
+const AllowCheck = "allow"
+
 // buildAllowIndex scans every comment in the files for //accu:allow
 // directives. A directive covers its own line and the following line, so
-// both trailing comments and standalone comment lines work.
-func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
+// both trailing comments and standalone comment lines work. A name that
+// is not in the suite suppresses nothing and comes back as a finding, so
+// a directive cannot silently outlive its analyzer.
+func buildAllowIndex(fset *token.FileSet, files []*ast.File) (allowIndex, []Diagnostic) {
 	idx := make(allowIndex)
+	var unknown []Diagnostic
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -145,6 +120,14 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 				for _, name := range strings.FieldsFunc(m[1], func(r rune) bool {
 					return r == ',' || r == ' ' || r == '\t'
 				}) {
+					if !knownAnalyzers[name] {
+						unknown = append(unknown, Diagnostic{
+							Pos:      c.Pos(),
+							Analyzer: AllowCheck,
+							Message:  fmt.Sprintf("//accu:allow names %q, which is not an accuvet analyzer; the directive suppresses nothing — fix the name or delete it", name),
+						})
+						continue
+					}
 					for _, line := range []int{pos.Line, pos.Line + 1} {
 						set := lines[line]
 						if set == nil {
@@ -157,7 +140,7 @@ func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
 			}
 		}
 	}
-	return idx
+	return idx, unknown
 }
 
 func (idx allowIndex) covers(fset *token.FileSet, pos token.Pos, analyzer string) bool {
@@ -191,8 +174,7 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // were removed", which is how regression tests pin that an annotated
 // true positive is still detected.
 func RunAnalyzersAll(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	allow := buildAllowIndex(pkg.Fset, pkg.Files)
+	allow, diags := buildAllowIndex(pkg.Fset, pkg.Files)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:    a,

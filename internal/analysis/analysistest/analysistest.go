@@ -10,6 +10,10 @@
 //
 //	seen := time.Now() // want `time\.Now reads the clock`
 //
+// An expectation may also close another line comment, as in
+//
+//	//accu:allow nosuch -- reason // want `not an accuvet analyzer`
+//
 // Every diagnostic must be matched by an expectation on its line and
 // every expectation must fire, otherwise the test fails.
 package analysistest
@@ -115,10 +119,13 @@ func collectWants(fset *token.FileSet, files []*ast.File) ([]*want, error) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "// want ")
-				if !ok {
+				// The expectation may trail another line comment, such as
+				// an //accu:allow directive that is itself a finding.
+				i := strings.Index(c.Text, "// want ")
+				if i < 0 {
 					continue
 				}
+				text := c.Text[i+len("// want "):]
 				pos := fset.Position(c.Pos())
 				lits := wantRE.FindAllString(text, -1)
 				if len(lits) == 0 {

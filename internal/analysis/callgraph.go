@@ -3,7 +3,7 @@ package analysis
 // callgraph.go is the wave-3 interprocedural layer: a package-local
 // static call graph built from the typed AST, on which analyzers build
 // bounded context-insensitive summaries ("does this helper close the
-// body it is handed", "does this function transitively block").
+// body it is handed", "does this function transitively fsync").
 //
 // Scope and soundness limits, deliberately chosen:
 //
@@ -24,7 +24,7 @@ package analysis
 //     literal (or call) sits under a `go` statement and Deferred when
 //     under a `defer`. A deferred call still runs inside the caller's
 //     activation, so summaries usually include it; an async call does
-//     not block its spawner, so e.g. lockedio excludes Async edges.
+//     not run inside its spawner, so e.g. errdrop excludes Async edges.
 //
 // Summaries built on the graph must be bounded: PropagateUp caps both
 // the sweep count and the witness chain length, so recursion (a cycle in
@@ -188,9 +188,6 @@ func (g *CallGraph) DeclOf(fn *types.Func) *ast.FuncDecl { return g.decls[fn] }
 
 // Funcs returns the package's declared functions in source order.
 func (g *CallGraph) Funcs() []*types.Func { return g.funcs }
-
-// Edges returns caller's outgoing edges in call-site order.
-func (g *CallGraph) Edges(caller *types.Func) []CallEdge { return g.edges[caller] }
 
 // StaticCallee resolves a call expression to its single static
 // in-package callee: a direct call or a concrete method call. Interface

@@ -63,9 +63,6 @@ type CFG struct {
 	Defers []*ast.DeferStmt
 }
 
-// Entry returns the entry block.
-func (g *CFG) Entry() *Block { return g.Blocks[0] }
-
 // Exit returns the synthetic exit block. Every return path and terminal
 // call edges here; facts flowing into it describe function exit.
 func (g *CFG) Exit() *Block { return g.Blocks[1] }

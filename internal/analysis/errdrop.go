@@ -18,7 +18,7 @@ import (
 // every function whose (non-async) call chain reaches a durable root, so
 // discarding `saveJob(...)` is reported with the chain witness
 // ("saveJob → os.WriteFile") even though the rename lives two calls
-// down. Cross-package, the curated root set mirrors lockedio: the
+// down. Cross-package, the curated root set is the
 // stdlib durable surface (os.WriteFile/Rename, (*os.File).Sync,
 // (*bufio.Writer).Flush) plus this module's journal and store writers
 // ((*sim.CellJournal).Commit/Sync/Close, sim.Checkpointer,

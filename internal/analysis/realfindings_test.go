@@ -19,40 +19,22 @@ func TestRealTreeSuppressedFindings(t *testing.T) {
 		t.Skip("loads and type-checks the real packages")
 	}
 	// Per package: analyzer name → {message fragment → expected count}.
-	// Counts pin the wave-3 lockedio allowances exactly: each one marks
-	// an intentional write-under-lock durability barrier.
 	pins := map[string]map[string]map[string]int{
 		"github.com/accu-sim/accu/internal/sim": {
 			"seedflow":      {"reaches 2 sinks": 1},
 			"scratchescape": {"goroutine captures per-worker scratch sc": 1},
-			// CellJournal serializes append/fsync/close under j.mu —
-			// that mutual exclusion IS the durability contract.
-			"lockedio": {
-				"(*os.File).Write": 1,
-				"(*os.File).Sync":  3,
-				"(*os.File).Close": 2,
-			},
 		},
-		"github.com/accu-sim/accu/internal/dist": {
-			// The coordinator commits a cell to its journal before the
-			// upload response acks it durable (fsync-before-ack).
-			"lockedio": {"(*sim.CellJournal).Commit": 1},
-		},
-		"github.com/accu-sim/accu/internal/serv": {
-			// Job documents persist under s.mu before state transitions
-			// become visible to waiters (durability-before-signal).
-			"lockedio": {"saveJob → os.WriteFile": 9},
-		},
+		// The coordinator and the job service hold no allowed findings;
+		// empty pin sets keep them in the nothing-unsuppressed sweep.
+		"github.com/accu-sim/accu/internal/dist": {},
+		"github.com/accu-sim/accu/internal/serv": {},
 		// Wave-4 regression pins: errdrop surfaced a discarded
 		// (Coordinator).Close — a swallowed final fsync — on accudist's
 		// serve-error path, and wiretag surfaced sim.Record (the journal
 		// line payload) relying on encoding/json field-name fallback.
 		// Both are fixed; an empty pin set keeps the package in the
 		// nothing-unsuppressed sweep so the bugs cannot return. The
-		// stats entry pins detflow's third scope (the sketch/welford
-		// sink package) as clean — detflow, fsyncack and chanleak found
-		// no true positives in the tree, and this sweep is what keeps
-		// that verdict from silently eroding.
+		// stats entry keeps the sketch/welford package in the same sweep.
 		"github.com/accu-sim/accu/cmd/accudist":   {},
 		"github.com/accu-sim/accu/internal/stats": {},
 	}

@@ -1,6 +1,6 @@
 package analysis
 
-// NewSuite returns fresh instances of the nineteen accuvet analyzers, in
+// NewSuite returns fresh instances of the fifteen accuvet analyzers, in
 // the order they report:
 //
 // Wave 1 — determinism invariants (AST + object identity):
@@ -22,19 +22,14 @@ package analysis
 //
 //	httpbody      — every *http.Response body closed on all paths, drained
 //	respwrite     — response header committed once per path, via helpers
-//	lockedio      — no blocking I/O reachable while a mutex is held
 //	ctxflow       — outgoing requests carry a context; poll loops consult it
 //	timerleak     — no time.After in loops, no time.Tick at all
 //
-// Wave 4 — flow-based invariants (interprocedural taint engine + CFG):
+// Wave 4 — durability and wire-format invariants (call graph + CFG):
 //
-//	detflow       — no clock/env/rand/map-order value reaches a digest,
-//	                sketch or summary input in the deterministic packages
 //	errdrop       — no discarded error on a durability-critical call chain
-//	fsyncack      — handlers commit durably before writing the response
 //	wiretag       — //accu:wire structs carry explicit unique json tags,
 //	                no unkeyed literals; feeds the wire-schema lockfile
-//	chanleak      — no goroutine left blocked on an unreceived unbuffered send
 //
 // Instances hold per-run state (metricname's cross-package duplicate
 // table), so every checker invocation must call NewSuite rather than
@@ -52,13 +47,18 @@ func NewSuite() []*Analyzer {
 		ErrCmp(),
 		HTTPBody(),
 		RespWrite(),
-		LockedIO(),
 		CtxFlow(),
 		TimerLeak(),
-		Detflow(),
 		ErrDrop(),
-		FsyncAck(),
 		WireTag(),
-		ChanLeak(),
 	}
 }
+
+// knownAnalyzers is the set of names an //accu:allow directive may use.
+var knownAnalyzers = func() map[string]bool {
+	known := make(map[string]bool)
+	for _, a := range NewSuite() {
+		known[a.Name] = true
+	}
+	return known
+}()

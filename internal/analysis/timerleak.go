@@ -40,7 +40,7 @@ func TimerLeak() *Analyzer {
 			}
 			switch f.Name() {
 			case "Tick":
-				pass.ReportfFix(call.Pos(), tickFix(call),
+				pass.Reportf(call.Pos(),
 					"time.Tick leaks its Ticker (the channel has no Stop handle); use time.NewTicker and defer Stop, as in the reaper pattern")
 			case "After":
 				if enclosedByLoop(stack) {
@@ -53,24 +53,6 @@ func TimerLeak() *Analyzer {
 		return nil
 	}
 	return a
-}
-
-// tickFix rewrites time.Tick(d) to time.NewTicker(d).C — the exact same
-// channel, but with a named constructor a later edit can hoist to grab
-// the Stop handle. Behavior-preserving, so it is machine-applicable.
-func tickFix(call *ast.CallExpr) []SuggestedFix {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return []SuggestedFix{{
-		Message:           "replace time.Tick(d) with time.NewTicker(d).C, then hoist the ticker and defer Stop",
-		MachineApplicable: true,
-		Edits: []TextEdit{
-			{Pos: sel.Sel.Pos(), End: sel.Sel.End(), NewText: "NewTicker"},
-			{Pos: call.End(), End: call.End(), NewText: ".C"},
-		},
-	}}
 }
 
 // enclosedByLoop reports whether the innermost enclosing loop/function

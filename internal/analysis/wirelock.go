@@ -37,8 +37,7 @@ func NewWireLock(schemas []WireSchema) *WireLock {
 	return &WireLock{Version: wireLockVersion, Schemas: sorted}
 }
 
-// LoadWireLock reads a lockfile. Unlike baselines, a missing lockfile is
-// an error: -wire-lock without a committed snapshot would vacuously
+// LoadWireLock reads a lockfile. A missing lockfile is an error: -wire-lock without a committed snapshot would vacuously
 // pass, which is exactly the silent drift the check exists to prevent.
 func LoadWireLock(path string) (*WireLock, error) {
 	data, err := os.ReadFile(path)

@@ -20,14 +20,11 @@ import (
 //   - Every exported, non-embedded field carries an explicit `json:`
 //     tag. Without one, encoding/json silently falls back to the Go
 //     field name, so an innocent rename is a silent wire-format break.
-//     The suggested fix is machine-applicable and behavior-preserving:
-//     it locks in the CURRENT encoded name (`json:"FieldName"`),
-//     changing no bytes on the wire.
 //   - Tag names are unique within the struct (duplicate names make
 //     encoding/json drop both fields — a silent data loss).
 //   - No unkeyed composite literal of a marked struct anywhere in the
 //     package: positional literals silently reshuffle values when
-//     fields are reordered. The fix inserts the field names.
+//     fields are reordered.
 //
 // The marked structs also feed the committed wire-schema lockfile
 // (CollectWireSchemas; `accuvet -wire-lock` in the driver), which turns
@@ -75,7 +72,9 @@ func WireTag() *Analyzer {
 				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
 					return true
 				}
-				checkUnkeyedWireLit(pass, m, lit)
+				pass.Reportf(lit.Pos(),
+					"unkeyed composite literal of wire struct %s; positional fields silently reshuffle wire values when the struct changes — key every field",
+					m.spec.Name.Name)
 				return true
 			})
 		}
@@ -216,11 +215,7 @@ func checkWireStruct(pass *Pass, m *wireStruct) {
 				if !fn.IsExported() {
 					continue
 				}
-				var fixes []SuggestedFix
-				if len(field.Names) == 1 {
-					fixes = []SuggestedFix{tagInsertFix(field, fn.Name)}
-				}
-				pass.ReportfFix(fn.Pos(), fixes,
+				pass.Reportf(fn.Pos(),
 					"wire struct %s: exported field %s has no explicit json tag; encoding/json falls back to the field name, so a rename silently changes the wire format",
 					m.spec.Name.Name, fn.Name)
 			}
@@ -243,76 +238,6 @@ func checkWireStruct(pass *Pass, m *wireStruct) {
 		}
 		seen[name] = field.Names[0].Name
 	}
-}
-
-// tagInsertFix builds the machine-applicable fix locking in the current
-// encoded name: append (or extend) the field tag with json:"<FieldName>".
-func tagInsertFix(field *ast.Field, fieldName string) SuggestedFix {
-	tag := "json:\"" + fieldName + "\""
-	if field.Tag == nil {
-		return SuggestedFix{
-			Message:           "add explicit json tag preserving the current wire name",
-			MachineApplicable: true,
-			Edits: []TextEdit{{
-				Pos:     field.Type.End(),
-				End:     field.Type.End(),
-				NewText: " `" + tag + "`",
-			}},
-		}
-	}
-	if strings.HasPrefix(field.Tag.Value, "`") && strings.HasSuffix(field.Tag.Value, "`") {
-		return SuggestedFix{
-			Message:           "add json key to the existing field tag",
-			MachineApplicable: true,
-			Edits: []TextEdit{{
-				Pos:     field.Tag.End() - 1,
-				End:     field.Tag.End() - 1,
-				NewText: " " + tag,
-			}},
-		}
-	}
-	// Double-quoted tag literal: rewriting it safely needs a human.
-	return SuggestedFix{
-		Message: "add json key to the existing field tag",
-		Edits: []TextEdit{{
-			Pos:     field.Tag.Pos(),
-			End:     field.Tag.End(),
-			NewText: "`" + tag + "`",
-		}},
-	}
-}
-
-// checkUnkeyedWireLit reports a positional composite literal of a
-// marked struct, with a fix inserting the field keys.
-func checkUnkeyedWireLit(pass *Pass, m *wireStruct, lit *ast.CompositeLit) {
-	var names []string
-	for _, field := range m.st.Fields.List {
-		if len(field.Names) == 0 {
-			names = append(names, types.ExprString(field.Type))
-			continue
-		}
-		for _, fn := range field.Names {
-			names = append(names, fn.Name)
-		}
-	}
-	var fixes []SuggestedFix
-	if len(lit.Elts) <= len(names) {
-		fix := SuggestedFix{
-			Message:           "key every element with its field name",
-			MachineApplicable: true,
-		}
-		for i, el := range lit.Elts {
-			fix.Edits = append(fix.Edits, TextEdit{
-				Pos:     el.Pos(),
-				End:     el.Pos(),
-				NewText: names[i] + ": ",
-			})
-		}
-		fixes = []SuggestedFix{fix}
-	}
-	pass.ReportfFix(lit.Pos(), fixes,
-		"unkeyed composite literal of wire struct %s; positional fields silently reshuffle wire values when the struct changes — key every field",
-		m.spec.Name.Name)
 }
 
 // A WireSchema is the locked shape of one //accu:wire struct, as

@@ -292,7 +292,7 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 			resp.Duplicate++
 			continue
 		}
-		if err := c.journal.Commit(cl.CellKey, cl.Records); err != nil { //accu:allow lockedio -- fsync-before-ack: the cell must be durable before the upload response acks it
+		if err := c.journal.Commit(cl.CellKey, cl.Records); err != nil {
 			// The cell is not durable; the worker must not treat it as
 			// committed. Abort the whole batch.
 			c.met.cellsAccepted.Add(int64(resp.Accepted))

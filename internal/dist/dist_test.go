@@ -413,3 +413,44 @@ func TestWorkerFailReleasesLease(t *testing.T) {
 		t.Errorf("reassigned range [%d,%d), want [%d,%d)", lease2.Start, lease2.End, lease.Start, lease.End)
 	}
 }
+
+// TestFailedCommitIsNotAcked pins fsync-before-ack at the wire: when the
+// coordinator cannot commit a cell to its journal, the upload must not
+// answer 200, and the worker's checkpointer must surface the failure so
+// the engine aborts the range instead of treating the cell as durable.
+func TestFailedCommitIsNotAcked(t *testing.T) {
+	spec := testSpec()
+	reg := obs.New()
+	coord, srv := newTestCoordinator(t, spec, spec.Networks*spec.Runs, time.Minute, reg)
+	// A closed journal fails every append, as a full or vanished disk would.
+	if err := coord.journal.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	line, err := json.Marshal(sim.CellLine{CellKey: sim.CellKey{Network: 0, Run: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/v1/dist/cells?lease=r0-a1&worker=w1",
+		"application/jsonl", bytes.NewReader(append(line, '\n')))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("upload answered 200 although the journal commit failed")
+	}
+
+	rc := &rangeCheckpointer{
+		w:     &Worker{Coordinator: srv.URL, ID: "w1"},
+		ctx:   context.Background(),
+		lease: &Lease{ID: "r0-a1", Start: 0, End: spec.Networks * spec.Runs},
+		runs:  spec.Runs,
+	}
+	if err := rc.Commit(sim.CellKey{Network: 0, Run: 1}, nil); err == nil {
+		t.Fatal("rangeCheckpointer.Commit returned nil for a cell the coordinator failed to commit")
+	}
+	if got := counterValue(reg, "dist.cells_accepted"); got != 0 {
+		t.Errorf("dist.cells_accepted = %d after failed commits, want 0", got)
+	}
+}

@@ -115,6 +115,9 @@ type Server struct {
 	reg   *obs.Registry
 	m     servMetrics
 
+	// mu is held across saveJob on every state transition:
+	// durability-before-signal — a job document reaches disk before the
+	// new state is visible to waiters, the queue or the runners.
 	mu           sync.Mutex
 	cond         *sync.Cond
 	jobs         map[string]*entry
@@ -287,7 +290,7 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 		heapIndex: -1,
 		hub:       newHub(),
 	}
-	if err := s.store.saveJob(&e.job); err != nil { //accu:allow lockedio -- durability-before-signal: the job document must hit disk before the ID is visible
+	if err := s.store.saveJob(&e.job); err != nil {
 		return Job{}, err
 	}
 	s.seq++
@@ -363,7 +366,7 @@ func (s *Server) Cancel(id string) (Job, error) {
 	switch e.job.State {
 	case StateQueued:
 		heap.Remove(&s.queue, e.heapIndex)
-		s.finishLocked(e, StateCancelled, "cancelled by client") //accu:allow lockedio -- durability-before-signal: the terminal state persists before waiters wake
+		s.finishLocked(e, StateCancelled, "cancelled by client")
 		job := s.view(e)
 		s.mu.Unlock()
 		return job, nil
@@ -402,7 +405,7 @@ func (s *Server) Resume(id string) (Job, error) {
 	e.job.Error = ""
 	e.job.FinishedAt = nil
 	e.hub = newHub() // the old hub closed at the terminal transition
-	if err := s.store.saveJob(&e.job); err != nil { //accu:allow lockedio -- durability-before-signal: the requeued attempt persists before the queue signals
+	if err := s.store.saveJob(&e.job); err != nil {
 		s.mu.Unlock()
 		return Job{}, err
 	}
@@ -520,7 +523,7 @@ func (s *Server) claim() (*entry, context.Context, context.CancelCauseFunc) {
 	e.done.Store(0)
 	e.resumed.Store(0)
 	s.runningCount++
-	if err := s.store.saveJob(&e.job); err != nil { //accu:allow lockedio -- durability-before-signal: the claim persists before the job is handed to a runner
+	if err := s.store.saveJob(&e.job); err != nil {
 		// The document could not be made durable; running it anyway would
 		// desynchronize disk and memory. Fail the job in memory and keep
 		// serving.
@@ -551,16 +554,16 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 	switch {
 	case err == nil:
 		e.job.Result = res
-		s.finishLocked(e, StateDone, "") //accu:allow lockedio -- durability-before-signal: the terminal state persists before waiters wake
+		s.finishLocked(e, StateDone, "")
 	case errors.Is(cause, errCancelJob):
-		s.finishLocked(e, StateCancelled, "cancelled by client") //accu:allow lockedio -- durability-before-signal: the terminal state persists before waiters wake
+		s.finishLocked(e, StateCancelled, "cancelled by client")
 	case errors.Is(cause, errDrainJob):
 		// Preempted, not failed: requeue for the next process without
 		// consuming an attempt. The checkpoint holds the completed cells.
 		e.job.State = StateQueued
 		e.job.Attempt--
 		e.job.StartedAt = nil
-		if perr := s.store.saveJob(&e.job); perr != nil { //accu:allow lockedio -- durability-before-signal: the requeue persists before the queue signals
+		if perr := s.store.saveJob(&e.job); perr != nil {
 			s.logf("job %s: persist requeue: %v", e.job.ID, perr)
 		}
 		heap.Push(&s.queue, e)
@@ -569,7 +572,7 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 	case e.job.Attempt < e.job.MaxAttempts:
 		e.job.State = StateQueued
 		e.job.Error = err.Error()
-		if perr := s.store.saveJob(&e.job); perr != nil { //accu:allow lockedio -- durability-before-signal: the retry persists before the queue signals
+		if perr := s.store.saveJob(&e.job); perr != nil {
 			s.logf("job %s: persist retry: %v", e.job.ID, perr)
 		}
 		heap.Push(&s.queue, e)
@@ -577,7 +580,7 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 		s.cond.Signal()
 		s.logf("job %s: attempt %d/%d failed, retrying: %v", e.job.ID, e.job.Attempt, e.job.MaxAttempts, err)
 	default:
-		s.finishLocked(e, StateFailed, err.Error()) //accu:allow lockedio -- durability-before-signal: the terminal state persists before waiters wake
+		s.finishLocked(e, StateFailed, err.Error())
 	}
 	s.updateGauges()
 	s.mu.Unlock()

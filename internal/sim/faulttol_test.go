@@ -179,7 +179,11 @@ func TestRunRetriesRecoverTransientFaults(t *testing.T) {
 	}
 }
 
+// TestRunCellTimeout also pins the timed-attempt handoff: the abandoned
+// attempt goroutine must still be able to hand off its outcome and exit
+// once its stall ends, even though nobody receives it any more.
 func TestRunCellTimeout(t *testing.T) {
+	before := runtime.NumGoroutine()
 	p := testProtocol()
 	p.ContinueOnError = true
 	p.CellTimeout = 25 * time.Millisecond
@@ -205,6 +209,13 @@ func TestRunCellTimeout(t *testing.T) {
 	}
 	if v := reg.Counter("sim.cell_timeouts").Value(); v < 1 {
 		t.Errorf("sim.cell_timeouts = %d, want >= 1", v)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines leaked by the abandoned attempt: %d before, %d after", before, after)
 	}
 }
 
