@@ -7,6 +7,8 @@
 //
 //	accudist -coordinator -addr 127.0.0.1:8471 -spec grid.json -dir run1 -out result.json
 //
+// grid.json is the JSON spec an accuserv job takes (serv.Spec).
+//
 // Workers (any number, anywhere that can reach the coordinator):
 //
 //	accudist -worker -join http://127.0.0.1:8471 -id w1
@@ -52,24 +54,13 @@ func run(args []string, out io.Writer) error {
 
 		// Coordinator flags.
 		addr      = fs.String("addr", "127.0.0.1:8471", "coordinator listen address")
-		specPath  = fs.String("spec", "", "grid spec JSON file (overrides the inline grid flags)")
+		specPath  = fs.String("spec", "", "grid spec JSON file, an accuserv job spec (required)")
 		dir       = fs.String("dir", "accudist-data", "coordinator state directory (cell journal)")
 		resume    = fs.Bool("resume", false, "resume an existing journal in -dir")
 		rangeSize = fs.Int("range", 0, "cells per lease (0 = default 16)")
 		leaseTTL  = fs.Duration("lease", 0, "lease TTL without durable progress (0 = default 30s)")
 		linger    = fs.Duration("linger", 2*time.Second, "serve the done signal this long after completion before exiting")
 		outPath   = fs.String("out", "", "write {result, metrics} JSON here on completion")
-
-		// Inline grid flags, mirroring accurun.
-		preset   = fs.String("preset", "slashdot", "network preset")
-		scale    = fs.Float64("scale", 0.02, "preset scale factor")
-		cautious = fs.Int("cautious", 10, "cautious users per network")
-		policies = fs.String("policy", "abm", "comma-separated policy roster")
-		networks = fs.Int("networks", 2, "network realizations")
-		runs     = fs.Int("runs", 4, "Monte-Carlo runs per network")
-		k        = fs.Int("k", 10, "request budget per run")
-		seed     = fs.Uint64("seed", 42, "root seed")
-		workers  = fs.Int("workers", 0, "engine worker pool per range (0 = GOMAXPROCS)")
 
 		// Worker flags.
 		join     = fs.String("join", "", "coordinator base URL (worker mode)")
@@ -107,10 +98,7 @@ func run(args []string, out io.Writer) error {
 		return w.Run(ctx)
 	}
 
-	spec, err := loadSpec(*specPath, specFlags{
-		preset: *preset, scale: *scale, cautious: *cautious, policies: *policies,
-		networks: *networks, runs: *runs, k: *k, seed: *seed, workers: *workers,
-	})
+	spec, err := loadSpec(*specPath)
 	if err != nil {
 		return err
 	}
@@ -191,48 +179,19 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// specFlags carries the inline grid flags into loadSpec.
-type specFlags struct {
-	preset   string
-	scale    float64
-	cautious int
-	policies string
-	networks int
-	runs     int
-	k        int
-	seed     uint64
-	workers  int
-}
-
-// loadSpec reads the spec file when given, otherwise assembles one from
-// the inline flags the same way accurun maps its flags onto a protocol.
-func loadSpec(path string, f specFlags) (serv.Spec, error) {
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return serv.Spec{}, err
-		}
-		var spec serv.Spec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return serv.Spec{}, fmt.Errorf("parse spec %s: %w", path, err)
-		}
-		return spec, nil
+// loadSpec reads the grid spec file: the same JSON document an accuserv
+// job takes, so one file drives both.
+func loadSpec(path string) (serv.Spec, error) {
+	if path == "" {
+		return serv.Spec{}, fmt.Errorf("-coordinator requires -spec")
 	}
-	spec := serv.Spec{
-		Preset:   f.preset,
-		Scale:    f.scale,
-		Cautious: &f.cautious,
-		Networks: f.networks,
-		Runs:     f.runs,
-		K:        f.k,
-		Seed:     f.seed,
-		Workers:  f.workers,
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return serv.Spec{}, err
 	}
-	for _, name := range strings.Split(f.policies, ",") {
-		name = strings.TrimSpace(name)
-		if name != "" {
-			spec.Policies = append(spec.Policies, serv.PolicySpec{Name: name})
-		}
+	var spec serv.Spec
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return serv.Spec{}, fmt.Errorf("parse spec %s: %w", path, err)
 	}
 	return spec, nil
 }

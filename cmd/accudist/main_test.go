@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -28,11 +29,15 @@ func TestCoordinatorSIGTERMAsSoonAsHealthy(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	spec := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"preset":"slashdot","policies":[{"name":"abm"}],"networks":1,"runs":1,"k":10,"seed":42}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 20; i++ {
 		addr := freeAddr(t)
 		var stderr bytes.Buffer
-		cmd := exec.Command(bin, "-coordinator", "-addr", addr,
-			"-dir", filepath.Join(dir, fmt.Sprintf("run%d", i)), "-networks", "1", "-runs", "1")
+		cmd := exec.Command(bin, "-coordinator", "-addr", addr, "-spec", spec,
+			"-dir", filepath.Join(dir, fmt.Sprintf("run%d", i)))
 		cmd.Stderr = &stderr
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -51,6 +56,19 @@ func TestCoordinatorSIGTERMAsSoonAsHealthy(t *testing.T) {
 		if !strings.Contains(stderr.String(), "signal received") {
 			t.Fatalf("iteration %d: no \"signal received\" log line; the graceful path did not run\nstderr:\n%s", i, stderr.String())
 		}
+	}
+}
+
+// TestCoordinatorRequiresSpec pins that the grid comes only from a spec
+// file: a coordinator without -spec refuses to start.
+func TestCoordinatorRequiresSpec(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	err := run([]string{"-coordinator", "-dir", dir}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-spec") {
+		t.Fatalf("run without -spec: err = %v, want an error naming -spec", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("state directory created before the spec was checked: %v", err)
 	}
 }
 

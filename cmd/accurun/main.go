@@ -6,7 +6,11 @@
 //
 //	accurun -preset slashdot -scale 0.02 -policy abm -k 50 [-wd 0.5 -wi 0.5]
 //
-// Policies: abm, greedy, maxdegree, pagerank, random.
+// Policies: abm, greedy, maxdegree, pagerank, random. The flags describe
+// a serv.Spec (the accuserv job payload and the accudist -spec file) with
+// one network, and both modes run the protocol that spec builds, so a
+// spec's ABM default applies here too: -wd 0 -wi 0 means the paper's
+// balanced weights.
 //
 // With -runs N (N > 1) accurun instead runs the Monte-Carlo engine on the
 // single-network protocol — N independent realizations of one network,
@@ -131,30 +135,35 @@ func run(args []string, out io.Writer) error {
 		reg = accu.NewMetrics()
 	}
 
-	p, err := accu.PresetByName(*preset)
-	if err != nil {
-		return err
-	}
-	generator, err := p.Generator(*scale)
-	if err != nil {
-		return err
-	}
-	root := accu.NewSeed(*seed, *seed*2+1)
-	setup := accu.DefaultSetup()
-	setup.NumCautious = *cautious
 	if *runs < 1 {
 		return fmt.Errorf("-runs %d must be >= 1", *runs)
+	}
+	if *scale == 0 { // a spec reads scale 0 as "default"; the flag already has one
+		return fmt.Errorf("-scale 0 not in (0, 1]")
 	}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
+	spec := serv.Spec{
+		Preset:          *preset,
+		Scale:           *scale,
+		Cautious:        cautious,
+		Policies:        []serv.PolicySpec{{Name: *policy, WD: *wd, WI: *wi}},
+		Networks:        1,
+		Runs:            *runs,
+		K:               *k,
+		Seed:            *seed,
+		Workers:         *workers,
+		ContinueOnError: *keepGoing,
+	}
+	protocol, factories, err := spec.Build(reg)
+	if err != nil {
+		return err
+	}
+	factory := factories[0]
 	if *runs > 1 {
 		if *asJSON || *journal != "" {
 			return fmt.Errorf("-runs > 1 prints summary statistics; -json and -journal apply to single runs only")
-		}
-		factory, err := policyFactory(*policy, *wd, *wi, reg)
-		if err != nil {
-			return err
 		}
 		meta := map[string]string{
 			"preset":   *preset,
@@ -165,42 +174,31 @@ func run(args []string, out io.Writer) error {
 			"seed":     fmt.Sprintf("%d", *seed),
 			"runs":     fmt.Sprintf("%d", *runs),
 		}
-		return runRepeated(out, generator, setup, factory, *k, *runs, *workers, root, reg,
-			*checkpoint, *resume, *keepGoing, *digest, *store, *outFile, meta)
+		return runRepeated(out, protocol, factory, *checkpoint, *resume, *digest, *store, *outFile, meta)
 	}
 	if *checkpoint != "" || *keepGoing || *digest || *store != "" || *outFile != "" {
 		return fmt.Errorf("-checkpoint, -keep-going, -digest, -store and -out apply to the -runs > 1 Monte-Carlo mode only")
 	}
-	g, err := generator.Generate(root.Split("network"))
+	// One cell of the same protocol, traced request by request.
+	root := protocol.Seed
+	g, err := protocol.Gen.Generate(root.Split("network"))
 	if err != nil {
 		return err
 	}
-	inst, err := setup.Build(g, root.Split("setup"))
+	inst, err := protocol.Setup.Build(g, root.Split("setup"))
 	if err != nil {
 		return err
 	}
 	inst.Instrument(reg)
 	re := inst.SampleRealization(root.Split("realization"))
-
-	var pol accu.Policy
-	switch *policy {
-	case "abm":
-		pol, err = accu.NewABM(accu.Weights{WD: *wd, WI: *wi}, accu.WithMetrics(reg))
-		if err != nil {
-			return err
-		}
-	case "greedy":
-		pol = accu.NewPureGreedy()
-	case "maxdegree":
-		pol = accu.NewMaxDegree()
-	case "pagerank":
-		pol = accu.NewPageRank()
-	case "random":
-		pol = accu.NewRandom(root.Split("random-policy"))
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
+	pol, err := factory.New(root.Split("random-policy"))
+	if err != nil {
+		return err
 	}
-
+	p, err := accu.PresetByName(*preset) // for the canonical preset key
+	if err != nil {
+		return err
+	}
 	res, err := accu.Run(pol, re, *k)
 	if err != nil {
 		return err
@@ -468,37 +466,6 @@ func parseWhere(s string) (rowFilter, error) {
 	return f, nil
 }
 
-// policyFactory builds the Monte-Carlo factory for one named policy. The
-// random baseline derives its stream from the per-cell factory seed, so
-// repeated runs stay independent yet reproducible.
-func policyFactory(name string, wd, wi float64, reg *accu.Metrics) (accu.PolicyFactory, error) {
-	switch name {
-	case "abm":
-		w := accu.Weights{WD: wd, WI: wi}
-		return accu.PolicyFactory{Name: "abm", New: func(accu.Seed) (accu.Policy, error) {
-			return accu.NewABM(w, accu.WithMetrics(reg))
-		}}, nil
-	case "greedy":
-		return accu.PolicyFactory{Name: "greedy", New: func(accu.Seed) (accu.Policy, error) {
-			return accu.NewPureGreedy(), nil
-		}}, nil
-	case "maxdegree":
-		return accu.PolicyFactory{Name: "maxdegree", New: func(accu.Seed) (accu.Policy, error) {
-			return accu.NewMaxDegree(), nil
-		}}, nil
-	case "pagerank":
-		return accu.PolicyFactory{Name: "pagerank", New: func(accu.Seed) (accu.Policy, error) {
-			return accu.NewPageRank(), nil
-		}}, nil
-	case "random":
-		return accu.PolicyFactory{Name: "random", New: func(s accu.Seed) (accu.Policy, error) {
-			return accu.NewRandom(s), nil
-		}}, nil
-	default:
-		return accu.PolicyFactory{}, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
 // runRepeated executes the -runs > 1 mode: one network, many realizations,
 // fanned out over the cell-level scheduler, summarized as distribution
 // statistics (via accu.Summary: Welford moments plus mergeable quantile
@@ -508,22 +475,12 @@ func policyFactory(name string, wd, wi float64, reg *accu.Metrics) (accu.PolicyF
 // store set, every record additionally appends one row to a columnar
 // result store; with outPath set, the aggregated per-policy result
 // (identical in shape to an accuserv job result) is written as JSON.
-func runRepeated(out io.Writer, generator accu.Generator, setup accu.Setup, factory accu.PolicyFactory, k, runs, workers int, root accu.Seed, reg *accu.Metrics, checkpoint string, resume, keepGoing, digest bool, store, outPath string, meta map[string]string) error {
-	protocol := accu.Protocol{
-		Gen:             generator,
-		Setup:           setup,
-		Networks:        1,
-		Runs:            runs,
-		K:               k,
-		Seed:            root,
-		Workers:         workers,
-		Metrics:         reg,
-		ContinueOnError: keepGoing,
-	}
+// protocol and factory come from the flags' serv.Spec.
+func runRepeated(out io.Writer, protocol accu.Protocol, factory accu.PolicyFactory, checkpoint string, resume, digest bool, store, outPath string, meta map[string]string) error {
 	resolved, clamped := protocol.ResolveWorkers()
 	if clamped {
 		fmt.Fprintf(os.Stderr, "accurun: -workers %d exceeds the %d-cell run grid; running with %d workers\n",
-			workers, runs, resolved)
+			protocol.Workers, protocol.Runs, resolved)
 	}
 
 	summary := accu.NewSummary(nil)
@@ -588,7 +545,7 @@ func runRepeated(out io.Writer, generator accu.Generator, setup accu.Setup, fact
 		}
 	}
 	var fsum *accu.FailureSummary
-	if keepGoing && errors.As(err, &fsum) {
+	if protocol.ContinueOnError && errors.As(err, &fsum) {
 		fmt.Fprintf(os.Stderr, "accurun: warning: %v\n", fsum)
 		err = nil
 	}
@@ -608,7 +565,7 @@ func runRepeated(out io.Writer, generator accu.Generator, setup accu.Setup, fact
 	sk := summary.FinalBenefitSketch(factory.Name)
 	snap := sk.Snapshot()
 	fmt.Fprintf(out, "policy:  %s, budget %d, %d realizations, %d workers\n",
-		factory.Name, k, n, resolved)
+		factory.Name, protocol.K, n, resolved)
 	fmt.Fprintf(out, "benefit: mean %.1f  std %.1f  min %.1f  max %.1f\n",
 		fb.Mean(), fb.Std(), snap.Min, snap.Max)
 	fmt.Fprintf(out, "quantiles: p50 %.1f  p90 %.1f  p99 %.1f\n",
@@ -630,7 +587,7 @@ func runRepeated(out io.Writer, generator accu.Generator, setup accu.Setup, fact
 			return fmt.Errorf("write -out: %w", err)
 		}
 	}
-	if snap := reg.Snapshot(); !snap.Empty() {
+	if snap := protocol.Metrics.Snapshot(); !snap.Empty() {
 		fmt.Fprintf(out, "\n-- metrics --\n%s", snap.Render())
 	}
 	return nil

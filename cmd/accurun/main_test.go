@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/accu-sim/accu/internal/serv"
+	"github.com/accu-sim/accu/internal/sim"
 )
 
 func TestRunABMTrace(t *testing.T) {
@@ -217,13 +221,7 @@ func TestCheckpointResumeDigest(t *testing.T) {
 		if err := run(args, &buf); err != nil {
 			t.Fatal(err)
 		}
-		for _, l := range strings.Split(buf.String(), "\n") {
-			if d, ok := strings.CutPrefix(l, "digest:"); ok {
-				return strings.TrimSpace(d)
-			}
-		}
-		t.Fatalf("no digest line in:\n%s", buf.String())
-		return ""
+		return printedDigest(t, buf.String())
 	}
 
 	want := digestOf()
@@ -250,6 +248,67 @@ func TestCheckpointResumeDigest(t *testing.T) {
 	}
 	if got := digestOf("-checkpoint", ckpt, "-resume"); got != want {
 		t.Errorf("partially replayed digest %s, want %s", got, want)
+	}
+}
+
+// printedDigest extracts the digest from accurun's "digest:" line.
+func printedDigest(t *testing.T, out string) string {
+	t.Helper()
+	for _, l := range strings.Split(out, "\n") {
+		if d, ok := strings.CutPrefix(l, "digest:"); ok {
+			return strings.TrimSpace(d)
+		}
+	}
+	t.Fatalf("no digest line in:\n%s", out)
+	return ""
+}
+
+// TestRosterMatchesSpec pins accurun's flags to the service's grid
+// description for the whole Fig. 2 roster: `accurun -runs 4 -digest`
+// must print the digest of sim.Run over the serv.Spec with the same
+// parameters, which is what an accuserv job or accudist grid computes.
+func TestRosterMatchesSpec(t *testing.T) {
+	cautious := 5
+	for _, policy := range []string{"abm", "greedy", "maxdegree", "pagerank", "random"} {
+		var buf bytes.Buffer
+		if err := run([]string{
+			"-preset", "slashdot", "-scale", "0.02", "-k", "10", "-cautious", "5",
+			"-seed", "3", "-policy", policy, "-runs", "4", "-digest",
+		}, &buf); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		spec := serv.Spec{
+			Preset: "slashdot", Scale: 0.02, Cautious: &cautious,
+			Policies: []serv.PolicySpec{{Name: policy}},
+			Networks: 1, Runs: 4, K: 10, Seed: 3,
+		}
+		protocol, factories, err := spec.Build(nil)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", policy, err)
+		}
+		dig := sim.NewRecordDigest()
+		if err := sim.Run(context.Background(), protocol, factories, dig.Collect); err != nil {
+			t.Fatalf("%s: sim.Run: %v", policy, err)
+		}
+		if got, want := printedDigest(t, buf.String()), dig.Sum(); got != want {
+			t.Errorf("%s: accurun digest %s, spec digest %s", policy, got, want)
+		}
+	}
+}
+
+// TestZeroWeightsMeanDefault pins that -wd 0 -wi 0 reads as the paper's
+// balanced ABM weights, as a zero PolicySpec does in a job spec.
+func TestZeroWeightsMeanDefault(t *testing.T) {
+	digestOf := func(extra ...string) string {
+		var buf bytes.Buffer
+		args := append([]string{"-k", "10", "-cautious", "5", "-runs", "3", "-digest"}, extra...)
+		if err := run(args, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return printedDigest(t, buf.String())
+	}
+	if zero, def := digestOf("-wd", "0", "-wi", "0"), digestOf(); zero != def {
+		t.Errorf("-wd 0 -wi 0 digest %s, default weights digest %s", zero, def)
 	}
 }
 

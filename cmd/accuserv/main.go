@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -27,22 +28,31 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "accuserv: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("accuserv", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr         = flag.String("addr", "127.0.0.1:8470", "listen address")
-		dataDir      = flag.String("data", "accuserv-data", "state directory (job documents and checkpoints)")
-		workers      = flag.Int("workers", 0, "concurrent jobs (0 = number of CPUs)")
-		quota        = flag.Int("quota", 8, "max active (queued+running) jobs per tenant (0 = unlimited)")
-		maxAttempts  = flag.Int("max-attempts", 3, "execution attempts per job before it fails")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint and park on shutdown")
+		addr         = fs.String("addr", "127.0.0.1:8470", "listen address")
+		dataDir      = fs.String("data", "accuserv-data", "state directory (job documents and checkpoints)")
+		workers      = fs.Int("workers", 0, "concurrent jobs (0 = number of CPUs)")
+		quota        = fs.Int("quota", 8, "max active (queued+running) jobs per tenant (0 = unlimited)")
+		maxAttempts  = fs.Int("max-attempts", 3, "execution attempts per job before it fails")
+		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint and park on shutdown")
 	)
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
 
-	logger := log.New(os.Stderr, "accuserv: ", log.LstdFlags)
+	logger := log.New(stderr, "accuserv: ", log.LstdFlags)
 
 	srv, err := serv.New(serv.Config{
 		Dir:                *dataDir,
@@ -52,7 +62,7 @@ func main() {
 		Logf:               logger.Printf,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	srv.Start()
 
@@ -67,7 +77,7 @@ func main() {
 
 	select {
 	case err := <-serveErr:
-		logger.Fatalf("serve: %v", err)
+		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
 	}
 	stop() // a second signal kills immediately instead of waiting for drain
@@ -83,4 +93,5 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Printf("shutdown: %v", err)
 	}
+	return nil
 }

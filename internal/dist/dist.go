@@ -275,8 +275,6 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	now := c.now()
 	runs := c.cfg.Spec.Runs
 	var resp UploadResponse
-	batch := sim.NewSummary(nil)
-	batchRecords := 0
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,24 +300,16 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 		}
 		resp.Accepted++
 		for _, rec := range cl.Records {
-			batch.Collect(rec)
+			c.summary.Collect(rec)
 			c.digest.Collect(rec)
-			batchRecords++
 		}
+		c.records += len(cl.Records)
 		r := c.ranges[c.rangeIndex(indexOf(cl.CellKey, runs))]
 		r.remaining--
 		if r.remaining == 0 && r.leaseID != "" {
 			c.met.rangeNS.Observe(now.Sub(r.leasedAt).Nanoseconds())
 			r.leaseID, r.worker = "", ""
 		}
-	}
-	// Fold the batch into the master through the merge machinery — the
-	// same reduction a tree of coordinators would use.
-	if batchRecords > 0 {
-		if err := c.summary.Merge(batch); err != nil {
-			return resp, fmt.Errorf("dist: merge upload batch: %w", err)
-		}
-		c.records += batchRecords
 	}
 	c.met.cellsAccepted.Add(int64(resp.Accepted))
 	c.met.cellsDuplicate.Add(int64(resp.Duplicate))

@@ -76,7 +76,7 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.Upload(leaseID, worker, lines)
 	if err != nil {
-		// Commit/merge failure: the batch is not durable, the worker must
+		// Commit failure: the batch is not durable, the worker must
 		// not proceed past this cell.
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return

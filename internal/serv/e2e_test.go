@@ -2,6 +2,9 @@ package serv
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -207,4 +210,70 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	if done.Progress.Resumed == 0 {
 		t.Error("Progress.Resumed = 0, want checkpointed cells from before the crash")
 	}
+}
+
+// TestRestartLogsDroppedCheckpointCells corrupts a middle line of a job
+// checkpoint and restarts the server on it. The cells behind the corrupt
+// line re-run, so the digest must not move, and the loss must be logged
+// rather than silently recomputed.
+func TestRestartLogsDroppedCheckpointCells(t *testing.T) {
+	spec := testSpec()
+	spec.Runs = 3 // 6 cells
+	wantDigest, wantRecords := referenceRun(t, spec)
+
+	dir := t.TempDir()
+	s1 := newTestServer(t, Config{Dir: dir})
+	s1.Start()
+	job, err := s1.Submit(SubmitRequest{ID: "corrupt", Spec: spec})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitState(t, s1, job.ID, StateDone)
+	// Forge a crash while running, so the restarted server re-executes
+	// the job from its checkpoint.
+	s1.mu.Lock()
+	e := s1.jobs[job.ID]
+	e.job.State, e.job.Result = StateRunning, nil
+	if err := s1.store.saveJob(&e.job); err != nil {
+		t.Fatalf("saveJob: %v", err)
+	}
+	s1.mu.Unlock()
+	drain(t, s1)
+
+	path := s1.store.checkpointPath(job.ID)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if len(lines) < 4 {
+		t.Fatalf("checkpoint has %d lines, want >= 4", len(lines))
+	}
+	lines[1] = "{corrupt\n"
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	s2 := newTestServer(t, Config{Dir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	s2.Start()
+	defer drain(t, s2)
+	done := waitState(t, s2, job.ID, StateDone)
+	if done.Result == nil || done.Result.Digest != wantDigest || done.Result.Records != wantRecords {
+		t.Errorf("result after corrupt resume = %+v, want digest %s over %d records", done.Result, wantDigest, wantRecords)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := "job corrupt: warning: corrupt checkpoint line discarded 4 valid completed cell(s)"
+	for _, l := range logs {
+		if strings.HasPrefix(l, want) {
+			return
+		}
+	}
+	t.Errorf("no %q log line in:\n%s", want, strings.Join(logs, "\n"))
 }

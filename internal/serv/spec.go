@@ -25,12 +25,12 @@ type PolicySpec struct {
 	WI   float64 `json:"wi,omitempty"`
 }
 
-// Spec is the serializable description of one Monte-Carlo protocol — the
-// HTTP submission payload. It maps onto sim.Protocol exactly the way the
-// accurun CLI maps its flags, including the root-seed derivation
-// NewSeed(seed, 2·seed+1), so a job's record digest can be compared
-// bit-for-bit against a local `accurun -runs N -digest` of the same
-// parameters.
+// Spec is the serializable description of one Monte-Carlo protocol: the
+// accuserv submission payload, the accudist -spec file, and what accurun
+// assembles from its flags. Build is the only path from it to a
+// sim.Protocol and policy roster, including the root-seed derivation
+// NewSeed(seed, 2·seed+1), so a job's record digest matches a local
+// `accurun -runs N -digest` of the same parameters bit for bit.
 //
 //accu:wire
 type Spec struct {
@@ -116,7 +116,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("serv: duplicate policy %q", ps.Name)
 		}
 		seen[ps.Name] = true
-		if _, err := policyFactory(ps, nil); err != nil {
+		if _, err := ps.Factory(nil); err != nil {
 			return err
 		}
 	}
@@ -162,7 +162,7 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 	setup.NumCautious = s.cautious()
 	factories := make([]sim.PolicyFactory, 0, len(s.Policies))
 	for _, ps := range s.Policies {
-		f, err := policyFactory(ps, reg)
+		f, err := ps.Factory(reg)
 		if err != nil {
 			return sim.Protocol{}, nil, err
 		}
@@ -187,10 +187,11 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 	return p, factories, nil
 }
 
-// policyFactory builds the factory for one policy spec, mirroring the
-// accurun CLI's roster so service jobs and local runs stay digest-
-// compatible.
-func policyFactory(ps PolicySpec, reg *obs.Registry) (sim.PolicyFactory, error) {
+// Factory builds the engine factory for one policy spec. It is the only
+// policy-name lookup: accurun, accuserv and accudist all reach the roster
+// through it, so their record digests agree by construction. reg receives
+// ABM's work counters (nil disables).
+func (ps PolicySpec) Factory(reg *obs.Registry) (sim.PolicyFactory, error) {
 	switch ps.Name {
 	case "abm":
 		w := core.Weights{WD: ps.WD, WI: ps.WI}

@@ -32,6 +32,9 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if d := journal.Dropped(); d > 0 {
+		s.logf("job %s: warning: corrupt checkpoint line discarded %d valid completed cell(s); they will re-run", id, d)
+	}
 
 	summary := sim.NewSummary(nil)
 	digest := sim.NewRecordDigest()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
@@ -402,8 +403,10 @@ func TestRunCheckpointFullyResumedGrid(t *testing.T) {
 	}
 }
 
-// failingCheckpointer commits successfully n times, then fails.
+// failingCheckpointer commits successfully n times, then fails. Run
+// calls Commit from several workers at once, so n is locked.
 type failingCheckpointer struct {
+	mu  sync.Mutex
 	n   int
 	err error
 }
@@ -411,6 +414,8 @@ type failingCheckpointer struct {
 func (c *failingCheckpointer) Done(CellKey) bool { return false }
 
 func (c *failingCheckpointer) Commit(CellKey, []Record) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.n == 0 {
 		return c.err
 	}

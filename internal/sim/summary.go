@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/stats"
 )
@@ -82,44 +80,6 @@ func benefitAtStep(steps []core.Step, c int) float64 {
 	return steps[c-1].BenefitAfter
 }
 
-// Merge folds another summary into this one — the distributed/parallel
-// reduction used by the internal/dist coordinator, where each upload
-// batch aggregates into a partial summary before merging into the
-// master. Accumulators merge through the stats merge machinery
-// (stats.Welford.Merge, stats.Series.Merge), so benefit-curve axis
-// mismatches fail loudly with stats.ErrMismatchedAxes instead of
-// misattributing observations. Policies the receiver has not seen are
-// adopted in the other side's first-seen order; their curves are built
-// from the receiver's own checkpoints, so both sides must agree on
-// curve presence and axes. The other summary is not modified; on error
-// the receiver may have partially merged.
-func (s *Summary) Merge(o *Summary) error {
-	for _, p := range o.order {
-		if _, ok := s.final[p]; !ok {
-			s.adopt(p)
-		}
-		s.final[p].Merge(*o.final[p])
-		s.cautious[p].Merge(*o.cautious[p])
-		if err := s.finalSk[p].Merge(o.finalSk[p]); err != nil {
-			return fmt.Errorf("sim: merge summary policy %s: final-benefit sketch: %w", p, err)
-		}
-		if err := s.cautiousSk[p].Merge(o.cautiousSk[p]); err != nil {
-			return fmt.Errorf("sim: merge summary policy %s: cautious-friends sketch: %w", p, err)
-		}
-		oc, sc := o.curves[p], s.curves[p]
-		switch {
-		case oc == nil && sc == nil:
-		case oc != nil && sc != nil:
-			if err := sc.Merge(oc); err != nil {
-				return fmt.Errorf("sim: merge summary policy %s: %w", p, err)
-			}
-		default:
-			return fmt.Errorf("sim: merge summary policy %s: benefit curve present on one side only", p)
-		}
-	}
-	return nil
-}
-
 // Policies returns the policy names in first-seen order.
 func (s *Summary) Policies() []string { return s.order }
 
@@ -132,7 +92,7 @@ func (s *Summary) CautiousFriends(policy string) *stats.Welford { return s.cauti
 
 // FinalBenefitSketch returns the final-benefit quantile sketch for a
 // policy (nil if the policy produced no records). The sketch snapshot is
-// byte-identical across any merge order or grid partition of the same
+// byte-identical across any insertion order or grid partition of the same
 // record set — the property the distributed e2e check relies on.
 func (s *Summary) FinalBenefitSketch(policy string) *stats.Sketch { return s.finalSk[policy] }
 

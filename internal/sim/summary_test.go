@@ -64,103 +64,6 @@ func TestSummaryAggregates(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	p := testProtocol()
-	factories, err := DefaultFactories(core.DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkpoints := []int{5, 10, 15}
-
-	// Reference: one summary over the whole run.
-	whole := NewSummary(checkpoints)
-	if err := Run(context.Background(), p, factories, whole.Collect); err != nil {
-		t.Fatal(err)
-	}
-
-	// Split the same record stream across two partial summaries by cell
-	// parity, then merge — the reduction the dist coordinator performs.
-	parts := []*Summary{NewSummary(checkpoints), NewSummary(checkpoints)}
-	if err := Run(context.Background(), p, factories, func(rec Record) {
-		parts[(rec.Network*p.Runs+rec.Run)%2].Collect(rec)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	merged := NewSummary(checkpoints)
-	for _, part := range parts {
-		if err := merged.Merge(part); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	if got, want := merged.Policies(), whole.Policies(); len(got) != len(want) {
-		t.Fatalf("policies = %v, want %v", got, want)
-	}
-	for _, name := range whole.Policies() {
-		wf, mf := whole.FinalBenefit(name), merged.FinalBenefit(name)
-		if mf == nil || mf.Count() != wf.Count() {
-			t.Fatalf("%s: merged count = %v, want %d", name, mf, wf.Count())
-		}
-		if diff := mf.Mean() - wf.Mean(); diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("%s: merged mean %v, want %v", name, mf.Mean(), wf.Mean())
-		}
-		wc, mc := whole.Curve(name), merged.Curve(name)
-		if mc == nil || mc.Len() != wc.Len() {
-			t.Fatalf("%s: merged curve %v", name, mc)
-		}
-		wm, mm := wc.Means(), mc.Means()
-		for i := range wm {
-			if diff := mm[i] - wm[i]; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("%s: curve[%d] = %v, want %v", name, i, mm[i], wm[i])
-			}
-		}
-
-		// Sketch snapshots, unlike the Welford fields above, must be
-		// BYTE-identical between the single-stream and merged summaries —
-		// the reproducibility contract accudist's e2e check relies on.
-		if got, want := sketchJSON(t, merged.FinalBenefitSketch(name)), sketchJSON(t, whole.FinalBenefitSketch(name)); got != want {
-			t.Errorf("%s: final-benefit sketch diverged under merge:\n got %s\nwant %s", name, got, want)
-		}
-		if got, want := sketchJSON(t, merged.CautiousFriendsSketch(name)), sketchJSON(t, whole.CautiousFriendsSketch(name)); got != want {
-			t.Errorf("%s: cautious-friends sketch diverged under merge", name)
-		}
-		wsnap, msnap := wc.Snapshot(), mc.Snapshot()
-		if len(msnap.Sketches) != len(wsnap.Sketches) || len(wsnap.Sketches) != wc.Len() {
-			t.Fatalf("%s: curve sketch count = %d, want %d", name, len(msnap.Sketches), wc.Len())
-		}
-		for i := range wsnap.Sketches {
-			got, _ := json.Marshal(msnap.Sketches[i])
-			want, _ := json.Marshal(wsnap.Sketches[i])
-			if string(got) != string(want) {
-				t.Errorf("%s: curve sketch[%d] diverged under merge", name, i)
-			}
-		}
-	}
-
-	// Curve presence must match on both sides.
-	if err := NewSummary(nil).Merge(whole); err == nil {
-		t.Error("merging curved into curveless summary should fail")
-	}
-	bare := NewSummary(nil)
-	if err := Run(context.Background(), p, factories, bare.Collect); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.Merge(bare); err == nil {
-		t.Error("merging curveless into curved summary should fail")
-	}
-
-	// Merging into an empty summary adopts policies and curves wholesale.
-	empty := NewSummary(checkpoints)
-	if err := empty.Merge(whole); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range whole.Policies() {
-		if empty.FinalBenefit(name).Count() != whole.FinalBenefit(name).Count() {
-			t.Errorf("%s: adopted count mismatch", name)
-		}
-	}
-}
-
 // TestSummaryCheckpointZero is the regression test for the
 // benefitAtStep panic: a checkpoint at request 0 used to index
 // steps[-1] whenever the trace was non-empty. No requests have been

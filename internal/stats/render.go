@@ -32,7 +32,7 @@ func (t Table) Render() string {
 // accumulate over identical x positions: iterating series[0]'s axis
 // over a shorter series would panic at At(i) and a longer one would
 // silently drop its tail points, so any mismatch fails loudly with
-// ErrMismatchedAxes, like Series.Merge.
+// ErrMismatchedAxes.
 func SeriesTable(name, xName string, series []*Series) (Table, error) {
 	t := Table{Name: name, Header: []string{xName}}
 	if len(series) == 0 {

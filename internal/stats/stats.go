@@ -10,9 +10,9 @@ import (
 	"math"
 )
 
-// ErrMismatchedAxes is returned by Series.Merge and Grid.Merge when the
-// two sides do not accumulate over the same positions — merging them
-// would silently drop or misattribute observations.
+// ErrMismatchedAxes is returned by SeriesTable and RenderSeries when the
+// series do not accumulate over the same positions — lining them up as
+// columns would misattribute observations.
 var ErrMismatchedAxes = errors.New("stats: mismatched axes")
 
 // Welford accumulates a stream of observations with numerically stable
@@ -140,35 +140,10 @@ func (s *Series) SketchAt(i int) *Sketch {
 // Sketched reports whether the series tracks per-position sketches.
 func (s *Series) Sketched() bool { return s.sketches != nil }
 
-// Merge folds another series into this one. The two series must
-// accumulate over identical x positions: a silent range over only the
-// receiver's accumulators would drop a longer other side's tail
-// observations (and panic on a shorter one), so any mismatch fails
-// loudly with ErrMismatchedAxes instead. Sketch presence must likewise
-// match on both sides — merging a sketched series with a plain one
-// would silently lose the other side's quantile mass.
-func (s *Series) Merge(o *Series) error {
-	if err := matchAxis("x", s.xs, o.xs); err != nil {
-		return fmt.Errorf("%w: series %q vs %q: %v", ErrMismatchedAxes, s.Label, o.Label, err)
-	}
-	if (s.sketches == nil) != (o.sketches == nil) {
-		return fmt.Errorf("stats: merge series %q vs %q: sketches present on one side only", s.Label, o.Label)
-	}
-	for i := range s.accs {
-		s.accs[i].Merge(o.accs[i])
-	}
-	for i := range s.sketches {
-		if err := s.sketches[i].Merge(o.sketches[i]); err != nil {
-			return fmt.Errorf("stats: merge series %q position %d: %w", s.Label, i, err)
-		}
-	}
-	return nil
-}
-
 // matchAxis verifies two axes cover the same positions. Positions are
 // compared by bit pattern, not by ==: NaN != NaN under IEEE comparison,
 // so two series with identical axes containing a NaN position (an
-// undefined parameter slot in a sweep, say) could otherwise never merge.
+// undefined parameter slot in a sweep, say) could otherwise never line up.
 // Bit equality also keeps the check strict — -0 and +0 are different
 // positions, as are distinct NaN payloads.
 func matchAxis(name string, a, b []float64) error {
@@ -223,19 +198,3 @@ func (g *Grid) Add(i, j int, y float64) { g.accs[i*len(g.cols)+j].Add(y) }
 
 // At returns the accumulator of cell (i, j).
 func (g *Grid) At(i, j int) *Welford { return &g.accs[i*len(g.cols)+j] }
-
-// Merge folds another grid into this one. Both grids must span identical
-// row and column axes; any mismatch fails loudly with ErrMismatchedAxes
-// rather than silently dropping or misaligning cells.
-func (g *Grid) Merge(o *Grid) error {
-	if err := matchAxis("row", g.rows, o.rows); err != nil {
-		return fmt.Errorf("%w: grid %s/%s: %v", ErrMismatchedAxes, g.RowLabel, g.ColLabel, err)
-	}
-	if err := matchAxis("col", g.cols, o.cols); err != nil {
-		return fmt.Errorf("%w: grid %s/%s: %v", ErrMismatchedAxes, g.RowLabel, g.ColLabel, err)
-	}
-	for i := range g.accs {
-		g.accs[i].Merge(o.accs[i])
-	}
-	return nil
-}

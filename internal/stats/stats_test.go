@@ -116,86 +116,30 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestSeriesMerge(t *testing.T) {
-	a := NewSeries("x", []float64{1, 2})
-	b := NewSeries("x", []float64{1, 2})
-	a.Add(0, 2)
-	b.Add(0, 4)
-	b.Add(1, 6)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0).Mean() != 3 || a.At(0).Count() != 2 {
-		t.Errorf("merged mean = %v count = %d", a.At(0).Mean(), a.At(0).Count())
-	}
-	if a.At(1).Mean() != 6 {
-		t.Errorf("merged mean[1] = %v", a.At(1).Mean())
-	}
-}
-
-// TestSeriesMergeMismatch pins the loud-failure contract in both
-// directions: a longer other side used to silently drop its tail
-// observations, and a shorter one used to panic with a bare index error.
-func TestSeriesMergeMismatch(t *testing.T) {
-	base := func() *Series {
-		s := NewSeries("base", []float64{1, 2})
-		s.Add(0, 1)
-		s.Add(1, 2)
-		return s
-	}
-	cases := map[string]*Series{
-		"longer other":     NewSeries("o", []float64{1, 2, 3}),
-		"shorter other":    NewSeries("o", []float64{1}),
-		"shifted x values": NewSeries("o", []float64{1, 5}),
-	}
-	for name, o := range cases {
-		s := base()
-		o.Add(0, 9)
-		if err := s.Merge(o); !errors.Is(err, ErrMismatchedAxes) {
-			t.Errorf("%s: err = %v, want ErrMismatchedAxes", name, err)
-		}
-		// The failed merge must not have folded anything in.
-		if s.At(0).Count() != 1 || s.At(0).Mean() != 1 {
-			t.Errorf("%s: receiver mutated by failed merge", name)
-		}
-	}
-}
-
-// TestMergeNaNAxes is the regression test for the NaN merge bug:
-// matchAxis compared positions with !=, so two series (or grids) with
-// identical axes containing a NaN position could never merge — NaN !=
-// NaN under IEEE comparison. Identical-bits NaN positions must merge;
-// a NaN against a real number must still mismatch.
+// TestMergeNaNAxes is the regression test for the NaN axis bug (first
+// seen merging series): matchAxis compared positions with !=, so two
+// axes with a NaN position could never match — NaN != NaN under IEEE
+// comparison. Identical-bits NaN positions must match; a NaN against a
+// real number must still mismatch, in both orders.
 func TestMergeNaNAxes(t *testing.T) {
 	nan := math.NaN()
 	a := NewSeries("a", []float64{1, nan, 3})
 	b := NewSeries("b", []float64{1, nan, 3})
 	a.Add(1, 2)
 	b.Add(1, 4)
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("identical NaN axes refused to merge: %v", err)
+	tab, err := SeriesTable("t", "k", []*Series{a, b})
+	if err != nil {
+		t.Fatalf("identical NaN axes refused to line up: %v", err)
 	}
-	if a.At(1).Mean() != 3 || a.At(1).Count() != 2 {
-		t.Errorf("merged NaN position: mean = %v count = %d, want 3 and 2", a.At(1).Mean(), a.At(1).Count())
+	if got := tab.Rows[1][2]; got != "4.0 ±0.0" {
+		t.Errorf("NaN position of b = %q, want \"4.0 ±0.0\"", got)
 	}
-	// NaN vs a real position is still a mismatch, in both orders.
 	c := NewSeries("c", []float64{1, 2, 3})
-	if err := a.Merge(c); !errors.Is(err, ErrMismatchedAxes) {
+	if _, err := SeriesTable("t", "k", []*Series{a, c}); !errors.Is(err, ErrMismatchedAxes) {
 		t.Errorf("NaN vs 2: err = %v, want ErrMismatchedAxes", err)
 	}
-	if err := c.Merge(a); !errors.Is(err, ErrMismatchedAxes) {
+	if _, err := SeriesTable("t", "k", []*Series{c, a}); !errors.Is(err, ErrMismatchedAxes) {
 		t.Errorf("2 vs NaN: err = %v, want ErrMismatchedAxes", err)
-	}
-
-	ga := NewGrid("r", []float64{nan}, "c", []float64{1, nan})
-	gb := NewGrid("r", []float64{nan}, "c", []float64{1, nan})
-	ga.Add(0, 1, 10)
-	gb.Add(0, 1, 20)
-	if err := ga.Merge(gb); err != nil {
-		t.Fatalf("identical NaN grid axes refused to merge: %v", err)
-	}
-	if ga.At(0, 1).Mean() != 15 {
-		t.Errorf("merged NaN grid cell = %v, want 15", ga.At(0, 1).Mean())
 	}
 }
 
@@ -212,40 +156,6 @@ func TestGrid(t *testing.T) {
 	}
 	if g.At(0, 0).Count() != 0 {
 		t.Error("untouched cell has observations")
-	}
-}
-
-func TestGridMerge(t *testing.T) {
-	a := NewGrid("r", []float64{1}, "c", []float64{1})
-	b := NewGrid("r", []float64{1}, "c", []float64{1})
-	a.Add(0, 0, 10)
-	b.Add(0, 0, 20)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0).Mean() != 15 {
-		t.Errorf("merged = %v", a.At(0, 0).Mean())
-	}
-}
-
-// TestGridMergeMismatch covers both mismatch directions on both axes.
-func TestGridMergeMismatch(t *testing.T) {
-	cases := map[string]*Grid{
-		"extra row":      NewGrid("r", []float64{1, 2}, "c", []float64{1}),
-		"missing row":    NewGrid("r", nil, "c", []float64{1}),
-		"extra col":      NewGrid("r", []float64{1}, "c", []float64{1, 2}),
-		"shifted col":    NewGrid("r", []float64{1}, "c", []float64{9}),
-		"renumbered row": NewGrid("r", []float64{7}, "c", []float64{1}),
-	}
-	for name, o := range cases {
-		g := NewGrid("r", []float64{1}, "c", []float64{1})
-		g.Add(0, 0, 10)
-		if err := g.Merge(o); !errors.Is(err, ErrMismatchedAxes) {
-			t.Errorf("%s: err = %v, want ErrMismatchedAxes", name, err)
-		}
-		if g.At(0, 0).Count() != 1 {
-			t.Errorf("%s: receiver mutated by failed merge", name)
-		}
 	}
 }
 

@@ -8,7 +8,8 @@
 #
 #   1. compute the reference digest and result JSON with
 #      `accurun -digest -out` (no dist)
-#   2. start the coordinator with small ranges and a short lease TTL
+#   2. write the same parameters as a grid spec and start the coordinator
+#      on it with small ranges and a short lease TTL
 #   3. start two workers: wa throttled (the doomed straggler), wb free
 #   4. kill -9 wa while it holds a lease with unfinished cells
 #   5. wb inherits the expired lease; the grid completes
@@ -22,8 +23,8 @@ set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel 2>/dev/null || dirname "$0")/"
 
-# Protocol parameters — must stay in lockstep between the accurun
-# reference invocation and the coordinator's grid flags.
+# Protocol parameters: the accurun reference flags and the coordinator's
+# spec.json are both written from these.
 PRESET=slashdot
 SCALE=0.02
 CAUTIOUS=10
@@ -71,11 +72,15 @@ REF_DIGEST=$(awk '/^digest:/ {print $2}' "$WORK/reference.txt")
 [ -f "$WORK/local.json" ] || fail "accurun wrote no -out file"
 log "reference digest: $REF_DIGEST"
 
+cat >"$WORK/spec.json" <<JSON
+{"preset": "$PRESET", "scale": $SCALE, "cautious": $CAUTIOUS,
+ "policies": [{"name": "$POLICY"}],
+ "networks": 1, "runs": $RUNS, "k": $K, "seed": $SEED}
+JSON
+
 log "starting coordinator (range=$RANGE lease=$LEASE)"
-"$WORK/accudist" -coordinator -addr "$ADDR" -dir "$WORK/data" \
+"$WORK/accudist" -coordinator -addr "$ADDR" -spec "$WORK/spec.json" -dir "$WORK/data" \
     -range "$RANGE" -lease "$LEASE" -out "$WORK/out.json" \
-    -preset "$PRESET" -scale "$SCALE" -cautious "$CAUTIOUS" \
-    -policy "$POLICY" -networks 1 -runs "$RUNS" -k "$K" -seed "$SEED" \
     >>"$WORK/coord.log" 2>&1 &
 COORD_PID=$!
 for _ in $(seq 1 100); do
