@@ -1,8 +1,8 @@
 // Package obs is a lightweight, allocation-conscious metrics layer for
-// the simulator's hot paths: counters, gauges and histograms with atomic
-// updates, plus a Span phase timer. It exists so the Monte-Carlo engine
-// can report what the dirty-set optimisation and the worker fan-out are
-// actually doing at scale.
+// the simulator's hot paths: atomic counters and gauges, histograms over
+// the stats quantile sketch, plus a Span phase timer. It exists so the
+// Monte-Carlo engine can report what the dirty-set optimisation and the
+// worker fan-out are actually doing at scale.
 //
 // Every instrument is nil-safe: methods on a nil *Registry, *Counter,
 // *Gauge, *Histogram or zero Span are no-ops, so instrumented code pays
@@ -14,10 +14,11 @@ package obs
 
 import (
 	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"github.com/accu-sim/accu/internal/stats"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -79,21 +80,16 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histBuckets is the number of power-of-two histogram buckets: bucket i
-// counts observations v with bitlen(v) == i, i.e. v in [2^(i-1), 2^i).
-// 64 buckets cover the full non-negative int64 range.
-const histBuckets = 65
-
 // Histogram aggregates non-negative int64 observations (values or
-// nanosecond durations) into power-of-two buckets with exact count, sum,
-// min and max. All updates are lock-free and safe for concurrent use.
+// nanosecond durations) in a stats.Sketch, the quantile structure the
+// result summaries use: exact count, sum, min and max, and quantiles
+// within the sketch's relative error (0.5% at base resolution, doubling
+// with each coarsening; see stats.Sketch). The zero value is ready to
+// use, and a mutex makes it safe for concurrent use.
 type Histogram struct {
-	count atomic.Int64
-	sum   atomic.Int64
-	// minP1 stores min+1 so the zero value means "no observations yet".
-	minP1   atomic.Int64
-	max     atomic.Int64
-	buckets [histBuckets]atomic.Int64
+	mu  sync.Mutex
+	sum int64
+	sk  *stats.Sketch // nil until the first observation
 }
 
 // Observe records one observation. Negative values are clamped to 0.
@@ -102,104 +98,70 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	if v < 0 {
-		v = 0
+	v = max(v, 0)
+	h.mu.Lock()
+	if h.sk == nil {
+		h.sk = stats.NewSketch()
 	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bits.Len64(uint64(v))].Add(1)
-	for {
-		old := h.minP1.Load()
-		if old != 0 && old-1 <= v {
-			break
-		}
-		if h.minP1.CompareAndSwap(old, v+1) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if old >= v {
-			break
-		}
-		if h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
+	h.sum += v
+	h.sk.Add(float64(v))
+	h.mu.Unlock()
 }
 
-// Min returns the smallest observation; 0 with no observations.
-func (h *Histogram) Min() int64 {
+// value captures every statistic under one lock, so they describe the
+// same observations. It is the zero value (unnamed) on a nil or empty
+// histogram.
+func (h *Histogram) value() HistogramValue {
 	if h == nil {
-		return 0
+		return HistogramValue{}
 	}
-	p1 := h.minP1.Load()
-	if p1 == 0 {
-		return 0
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sk == nil {
+		return HistogramValue{}
 	}
-	return p1 - 1
-}
-
-// Max returns the largest observation; 0 with no observations.
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
+	s := h.sk.Snapshot()
+	return HistogramValue{
+		Count: s.Count,
+		Sum:   h.sum,
+		Mean:  float64(h.sum) / float64(s.Count),
+		Min:   int64(s.Min),
+		Max:   int64(s.Max),
+		P50:   int64(math.Round(s.P50)),
+		P90:   int64(math.Round(s.P90)),
+		P99:   int64(math.Round(s.P99)),
 	}
-	return h.max.Load()
 }
 
 // Count returns the number of observations; 0 on a nil histogram.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
+func (h *Histogram) Count() int64 { return h.value().Count }
 
 // Sum returns the sum of observations; 0 on a nil histogram.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
+func (h *Histogram) Sum() int64 { return h.value().Sum }
 
 // Mean returns the mean observation; 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.Sum()) / float64(n)
-}
+func (h *Histogram) Mean() float64 { return h.value().Mean }
 
-// Quantile estimates the q-quantile (q in [0, 1]) from the power-of-two
-// buckets: the answer is exact to within a factor of two. Returns 0 with
-// no observations.
+// Min returns the smallest observation; 0 with no observations.
+func (h *Histogram) Min() int64 { return h.value().Min }
+
+// Max returns the largest observation; 0 with no observations.
+func (h *Histogram) Max() int64 { return h.value().Max }
+
+// Quantile estimates the q-quantile, rounded to the nearest integer:
+// within the sketch's relative error, never outside [Min, Max], and
+// exactly Min or Max at the extreme ranks. Returns 0 with no
+// observations or q outside [0, 1].
 func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil {
+	if h == nil || !(q >= 0 && q <= 1) {
 		return 0
 	}
-	n := h.count.Load()
-	if n == 0 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.sk == nil {
 		return 0
 	}
-	rank := int64(q * float64(n-1))
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += h.buckets[i].Load()
-		if seen > rank {
-			if i == 0 {
-				return 0
-			}
-			// Bucket i holds values in [2^(i-1), 2^i); report the
-			// midpoint, clamped to the observed range so estimates never
-			// fall outside [Min, Max].
-			lo := int64(1) << (i - 1)
-			return min(max(lo+lo/2, h.Min()), h.max.Load())
-		}
-	}
-	return h.max.Load()
+	return int64(math.Round(h.sk.Quantile(q)))
 }
 
 // Registry is a named collection of instruments. The zero value is not

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -59,22 +60,35 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileWithinFactorOfTwo(t *testing.T) {
-	h := New().Histogram("h")
-	for v := int64(1); v <= 1000; v++ {
-		h.Observe(v)
+// TestHistogramQuantileRelativeError pins the sketch's accuracy over two
+// decades of values (a power-of-two bucket would be off by up to 50%
+// here), the exact extremes, and that the snapshot depends only on the
+// multiset observed, not on its order.
+func TestHistogramQuantileRelativeError(t *testing.T) {
+	up, down := New().Histogram("h"), New().Histogram("h")
+	const n = 100000
+	for v := int64(1); v <= n; v++ {
+		up.Observe(1000 + v)
+		down.Observe(1000 + n + 1 - v)
 	}
-	for _, tc := range []struct {
-		q     float64
-		exact int64
-	}{{0.5, 500}, {0.9, 900}, {0.99, 990}} {
-		got := h.Quantile(tc.q)
-		if got < tc.exact/2 || got > tc.exact*2 {
-			t.Errorf("Quantile(%v) = %d, want within 2x of %d", tc.q, got, tc.exact)
+	for _, q := range []float64{0.5, 0.9, 0.99} {
+		exact := 1000 + math.Ceil(q*n)
+		got := float64(up.Quantile(q))
+		if rel := math.Abs(got-exact) / exact; rel > 0.006 {
+			t.Errorf("Quantile(%v) = %v, exact %v: relative error %.4f > 0.006", q, got, exact, rel)
 		}
+	}
+	if up.Quantile(0) != 1001 || up.Quantile(1) != 1000+n {
+		t.Errorf("extreme quantiles = %d, %d; want the exact min and max", up.Quantile(0), up.Quantile(1))
+	}
+	if got, want := up.value(), down.value(); got != want {
+		t.Errorf("snapshot depends on observation order:\n%+v\n%+v", got, want)
 	}
 	if got := (&Histogram{}).Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %d, want 0", got)
+	}
+	if got := up.Quantile(1.5); got != 0 {
+		t.Errorf("Quantile(1.5) = %d, want 0", got)
 	}
 }
 
@@ -121,7 +135,7 @@ func TestNilRegistryNoOp(t *testing.T) {
 
 // TestConcurrentInstruments hammers one counter, gauge and histogram
 // from many goroutines; run under -race this doubles as the data-race
-// proof, and the totals pin lock-free correctness.
+// proof, and the totals pin that no update is lost.
 func TestConcurrentInstruments(t *testing.T) {
 	r := New()
 	const goroutines = 16
@@ -223,7 +237,9 @@ func BenchmarkCounter(b *testing.B) {
 	})
 }
 
-// BenchmarkHistogramObserve measures both histogram hot paths.
+// BenchmarkHistogramObserve measures both histogram hot paths, and the
+// enabled one shared by every goroutine (the engine's workers all
+// observe into one registry).
 func BenchmarkHistogramObserve(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		h := New().Histogram("h")
@@ -231,6 +247,15 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h.Observe(int64(i % 4096))
 		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		h := New().Histogram("h")
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int64(0); pb.Next(); i++ {
+				h.Observe(i % 4096)
+			}
+		})
 	})
 	b.Run("disabled", func(b *testing.B) {
 		var h *Histogram

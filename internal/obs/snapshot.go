@@ -22,8 +22,9 @@ type GaugeValue struct {
 }
 
 // HistogramValue is one histogram in a snapshot: count, sum and the
-// derived shape statistics. P50/P90/P99 are power-of-two bucket
-// estimates (exact within 2×).
+// derived shape statistics. Count, Sum, Min and Max are exact;
+// P50/P90/P99 are sketch estimates (see Histogram), rounded to
+// integers.
 type HistogramValue struct {
 	Name  string  `json:"name"`
 	Count int64   `json:"count"`
@@ -60,18 +61,9 @@ func (r *Registry) Snapshot() *Snapshot {
 		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: r.gauges[name].Value()})
 	}
 	for _, name := range sortedKeys(r.histograms) {
-		h := r.histograms[name]
-		s.Histograms = append(s.Histograms, HistogramValue{
-			Name:  name,
-			Count: h.Count(),
-			Sum:   h.Sum(),
-			Mean:  h.Mean(),
-			Min:   h.Min(),
-			Max:   h.Max(),
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-		})
+		v := r.histograms[name].value()
+		v.Name = name
+		s.Histograms = append(s.Histograms, v)
 	}
 	return s
 }

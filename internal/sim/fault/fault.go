@@ -3,7 +3,7 @@
 // builders and policy factories that fail or stall at deterministic,
 // seed-derived rates. They exist to exercise the engine's fault
 // tolerance — ContinueOnError, CellTimeout, Retries, checkpointing — in
-// tests and in cmd/simbench's -chaos mode.
+// tests.
 //
 // Every injection decision derives from the seed the wrapped call
 // receives, split under a "fault" label, so a faulted grid is exactly as
