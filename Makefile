@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet accuvet vet-fix fuzz-smoke bench serve service-e2e clean
+.PHONY: all build test race lint fmt-check vet accuvet vet-fix fuzz-smoke bench serve service-e2e clean
 
 all: build test lint
 
@@ -13,14 +13,20 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# lint runs the standard vet suite plus accuvet, the project's own
-# analyzer suite (determinism, seed discipline, metric naming) — once
-# through `go vet -vettool` exactly as CI does, and once standalone so
-# metricname can see duplicate registrations across packages.
-# staticcheck runs too when it is on PATH (CI pins its version).
-lint: vet accuvet
+# lint runs the gofmt check, the standard vet suite plus accuvet, the
+# project's own analyzer suite (determinism, seed discipline, metric
+# naming) — once through `go vet -vettool` exactly as CI does, and once
+# standalone so metricname can see duplicate registrations across
+# packages. staticcheck runs too when it is on PATH (CI pins its version).
+lint: fmt-check vet accuvet
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || \
 		echo "staticcheck not installed; skipping (CI runs it pinned)"
+
+# fmt-check fails when any tracked Go file outside the analyzer testdata
+# fixtures (which are deliberately unformatted inputs) needs gofmt.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

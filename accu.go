@@ -377,11 +377,6 @@ type (
 	// MultiState is the shared-observation, per-bot-friendship attack
 	// state of the collaborative multi-socialbot model.
 	MultiState = osn.MultiState
-	// BotView is one bot's scoring view of a MultiState.
-	BotView = osn.BotView
-	// AttackerKnowledge is the read interface consumed by scoring
-	// functions; *State and *BotView implement it.
-	AttackerKnowledge = osn.View
 	// MultiResult is the trace of a collaborative attack.
 	MultiResult = core.MultiResult
 	// MultiStep records one request of a collaborative attack.

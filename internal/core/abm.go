@@ -11,10 +11,10 @@ import (
 // ABM is the Adaptive Benefit Maximization greedy of Algorithm 1: at each
 // step it requests the user with the highest potential P(u|ω).
 //
-// By default ABM re-scores lazily: a candidate's potential can only change
-// when an accepted request touches its two-hop neighborhood, so after each
-// acceptance only that dirty set is re-evaluated (stale heap entries are
-// version-checked on pop). WithFullRescan restores the naive
+// By default ABM re-scores lazily: after each acceptance only the
+// candidates whose potential inputs changed, a subset of the new friend's
+// two-hop neighborhood (see Observe), are re-evaluated (stale heap entries
+// are version-checked on pop). WithFullRescan restores the naive
 // recompute-everything behaviour for ablation benchmarks; both variants
 // select identical sequences.
 type ABM struct {
@@ -29,6 +29,11 @@ type ABM struct {
 	// is already queued this round iff its stamp equals the epoch.
 	dirtyStamp []int32
 	epoch      int32
+	// seenMutual[v] is v's mutual count as of the last Observe that
+	// visited v: the value its neighbours' cached scores reflect. Comparing
+	// against it, not Mutual(v)-1, keeps Observe exact when RunBatched
+	// applies several acceptances before observing them.
+	seenMutual []int32
 
 	// Instruments resolved once by WithMetrics; nil (no-op) by default.
 	// See DESIGN.md "Reading a metrics dump" for what each one means.
@@ -110,12 +115,14 @@ func (a *ABM) Init(st *osn.State) error {
 	}
 	a.version = resetInt32s(a.version, n)
 	a.dirtyStamp = resetInt32s(a.dirtyStamp, n)
+	a.seenMutual = resetInt32s(a.seenMutual, n)
 	a.epoch = 0
 	a.pq = a.pq[:0]
 	if cap(a.pq) < n {
 		a.pq = make(potentialHeap, 0, n)
 	}
 	for u := 0; u < n; u++ {
+		a.seenMutual[u] = int32(st.Mutual(u))
 		a.scores[u] = Potential(st, u, a.weights)
 		a.pq = append(a.pq, heapEntry{score: a.scores[u], user: int32(u)})
 	}
@@ -173,10 +180,15 @@ func (a *ABM) Observe(st *osn.State, out osn.Outcome) {
 
 	// Dirty set: potential neighbors of the new friend (posterior edge
 	// beliefs and the friend-exclusion changed), plus every realized
-	// neighbor v (mutual count / FOF status changed) and v's potential
-	// neighbors (their P_D / P_I terms involving v changed). Deduped
-	// with an epoch stamp to avoid per-acceptance allocation.
-	g := st.Instance().Graph()
+	// neighbor v (mutual count / FOF status changed). v's potential
+	// neighbors are dirty only when v's term in their potentials moved
+	// since v was last visited: v is not a friend, its mutual count grew
+	// from old, and either v just entered FOF (P_D) or is cautious with a
+	// deficit that shrank (P_I). Every other input of a second-hop
+	// candidate is unchanged, so its rescore would return the same float.
+	// Deduped with an epoch stamp to avoid per-acceptance allocation.
+	inst := st.Instance()
+	g := inst.Graph()
 	re := st.Realization()
 	a.epoch++
 	dirty := 0
@@ -191,12 +203,20 @@ func (a *ABM) Observe(st *osn.State, out osn.Outcome) {
 		}
 	}
 	base := g.AdjBase(out.User)
-	for i, v := range g.Neighbors(out.User) {
-		touch(int(v))
-		if !re.EdgeExistsSlot(base + i) {
+	for i, v32 := range g.Neighbors(out.User) {
+		v := int(v32)
+		touch(v)
+		if !re.EdgeExistsSlot(base+i) || st.IsFriend(v) {
 			continue
 		}
-		for _, x := range g.Neighbors(int(v)) {
+		old, cur := int(a.seenMutual[v]), st.Mutual(v)
+		a.seenMutual[v] = int32(cur)
+		moved := (a.weights.WD > 0 && old == 0) ||
+			(a.weights.WI > 0 && inst.Kind(v) == osn.Cautious && inst.Theta(v) > old)
+		if cur == old || !moved {
+			continue
+		}
+		for _, x := range g.Neighbors(v) {
 			touch(int(x))
 		}
 	}

@@ -156,38 +156,40 @@ func TestABMBefriendsCautiousViaThreshold(t *testing.T) {
 }
 
 func TestABMLazyMatchesFullRescan(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		inst := randomInstance(t, 100+seed*10)
-		re := inst.SampleRealization(rng.NewSeed(seed, 42))
+	for _, w := range oracleWeights {
+		for seed := uint64(0); seed < 4; seed++ {
+			inst := randomInstance(t, 100+seed*10)
+			re := inst.SampleRealization(rng.NewSeed(seed, 42))
 
-		lazy, err := NewABM(DefaultWeights())
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := NewABM(DefaultWeights(), WithFullRescan())
-		if err != nil {
-			t.Fatal(err)
-		}
-		const k = 60
-		resLazy, err := Run(lazy, re, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resFull, err := Run(full, re, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(resLazy.Steps) != len(resFull.Steps) {
-			t.Fatalf("seed %d: step counts differ: %d vs %d", seed, len(resLazy.Steps), len(resFull.Steps))
-		}
-		for i := range resLazy.Steps {
-			if resLazy.Steps[i].User != resFull.Steps[i].User {
-				t.Fatalf("seed %d: step %d differs: lazy=%d full=%d",
-					seed, i, resLazy.Steps[i].User, resFull.Steps[i].User)
+			lazy, err := NewABM(w)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if resLazy.Benefit != resFull.Benefit {
-			t.Fatalf("seed %d: benefits differ: %v vs %v", seed, resLazy.Benefit, resFull.Benefit)
+			full, err := NewABM(w, WithFullRescan())
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k = 60
+			resLazy, err := Run(lazy, re, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resFull, err := Run(full, re, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(resLazy.Steps) != len(resFull.Steps) {
+				t.Fatalf("%+v seed %d: step counts differ: %d vs %d", w, seed, len(resLazy.Steps), len(resFull.Steps))
+			}
+			for i := range resLazy.Steps {
+				if resLazy.Steps[i] != resFull.Steps[i] {
+					t.Fatalf("%+v seed %d: step %d differs: lazy=%+v full=%+v",
+						w, seed, i, resLazy.Steps[i], resFull.Steps[i])
+				}
+			}
+			if resLazy.Benefit != resFull.Benefit {
+				t.Fatalf("%+v seed %d: benefits differ: %v vs %v", w, seed, resLazy.Benefit, resFull.Benefit)
+			}
 		}
 	}
 }

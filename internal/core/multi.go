@@ -47,7 +47,7 @@ func RunMulti(re *osn.Realization, bots, k int, w Weights) (*MultiResult, error)
 	if err != nil {
 		return nil, err
 	}
-	views := make([]*osn.BotView, bots)
+	views := make([]*osn.State, bots)
 	for b := 0; b < bots; b++ {
 		v, err := ms.View(b)
 		if err != nil {

@@ -8,30 +8,39 @@ import (
 )
 
 func TestRunMultiSingleBotMatchesFullRescanABM(t *testing.T) {
-	// One bot with the O(N)-scan runner must reproduce the sequential
-	// ABM (both are exact greedy maximizers of the same potential).
+	// Metamorphic relation: one bot with the O(N)-scan runner over a
+	// MultiState view must reproduce the sequential lazy ABM over a plain
+	// State step for step (both are exact greedy maximizers of the same
+	// potential, scored through the same *osn.State reads).
 	inst := randomInstance(t, 1100)
-	re := inst.SampleRealization(rng.NewSeed(11, 11))
 	const k = 40
-	multi, err := RunMulti(re, 1, k, DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	abm, err := NewABM(DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := Run(abm, re, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi.Benefit != single.Benefit {
-		t.Errorf("benefits differ: multi %v vs single %v", multi.Benefit, single.Benefit)
-	}
-	for i := range single.Steps {
-		if multi.Steps[i].User != single.Steps[i].User {
-			t.Fatalf("step %d: multi picked %d, single picked %d",
-				i, multi.Steps[i].User, single.Steps[i].User)
+	for _, w := range oracleWeights {
+		for seed := uint64(0); seed < 4; seed++ {
+			re := inst.SampleRealization(rng.NewSeed(11+seed, 11))
+			multi, err := RunMulti(re, 1, k, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			abm, err := NewABM(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := Run(abm, re, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if multi.Benefit != single.Benefit {
+				t.Errorf("%+v seed %d: benefits differ: multi %v vs single %v", w, seed, multi.Benefit, single.Benefit)
+			}
+			if len(multi.Steps) != len(single.Steps) {
+				t.Fatalf("%+v seed %d: %d multi steps vs %d single", w, seed, len(multi.Steps), len(single.Steps))
+			}
+			for i := range single.Steps {
+				if multi.Steps[i].Step != single.Steps[i] {
+					t.Fatalf("%+v seed %d step %d: multi %+v, single %+v",
+						w, seed, i, multi.Steps[i].Step, single.Steps[i])
+				}
+			}
 		}
 	}
 }

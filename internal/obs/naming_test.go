@@ -14,18 +14,18 @@ import (
 
 func TestValidName(t *testing.T) {
 	for name, want := range map[string]bool{
-		"abm.heap_pops":       true,
-		"sim.worker_busy_ns":  true,
+		"abm.heap_pops":             true,
+		"sim.worker_busy_ns":        true,
 		"osn.sample_realization_ns": true,
-		"a.b.c":               true,
-		"nodots":              false,
-		"CamelCase.x":         false,
-		"sim.cell-ns":         false,
-		".leading":            false,
-		"trailing.":           false,
-		"sim..double":         false,
-		"":                    false,
-		"9starts.with_digit":  false,
+		"a.b.c":                     true,
+		"nodots":                    false,
+		"CamelCase.x":               false,
+		"sim.cell-ns":               false,
+		".leading":                  false,
+		"trailing.":                 false,
+		"sim..double":               false,
+		"":                          false,
+		"9starts.with_digit":        false,
 	} {
 		if got := obs.ValidName(name); got != want {
 			t.Errorf("ValidName(%q) = %v, want %v", name, got, want)

@@ -5,30 +5,6 @@ import (
 	"fmt"
 )
 
-// View is the read side of an attacker's knowledge that scoring functions
-// (e.g. the ABM potential) consume. *State implements it for the
-// single-bot attack; BotView implements it per bot in the collaborative
-// multi-bot attack (paper reference [5]).
-type View interface {
-	// Instance returns the problem instance.
-	Instance() *Instance
-	// Requested reports whether this attacker already requested u.
-	Requested(u int) bool
-	// IsFriend reports whether u accepted this attacker's request.
-	IsFriend(u int) bool
-	// IsFOF reports whether u is a friend-of-friend of this attacker.
-	IsFOF(u int) bool
-	// Mutual returns this attacker's mutual-friend count with u.
-	Mutual(u int) int
-	// AcceptChance estimates the probability u accepts a request now.
-	AcceptChance(u int) float64
-	// PosteriorEdgeProb returns the attacker's belief in edge
-	// (u, Neighbors(u)[i]) at CSR slot.
-	PosteriorEdgeProb(u, v, slot int) float64
-}
-
-var _ View = (*State)(nil)
-
 // ErrBadBot is returned for an out-of-range bot index.
 var ErrBadBot = errors.New("osn: bot index out of range")
 
@@ -180,60 +156,28 @@ func (ms *MultiState) RecomputeBenefit() float64 {
 	return total
 }
 
-// View returns bot b's read view for scoring. The view reflects the
-// shared observations but bot-local friendship and mutual counts.
-func (ms *MultiState) View(b int) (*BotView, error) {
+// View returns bot b's read-only scoring view: a State over the bot's
+// own requests, friendships and mutual counts whose edge observations
+// are the collective's (an edge incident to ANY bot's friend is revealed
+// to all bots). Its scoring reads (Requested, IsFriend, IsFOF, Mutual,
+// WouldAccept, AcceptChance, PosteriorEdgeProb) track the MultiState
+// live; Request and RequestBatch return ErrReadOnly.
+//
+// A view keeps no accounting: its Benefit, Requests, Friends,
+// CautiousFriends and FOFCount always read 0 and ClassCounts reports N
+// strangers, and its RecomputeBenefit counts bot b's friends alone. Read
+// the collective's totals from the MultiState.
+func (ms *MultiState) View(b int) (*State, error) {
 	if b < 0 || b >= ms.bots {
 		return nil, fmt.Errorf("%w: %d", ErrBadBot, b)
 	}
-	return &BotView{ms: ms, bot: b}, nil
-}
-
-// BotView adapts one bot's perspective of a MultiState to the View
-// interface.
-type BotView struct {
-	ms  *MultiState
-	bot int
-}
-
-var _ View = (*BotView)(nil)
-
-// Instance implements View.
-func (v *BotView) Instance() *Instance { return v.ms.inst }
-
-// Requested implements View (this bot's requests only).
-func (v *BotView) Requested(u int) bool { return v.ms.requested[v.bot][u] }
-
-// IsFriend implements View (friendship with this bot).
-func (v *BotView) IsFriend(u int) bool { return v.ms.friend[v.bot][u] }
-
-// IsFOF implements View: u is adjacent to one of this bot's friends.
-func (v *BotView) IsFOF(u int) bool {
-	return !v.ms.friend[v.bot][u] && v.ms.mutual[v.bot][u] > 0
-}
-
-// Mutual implements View (this bot's mutual-friend count).
-func (v *BotView) Mutual(u int) int { return int(v.ms.mutual[v.bot][u]) }
-
-// AcceptChance implements View.
-func (v *BotView) AcceptChance(u int) float64 {
-	if v.ms.inst.kind[u] == Cautious {
-		if int(v.ms.mutual[v.bot][u]) >= v.ms.inst.theta[u] {
-			return v.ms.inst.qHigh[u]
-		}
-		return v.ms.inst.qLow[u]
-	}
-	return v.ms.inst.acceptProb[u]
-}
-
-// PosteriorEdgeProb implements View: observations are shared — an edge
-// incident to ANY bot's friend is revealed to all bots.
-func (v *BotView) PosteriorEdgeProb(u, w, slot int) float64 {
-	if v.ms.friendAny[u] || v.ms.friendAny[w] {
-		if v.ms.real.edgeExists[slot] {
-			return 1
-		}
-		return 0
-	}
-	return v.ms.inst.edgeProb[slot]
+	return &State{
+		inst:      ms.inst,
+		real:      ms.real,
+		requested: ms.requested[b],
+		friend:    ms.friend[b],
+		mutual:    ms.mutual[b],
+		observed:  ms.friendAny,
+		readOnly:  true,
+	}, nil
 }

@@ -237,7 +237,7 @@ type SubmitRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// MaxAttempts bounds automatic retries of failed executions; 0 uses
 	// the server default.
-	MaxAttempts int `json:"maxAttempts,omitempty"`
+	MaxAttempts int  `json:"maxAttempts,omitempty"`
 	Spec        Spec `json:"spec"`
 }
 

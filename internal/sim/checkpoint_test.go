@@ -216,8 +216,8 @@ func TestCellJournalCountsDroppedCells(t *testing.T) {
 	content = append(content, []byte("{corrupt}\n")...)
 	content = append(content, line(0, 2)...)
 	content = append(content, line(0, 3)...)
-	content = append(content, line(0, 1)...)  // duplicate of a kept cell: not lost work
-	content = append(content, line(0, 3)...)  // duplicate of a dropped cell: counted once
+	content = append(content, line(0, 1)...)                          // duplicate of a kept cell: not lost work
+	content = append(content, line(0, 3)...)                          // duplicate of a dropped cell: counted once
 	content = append(content, []byte(`{"network":0,"run":4,"rec`)...) // torn tail: not counted
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
