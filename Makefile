@@ -51,10 +51,11 @@ vet-fix:
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations — the decoder surfaces (store block
-# decoder, cell-journal resume) the analyzers cannot reach.
+# decoder, cell-journal resume, accuserv submit) the analyzers cannot reach.
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
+	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -1,10 +1,10 @@
 // Command accuserv serves Monte-Carlo simulation grids over HTTP.
 //
-// Jobs are submitted as JSON specs, queued by priority under per-tenant
-// quotas, executed by a worker pool, and checkpointed per cell so that a
-// killed or drained server resumes every interrupted job from its last
-// durable cell after restart. Progress streams over SSE; results, metrics
-// and the admin surface (list/cancel/resume) are plain JSON endpoints.
+// Jobs are submitted as JSON specs, run in submission order by a worker
+// pool, and checkpointed per cell so that a killed or drained server
+// resumes every interrupted job from its last durable cell after restart.
+// Progress is polled from the job document; results, metrics and the
+// admin surface (list/cancel/resume) are plain JSON endpoints.
 //
 // On SIGINT/SIGTERM the server stops accepting jobs, preempts running
 // ones (their attempt is not consumed), waits for the workers to park,
@@ -41,7 +41,6 @@ func run(args []string, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8470", "listen address")
 		dataDir      = fs.String("data", "accuserv-data", "state directory (job documents and checkpoints)")
 		workers      = fs.Int("workers", 0, "concurrent jobs (0 = number of CPUs)")
-		quota        = fs.Int("quota", 8, "max active (queued+running) jobs per tenant (0 = unlimited)")
 		maxAttempts  = fs.Int("max-attempts", 3, "execution attempts per job before it fails")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint and park on shutdown")
 	)
@@ -57,7 +56,6 @@ func run(args []string, stderr io.Writer) error {
 	srv, err := serv.New(serv.Config{
 		Dir:                *dataDir,
 		Workers:            *workers,
-		DefaultQuota:       *quota,
 		DefaultMaxAttempts: *maxAttempts,
 		Logf:               logger.Printf,
 	})

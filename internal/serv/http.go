@@ -10,10 +10,9 @@ import (
 // Handler returns the service's HTTP API:
 //
 //	POST /api/v1/jobs              submit a job (SubmitRequest body)
-//	GET  /api/v1/jobs              list jobs (?state=, ?tenant=)
+//	GET  /api/v1/jobs              list jobs (?state=)
 //	GET  /api/v1/jobs/{id}         one job document with live progress
 //	GET  /api/v1/jobs/{id}/result  the finished job's Result
-//	GET  /api/v1/jobs/{id}/events  SSE stream of progress/state events
 //	POST /api/v1/jobs/{id}/cancel  cancel a queued or running job
 //	POST /api/v1/jobs/{id}/resume  requeue a failed/cancelled job
 //	GET  /metrics                  merged metrics snapshot (?job=<id>)
@@ -24,7 +23,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
 	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("POST /api/v1/jobs/{id}/resume", s.handleResume)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -54,8 +52,6 @@ func writeError(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, ErrDuplicateJob), errors.Is(err, ErrConflict):
 		status = http.StatusConflict
-	case errors.Is(err, ErrQuotaExceeded):
-		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		status = http.StatusServiceUnavailable
 	}
@@ -70,9 +66,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("serv: parse submit request: %w", err))
 		return
 	}
-	if req.Tenant == "" {
-		req.Tenant = r.Header.Get("X-Accu-Tenant")
-	}
 	job, err := s.Submit(req)
 	if err != nil {
 		writeError(w, err)
@@ -82,7 +75,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.List(State(r.URL.Query().Get("state")), r.URL.Query().Get("tenant"))
+	jobs := s.List(State(r.URL.Query().Get("state")))
 	writeJSON(w, http.StatusOK, struct {
 		Jobs []Job `json:"jobs"`
 	}{Jobs: jobs})
@@ -147,71 +140,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 	}{Status: "ok"})
-}
-
-// handleEvents streams a job's events as server-sent events. The stream
-// opens with a "state" snapshot of the current document, then relays hub
-// events until the job reaches a terminal state, the client disconnects,
-// or the server drains; the final document state is always re-read and
-// emitted before the stream closes, so a subscriber that raced a
-// transition (or whose buffer overflowed) still observes the outcome.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	e, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		writeError(w, fmt.Errorf("%w: %s", ErrNotFound, id))
-		return
-	}
-	hub := e.hub
-	job := s.view(e)
-	s.mu.Unlock()
-
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, errors.New("serv: response writer does not support streaming"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	events, cancel := hub.subscribe()
-	defer cancel()
-
-	writeSSE(w, Event{Type: "state", JobID: job.ID, State: job.State, Done: job.Progress.Done,
-		Resumed: job.Progress.Resumed, Total: job.Progress.Total, Error: job.Error})
-	flusher.Flush()
-
-	for {
-		select {
-		case ev, open := <-events:
-			if !open {
-				// Hub closed: terminal transition or drain. Emit the
-				// authoritative final state and end the stream.
-				if final, err := s.Get(id); err == nil {
-					writeSSE(w, Event{Type: "state", JobID: final.ID, State: final.State,
-						Done: final.Progress.Done, Resumed: final.Progress.Resumed,
-						Total: final.Progress.Total, Error: final.Error})
-					flusher.Flush()
-				}
-				return
-			}
-			writeSSE(w, ev)
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-// writeSSE emits one SSE frame named by the event type.
-func writeSSE(w http.ResponseWriter, ev Event) {
-	data, err := json.Marshal(ev)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data)
 }

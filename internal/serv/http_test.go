@@ -1,7 +1,6 @@
 package serv
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -20,21 +19,13 @@ func httpServer(t *testing.T, s *Server) *httptest.Server {
 	return ts
 }
 
-func postJSON(t *testing.T, url string, body any, header map[string]string) (*http.Response, []byte) {
+func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	t.Helper()
 	data, err := json.Marshal(body)
 	if err != nil {
 		t.Fatalf("marshal request: %v", err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("new request: %v", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range header {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("POST %s: %v", url, err)
 	}
@@ -66,9 +57,7 @@ func TestHTTPSubmitLifecycle(t *testing.T) {
 	defer drain(t, s)
 	ts := httpServer(t, s)
 
-	resp, body := postJSON(t, ts.URL+"/api/v1/jobs",
-		SubmitRequest{ID: "httpjob", Spec: testSpec()},
-		map[string]string{"X-Accu-Tenant": "team_a"})
+	resp, body := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "httpjob", Spec: testSpec()})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
@@ -76,8 +65,8 @@ func TestHTTPSubmitLifecycle(t *testing.T) {
 	if err := json.Unmarshal(body, &job); err != nil {
 		t.Fatalf("parse submit response: %v", err)
 	}
-	if job.ID != "httpjob" || job.Tenant != "team_a" {
-		t.Fatalf("job = %+v, want httpjob/team_a", job)
+	if job.ID != "httpjob" || job.State != StateQueued {
+		t.Fatalf("job = %+v, want httpjob/queued", job)
 	}
 
 	// Result of an unfinished job conflicts.
@@ -113,7 +102,7 @@ func TestHTTPSubmitLifecycle(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 
-	resp, body = getJSON(t, ts.URL+"/api/v1/jobs?tenant=team_a")
+	resp, body = getJSON(t, ts.URL+"/api/v1/jobs?state=done")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list status = %d", resp.StatusCode)
 	}
@@ -129,36 +118,44 @@ func TestHTTPSubmitLifecycle(t *testing.T) {
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
-	s := newTestServer(t, Config{DefaultQuota: 1})
+	s := newTestServer(t, Config{})
 	ts := httpServer(t, s) // workers not started: jobs stay queued
 
 	if resp, _ := getJSON(t, ts.URL+"/api/v1/jobs/nosuch"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job status = %d, want 404", resp.StatusCode)
 	}
-	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "Bad ID", Spec: testSpec()}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "Bad ID", Spec: testSpec()}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid id status = %d, body %s, want 400", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", map[string]any{"bogus": true}, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", map[string]any{"bogus": true}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field status = %d, body %s, want 400", resp.StatusCode, body)
 	}
 
-	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "q1", Spec: testSpec()}, nil); resp.StatusCode != http.StatusCreated {
+	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "q1", Spec: testSpec()}); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "q1", Spec: testSpec()}, nil); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "q1", Spec: testSpec()}); resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate status = %d, want 409", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "q2", Spec: testSpec()}, nil); resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("quota status = %d, want 429", resp.StatusCode)
+	// tenant and priority are not SubmitRequest fields, so the decoder
+	// rejects them as unknown.
+	for _, field := range []string{"tenant", "priority"} {
+		body := map[string]any{"id": "q2", field: "x", "spec": testSpec()}
+		if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit with %s status = %d, want 400", field, resp.StatusCode)
+		}
+	}
+	if resp, _ := getJSON(t, ts.URL+"/api/v1/jobs/q1/events"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("events status = %d, want 404 (no SSE endpoint)", resp.StatusCode)
 	}
 
-	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs/q1/cancel", nil, nil); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs/q1/cancel", nil); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("cancel status = %d, want 202", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs/q1/cancel", nil, nil); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs/q1/cancel", nil); resp.StatusCode != http.StatusConflict {
 		t.Errorf("re-cancel status = %d, want 409", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs/q1/resume", nil, nil); resp.StatusCode != http.StatusAccepted {
+	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs/q1/resume", nil); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("resume status = %d, want 202", resp.StatusCode)
 	}
 
@@ -180,86 +177,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp, _ := getJSON(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining healthz status = %d, want 503", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "late", Spec: testSpec()}, nil); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "late", Spec: testSpec()}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining submit status = %d, want 503", resp.StatusCode)
-	}
-}
-
-// readSSE consumes one SSE stream, returning the decoded events in order.
-func readSSE(t *testing.T, resp *http.Response) []Event {
-	t.Helper()
-	defer resp.Body.Close()
-	var events []Event
-	scanner := bufio.NewScanner(resp.Body)
-	for scanner.Scan() {
-		line := scanner.Text()
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			var ev Event
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				t.Fatalf("parse SSE data %q: %v", data, err)
-			}
-			events = append(events, ev)
-		}
-	}
-	return events
-}
-
-func TestHTTPEventsStream(t *testing.T) {
-	s := newTestServer(t, Config{})
-	gate := make(chan struct{})
-	s.execute = func(ctx context.Context, e *entry) (*Result, error) {
-		for i := int64(1); i <= 3; i++ {
-			e.done.Store(i)
-			e.hub.publish(Event{Type: "progress", JobID: e.job.ID, State: StateRunning, Done: i, Total: 8})
-		}
-		<-gate
-		return &Result{Records: 8}, nil
-	}
-	s.Start()
-	defer drain(t, s)
-	ts := httpServer(t, s)
-
-	if resp, body := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "ssejob", Spec: testSpec()}, nil); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit status = %d, body %s", resp.StatusCode, body)
-	}
-	waitState(t, s, "ssejob", StateRunning)
-
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/ssejob/events")
-	if err != nil {
-		t.Fatalf("GET events: %v", err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events Content-Type = %q", ct)
-	}
-	streamed := make(chan []Event, 1)
-	go func() { streamed <- readSSE(t, resp) }()
-
-	close(gate)
-	waitState(t, s, "ssejob", StateDone)
-	events := <-streamed
-
-	if len(events) < 2 {
-		t.Fatalf("stream had %d events, want at least opening + final state: %+v", len(events), events)
-	}
-	if first := events[0]; first.Type != "state" {
-		t.Errorf("first event = %+v, want opening state snapshot", first)
-	}
-	last := events[len(events)-1]
-	if last.Type != "state" || last.State != StateDone {
-		t.Errorf("last event = %+v, want terminal done state", last)
-	}
-
-	// A stream opened on a finished job still reports the final state.
-	resp, err = http.Get(ts.URL + "/api/v1/jobs/ssejob/events")
-	if err != nil {
-		t.Fatalf("GET events after done: %v", err)
-	}
-	late := readSSE(t, resp)
-	if len(late) == 0 || late[len(late)-1].State != StateDone {
-		t.Errorf("late stream = %+v, want done state", late)
-	}
-
-	if resp, _ := getJSON(t, ts.URL+"/api/v1/jobs/nosuch/events"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("events unknown job status = %d, want 404", resp.StatusCode)
 	}
 }

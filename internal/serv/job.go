@@ -87,11 +87,9 @@ type Result struct {
 //
 //accu:wire
 type Job struct {
-	ID       string `json:"id"`
-	Tenant   string `json:"tenant"`
-	Priority int    `json:"priority"`
-	// Seq preserves submission order across restarts: the queue pops by
-	// (Priority desc, Seq asc).
+	ID string `json:"id"`
+	// Seq preserves submission order across restarts: the queue pops the
+	// lowest Seq first.
 	Seq  int64 `json:"seq"`
 	Spec Spec  `json:"spec"`
 
@@ -111,16 +109,13 @@ type Job struct {
 	Result   *Result  `json:"result,omitempty"`
 }
 
-// entry is the in-memory wrapper around a job document: the queue/heap
-// bookkeeping, the live progress atomics, the cancellation hook of a
-// running execution, the job-scoped metrics registry and the SSE hub.
-// The document and bookkeeping fields are guarded by the server mutex;
-// the atomics are written by the job's runner goroutine and read by any
-// HTTP handler.
+// entry is the in-memory wrapper around a job document: the live progress
+// atomics, the cancellation hook of a running execution and the
+// job-scoped metrics registry. The document and bookkeeping fields are
+// guarded by the server mutex; the atomics are written by the job's
+// runner goroutine and read by any HTTP handler.
 type entry struct {
 	job Job
-
-	heapIndex int // position in the queued heap; -1 when not queued
 
 	// cancel aborts the running execution with a cause distinguishing
 	// client cancels from drain requeues; nil unless running.
@@ -132,6 +127,4 @@ type entry struct {
 	// reg is the job-scoped metrics registry, created at first claim and
 	// kept after the job finishes so /metrics can still report it.
 	reg *obs.Registry
-
-	hub *hub
 }

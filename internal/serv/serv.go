@@ -1,12 +1,12 @@
 // Package serv turns the batch Monte-Carlo engine into a long-running
 // HTTP service: clients submit sim protocols as jobs into a persistent
-// priority queue with per-tenant quotas, a worker pool executes them with
-// per-job checkpoint journals (so a crashed or drained server resumes
-// exactly where it stopped, bit-identically), progress streams out over
-// SSE or polling, and an admin surface lists, cancels, resumes and
+// queue that runs them in submission (Seq) order, a worker pool executes
+// them with per-job checkpoint journals (so a crashed or drained server
+// resumes exactly where it stopped, bit-identically), clients poll the job
+// document for progress, and an admin surface lists, cancels, resumes and
 // observes jobs. cmd/accuserv is the binary wrapping this package.
 //
-// Durability model: the job documents (state, priority, attempts) and the
+// Durability model: the job documents (state, seq, attempts) and the
 // per-job sim.CellJournal both live under one data directory. Every
 // completed (network, run) cell is journaled before it counts, so the
 // kill-anywhere guarantee of the PR-4 checkpoint machinery extends to the
@@ -16,11 +16,11 @@
 package serv
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,9 +31,6 @@ import (
 var (
 	// ErrDuplicateJob rejects a submit reusing an existing job ID.
 	ErrDuplicateJob = errors.New("serv: duplicate job id")
-	// ErrQuotaExceeded rejects a submit that would push the tenant past
-	// its active-job quota.
-	ErrQuotaExceeded = errors.New("serv: tenant quota exceeded")
 	// ErrNotFound reports an unknown job ID.
 	ErrNotFound = errors.New("serv: job not found")
 	// ErrConflict reports an operation invalid in the job's state
@@ -60,10 +57,6 @@ type Config struct {
 	// confused with Spec.Workers, the engine pool inside one job).
 	// 0 means 1: jobs run strictly one at a time.
 	Workers int
-	// DefaultQuota bounds each tenant's active (queued + running) jobs;
-	// 0 means unlimited. TenantQuotas overrides it per tenant.
-	DefaultQuota int
-	TenantQuotas map[string]int
 	// DefaultMaxAttempts is the per-job attempt budget when a submit
 	// does not set one; 0 means 1 (no automatic retry).
 	DefaultMaxAttempts int
@@ -75,34 +68,32 @@ type Config struct {
 // live in each job's own registry, surfaced via /metrics prefixed with
 // "job.<id>.").
 type servMetrics struct {
-	submitted    *obs.Counter
-	completed    *obs.Counter
-	failed       *obs.Counter
-	cancelled    *obs.Counter
-	retried      *obs.Counter
-	resumed      *obs.Counter
-	requeued     *obs.Counter
-	quotaRejects *obs.Counter
-	dupRejects   *obs.Counter
-	queued       *obs.Gauge
-	running      *obs.Gauge
-	jobNS        *obs.Histogram
+	submitted  *obs.Counter
+	completed  *obs.Counter
+	failed     *obs.Counter
+	cancelled  *obs.Counter
+	retried    *obs.Counter
+	resumed    *obs.Counter
+	requeued   *obs.Counter
+	dupRejects *obs.Counter
+	queued     *obs.Gauge
+	running    *obs.Gauge
+	jobNS      *obs.Histogram
 }
 
 func newServMetrics(reg *obs.Registry) servMetrics {
 	return servMetrics{
-		submitted:    reg.Counter("serv.jobs_submitted"),
-		completed:    reg.Counter("serv.jobs_completed"),
-		failed:       reg.Counter("serv.jobs_failed"),
-		cancelled:    reg.Counter("serv.jobs_cancelled"),
-		retried:      reg.Counter("serv.jobs_retried"),
-		resumed:      reg.Counter("serv.jobs_resumed"),
-		requeued:     reg.Counter("serv.jobs_requeued"),
-		quotaRejects: reg.Counter("serv.quota_rejections"),
-		dupRejects:   reg.Counter("serv.duplicate_rejections"),
-		queued:       reg.Gauge("serv.jobs_queued"),
-		running:      reg.Gauge("serv.jobs_running"),
-		jobNS:        reg.Histogram("serv.job_ns"),
+		submitted:  reg.Counter("serv.jobs_submitted"),
+		completed:  reg.Counter("serv.jobs_completed"),
+		failed:     reg.Counter("serv.jobs_failed"),
+		cancelled:  reg.Counter("serv.jobs_cancelled"),
+		retried:    reg.Counter("serv.jobs_retried"),
+		resumed:    reg.Counter("serv.jobs_resumed"),
+		requeued:   reg.Counter("serv.jobs_requeued"),
+		dupRejects: reg.Counter("serv.duplicate_rejections"),
+		queued:     reg.Gauge("serv.jobs_queued"),
+		running:    reg.Gauge("serv.jobs_running"),
+		jobNS:      reg.Histogram("serv.job_ns"),
 	}
 }
 
@@ -118,11 +109,11 @@ type Server struct {
 	// mu is held across saveJob on every state transition:
 	// durability-before-signal — a job document reaches disk before the
 	// new state is visible to waiters, the queue or the runners.
-	mu           sync.Mutex
-	cond         *sync.Cond
-	jobs         map[string]*entry
-	queue        entryHeap
-	tenantActive map[string]int
+	mu   sync.Mutex
+	cond *sync.Cond
+	jobs map[string]*entry
+	// queue holds the queued entries sorted by Seq; claim pops the front.
+	queue        []*entry
 	runningCount int
 	seq          int64
 	draining     bool
@@ -151,11 +142,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:          cfg,
-		store:        st,
-		reg:          obs.New(),
-		jobs:         make(map[string]*entry),
-		tenantActive: make(map[string]int),
+		cfg:   cfg,
+		store: st,
+		reg:   obs.New(),
+		jobs:  make(map[string]*entry),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.m = newServMetrics(s.reg)
@@ -167,7 +157,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for i := range jobs {
 		j := jobs[i]
-		e := &entry{job: j, heapIndex: -1, hub: newHub()}
+		e := &entry{job: j}
 		if j.State == StateRunning {
 			// Crash recovery: the previous process died mid-run. The cell
 			// journal holds the completed cells; requeue without burning
@@ -183,13 +173,9 @@ func New(cfg Config) (*Server, error) {
 			s.logf("job %s: recovered running job, requeued (attempt %d/%d)",
 				j.ID, e.job.Attempt, e.job.MaxAttempts)
 		}
-		if e.job.State.terminal() {
-			e.hub.close()
-		}
 		s.jobs[j.ID] = e
 		if e.job.State == StateQueued {
-			heap.Push(&s.queue, e)
-			s.tenantActive[j.Tenant]++
+			s.enqueueLocked(e)
 		}
 		if j.Seq >= s.seq {
 			s.seq = j.Seq + 1
@@ -218,7 +204,7 @@ func (s *Server) logf(format string, args ...any) {
 
 // updateGauges refreshes the queue-depth gauges; callers hold s.mu.
 func (s *Server) updateGauges() {
-	s.m.queued.Set(float64(s.queue.Len()))
+	s.m.queued.Set(float64(len(s.queue)))
 	s.m.running.Set(float64(s.runningCount))
 }
 
@@ -230,11 +216,6 @@ type SubmitRequest struct {
 	// resubmission of an existing ID is rejected with ErrDuplicateJob,
 	// which is the idempotency handle. Empty auto-assigns "j<seq>".
 	ID string `json:"id,omitempty"`
-	// Tenant attributes the job for quota accounting ("default" when
-	// empty; the X-Accu-Tenant header also sets it).
-	Tenant string `json:"tenant,omitempty"`
-	// Priority orders the queue: higher first, FIFO within a class.
-	Priority int `json:"priority,omitempty"`
 	// MaxAttempts bounds automatic retries of failed executions; 0 uses
 	// the server default.
 	MaxAttempts int  `json:"maxAttempts,omitempty"`
@@ -243,9 +224,6 @@ type SubmitRequest struct {
 
 // Submit validates and enqueues a job, returning its document.
 func (s *Server) Submit(req SubmitRequest) (Job, error) {
-	if req.Tenant == "" {
-		req.Tenant = "default"
-	}
 	if req.ID != "" && !ValidJobID(req.ID) {
 		return Job{}, fmt.Errorf("serv: invalid job id %q (want lowercase [a-z0-9_], max 64 chars)", req.ID)
 	}
@@ -270,16 +248,9 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 		s.m.dupRejects.Inc()
 		return Job{}, fmt.Errorf("%w: %s", ErrDuplicateJob, id)
 	}
-	if limit, ok := s.quota(req.Tenant); ok && s.tenantActive[req.Tenant] >= limit {
-		s.m.quotaRejects.Inc()
-		return Job{}, fmt.Errorf("%w: tenant %s has %d active jobs (limit %d)",
-			ErrQuotaExceeded, req.Tenant, s.tenantActive[req.Tenant], limit)
-	}
 	e := &entry{
 		job: Job{
 			ID:          id,
-			Tenant:      req.Tenant,
-			Priority:    req.Priority,
 			Seq:         s.seq,
 			Spec:        req.Spec,
 			State:       StateQueued,
@@ -287,29 +258,28 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 			SubmittedAt: time.Now().UTC(),
 			Progress:    Progress{Total: req.Spec.Cells()},
 		},
-		heapIndex: -1,
-		hub:       newHub(),
 	}
 	if err := s.store.saveJob(&e.job); err != nil {
 		return Job{}, err
 	}
 	s.seq++
 	s.jobs[id] = e
-	s.tenantActive[req.Tenant]++
-	heap.Push(&s.queue, e)
+	s.enqueueLocked(e)
 	s.m.submitted.Inc()
 	s.updateGauges()
 	s.cond.Signal()
-	s.logf("job %s: submitted by %s (priority %d, %d cells)", id, req.Tenant, req.Priority, e.job.Progress.Total)
+	s.logf("job %s: submitted (%d cells)", id, e.job.Progress.Total)
 	return e.job, nil
 }
 
-// quota resolves a tenant's active-job limit.
-func (s *Server) quota(tenant string) (int, bool) {
-	if q, ok := s.cfg.TenantQuotas[tenant]; ok {
-		return q, q > 0
-	}
-	return s.cfg.DefaultQuota, s.cfg.DefaultQuota > 0
+// enqueueLocked inserts e into the queue at its Seq position, so a
+// retried, drained, resumed or recovered job keeps its submission-order
+// place. Callers hold s.mu.
+func (s *Server) enqueueLocked(e *entry) {
+	i, _ := slices.BinarySearchFunc(s.queue, e.job.Seq, func(q *entry, seq int64) int {
+		return cmp.Compare(q.job.Seq, seq)
+	})
+	s.queue = slices.Insert(s.queue, i, e)
 }
 
 // Get returns a job's document; running jobs carry live progress.
@@ -323,9 +293,9 @@ func (s *Server) Get(id string) (Job, error) {
 	return s.view(e), nil
 }
 
-// List returns every job (optionally filtered by state and/or tenant) in
-// submission order.
-func (s *Server) List(state State, tenant string) []Job {
+// List returns every job (optionally filtered by state) in submission
+// order.
+func (s *Server) List(state State) []Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]Job, 0, len(s.jobs))
@@ -333,12 +303,9 @@ func (s *Server) List(state State, tenant string) []Job {
 		if state != "" && e.job.State != state {
 			continue
 		}
-		if tenant != "" && e.job.Tenant != tenant {
-			continue
-		}
 		out = append(out, s.view(e))
 	}
-	sortJobs(out)
+	slices.SortFunc(out, func(a, b Job) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -365,7 +332,8 @@ func (s *Server) Cancel(id string) (Job, error) {
 	}
 	switch e.job.State {
 	case StateQueued:
-		heap.Remove(&s.queue, e.heapIndex)
+		i := slices.Index(s.queue, e)
+		s.queue = slices.Delete(s.queue, i, i+1)
 		s.finishLocked(e, StateCancelled, "cancelled by client")
 		job := s.view(e)
 		s.mu.Unlock()
@@ -404,13 +372,11 @@ func (s *Server) Resume(id string) (Job, error) {
 	e.job.Attempt = 0
 	e.job.Error = ""
 	e.job.FinishedAt = nil
-	e.hub = newHub() // the old hub closed at the terminal transition
 	if err := s.store.saveJob(&e.job); err != nil {
 		s.mu.Unlock()
 		return Job{}, err
 	}
-	s.tenantActive[e.job.Tenant]++
-	heap.Push(&s.queue, e)
+	s.enqueueLocked(e)
 	s.m.resumed.Inc()
 	s.updateGauges()
 	s.cond.Signal()
@@ -455,8 +421,8 @@ func (s *Server) Draining() bool {
 
 // Drain gracefully stops the worker pool: no new claims, running jobs
 // are preempted (they checkpoint at cell granularity and requeue without
-// consuming an attempt), and every SSE stream is closed. It returns when
-// the pool has stopped or ctx expires. Idempotent.
+// consuming an attempt). It returns when the pool has stopped or ctx
+// expires. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -480,11 +446,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	s.mu.Lock()
-	for _, e := range s.jobs {
-		e.hub.close()
-	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -500,18 +461,19 @@ func (s *Server) workerLoop() {
 	}
 }
 
-// claim blocks until a job is available (or drain begins) and moves it
-// queued → running.
+// claim blocks until a job is available (or drain begins) and moves the
+// lowest-Seq queued job to running.
 func (s *Server) claim() (*entry, context.Context, context.CancelCauseFunc) {
 	s.mu.Lock()
-	for !s.draining && s.queue.Len() == 0 {
+	for !s.draining && len(s.queue) == 0 {
 		s.cond.Wait()
 	}
 	if s.draining {
 		s.mu.Unlock()
 		return nil, nil, nil
 	}
-	e := heap.Pop(&s.queue).(*entry)
+	e := s.queue[0]
+	s.queue = slices.Delete(s.queue, 0, 1)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	e.cancel = cancel
 	e.job.State = StateRunning
@@ -524,16 +486,14 @@ func (s *Server) claim() (*entry, context.Context, context.CancelCauseFunc) {
 	e.resumed.Store(0)
 	s.runningCount++
 	if err := s.store.saveJob(&e.job); err != nil {
-		// The document could not be made durable; running it anyway would
-		// desynchronize disk and memory. Fail the job in memory and keep
-		// serving.
+		// Log and run the job anyway: the document on disk still says
+		// queued, which is what a crash would leave behind too, so the
+		// next process requeues it from its checkpoint either way.
 		s.logf("job %s: persist claim: %v", e.job.ID, err)
 	}
 	s.updateGauges()
-	hub := e.hub
 	job := e.job
 	s.mu.Unlock()
-	hub.publish(Event{Type: "state", JobID: job.ID, State: StateRunning})
 	s.logf("job %s: claimed (attempt %d/%d)", job.ID, job.Attempt, job.MaxAttempts)
 	return e, ctx, cancel
 }
@@ -566,7 +526,7 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 		if perr := s.store.saveJob(&e.job); perr != nil {
 			s.logf("job %s: persist requeue: %v", e.job.ID, perr)
 		}
-		heap.Push(&s.queue, e)
+		s.enqueueLocked(e)
 		s.m.requeued.Inc()
 		s.logf("job %s: drained, requeued", e.job.ID)
 	case e.job.Attempt < e.job.MaxAttempts:
@@ -575,7 +535,7 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 		if perr := s.store.saveJob(&e.job); perr != nil {
 			s.logf("job %s: persist retry: %v", e.job.ID, perr)
 		}
-		heap.Push(&s.queue, e)
+		s.enqueueLocked(e)
 		s.m.retried.Inc()
 		s.cond.Signal()
 		s.logf("job %s: attempt %d/%d failed, retrying: %v", e.job.ID, e.job.Attempt, e.job.MaxAttempts, err)
@@ -586,9 +546,8 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 	s.mu.Unlock()
 }
 
-// finishLocked applies a terminal transition: persist, account the
-// tenant's quota slot back, count, publish the final event and close the
-// job's hub. Callers hold s.mu.
+// finishLocked applies a terminal transition: persist, count and log.
+// Callers hold s.mu.
 func (s *Server) finishLocked(e *entry, st State, errMsg string) {
 	e.job.State = st
 	e.job.Error = errMsg
@@ -596,10 +555,6 @@ func (s *Server) finishLocked(e *entry, st State, errMsg string) {
 	e.job.FinishedAt = &now
 	if err := s.store.saveJob(&e.job); err != nil {
 		s.logf("job %s: persist %s: %v", e.job.ID, st, err)
-	}
-	s.tenantActive[e.job.Tenant]--
-	if s.tenantActive[e.job.Tenant] <= 0 {
-		delete(s.tenantActive, e.job.Tenant)
 	}
 	switch st {
 	case StateDone:
@@ -609,13 +564,7 @@ func (s *Server) finishLocked(e *entry, st State, errMsg string) {
 	case StateCancelled:
 		s.m.cancelled.Inc()
 	}
-	hub := e.hub
-	ev := Event{Type: "state", JobID: e.job.ID, State: st, Error: errMsg}
 	s.logf("job %s: %s%s", e.job.ID, st, errSuffix(errMsg))
-	// Publish-then-close under the lock keeps the final event ordered
-	// before the stream end for every subscriber.
-	hub.publish(ev)
-	hub.close()
 }
 
 // errSuffix formats an optional error for a log line.
@@ -624,40 +573,4 @@ func errSuffix(msg string) string {
 		return ""
 	}
 	return ": " + msg
-}
-
-// sortJobs orders job views by submission sequence.
-func sortJobs(jobs []Job) {
-	sort.Slice(jobs, func(i, j int) bool { return jobs[i].Seq < jobs[j].Seq })
-}
-
-// entryHeap orders queued entries by (priority desc, seq asc) and keeps
-// heapIndex in sync for heap.Remove on cancel.
-type entryHeap []*entry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].job.Priority != h[j].job.Priority {
-		return h[i].job.Priority > h[j].job.Priority
-	}
-	return h[i].job.Seq < h[j].job.Seq
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIndex = i
-	h[j].heapIndex = j
-}
-func (h *entryHeap) Push(x any) {
-	e := x.(*entry)
-	e.heapIndex = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.heapIndex = -1
-	*h = old[:n-1]
-	return e
 }

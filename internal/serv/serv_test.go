@@ -2,10 +2,11 @@ package serv
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -83,9 +84,6 @@ func TestSubmitAssignsIDAndPersists(t *testing.T) {
 	if job.State != StateQueued {
 		t.Errorf("state = %s, want queued", job.State)
 	}
-	if job.Tenant != "default" {
-		t.Errorf("tenant = %q, want default", job.Tenant)
-	}
 	if want := int64(8); job.Progress.Total != want { // 2 nets × 2 runs × 2 policies
 		t.Errorf("total = %d, want %d", job.Progress.Total, want)
 	}
@@ -146,52 +144,6 @@ func counterValue(t *testing.T, s *Server, name string) int64 {
 	}
 	t.Fatalf("counter %s not in snapshot", name)
 	return 0
-}
-
-func TestQuotaExceeded(t *testing.T) {
-	s := newTestServer(t, Config{
-		DefaultQuota: 2,
-		TenantQuotas: map[string]int{"vip": 3},
-	})
-	for i := 0; i < 2; i++ {
-		if _, err := s.Submit(SubmitRequest{Spec: testSpec()}); err != nil {
-			t.Fatalf("Submit %d: %v", i, err)
-		}
-	}
-	_, err := s.Submit(SubmitRequest{Spec: testSpec()})
-	if !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("third Submit err = %v, want ErrQuotaExceeded", err)
-	}
-	// Another tenant's quota is independent, and an override applies.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Submit(SubmitRequest{Tenant: "vip", Spec: testSpec()}); err != nil {
-			t.Fatalf("vip Submit %d: %v", i, err)
-		}
-	}
-	if _, err := s.Submit(SubmitRequest{Tenant: "vip", Spec: testSpec()}); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("vip overflow err = %v, want ErrQuotaExceeded", err)
-	}
-	if got := counterValue(t, s, "serv.quota_rejections"); got != 2 {
-		t.Errorf("quota_rejections = %v, want 2", got)
-	}
-}
-
-func TestQuotaSlotFreedByTerminal(t *testing.T) {
-	s := newTestServer(t, Config{DefaultQuota: 1})
-	s.execute = instantOK
-	job, err := s.Submit(SubmitRequest{Spec: testSpec()})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if _, err := s.Submit(SubmitRequest{Spec: testSpec()}); !errors.Is(err, ErrQuotaExceeded) {
-		t.Fatalf("over-quota Submit err = %v, want ErrQuotaExceeded", err)
-	}
-	s.Start()
-	defer drain(t, s)
-	waitState(t, s, job.ID, StateDone)
-	if _, err := s.Submit(SubmitRequest{Spec: testSpec()}); err != nil {
-		t.Fatalf("Submit after completion: %v, want quota slot freed", err)
-	}
 }
 
 func drain(t *testing.T, s *Server) {
@@ -295,9 +247,8 @@ func TestCancelQueued(t *testing.T) {
 	if got.State != StateCancelled {
 		t.Errorf("state = %s, want cancelled", got.State)
 	}
-	// The quota slot is back.
-	if len(s.tenantActive) != 0 {
-		t.Errorf("tenantActive = %v, want empty", s.tenantActive)
+	if len(s.queue) != 0 {
+		t.Errorf("queue holds %d entries after cancel, want 0", len(s.queue))
 	}
 }
 
@@ -381,38 +332,96 @@ func TestResumeFailedJob(t *testing.T) {
 	}
 }
 
-func TestPriorityOrdering(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1})
+// recordOrder swaps in an execute stub that appends each claimed job's ID
+// to the returned log; fail, when non-nil, decides per call whether the
+// attempt fails.
+func recordOrder(s *Server, fail func(id string) bool) func() []string {
 	var mu sync.Mutex
 	var order []string
 	s.execute = func(_ context.Context, e *entry) (*Result, error) {
 		mu.Lock()
+		defer mu.Unlock()
 		order = append(order, e.job.ID)
-		mu.Unlock()
+		if fail != nil && fail(e.job.ID) {
+			return nil, errors.New("scripted fault")
+		}
 		return &Result{}, nil
 	}
-	// Enqueue before starting the worker so priorities decide the order.
-	submit := func(id string, prio int) {
-		t.Helper()
-		if _, err := s.Submit(SubmitRequest{ID: id, Priority: prio, Spec: testSpec()}); err != nil {
+	return func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(order)
+	}
+}
+
+func submitIDs(t *testing.T, s *Server, ids ...string) {
+	t.Helper()
+	for _, id := range ids {
+		if _, err := s.Submit(SubmitRequest{ID: id, Spec: testSpec()}); err != nil {
 			t.Fatalf("Submit %s: %v", id, err)
 		}
 	}
-	submit("low", 0)
-	submit("high_a", 5)
-	submit("mid", 2)
-	submit("high_b", 5) // same class as high_a: FIFO within it
-	s.Start()
-	defer drain(t, s)
-	for _, id := range []string{"low", "high_a", "mid", "high_b"} {
-		waitState(t, s, id, StateDone)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	want := []string{"high_a", "high_b", "mid", "low"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("execution order = %v, want %v", order, want)
-	}
+}
+
+// TestQueueOrderBySeq pins the queue discipline: jobs run in submission
+// (Seq) order, never in ID or filename order, and a retried job keeps its
+// place ahead of later submissions.
+func TestQueueOrderBySeq(t *testing.T) {
+	// IDs sort opposite to their Seq, so ID or filename order would show.
+	ids := []string{"zz", "mm", "aa"}
+
+	t.Run("submission", func(t *testing.T) {
+		s := newTestServer(t, Config{Workers: 1})
+		order := recordOrder(s, nil)
+		submitIDs(t, s, append(ids, "bb")...)
+		if _, err := s.Cancel("mm"); err != nil { // leaves the middle of the queue
+			t.Fatalf("Cancel: %v", err)
+		}
+		s.Start()
+		defer drain(t, s)
+		waitState(t, s, "bb", StateDone)
+		if got, want := order(), []string{"zz", "aa", "bb"}; !slices.Equal(got, want) {
+			t.Errorf("execution order = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		submitIDs(t, newTestServer(t, Config{Dir: dir}), ids...)
+		// os.ReadDir lists aa.json, mm.json, zz.json: the reopened queue
+		// must restore Seq order on its own.
+		s := newTestServer(t, Config{Dir: dir, Workers: 1})
+		order := recordOrder(s, nil)
+		s.Start()
+		defer drain(t, s)
+		waitState(t, s, "aa", StateDone)
+		if got := order(); !slices.Equal(got, ids) {
+			t.Errorf("execution order after reopen = %v, want %v", got, ids)
+		}
+	})
+
+	t.Run("retry", func(t *testing.T) {
+		s := newTestServer(t, Config{Workers: 1})
+		failed := false
+		order := recordOrder(s, func(id string) bool {
+			first := id == "zz" && !failed
+			failed = failed || first
+			return first
+		})
+		if _, err := s.Submit(SubmitRequest{ID: "zz", MaxAttempts: 2, Spec: testSpec()}); err != nil {
+			t.Fatalf("Submit zz: %v", err)
+		}
+		submitIDs(t, s, "mm", "aa")
+		s.Start()
+		defer drain(t, s)
+		waitState(t, s, "aa", StateDone)
+		if got, want := order(), []string{"zz", "zz", "mm", "aa"}; !slices.Equal(got, want) {
+			t.Errorf("execution order = %v, want %v (the retry keeps its place)", got, want)
+		}
+		if j, _ := s.Get("zz"); j.State != StateDone || j.Attempt != 2 {
+			t.Errorf("zz = state %s attempt %d, want done after 2 attempts", j.State, j.Attempt)
+		}
+	})
 }
 
 func TestDrainPreemptsAndRequeues(t *testing.T) {
@@ -462,23 +471,41 @@ func TestRestartRecoversCrashedRunningJob(t *testing.T) {
 		t.Fatalf("saveJob: %v", err)
 	}
 	s.mu.Unlock()
+	// A running job document as older versions wrote it, with the
+	// retired tenant and priority fields.
+	legacy, err := json.Marshal(map[string]any{
+		"id": "legacy", "tenant": "team_a", "priority": 5, "seq": 7,
+		"spec": testSpec(), "state": "running", "attempt": 1, "maxAttempts": 3,
+		"submittedAt": time.Now().UTC(), "progress": map[string]int64{"total": 8},
+	})
+	if err != nil {
+		t.Fatalf("marshal legacy job: %v", err)
+	}
+	if err := os.WriteFile(s.store.jobPath("legacy"), legacy, 0o644); err != nil {
+		t.Fatalf("write legacy job: %v", err)
+	}
 
 	s2 := newTestServer(t, Config{Dir: dir})
-	got, err := s2.Get(job.ID)
-	if err != nil {
-		t.Fatalf("Get after restart: %v", err)
+	var got Job
+	for _, id := range []string{job.ID, "legacy"} {
+		j, err := s2.Get(id)
+		if err != nil {
+			t.Fatalf("Get(%s) after restart: %v", id, err)
+		}
+		if j.State != StateQueued {
+			t.Errorf("%s: recovered state = %s, want queued", id, j.State)
+		}
+		if j.Attempt != 0 {
+			t.Errorf("%s: recovered Attempt = %d, want 0 (crash requeue is free)", id, j.Attempt)
+		}
+		got = j
 	}
-	if got.State != StateQueued {
-		t.Errorf("recovered state = %s, want queued", got.State)
-	}
-	if got.Attempt != 0 {
-		t.Errorf("recovered Attempt = %d, want 0 (crash requeue is free)", got.Attempt)
-	}
-	// And it executes to completion on the new server.
+	// And both execute to completion on the new server.
 	s2.execute = instantOK
 	s2.Start()
 	defer drain(t, s2)
 	waitState(t, s2, job.ID, StateDone)
+	waitState(t, s2, "legacy", StateDone)
 	// Sequence numbering continues past the recovered job.
 	next, err := s2.Submit(SubmitRequest{Spec: testSpec()})
 	if err != nil {
@@ -500,21 +527,21 @@ func TestConcurrentSubmitters(t *testing.T) {
 	errs := make(chan error, submitters*each)
 	for i := 0; i < submitters; i++ {
 		wg.Add(1)
-		go func(tenant string) {
+		go func() {
 			defer wg.Done()
 			for j := 0; j < each; j++ {
-				if _, err := s.Submit(SubmitRequest{Tenant: tenant, Spec: testSpec()}); err != nil {
+				if _, err := s.Submit(SubmitRequest{Spec: testSpec()}); err != nil {
 					errs <- err
 				}
 			}
-		}(fmt.Sprintf("t%d", i))
+		}()
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Errorf("concurrent Submit: %v", err)
 	}
-	jobs := s.List("", "")
+	jobs := s.List("")
 	if len(jobs) != submitters*each {
 		t.Fatalf("List: %d jobs, want %d", len(jobs), submitters*each)
 	}
@@ -561,28 +588,21 @@ func TestDrainLeaksNoGoroutines(t *testing.T) {
 
 func TestListFilters(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for i, tenant := range []string{"alpha", "alpha", "beta"} {
-		if _, err := s.Submit(SubmitRequest{ID: fmt.Sprintf("job%d", i), Tenant: tenant, Spec: testSpec()}); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
+	submitIDs(t, s, "job0", "job1", "job2")
 	if _, err := s.Cancel("job0"); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
-	if got := len(s.List("", "")); got != 3 {
+	if got := len(s.List("")); got != 3 {
 		t.Errorf("List all = %d, want 3", got)
 	}
-	if got := len(s.List(StateQueued, "")); got != 2 {
+	if got := len(s.List(StateQueued)); got != 2 {
 		t.Errorf("List queued = %d, want 2", got)
 	}
-	if got := len(s.List("", "alpha")); got != 2 {
-		t.Errorf("List alpha = %d, want 2", got)
-	}
-	if got := len(s.List(StateQueued, "alpha")); got != 1 {
-		t.Errorf("List queued+alpha = %d, want 1", got)
+	if got := len(s.List(StateCancelled)); got != 1 {
+		t.Errorf("List cancelled = %d, want 1", got)
 	}
 	// Submission order.
-	all := s.List("", "")
+	all := s.List("")
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Seq >= all[i].Seq {
 			t.Errorf("List not in Seq order: %v", all)

@@ -2,6 +2,7 @@ package serv
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 	"time"
 
@@ -88,6 +89,20 @@ func (s Spec) cautious() int {
 	return *s.Cautious
 }
 
+// maxCellTimeoutMS is the largest CellTimeoutMS whose conversion to a
+// time.Duration does not overflow int64 nanoseconds.
+const maxCellTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
+
+// cellTimeout converts CellTimeoutMS to the protocol's per-cell timeout,
+// rejecting values the conversion would overflow (a wrapped product can
+// land on a tiny positive timeout that fails every cell).
+func (s Spec) cellTimeout() (time.Duration, error) {
+	if ms := int64(s.CellTimeoutMS); ms < 0 || ms > maxCellTimeoutMS {
+		return 0, fmt.Errorf("serv: cellTimeoutMs %d not in [0, %d]", s.CellTimeoutMS, maxCellTimeoutMS)
+	}
+	return time.Duration(s.CellTimeoutMS) * time.Millisecond, nil
+}
+
 // Cells returns the record-grid size Networks × Runs × policies.
 func (s Spec) Cells() int64 {
 	return int64(s.Networks) * int64(s.Runs) * int64(len(s.Policies))
@@ -120,6 +135,10 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
+	cellTimeout, err := s.cellTimeout()
+	if err != nil {
+		return err
+	}
 	p := sim.Protocol{
 		Gen:         probeGen{},
 		Setup:       osn.DefaultSetup(),
@@ -129,7 +148,7 @@ func (s Spec) Validate() error {
 		BatchSize:   s.BatchSize,
 		Workers:     s.Workers,
 		MaxFailures: s.MaxFailures,
-		CellTimeout: time.Duration(s.CellTimeoutMS) * time.Millisecond,
+		CellTimeout: cellTimeout,
 		Retries:     s.Retries,
 	}
 	return p.Validate()
@@ -158,6 +177,10 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 	if err != nil {
 		return sim.Protocol{}, nil, err
 	}
+	cellTimeout, err := s.cellTimeout()
+	if err != nil {
+		return sim.Protocol{}, nil, err
+	}
 	setup := osn.DefaultSetup()
 	setup.NumCautious = s.cautious()
 	factories := make([]sim.PolicyFactory, 0, len(s.Policies))
@@ -181,7 +204,7 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 		Metrics:         reg,
 		ContinueOnError: s.ContinueOnError,
 		MaxFailures:     s.MaxFailures,
-		CellTimeout:     time.Duration(s.CellTimeoutMS) * time.Millisecond,
+		CellTimeout:     cellTimeout,
 		Retries:         s.Retries,
 	}
 	return p, factories, nil

@@ -14,7 +14,7 @@ import (
 //	                              on every state transition
 //	<dir>/checkpoints/<id>.jsonl  the job's sim.CellJournal
 //
-// The job documents carry the queue (state, priority, seq, attempts); the
+// The job documents carry the queue (state, seq, attempts); the
 // cell journals carry the durable per-cell progress. Together they make a
 // restarted server resume exactly where the previous process — cleanly
 // drained or SIGKILLed mid-cell — left off.
@@ -61,9 +61,10 @@ func (s *store) saveJob(j *Job) error {
 	return nil
 }
 
-// loadJobs reads every job document in the store. Unparseable documents
-// fail the load — silently dropping a job would orphan its checkpoint
-// and quota slot.
+// loadJobs reads every job document in the store, in filename order (New
+// restores the queue's Seq order itself). Unparseable documents fail the
+// load — silently dropping a job would orphan its checkpoint. Unknown
+// fields are ignored, so documents written by older versions still load.
 func (s *store) loadJobs() ([]Job, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
 	if err != nil {

@@ -17,10 +17,9 @@ import (
 // SIGKILL of the whole process — and a later execution reassembles the
 // exact same record set: Result.Digest is invariant under interruption.
 func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
-	// The spec and hub are immutable while the job runs; read them once.
+	// The spec is immutable while the job runs; read it once.
 	spec := e.job.Spec
 	id := e.job.ID
-	hub := e.hub
 
 	protocol, factories, err := spec.Build(e.reg)
 	if err != nil {
@@ -45,24 +44,12 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 		records++
 	}
 	journal.Replay(collect)
-	total := spec.Cells()
 	e.resumed.Store(int64(records))
 
 	protocol.Checkpoint = journal
 	protocol.OnProgress = func(pr sim.Progress) {
 		e.done.Store(int64(pr.Done))
 		e.resumed.Store(int64(pr.Resumed))
-		hub.publish(Event{
-			Type:    "progress",
-			JobID:   id,
-			State:   StateRunning,
-			Done:    int64(pr.Done),
-			Resumed: int64(pr.Resumed),
-			Total:   total,
-			Policy:  pr.Policy,
-			Network: pr.Network,
-			Run:     pr.Run,
-		})
 	}
 
 	err = sim.Run(ctx, protocol, factories, collect)

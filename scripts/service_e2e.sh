@@ -8,7 +8,7 @@
 #
 #   1. compute the reference digest with `accurun -digest` (no service)
 #   2. start accuserv, submit the same protocol as a job over HTTP
-#   3. stream progress over SSE, wait until a few cells are durable
+#   3. poll the job's progress until a few cells are durable
 #   4. kill -9 the server mid-grid
 #   5. restart it on the same data dir; the job resumes automatically
 #   6. assert the finished job's digest equals the reference digest
@@ -108,10 +108,6 @@ EOF
     fail "submit returned HTTP $SUBMIT_STATUS"
 }
 
-log "streaming progress over SSE"
-curl -sN "$BASE/api/v1/jobs/$JOB/events" >"$WORK/sse.log" 2>/dev/null &
-SSE_PID=$!
-
 log "waiting for $KILL_AFTER_CELLS durable cells, then SIGKILL"
 KILLED=0
 for _ in $(seq 1 600); do
@@ -131,8 +127,7 @@ for _ in $(seq 1 600); do
     sleep 0.05
 done
 [ "$KILLED" = 1 ] || fail "never reached $KILL_AFTER_CELLS cells before completion (state $STATE); grid too small for the kill window"
-wait "$SSE_PID" 2>/dev/null || true
-grep -q 'event: progress' "$WORK/sse.log" || fail "SSE stream carried no progress events"
+[ "${DONE:-0}" -gt 0 ] || fail "polled progress.done was $DONE before the kill; progress never advanced"
 
 log "restarting server on the same data dir"
 start_server
