@@ -14,10 +14,11 @@ race:
 	$(GO) test -race ./internal/...
 
 # lint runs the gofmt check, the standard vet suite plus accuvet, the
-# project's own analyzer suite (determinism, seed discipline, metric
-# naming) — once through `go vet -vettool` exactly as CI does, and once
-# standalone so metricname can see duplicate registrations across
-# packages. staticcheck runs too when it is on PATH (CI pins its version).
+# project's own analyzer suite (map order, seed discipline, scratch
+# ownership, response bodies, durability errors, wire tags) — once
+# through `go vet -vettool` exactly as CI does, and once standalone so
+# the wire-schema lockfile is diffed against the whole tree. staticcheck
+# runs too when it is on PATH (CI pins its version).
 lint: fmt-check vet accuvet
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || \
 		echo "staticcheck not installed; skipping (CI runs it pinned)"
@@ -31,9 +32,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# The standalone pass mirrors CI: it sees every package at once (so
-# metricname catches cross-package duplicates) and diffs the //accu:wire
-# schemas against the committed lockfile. After a deliberate wire-struct
+# The standalone pass mirrors CI: it sees every package at once and
+# diffs the //accu:wire schemas against the committed lockfile. After a deliberate wire-struct
 # change, refresh the lockfile:
 #   ./bin/accuvet -write-wire-lock .accuwire.lock.json ./...
 accuvet:
@@ -51,11 +51,13 @@ vet-fix:
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations — the decoder surfaces (store block
-# decoder, cell-journal resume, accuserv submit) the analyzers cannot reach.
+# decoder, cell-journal resume, accuserv submit, accudist cell upload)
+# the analyzers cannot reach.
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime 10s
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -1,12 +1,9 @@
-// Command accuvet is the project's static-analysis suite: fifteen
-// analyzers that turn the simulator's determinism and concurrency
-// invariants into compile-time properties. Wave 1 (detrand, maporder,
-// seedflow, metricname) guards the deterministic record path; wave 2
-// (lockbalance, atomicmix, ctxcancel, scratchescape, errcmp) checks the
-// parallel engine's concurrency discipline with a CFG/dataflow engine;
-// wave 3 (httpbody, respwrite, ctxflow, timerleak) audits the service
-// layer interprocedurally over a package-local call graph; wave 4
-// (errdrop, wiretag) adds durability error-flow and wire-schema locking.
+// Command accuvet is the project's static-analysis suite: six analyzers
+// for invariants that go vet, staticcheck, the race detector and the
+// tests cannot see. maporder, seedflow and scratchescape guard the
+// deterministic record path and its per-worker scratch; httpbody checks
+// response-body hygiene over a package-local call graph and CFG; errdrop
+// tracks discarded durability errors and wiretag locks the wire schema.
 // An //accu:allow directive that names no analyzer in the suite is
 // itself a finding. See DESIGN.md "Determinism invariants & static
 // enforcement".
@@ -16,12 +13,13 @@
 //	accuvet ./...                      # standalone, whole-repo analysis
 //	go vet -vettool=$(which accuvet) ./...   # as a vet tool, per unit
 //
-// Standalone mode loads packages through the go command and additionally
-// checks metric-name/kind collisions across package boundaries; vettool
-// mode follows the -V=full / -flags / unit.cfg protocol the go command
-// expects and inherits vet's build caching. Both modes type-check each
-// package as its merged test unit but analyze only production files, so
-// their verdicts and exit codes agree: 0 clean, 1 findings, 2 failure.
+// Standalone mode loads packages through the go command and sees every
+// package at once, which the whole-tree wire-schema lockfile (-wire-lock)
+// needs; vettool mode follows the -V=full / -flags / unit.cfg protocol
+// the go command expects and inherits vet's build caching. Both modes
+// type-check each package as its merged test unit but analyze only
+// production files, so their verdicts and exit codes agree: 0 clean,
+// 1 findings, 2 failure.
 //
 // -json prints the findings as a JSON array. -suggest prints every
 // finding (including ones an //accu:allow directive already covers,
@@ -124,8 +122,8 @@ type standaloneOpts struct {
 }
 
 // standaloneMode loads the patterns from source and analyzes every
-// matched package with one shared suite, so cross-package invariants
-// (metricname's kind table) see the whole tree.
+// matched package, collecting the wire schemas of the whole tree for the
+// lockfile.
 func standaloneMode(patterns []string, stdout, stderr io.Writer, opts standaloneOpts) int {
 	pkgs, err := analysis.Load("", patterns...)
 	if err != nil {

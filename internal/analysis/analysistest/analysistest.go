@@ -8,7 +8,7 @@
 // expect) against stub dependency packages mapped to their production
 // import paths. Expectations are trailing comments:
 //
-//	seen := time.Now() // want `time\.Now reads the clock`
+//	for k := range m { // want `map iteration order is random`
 //
 // An expectation may also close another line comment, as in
 //
@@ -37,7 +37,7 @@ import (
 // Fixture describes one analyzer run over a testdata package.
 type Fixture struct {
 	// Dir is the fixture source directory, relative to the test's
-	// working directory (e.g. "testdata/src/detrand_core").
+	// working directory (e.g. "testdata/src/maporder_core").
 	Dir string
 
 	// ImportPath is the path the fixture is type-checked as; pick one

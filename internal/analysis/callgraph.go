@@ -1,6 +1,6 @@
 package analysis
 
-// callgraph.go is the wave-3 interprocedural layer: a package-local
+// callgraph.go is the interprocedural layer: a package-local
 // static call graph built from the typed AST, on which analyzers build
 // bounded context-insensitive summaries ("does this helper close the
 // body it is handed", "does this function transitively fsync").

@@ -1,7 +1,7 @@
 package analysis
 
 // cfg.go implements the function-level control-flow-graph builder the
-// wave-2 (path-sensitive) analyzers run on. The graph is purely
+// path-sensitive analyzer (httpbody) runs on. The graph is purely
 // syntactic — it is built from the AST alone, so it can be constructed
 // for fixture snippets and golden-tested without type information — and
 // deliberately small: basic blocks hold leaf statements and control

@@ -276,10 +276,11 @@ func TestCFGDefers(t *testing.T) {
 	}
 }
 
-// TestForwardMayEarlyReturn exercises the dataflow engine on the exact
-// shape lockbalance cares about: a fact generated before a conditional
-// early return survives to the exit on the unbalanced path only.
-func TestForwardMayEarlyReturn(t *testing.T) {
+// TestForwardMayRefinedEarlyReturn exercises the dataflow engine on the
+// shape httpbody cares about: a fact generated before a conditional early
+// return survives to the exit on the unbalanced path only, unless the
+// branch refinement kills it on the early-return edge.
+func TestForwardMayRefinedEarlyReturn(t *testing.T) {
 	// gen() generates the fact, kill() kills it. The early return leaks.
 	g := buildCFG(t, `func f(c bool) {
 		gen()
@@ -305,8 +306,19 @@ func TestForwardMayEarlyReturn(t *testing.T) {
 			return true
 		})
 	}
-	if _, exit := g.ForwardMay(transfer); len(exit) != 1 {
+	if _, exit := g.ForwardMayRefined(transfer, nil); len(exit) != 1 {
 		t.Fatalf("unbalanced function: got %d exit facts, want 1", len(exit))
+	}
+
+	// Refined variant: the fact is dead on the true edge of the early
+	// return's condition (as a response is on the `err != nil` edge).
+	refine := func(cond ast.Expr, branch int, facts Facts) {
+		if branch == 0 {
+			delete(facts, "fact")
+		}
+	}
+	if _, exit := g.ForwardMayRefined(transfer, refine); len(exit) != 0 {
+		t.Fatalf("refined unbalanced function: got %d exit facts, want 0", len(exit))
 	}
 
 	// Balanced variant: killed on both paths, nothing reaches the exit.
@@ -318,7 +330,7 @@ func TestForwardMayEarlyReturn(t *testing.T) {
 		}
 		kill()
 	}`)
-	if _, exit := g.ForwardMay(transfer); len(exit) != 0 {
+	if _, exit := g.ForwardMayRefined(transfer, nil); len(exit) != 0 {
 		t.Fatalf("balanced function: got %d exit facts, want 0", len(exit))
 	}
 
@@ -330,7 +342,7 @@ func TestForwardMayEarlyReturn(t *testing.T) {
 			kill()
 		}
 	}`)
-	if _, exit := g.ForwardMay(transfer); len(exit) != 1 {
+	if _, exit := g.ForwardMayRefined(transfer, nil); len(exit) != 1 {
 		t.Fatalf("loop function: got %d exit facts, want 1 (zero-iteration path leaks)", len(exit))
 	}
 }

@@ -59,24 +59,19 @@ func factsEqual(a, b Facts) bool {
 // reporting the early return as a leak.
 type BranchRefine func(cond ast.Expr, branch int, facts Facts)
 
-// ForwardMay propagates facts forward through the graph with union join
-// until fixpoint. transfer is applied to every node of a block in order
-// and mutates the fact set (add to gen, delete to kill). It must be
-// deterministic and gen/kill-shaped; it runs multiple times per node
+// ForwardMayRefined propagates facts forward through the graph with
+// union join until fixpoint. transfer is applied to every node of a block
+// in order and mutates the fact set (add to gen, delete to kill). It must
+// be deterministic and gen/kill-shaped; it runs multiple times per node
 // across sweeps, so it must not have side effects such as reporting —
-// report from the returned sets instead.
+// report from the returned sets instead. Facts crossing a conditional
+// edge pass through refine, when it is non-nil, before joining the
+// successor's in-set.
 //
-// ForwardMay returns the facts flowing INTO each block and, for
-// convenience, the facts reaching the synthetic exit — i.e. facts that
-// survive on at least one path from entry to a return (or terminal
-// call). Blocks unreachable from the entry keep empty in-sets.
-func (g *CFG) ForwardMay(transfer func(n ast.Node, facts Facts)) (in map[*Block]Facts, exit Facts) {
-	return g.ForwardMayRefined(transfer, nil)
-}
-
-// ForwardMayRefined is ForwardMay with an optional per-edge refinement:
-// facts crossing a conditional edge pass through refine before joining
-// the successor's in-set. A nil refine is exactly ForwardMay.
+// It returns the facts flowing INTO each block and, for convenience, the
+// facts reaching the synthetic exit — i.e. facts that survive on at least
+// one path from entry to a return (or terminal call). Blocks unreachable
+// from the entry keep empty in-sets.
 func (g *CFG) ForwardMayRefined(transfer func(n ast.Node, facts Facts), refine BranchRefine) (in map[*Block]Facts, exit Facts) {
 	preds := make(map[*Block][]*Block, len(g.Blocks))
 	for _, b := range g.Blocks {

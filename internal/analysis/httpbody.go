@@ -64,6 +64,20 @@ func isHTTPResponsePtr(t types.Type) bool {
 	return ok && isNamed(p.Elem(), "net/http", "Response")
 }
 
+var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// isErrorType reports whether t is an interface type implementing the
+// built-in error interface.
+func isErrorType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if _, ok := t.Underlying().(*types.Interface); !ok {
+		return false
+	}
+	return types.Implements(t, errorIface)
+}
+
 // closeReceiver recognizes `x.Body.Close()` and `x.Close()` and returns
 // the base identifier x plus the `x.Body` selector node (nil for the
 // bare-closer shape).

@@ -7,6 +7,16 @@ import (
 	"strings"
 )
 
+// strictPackages hold the record path: everything they compute must be a
+// pure function of the rng.Seed tree, so no effect may depend on map
+// iteration order. Module-relative import-path suffixes.
+var strictPackages = []string{
+	"internal/core",
+	"internal/osn",
+	"internal/gen",
+	"internal/theory",
+}
+
 // MapOrder returns the map-iteration analyzer: inside the strict
 // deterministic packages it flags `range` over a map whose body has
 // order-dependent effects — appending to a slice, consuming a

@@ -7,6 +7,15 @@ import (
 	"github.com/accu-sim/accu/internal/analysis/analysistest"
 )
 
+// stubDeps maps the production import paths the analyzers key on to the
+// fixture stub packages.
+var stubDeps = map[string]string{
+	"example.test/internal/rng":    "testdata/src/rng_stub",
+	"example.test/internal/obs":    "testdata/src/obs_stub",
+	"example.test/internal/core":   "testdata/src/core_stub",
+	"example.test/internal/report": "testdata/src/report_stub",
+}
+
 func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, analysis.MapOrder(), analysistest.Fixture{
 		Dir:        "testdata/src/maporder_core",

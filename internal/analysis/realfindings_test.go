@@ -28,7 +28,7 @@ func TestRealTreeSuppressedFindings(t *testing.T) {
 		// empty pin sets keep them in the nothing-unsuppressed sweep.
 		"github.com/accu-sim/accu/internal/dist": {},
 		"github.com/accu-sim/accu/internal/serv": {},
-		// Wave-4 regression pins: errdrop surfaced a discarded
+		// Regression pins: errdrop surfaced a discarded
 		// (Coordinator).Close — a swallowed final fsync — on accudist's
 		// serve-error path, and wiretag surfaced sim.Record (the journal
 		// line payload) relying on encoding/json field-name fallback.

@@ -4,33 +4,38 @@
 package sim
 
 import (
-	"context"
-	"sync"
+	"os"
+
+	"example.test/internal/rng"
 )
 
-var mu sync.Mutex
+func sample(seed rng.Seed) error { _ = seed; return nil }
 
-// suppressedBoth violates lockbalance (Lock never released) and
-// ctxcancel (cancel discarded) on one line; a single directive naming
-// both analyzers silences both.
-func suppressedBoth(parent context.Context) context.Context {
-	//accu:allow lockbalance, ctxcancel -- fixture: one directive, two analyzer names
-	ctx, _ := context.WithCancel(parent); mu.Lock()
-	return ctx
+// suppressedBoth violates errdrop (os.WriteFile's error discarded) and
+// seedflow (seed reaches its second sink) on one line; a single
+// directive naming both analyzers silences both.
+func suppressedBoth(seed rng.Seed, path string) error {
+	if err := sample(seed); err != nil {
+		return err
+	}
+	//accu:allow errdrop, seedflow -- fixture: one directive, two analyzer names
+	os.WriteFile(path, nil, 0o600); return sample(seed)
 }
 
-// partialDirective names only lockbalance, so ctxcancel still fires on
-// the same line.
-func partialDirective(parent context.Context) context.Context {
-	//accu:allow lockbalance -- fixture: directive covers one analyzer only
-	ctx, _ := context.WithCancel(parent); mu.Lock() // want `cancel func of context\.WithCancel is discarded`
-	return ctx
+// partialDirective names only errdrop, so seedflow still fires on the
+// same line.
+func partialDirective(seed rng.Seed, path string) error {
+	if err := sample(seed); err != nil {
+		return err
+	}
+	//accu:allow errdrop -- fixture: directive covers one analyzer only
+	os.WriteFile(path, nil, 0o600); return sample(seed) // want `seed "seed" reaches 2 sinks without re-derivation`
 }
 
-// staleDirective names lockedio, which is not in the suite: the
-// directive is flagged where it stands, and the known name listed with
-// it still suppresses its finding.
-func staleDirective() {
-	//accu:allow lockedio, lockbalance -- fixture: one stale name, one live // want `//accu:allow names "lockedio", which is not an accuvet analyzer`
-	mu.Lock()
+// staleDirective names lockbalance, an analyzer since deleted from the
+// suite: the directive is flagged where it stands, and the known name
+// listed with it still suppresses its finding.
+func staleDirective(path string) {
+	//accu:allow lockbalance, errdrop -- fixture: one stale name, one live // want `//accu:allow names "lockbalance", which is not an accuvet analyzer`
+	os.WriteFile(path, nil, 0o600)
 }

@@ -1,6 +1,6 @@
 // Package obs is a minimal stub of internal/obs for analyzer fixtures:
-// the Registry lookup surface the metricname analyzer keys on, plus the
-// instrument methods the maporder analyzer recognizes.
+// a registry and one instrument, whose methods the maporder analyzer
+// recognizes as order-dependent effects.
 package obs
 
 // Counter is a stub counter.
@@ -9,41 +9,8 @@ type Counter struct{}
 // Inc increments the counter.
 func (c *Counter) Inc() {}
 
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {}
-
-// Gauge is a stub gauge.
-type Gauge struct{}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {}
-
-// Histogram is a stub histogram.
-type Histogram struct{}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int64) {}
-
-// Span is a stub phase timer.
-type Span struct{}
-
-// End stops the span.
-func (s Span) End() {}
-
 // Registry is a stub named-instrument collection.
 type Registry struct{}
 
 // Counter returns the named counter.
 func (r *Registry) Counter(name string) *Counter { return nil }
-
-// Gauge returns the named gauge.
-func (r *Registry) Gauge(name string) *Gauge { return nil }
-
-// Histogram returns the named histogram.
-func (r *Registry) Histogram(name string) *Histogram { return nil }
-
-// StartSpan begins timing the named phase.
-func (r *Registry) StartSpan(name string) Span { return Span{} }
-
-// Time runs fn under a span for the named phase.
-func (r *Registry) Time(name string, fn func()) { fn() }

@@ -1,6 +1,6 @@
 // Package rng is a minimal stub of internal/rng for analyzer fixtures:
 // just enough surface (Seed, Split, SplitN, Rand) for seedflow and
-// detrand fixtures to type-check against the production import path.
+// scratchescape fixtures to type-check against the production import path.
 package rng
 
 import "math/rand/v2"

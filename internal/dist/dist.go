@@ -268,9 +268,12 @@ func (c *Coordinator) Lease(worker string) (lease *Lease, done bool) {
 // Upload commits a batch of cells. Cells are accepted from any
 // uploader — current lease holder, expired lease holder, or nobody in
 // particular — because the journal dedups by key and the first durable
-// commit wins. Accepted cells are fsynced before this returns (the
-// journal runs SyncEvery(1)), and the matching lease's deadline is
-// extended, so durable progress keeps a slow worker's lease alive.
+// commit wins. A line that is not a complete cell of this grid (see
+// validLine) is rejected before it reaches the journal, so it can neither
+// poison a resume nor the aggregation. Accepted cells are fsynced before
+// this returns (the journal runs SyncEvery(1)), and the matching lease's
+// deadline is extended, so durable progress keeps a slow worker's lease
+// alive.
 func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (UploadResponse, error) {
 	now := c.now()
 	runs := c.cfg.Spec.Runs
@@ -282,7 +285,7 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	c.updateWorkersLive(now)
 	c.met.uploads.Inc()
 	for _, cl := range lines {
-		if cl.Network < 0 || cl.Network >= c.cfg.Spec.Networks || cl.Run < 0 || cl.Run >= runs {
+		if !c.validLine(cl) {
 			resp.Rejected++
 			continue
 		}
@@ -333,6 +336,35 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	}
 	resp.Done = c.finished
 	return resp, nil
+}
+
+// validLine reports whether cl is a complete cell of this grid: its key
+// is in range and it holds exactly one record per roster policy, each
+// with a result and the line's own key — what the engine commits for a
+// successful cell.
+func (c *Coordinator) validLine(cl sim.CellLine) bool {
+	spec := c.cfg.Spec
+	if cl.Network < 0 || cl.Network >= spec.Networks || cl.Run < 0 || cl.Run >= spec.Runs ||
+		len(cl.Records) != len(spec.Policies) {
+		return false
+	}
+	for _, ps := range spec.Policies {
+		n := 0
+		for _, rec := range cl.Records {
+			if rec.Policy == ps.Name {
+				n++
+			}
+		}
+		if n != 1 {
+			return false
+		}
+	}
+	for _, rec := range cl.Records {
+		if rec.Result == nil || rec.Network != cl.Network || rec.Run != cl.Run {
+			return false
+		}
+	}
+	return true
 }
 
 // rangeIndex locates the range containing cell index ci.

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/serv"
 	"github.com/accu-sim/accu/internal/sim"
@@ -69,12 +72,36 @@ func newTestCoordinator(t *testing.T, spec serv.Spec, rangeSize int, ttl time.Du
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Handler())
+	srv := newStrictServer(t, coord.Handler())
 	t.Cleanup(func() {
 		srv.Close()
 		coord.Close()
 	})
 	return coord, srv
+}
+
+// newStrictServer starts h on an httptest listener whose error log fails
+// the test on net/http's "superfluous response.WriteHeader" complaint, so
+// every HTTP test also checks that each handler path commits its
+// response header once. The caller closes the server.
+func newStrictServer(t *testing.T, h http.Handler) *httptest.Server {
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ErrorLog = log.New(failOnSuperfluous{t}, "", 0)
+	srv.Start()
+	return srv
+}
+
+// failOnSuperfluous is an http.Server error log that fails t on a
+// superfluous WriteHeader and passes every other line to t.Log.
+type failOnSuperfluous struct{ t *testing.T }
+
+func (w failOnSuperfluous) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("superfluous response.WriteHeader")) {
+		w.t.Errorf("http server: %s", p)
+	} else {
+		w.t.Logf("http server: %s", p)
+	}
+	return len(p), nil
 }
 
 func counterValue(reg *obs.Registry, name string) int64 {
@@ -367,7 +394,7 @@ func TestCoordinatorResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord2.Handler())
+	srv := newStrictServer(t, coord2.Handler())
 	defer srv.Close()
 	defer coord2.Close()
 	if st := coord2.Status(); st.Committed != 3 {
@@ -427,7 +454,7 @@ func TestFailedCommitIsNotAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	line, err := json.Marshal(sim.CellLine{CellKey: sim.CellKey{Network: 0, Run: 0}})
+	line, err := json.Marshal(wellFormedLine(spec, sim.CellKey{Network: 0, Run: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,10 +474,92 @@ func TestFailedCommitIsNotAcked(t *testing.T) {
 		lease: &Lease{ID: "r0-a1", Start: 0, End: spec.Networks * spec.Runs},
 		runs:  spec.Runs,
 	}
-	if err := rc.Commit(sim.CellKey{Network: 0, Run: 1}, nil); err == nil {
+	key := sim.CellKey{Network: 0, Run: 1}
+	if err := rc.Commit(key, wellFormedLine(spec, key).Records); err == nil {
 		t.Fatal("rangeCheckpointer.Commit returned nil for a cell the coordinator failed to commit")
 	}
 	if got := counterValue(reg, "dist.cells_accepted"); got != 0 {
 		t.Errorf("dist.cells_accepted = %d after failed commits, want 0", got)
+	}
+}
+
+// wellFormedLine is a cell line the coordinator accepts for spec: one
+// record with a (zero) result per roster policy, all carrying key.
+func wellFormedLine(spec serv.Spec, key sim.CellKey) sim.CellLine {
+	cl := sim.CellLine{CellKey: key}
+	for _, ps := range spec.Policies {
+		cl.Records = append(cl.Records, sim.Record{Policy: ps.Name, Network: key.Network, Run: key.Run, Result: &core.Result{}})
+	}
+	return cl
+}
+
+// TestUploadRejectsMalformedCell: a line that is not a complete cell of
+// the grid is rejected before the journal commit. A committed line is
+// replayed on every resume, so a null-Result line that reached the
+// journal would panic the handler folding it and then every resume.
+func TestUploadRejectsMalformedCell(t *testing.T) {
+	spec := testSpec()
+	reg := obs.New()
+	dir := t.TempDir()
+	coord, err := New(Config{Spec: spec, Dir: dir, RangeSize: 2, Metrics: reg, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newStrictServer(t, coord.Handler())
+	t.Cleanup(srv.Close)
+
+	body := `{"network":0,"run":0,"records":[{"Policy":"abm","Network":0,"Run":0,"Result":null}]}`
+	resp, err := http.Post(srv.URL+"/api/v1/dist/cells?worker=w1", "application/jsonl", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	var up UploadResponse
+	err = json.NewDecoder(resp.Body).Decode(&up)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("upload status %d, decode err %v", resp.StatusCode, err)
+	}
+	if up.Rejected != 1 || up.Accepted != 0 {
+		t.Errorf("upload response %+v, want exactly 1 rejected", up)
+	}
+
+	// Each rule on its own, on an otherwise well-formed line.
+	key := sim.CellKey{Network: 1, Run: 2}
+	for name, mutate := range map[string]func(*sim.CellLine){
+		"nil result":      func(cl *sim.CellLine) { cl.Records[1].Result = nil },
+		"record network":  func(cl *sim.CellLine) { cl.Records[0].Network = 0 },
+		"record run":      func(cl *sim.CellLine) { cl.Records[1].Run = 0 },
+		"missing policy":  func(cl *sim.CellLine) { cl.Records = cl.Records[:1] },
+		"repeated policy": func(cl *sim.CellLine) { cl.Records[1].Policy = cl.Records[0].Policy },
+		"unknown policy":  func(cl *sim.CellLine) { cl.Records[0].Policy = "abm" },
+		"extra record":    func(cl *sim.CellLine) { cl.Records = append(cl.Records, cl.Records[0]) },
+		"key out of grid": func(cl *sim.CellLine) { cl.Run = spec.Runs },
+	} {
+		cl := wellFormedLine(spec, key)
+		mutate(&cl)
+		got, err := coord.Upload("", "w1", []sim.CellLine{cl})
+		if err != nil || got.Rejected != 1 || got.Accepted != 0 {
+			t.Errorf("%s: Upload = %+v, %v; want 1 rejected", name, got, err)
+		}
+	}
+	if n := coord.journal.Cells(); n != 0 {
+		t.Fatalf("journal holds %d cells after malformed uploads, want 0", n)
+	}
+	if got := counterValue(reg, "dist.cells_rejected"); got != 9 {
+		t.Errorf("dist.cells_rejected = %d, want 9", got)
+	}
+
+	// The journal must still resume cleanly.
+	srv.Close()
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	coord2, err := New(Config{Spec: spec, Dir: dir, Resume: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	defer coord2.Close()
+	if st := coord2.Status(); st.Committed != 0 || st.Records != 0 {
+		t.Errorf("resumed status committed=%d records=%d, want 0/0", st.Committed, st.Records)
 	}
 }

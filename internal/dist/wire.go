@@ -55,8 +55,9 @@ type LeaseResponse struct {
 
 // UploadResponse acknowledges a cell upload. Accepted cells are durable
 // (fsynced) when this response is written; Duplicate counts cells some
-// other upload already committed; Rejected counts cells outside the
-// grid. Done mirrors LeaseResponse.Done so an uploader learns about
+// other upload already committed; Rejected counts lines that are not a
+// complete cell of the grid (outside it, or not one record with a result
+// per roster policy). Done mirrors LeaseResponse.Done so an uploader learns about
 // completion without an extra poll.
 //
 //accu:wire

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 type trackedBody struct {
@@ -61,4 +63,97 @@ func TestWorkerReusesConnections(t *testing.T) {
 	if len(conns) != 1 {
 		t.Fatalf("sequential uploads used %d connections (want 1 reused keep-alive): %v", len(conns), conns)
 	}
+}
+
+// TestWorkerStopsOnCancel: cancelling the context stops Worker.Run
+// promptly (a) while a lease request is in flight — the request must
+// carry the context — and (b) while it waits out PollInterval after a
+// "nothing to lease" answer.
+func TestWorkerStopsOnCancel(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		inFlight bool
+	}{{"in-flight request", true}, {"poll wait", false}} {
+		inFlight := tc.inFlight
+		t.Run(tc.name, func(t *testing.T) {
+			// waiting fires once the worker is where cancel must reach
+			// it: blocked on the lease request, or done reading the
+			// answer and about to sleep.
+			waiting := make(chan struct{}, 1)
+			signal := func() {
+				select {
+				case waiting <- struct{}{}:
+				default:
+				}
+			}
+			release := make(chan struct{})
+			mux := http.NewServeMux()
+			mux.HandleFunc("GET /api/v1/dist/spec", func(w http.ResponseWriter, r *http.Request) {
+				writeJSON(w, http.StatusOK, testSpec())
+			})
+			mux.HandleFunc("POST /api/v1/dist/lease", func(w http.ResponseWriter, r *http.Request) {
+				if !inFlight {
+					writeJSON(w, http.StatusOK, LeaseResponse{Done: false})
+					return
+				}
+				signal()
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+				w.WriteHeader(http.StatusServiceUnavailable)
+			})
+			srv := newStrictServer(t, mux)
+			t.Cleanup(srv.Close)
+			// Runs before srv.Close, so a lease handler still blocked
+			// after a failure returns and Run can exit.
+			t.Cleanup(func() { close(release) })
+
+			client := &http.Client{Transport: onLeaseBodyClose{signal}}
+			w := &Worker{Coordinator: srv.URL, ID: "w1", Client: client, PollInterval: time.Hour, Logf: t.Logf}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() { done <- w.Run(ctx) }()
+			select {
+			case <-waiting:
+			case err := <-done:
+				t.Fatalf("Run returned %v before its first lease request", err)
+			case <-time.After(10 * time.Second):
+				t.Fatal("no lease request within 10s")
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("Run = %v after cancel, want context.Canceled", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("Run still running 2s after cancel")
+			}
+		})
+	}
+}
+
+// onLeaseBodyClose is a transport that calls fn when a lease response
+// body is closed, i.e. once the worker has consumed the answer.
+type onLeaseBodyClose struct{ fn func() }
+
+func (o onLeaseBodyClose) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && r.URL.Path == "/api/v1/dist/lease" {
+		resp.Body = closeHook{resp.Body, o.fn}
+	}
+	return resp, err
+}
+
+type closeHook struct {
+	io.ReadCloser
+	fn func()
+}
+
+func (c closeHook) Close() error {
+	err := c.ReadCloser.Close()
+	c.fn()
+	return err
 }

@@ -4,10 +4,9 @@ import "regexp"
 
 // NamePattern is the required shape of every metric name: dot-separated
 // lowercase snake_case segments with at least one dot, the first segment
-// naming the owning subsystem ("abm.heap_pops", "sim.cell_ns"). The
-// accuvet metricname analyzer enforces this pattern on every string
-// literal reaching a Registry lookup at compile time; TestRegistryNames
-// in this package enforces it on dynamically built names at run time.
+// naming the owning subsystem ("abm.heap_pops", "sim.cell_ns").
+// TestRegistryNames in this package checks every name a real simulation
+// registers against it, and that no name is registered under two kinds.
 const NamePattern = `^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`
 
 var nameRE = regexp.MustCompile(NamePattern)

@@ -33,11 +33,12 @@ func TestValidName(t *testing.T) {
 	}
 }
 
-// TestRegistryNames is the runtime counterpart of the accuvet metricname
-// analyzer: it drives a real simulation into a live registry — engine,
-// policy and instance instruments included — then walks the snapshot and
-// asserts every registered name (including any built dynamically) obeys
-// obs.NamePattern.
+// TestRegistryNames drives a real simulation into a live registry —
+// engine, policy and instance instruments included — then walks the
+// snapshot and asserts every registered name (including any built
+// dynamically) obeys obs.NamePattern and is registered under one kind
+// only: a name that is both a counter and a gauge reads as two different
+// series in every dump.
 func TestRegistryNames(t *testing.T) {
 	reg := obs.New()
 	setup := osn.DefaultSetup()
@@ -61,22 +62,25 @@ func TestRegistryNames(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	var names []string
+	kinds := make(map[string][]string) // name → kinds it is registered as
 	for _, c := range snap.Counters {
-		names = append(names, c.Name)
+		kinds[c.Name] = append(kinds[c.Name], "counter")
 	}
 	for _, g := range snap.Gauges {
-		names = append(names, g.Name)
+		kinds[g.Name] = append(kinds[g.Name], "gauge")
 	}
 	for _, h := range snap.Histograms {
-		names = append(names, h.Name)
+		kinds[h.Name] = append(kinds[h.Name], "histogram")
 	}
-	if len(names) == 0 {
+	if len(kinds) == 0 {
 		t.Fatal("instrumented run registered no metrics")
 	}
-	for _, name := range names {
+	for name, ks := range kinds {
 		if !obs.ValidName(name) {
 			t.Errorf("live registry holds metric %q, which violates %s", name, obs.NamePattern)
+		}
+		if len(ks) > 1 {
+			t.Errorf("live registry holds metric %q as %v; a name must have one kind", name, ks)
 		}
 	}
 }

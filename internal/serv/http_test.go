@@ -4,19 +4,40 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// httpServer wires a test Server into an httptest listener.
+// httpServer wires a test Server into an httptest listener whose error
+// log fails the test on net/http's "superfluous response.WriteHeader"
+// complaint, so every HTTP test also checks that each handler path
+// commits its response header once.
 func httpServer(t *testing.T, s *Server) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ErrorLog = log.New(failOnSuperfluous{t}, "", 0)
+	ts.Start()
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// failOnSuperfluous is an http.Server error log that fails t on a
+// superfluous WriteHeader and passes every other line to t.Log.
+type failOnSuperfluous struct{ t *testing.T }
+
+func (w failOnSuperfluous) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte("superfluous response.WriteHeader")) {
+		w.t.Errorf("http server: %s", p)
+	} else {
+		w.t.Logf("http server: %s", p)
+	}
+	return len(p), nil
 }
 
 func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
@@ -179,5 +200,29 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", SubmitRequest{ID: "late", Spec: testSpec()}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining submit status = %d, want 503", resp.StatusCode)
+	}
+
+	// The mapping sees through wrapping: each sentinel gives the same
+	// status bare, %w-wrapped and joined with another error.
+	for _, tc := range []struct {
+		sentinel error
+		status   int
+	}{
+		{ErrNotFound, http.StatusNotFound},
+		{ErrDuplicateJob, http.StatusConflict},
+		{ErrConflict, http.StatusConflict},
+		{ErrDraining, http.StatusServiceUnavailable},
+	} {
+		for _, err := range []error{
+			tc.sentinel,
+			fmt.Errorf("serv: job q1: %w", tc.sentinel),
+			errors.Join(errors.New("serv: other"), tc.sentinel),
+		} {
+			rec := httptest.NewRecorder()
+			writeError(rec, err)
+			if rec.Code != tc.status {
+				t.Errorf("writeError(%q) status = %d, want %d", err, rec.Code, tc.status)
+			}
+		}
 	}
 }
