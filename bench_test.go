@@ -262,6 +262,44 @@ func BenchmarkRealizationSample(b *testing.B) {
 	}
 }
 
+// BenchmarkSetupBuild measures dressing a network into an instance: the
+// cautious-user draw, per-user parameters and the edge-probability fill.
+func BenchmarkSetupBuild(b *testing.B) {
+	inst, _ := benchInstance(b, 0.05)
+	g := inst.Graph()
+	setup := accu.DefaultSetup()
+	setup.NumCautious = 20
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := setup.Build(g, accu.NewSeed(3, 4)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStaticRankInit measures a reused static baseline's Init on the
+// same instance, which is what a worker's cell loop pays per cell.
+func BenchmarkStaticRankInit(b *testing.B) {
+	_, re := benchInstance(b, 0.05)
+	mk := map[string]func() accu.Policy{
+		"maxdegree": accu.NewMaxDegree,
+		"pagerank":  accu.NewPageRank,
+	}
+	for _, name := range []string{"maxdegree", "pagerank"} {
+		b.Run(name, func(b *testing.B) {
+			pol, st := mk[name](), accu.NewAttack(re)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := pol.Init(st); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPageRank measures the baseline ranking computation.
 func BenchmarkPageRank(b *testing.B) {
 	inst, _ := benchInstance(b, 0.05)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -313,17 +314,43 @@ func TestReusableReseedMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s reused: %v", name, err)
 		}
-		if len(got.Steps) != len(fresh.Steps) {
-			t.Fatalf("%s: %d steps reused vs %d fresh", name, len(got.Steps), len(fresh.Steps))
-		}
-		for i := range got.Steps {
-			if got.Steps[i] != fresh.Steps[i] {
-				t.Fatalf("%s step %d: reused %+v vs fresh %+v", name, i, got.Steps[i], fresh.Steps[i])
+		sameTrace(t, name, got, fresh)
+	}
+
+	// The static orders are memoised per graph. A reused policy walked over
+	// graphs A → B → A must re-rank at each switch, so every trace equals a
+	// fresh policy's.
+	reB := randomInstance(t, 900).SampleRealization(rng.NewSeed(25, 26))
+	for _, name := range []string{"maxdegree", "pagerank"} {
+		reused := mk[name](s1)
+		for i, re := range []*osn.Realization{re1, reB, re2} {
+			reused.Reseed(s2)
+			got, err := Run(reused, re, 40)
+			if err != nil {
+				t.Fatalf("%s graph switch %d reused: %v", name, i, err)
 			}
+			fresh, err := Run(mk[name](s2), re, 40)
+			if err != nil {
+				t.Fatalf("%s graph switch %d fresh: %v", name, i, err)
+			}
+			sameTrace(t, fmt.Sprintf("%s graph switch %d", name, i), got, fresh)
 		}
-		if got.Benefit != fresh.Benefit {
-			t.Fatalf("%s: benefit %v reused vs %v fresh", name, got.Benefit, fresh.Benefit)
+	}
+}
+
+// sameTrace fails unless two attack traces are bit-identical.
+func sameTrace(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if len(got.Steps) != len(want.Steps) {
+		t.Fatalf("%s: %d steps reused vs %d fresh", label, len(got.Steps), len(want.Steps))
+	}
+	for i := range got.Steps {
+		if got.Steps[i] != want.Steps[i] {
+			t.Fatalf("%s step %d: reused %+v vs fresh %+v", label, i, got.Steps[i], want.Steps[i])
 		}
+	}
+	if got.Benefit != want.Benefit {
+		t.Fatalf("%s: benefit %v reused vs %v fresh", label, got.Benefit, want.Benefit)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/pagerank"
 	"github.com/accu-sim/accu/internal/rng"
@@ -14,10 +15,14 @@ import (
 // as the MaxDegree and PageRank baselines of §IV-A do.
 type StaticRank struct {
 	name string
-	rank func(st *osn.State) ([]int, error)
+	rank func(*graph.Graph) ([]int, error)
 
-	order []int
-	next  int
+	// ranked is the graph order was computed from. Holding the pointer
+	// keeps that graph alive, so no other graph can reuse its address and
+	// a pointer-equal hit in Init is never stale.
+	ranked *graph.Graph
+	order  []int
+	next   int
 }
 
 var _ Policy = (*StaticRank)(nil)
@@ -27,8 +32,7 @@ var _ Policy = (*StaticRank)(nil)
 func NewMaxDegree() *StaticRank {
 	return &StaticRank{
 		name: "maxdegree",
-		rank: func(st *osn.State) ([]int, error) {
-			g := st.Instance().Graph()
+		rank: func(g *graph.Graph) ([]int, error) {
 			order := identity(g.N())
 			sort.SliceStable(order, func(i, j int) bool {
 				return g.Degree(order[i]) > g.Degree(order[j])
@@ -43,8 +47,8 @@ func NewMaxDegree() *StaticRank {
 func NewPageRank() *StaticRank {
 	return &StaticRank{
 		name: "pagerank",
-		rank: func(st *osn.State) ([]int, error) {
-			scores, err := pagerank.Scores(st.Instance().Graph(), pagerank.DefaultOptions())
+		rank: func(g *graph.Graph) ([]int, error) {
+			scores, err := pagerank.Scores(g, pagerank.DefaultOptions())
 			if err != nil {
 				return nil, fmt.Errorf("core: pagerank baseline: %w", err)
 			}
@@ -60,13 +64,18 @@ func NewPageRank() *StaticRank {
 // Name implements Policy.
 func (s *StaticRank) Name() string { return s.name }
 
-// Init implements Policy.
+// Init implements Policy. The order depends on the graph alone, so Init
+// ranks only when the instance's graph differs from the one it last
+// ranked; otherwise it just restarts the order.
 func (s *StaticRank) Init(st *osn.State) error {
-	order, err := s.rank(st)
-	if err != nil {
-		return err
+	if g := st.Instance().Graph(); g != s.ranked {
+		order, err := s.rank(g)
+		if err != nil {
+			s.ranked, s.order = nil, nil
+			return err
+		}
+		s.ranked, s.order = g, order
 	}
-	s.order = order
 	s.next = 0
 	return nil
 }
@@ -86,8 +95,8 @@ func (s *StaticRank) SelectNext(st *osn.State) (int, bool) {
 // Observe implements Policy.
 func (s *StaticRank) Observe(*osn.State, osn.Outcome) {}
 
-// Reseed implements Reusable: the static order is recomputed by Init and
-// never depends on a seed.
+// Reseed implements Reusable: the static order never depends on a seed,
+// and Init reuses it for as long as the graph stays the same.
 func (s *StaticRank) Reseed(rng.Seed) {}
 
 // Random is the uniform-random baseline.

@@ -184,7 +184,9 @@ func (g *Graph) AdjBase(u int) int {
 func (g *Graph) AdjSize() int { return len(g.neighbors) }
 
 // IndexOf returns the global CSR index of neighbor v within u's row, or
-// -1 when the edge does not exist.
+// -1 when the edge does not exist. It binary-searches the row, so it is
+// for point queries; a walk over every edge should use EachEdgeSlot,
+// which hands out both slots of each edge in O(1).
 func (g *Graph) IndexOf(u, v int) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return -1
@@ -206,6 +208,29 @@ func (g *Graph) EachEdge(fn func(u, v int) bool) {
 				if !fn(u, int(v)) {
 					return
 				}
+			}
+		}
+	}
+}
+
+// EachEdgeSlot visits the same undirected edges, in the same order, as
+// EachEdge, and also passes each edge's two global CSR slots: uv is v's
+// slot in u's row and vu is u's slot in v's row. Iteration stops early if
+// fn returns false.
+//
+// Rows are sorted and u rises, so v meets its lower neighbours in row
+// order: after seen[v] of them, u sits at slot AdjBase(v)+seen[v]. The
+// same count, read at u, skips the lower part of u's own row. The walk
+// costs one []int32 of length N per call and no search.
+func (g *Graph) EachEdgeSlot(fn func(u, v, uv, vu int) bool) {
+	seen := make([]int32, g.n)
+	for u := 0; u < g.n; u++ {
+		for uv := g.offsets[u] + int64(seen[u]); uv < g.offsets[u+1]; uv++ {
+			v := g.neighbors[uv]
+			vu := g.offsets[v] + int64(seen[v])
+			seen[v]++
+			if !fn(u, int(v), int(uv), int(vu)) {
+				return
 			}
 		}
 	}

@@ -194,11 +194,10 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 	}
 	// Symmetry check: p(u,v) == p(v,u).
 	var symErr error
-	g.EachEdge(func(u, v int) bool {
-		iu, iv := g.IndexOf(u, v), g.IndexOf(v, u)
-		if inst.edgeProb[iu] != inst.edgeProb[iv] {
+	g.EachEdgeSlot(func(u, v, uv, vu int) bool {
+		if inst.edgeProb[uv] != inst.edgeProb[vu] {
 			symErr = fmt.Errorf("osn: edge (%d,%d) probability asymmetric: %v vs %v",
-				u, v, inst.edgeProb[iu], inst.edgeProb[iv])
+				u, v, inst.edgeProb[uv], inst.edgeProb[vu])
 			return false
 		}
 		return true

@@ -36,10 +36,10 @@ func (in *Instance) SampleRealization(seed rng.Seed) *Realization {
 		acceptsLow:  make([]bool, in.N()),
 		acceptsHigh: make([]bool, in.N()),
 	}
-	in.g.EachEdge(func(u, v int) bool {
-		if rng.Bernoulli(r, in.edgeProb[in.g.IndexOf(u, v)]) {
-			re.edgeExists[in.g.IndexOf(u, v)] = true
-			re.edgeExists[in.g.IndexOf(v, u)] = true
+	in.g.EachEdgeSlot(func(_, _, uv, vu int) bool {
+		if rng.Bernoulli(r, in.edgeProb[uv]) {
+			re.edgeExists[uv] = true
+			re.edgeExists[vu] = true
 		}
 		return true
 	})
@@ -58,9 +58,10 @@ func (in *Instance) SampleRealization(seed rng.Seed) *Realization {
 // FixedRealization builds a deterministic realization from explicit
 // predicates, used by the theory package and tests. edgeExists is
 // consulted once per undirected edge with u < v; accepts is consulted for
-// reckless users only. Cautious users follow their model deterministically
-// (acceptsLow iff QLow >= 1, acceptsHigh iff QHigh >= 1... i.e. the
-// certain outcomes); use FixedRealizationCautious to pin their coins.
+// reckless users only. Each cautious user takes the certain outcome of
+// each coin: it accepts below threshold iff QLow >= 1 and at/above
+// threshold iff QHigh >= 1. Use FixedRealizationCautious to pin those
+// coins instead.
 func (in *Instance) FixedRealization(edgeExists func(u, v int) bool, accepts func(u int) bool) *Realization {
 	return in.FixedRealizationCautious(edgeExists, accepts, nil, nil)
 }
@@ -77,10 +78,10 @@ func (in *Instance) FixedRealizationCautious(edgeExists func(u, v int) bool, acc
 		acceptsLow:  make([]bool, in.N()),
 		acceptsHigh: make([]bool, in.N()),
 	}
-	in.g.EachEdge(func(u, v int) bool {
+	in.g.EachEdgeSlot(func(u, v, uv, vu int) bool {
 		if edgeExists == nil || edgeExists(u, v) {
-			re.edgeExists[in.g.IndexOf(u, v)] = true
-			re.edgeExists[in.g.IndexOf(v, u)] = true
+			re.edgeExists[uv] = true
+			re.edgeExists[vu] = true
 		}
 		return true
 	})

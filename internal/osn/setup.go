@@ -128,10 +128,10 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 		p.BFriend[u] = s.BFriendReckless
 	}
 	// Symmetric uniform edge probabilities.
-	g.EachEdge(func(u, v int) bool {
+	g.EachEdgeSlot(func(_, _, uv, vu int) bool {
 		pe := r.Float64()
-		p.EdgeProb[g.IndexOf(u, v)] = pe
-		p.EdgeProb[g.IndexOf(v, u)] = pe
+		p.EdgeProb[uv] = pe
+		p.EdgeProb[vu] = pe
 		return true
 	})
 	return NewInstance(g, p)
