@@ -193,11 +193,9 @@ type (
 	CellKey = sim.CellKey
 	// CellJournal is the append-only JSONL Checkpointer.
 	CellJournal = sim.CellJournal
-	// CellError describes one failed Monte-Carlo cell.
+	// CellError describes the failed Monte-Carlo cell that aborted a
+	// run; MonteCarlo returns it as the error.
 	CellError = sim.CellError
-	// FailureSummary reports the cells that failed during a run with
-	// Protocol.ContinueOnError set; MonteCarlo returns it as the error.
-	FailureSummary = sim.FailureSummary
 	// RecordDigest accumulates an order-insensitive SHA-256 fingerprint
 	// of a Monte-Carlo record set, for bit-identical-resume assertions.
 	RecordDigest = sim.RecordDigest
@@ -253,10 +251,6 @@ func CreateResultStore(path string, meta map[string]string) (*StoreWriter, error
 
 // OpenResultStore opens a result store for sequential scanning.
 func OpenResultStore(path string) (*StoreReader, error) { return stats.OpenStore(path) }
-
-// ErrCellTimeout is wrapped by cell errors whose attempts exceeded
-// Protocol.CellTimeout.
-var ErrCellTimeout = sim.ErrCellTimeout
 
 // OpenCellJournal opens (resume=true) or creates (resume=false) the cell
 // journal at path for use as a Protocol.Checkpoint. On resume, feed the

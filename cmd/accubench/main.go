@@ -55,7 +55,6 @@ func run(args []string, out *os.File) error {
 
 		checkpoint = fs.String("checkpoint", "", "journal completed Monte-Carlo cells to this directory (one JSONL file per protocol)")
 		resume     = fs.Bool("resume", false, "reopen journals in the -checkpoint directory and compute only missing cells")
-		keepGoing  = fs.Bool("keep-going", false, "continue past failed Monte-Carlo cells and report them as warnings")
 
 		metrics    = fs.Bool("metrics", false, "collect engine metrics and print a table after each report")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
@@ -104,7 +103,6 @@ func run(args []string, out *os.File) error {
 		Workers:       *workers,
 		CheckpointDir: *checkpoint,
 		Resume:        *resume,
-		KeepGoing:     *keepGoing,
 	}
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")

@@ -32,7 +32,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -112,7 +111,6 @@ func run(args []string, out io.Writer) error {
 
 		checkpoint = fs.String("checkpoint", "", "journal completed cells to this JSONL file (-runs > 1 only)")
 		resume     = fs.Bool("resume", false, "resume from an existing -checkpoint journal")
-		keepGoing  = fs.Bool("keep-going", false, "continue past failed cells and report them as warnings (-runs > 1 only)")
 		digest     = fs.Bool("digest", false, "print the canonical SHA-256 record-set digest (-runs > 1 only)")
 		store      = fs.String("store", "", "write per-record rows to this columnar result store (-runs > 1 only)")
 		outFile    = fs.String("out", "", "write the aggregated result (Welford + sketch snapshots) as JSON to this file (-runs > 1 only)")
@@ -145,16 +143,15 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
 	spec := serv.Spec{
-		Preset:          *preset,
-		Scale:           *scale,
-		Cautious:        cautious,
-		Policies:        []serv.PolicySpec{{Name: *policy, WD: *wd, WI: *wi}},
-		Networks:        1,
-		Runs:            *runs,
-		K:               *k,
-		Seed:            *seed,
-		Workers:         *workers,
-		ContinueOnError: *keepGoing,
+		Preset:   *preset,
+		Scale:    *scale,
+		Cautious: cautious,
+		Policies: []serv.PolicySpec{{Name: *policy, WD: *wd, WI: *wi}},
+		Networks: 1,
+		Runs:     *runs,
+		K:        *k,
+		Seed:     *seed,
+		Workers:  *workers,
 	}
 	protocol, factories, err := spec.Build(reg)
 	if err != nil {
@@ -176,8 +173,8 @@ func run(args []string, out io.Writer) error {
 		}
 		return runRepeated(out, protocol, factory, *checkpoint, *resume, *digest, *store, *outFile, meta)
 	}
-	if *checkpoint != "" || *keepGoing || *digest || *store != "" || *outFile != "" {
-		return fmt.Errorf("-checkpoint, -keep-going, -digest, -store and -out apply to the -runs > 1 Monte-Carlo mode only")
+	if *checkpoint != "" || *digest || *store != "" || *outFile != "" {
+		return fmt.Errorf("-checkpoint, -digest, -store and -out apply to the -runs > 1 Monte-Carlo mode only")
 	}
 	// One cell of the same protocol, traced request by request.
 	root := protocol.Seed
@@ -543,11 +540,6 @@ func runRepeated(out io.Writer, protocol accu.Protocol, factory accu.PolicyFacto
 		if cerr := sw.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("close result store: %w", cerr)
 		}
-	}
-	var fsum *accu.FailureSummary
-	if protocol.ContinueOnError && errors.As(err, &fsum) {
-		fmt.Fprintf(os.Stderr, "accurun: warning: %v\n", fsum)
-		err = nil
 	}
 	if err != nil {
 		return err

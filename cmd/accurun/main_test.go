@@ -320,9 +320,6 @@ func TestCheckpointFlagValidation(t *testing.T) {
 	if err := run([]string{"-checkpoint", "x.jsonl"}, &buf); err == nil {
 		t.Error("-checkpoint on a single run: want error")
 	}
-	if err := run([]string{"-keep-going"}, &buf); err == nil {
-		t.Error("-keep-going on a single run: want error")
-	}
 }
 
 func TestJournalFlag(t *testing.T) {

@@ -21,8 +21,7 @@ func TestRealTreeSuppressedFindings(t *testing.T) {
 	// Per package: analyzer name → {message fragment → expected count}.
 	pins := map[string]map[string]map[string]int{
 		"github.com/accu-sim/accu/internal/sim": {
-			"seedflow":      {"reaches 2 sinks": 1},
-			"scratchescape": {"goroutine captures per-worker scratch sc": 1},
+			"seedflow": {"reaches 2 sinks": 1},
 		},
 		// The coordinator and the job service hold no allowed findings;
 		// empty pin sets keep them in the nothing-unsuppressed sweep.

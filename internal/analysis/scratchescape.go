@@ -37,8 +37,9 @@ var scratchOwnerTypes = map[string]map[string]bool{
 //   - a scratch value stored in a package-level variable or a field of a
 //     type declared outside the scratch packages.
 //
-// Intentional transfers (a worker abandoning a timed-out attempt and
-// re-arming with fresh scratch) are the audited exception: annotate with
+// Intentional transfers (a worker handing its scratch to a goroutine
+// that becomes its sole owner, then re-arming with fresh scratch) are
+// the audited exception: annotate with
 // //accu:allow scratchescape -- <why>.
 func ScratchEscape() *Analyzer {
 	a := &Analyzer{

@@ -323,9 +323,8 @@ func TestDuplicateCommitRace(t *testing.T) {
 }
 
 // TestChaosStallDigestStable runs a worker whose generator randomly
-// stalls (Stall-only chaos: injected failures with retries would
-// legitimately change retried cells' records via the retry seed split)
-// and checks the digest still matches the local reference.
+// stalls (Stall-only chaos: an injected failure would abort the worker's
+// grid) and checks the digest still matches the local reference.
 func TestChaosStallDigestStable(t *testing.T) {
 	spec := testSpec()
 	wantDigest, _, _ := localReference(t, spec)

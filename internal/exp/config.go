@@ -8,7 +8,6 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -66,11 +65,6 @@ type Config struct {
 	// cells and computes only what is missing. Without Resume a leftover
 	// journal is an error (refusing to silently mix two runs).
 	Resume bool
-	// KeepGoing makes each Monte-Carlo run continue past failed cells:
-	// the surviving cells are collected normally and the trailing
-	// *sim.FailureSummary is reported as a warning instead of aborting
-	// the experiment.
-	KeepGoing bool
 }
 
 // QuickConfig returns a configuration sized for interactive use
@@ -152,15 +146,14 @@ func (c Config) protocol(g gen.Generator, s osn.Setup, seed rng.Seed) sim.Protoc
 	}
 }
 
-// run executes one Monte-Carlo protocol with the config's fault-tolerance
+// run executes one Monte-Carlo protocol with the config's checkpoint
 // settings applied. name identifies the protocol within the experiment
 // (it keys the checkpoint journal, so it must be stable across resumes
 // and unique within CheckpointDir). When CheckpointDir is set, completed
 // cells from a resumed journal are replayed into collect before the
 // engine starts and freshly completed cells are committed as they
-// finish. When KeepGoing is set, a run that degrades gracefully (all
-// failures within the engine's budget) is reported as a warning on
-// stderr instead of an error.
+// finish; cells a corrupt journal line discarded are reported on stderr
+// and re-run.
 func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, factories []sim.PolicyFactory, collect func(sim.Record)) error {
 	var journal *sim.CellJournal
 	if c.CheckpointDir != "" {
@@ -170,22 +163,17 @@ func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, fac
 			return fmt.Errorf("exp: %s: %w", name, err)
 		}
 		journal = j
+		if d := journal.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "exp: warning: %s: corrupt journal line discarded %d valid completed cell(s) after it; they will re-run\n", path, d)
+		}
 		journal.Replay(collect)
 		protocol.Checkpoint = journal
-	}
-	if c.KeepGoing {
-		protocol.ContinueOnError = true
 	}
 	err := sim.Run(ctx, protocol, factories, collect)
 	if journal != nil {
 		if cerr := journal.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("exp: %s: close journal: %w", name, cerr)
 		}
-	}
-	var fs *sim.FailureSummary
-	if c.KeepGoing && errors.As(err, &fs) {
-		fmt.Fprintf(os.Stderr, "exp: warning: %s: %v\n", name, fs)
-		return nil
 	}
 	return err
 }

@@ -166,6 +166,13 @@ func TestHTTPErrorMapping(t *testing.T) {
 			t.Errorf("submit with %s status = %d, want 400", field, resp.StatusCode)
 		}
 	}
+	// The retired cell-fault knobs are no longer Spec fields either.
+	for field, value := range map[string]any{"cellTimeoutMs": 1000, "retries": 1, "continueOnError": true, "maxFailures": 2} {
+		body := map[string]any{"id": "q2", "spec": testSpecDoc(t, map[string]any{field: value})}
+		if resp, _ := postJSON(t, ts.URL+"/api/v1/jobs", body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit with spec.%s status = %d, want 400", field, resp.StatusCode)
+		}
+	}
 	if resp, _ := getJSON(t, ts.URL+"/api/v1/jobs/q1/events"); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("events status = %d, want 404 (no SSE endpoint)", resp.StatusCode)
 	}

@@ -73,11 +73,11 @@ type Result struct {
 	// Digest is the order-insensitive SHA-256 over the canonical record
 	// set (see sim.RecordDigest).
 	Digest string `json:"digest"`
-	// FailedCells counts cells abandoned under ContinueOnError; Warning
-	// carries their joined message. Both are zero/empty on a clean grid.
-	FailedCells int            `json:"failedCells,omitempty"`
-	Warning     string         `json:"warning,omitempty"`
-	Policies    []PolicyResult `json:"policies"`
+	// Warning notes trouble that did not change the record set (a
+	// distributed grid's worker failures before completion); empty on a
+	// clean run.
+	Warning  string         `json:"warning,omitempty"`
+	Policies []PolicyResult `json:"policies"`
 }
 
 // Job is the persisted job document: what the HTTP API returns and what

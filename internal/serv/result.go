@@ -7,7 +7,7 @@ import "github.com/accu-sim/accu/internal/sim"
 // in first-seen order. Both the job service's executeJob and the
 // internal/dist coordinator produce Results this way, so a distributed
 // run's payload is structurally identical to a local service run's.
-// Failure fields (FailedCells, Warning) are left to the caller.
+// Warning is left to the caller.
 func BuildResult(records int, digest *sim.RecordDigest, summary *sim.Summary) *Result {
 	res := &Result{
 		Records: records,

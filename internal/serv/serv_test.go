@@ -29,6 +29,24 @@ func testSpec() Spec {
 	}
 }
 
+// testSpecDoc is testSpec as a JSON object with extra fields merged in,
+// for documents a Spec can no longer express.
+func testSpecDoc(t *testing.T, extra map[string]any) map[string]any {
+	t.Helper()
+	b, err := json.Marshal(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range extra {
+		doc[k] = v
+	}
+	return doc
+}
+
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.Dir == "" {
@@ -472,10 +490,12 @@ func TestRestartRecoversCrashedRunningJob(t *testing.T) {
 	}
 	s.mu.Unlock()
 	// A running job document as older versions wrote it, with the
-	// retired tenant and priority fields.
+	// retired tenant and priority fields and the retired cell-fault
+	// fields of its spec.
 	legacy, err := json.Marshal(map[string]any{
 		"id": "legacy", "tenant": "team_a", "priority": 5, "seq": 7,
-		"spec": testSpec(), "state": "running", "attempt": 1, "maxAttempts": 3,
+		"spec":  testSpecDoc(t, map[string]any{"retries": 1, "continueOnError": true}),
+		"state": "running", "attempt": 1, "maxAttempts": 3,
 		"submittedAt": time.Now().UTC(), "progress": map[string]int64{"total": 8},
 	})
 	if err != nil {

@@ -2,9 +2,7 @@ package serv
 
 import (
 	"fmt"
-	"math"
 	"regexp"
-	"time"
 
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/gen"
@@ -59,12 +57,6 @@ type Spec struct {
 
 	// Workers bounds the job's engine worker pool (0 = GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-
-	// Fault-tolerance knobs, forwarded to sim.Protocol.
-	CellTimeoutMS   int  `json:"cellTimeoutMs,omitempty"`
-	Retries         int  `json:"retries,omitempty"`
-	ContinueOnError bool `json:"continueOnError,omitempty"`
-	MaxFailures     int  `json:"maxFailures,omitempty"`
 }
 
 // defaultScale matches accurun's -scale default.
@@ -87,20 +79,6 @@ func (s Spec) cautious() int {
 		return defaultCautious
 	}
 	return *s.Cautious
-}
-
-// maxCellTimeoutMS is the largest CellTimeoutMS whose conversion to a
-// time.Duration does not overflow int64 nanoseconds.
-const maxCellTimeoutMS = math.MaxInt64 / int64(time.Millisecond)
-
-// cellTimeout converts CellTimeoutMS to the protocol's per-cell timeout,
-// rejecting values the conversion would overflow (a wrapped product can
-// land on a tiny positive timeout that fails every cell).
-func (s Spec) cellTimeout() (time.Duration, error) {
-	if ms := int64(s.CellTimeoutMS); ms < 0 || ms > maxCellTimeoutMS {
-		return 0, fmt.Errorf("serv: cellTimeoutMs %d not in [0, %d]", s.CellTimeoutMS, maxCellTimeoutMS)
-	}
-	return time.Duration(s.CellTimeoutMS) * time.Millisecond, nil
 }
 
 // Cells returns the record-grid size Networks × Runs × policies.
@@ -135,21 +113,14 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	cellTimeout, err := s.cellTimeout()
-	if err != nil {
-		return err
-	}
 	p := sim.Protocol{
-		Gen:         probeGen{},
-		Setup:       osn.DefaultSetup(),
-		Networks:    s.Networks,
-		Runs:        s.Runs,
-		K:           s.K,
-		BatchSize:   s.BatchSize,
-		Workers:     s.Workers,
-		MaxFailures: s.MaxFailures,
-		CellTimeout: cellTimeout,
-		Retries:     s.Retries,
+		Gen:       probeGen{},
+		Setup:     osn.DefaultSetup(),
+		Networks:  s.Networks,
+		Runs:      s.Runs,
+		K:         s.K,
+		BatchSize: s.BatchSize,
+		Workers:   s.Workers,
 	}
 	return p.Validate()
 }
@@ -177,10 +148,6 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 	if err != nil {
 		return sim.Protocol{}, nil, err
 	}
-	cellTimeout, err := s.cellTimeout()
-	if err != nil {
-		return sim.Protocol{}, nil, err
-	}
 	setup := osn.DefaultSetup()
 	setup.NumCautious = s.cautious()
 	factories := make([]sim.PolicyFactory, 0, len(s.Policies))
@@ -193,19 +160,15 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 	}
 	seed := rng.NewSeed(s.Seed, s.Seed*2+1)
 	p := sim.Protocol{
-		Gen:             generator,
-		Setup:           setup,
-		Networks:        s.Networks,
-		Runs:            s.Runs,
-		K:               s.K,
-		BatchSize:       s.BatchSize,
-		Seed:            seed,
-		Workers:         s.Workers,
-		Metrics:         reg,
-		ContinueOnError: s.ContinueOnError,
-		MaxFailures:     s.MaxFailures,
-		CellTimeout:     cellTimeout,
-		Retries:         s.Retries,
+		Gen:       generator,
+		Setup:     setup,
+		Networks:  s.Networks,
+		Runs:      s.Runs,
+		K:         s.K,
+		BatchSize: s.BatchSize,
+		Seed:      seed,
+		Workers:   s.Workers,
+		Metrics:   reg,
 	}
 	return p, factories, nil
 }

@@ -2,7 +2,6 @@ package serv
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"github.com/accu-sim/accu/internal/sim"
@@ -54,25 +53,11 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 
 	err = sim.Run(ctx, protocol, factories, collect)
 	cerr := journal.Close()
-
-	var failedCells int
-	var warning string
-	var fsum *sim.FailureSummary
-	if errors.As(err, &fsum) {
-		// Degraded but complete (ContinueOnError): the surviving cells
-		// are a valid, durable result; the failures ride along.
-		failedCells = len(fsum.Failures)
-		warning = fsum.Error()
-		err = nil
-	}
 	if err != nil {
 		return nil, err
 	}
 	if cerr != nil {
 		return nil, fmt.Errorf("serv: close checkpoint journal: %w", cerr)
 	}
-	res := BuildResult(records, digest, summary)
-	res.FailedCells = failedCells
-	res.Warning = warning
-	return res, nil
+	return BuildResult(records, digest, summary), nil
 }

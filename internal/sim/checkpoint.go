@@ -24,8 +24,8 @@ type CellKey struct {
 // before scheduling and calls Commit after a cell's records have been
 // delivered; Commit is invoked concurrently from worker goroutines, so
 // implementations must serialize internally. A Commit error aborts the
-// run even under ContinueOnError — records that cannot be made durable
-// would silently re-run on resume.
+// run like a failed cell — records that cannot be made durable would
+// silently re-run on resume.
 type Checkpointer interface {
 	// Done reports whether the cell is already recorded.
 	Done(key CellKey) bool

@@ -424,11 +424,10 @@ func (c *failingCheckpointer) Commit(CellKey, []Record) error {
 }
 
 // TestRunCheckpointCommitErrorIsFatal pins the durability contract: a
-// failing Commit aborts the run even under ContinueOnError, because a
-// cell that cannot be made durable would silently re-run on resume.
+// failing Commit aborts the run, because a cell that cannot be made
+// durable would silently re-run on resume.
 func TestRunCheckpointCommitErrorIsFatal(t *testing.T) {
 	p := testProtocol()
-	p.ContinueOnError = true
 	sentinel := errors.New("disk full")
 	p.Checkpoint = &failingCheckpointer{n: 2, err: sentinel}
 	factories, err := DefaultFactories(core.DefaultWeights())

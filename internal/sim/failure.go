@@ -1,32 +1,18 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// ErrCellTimeout is wrapped into a cell's attempt error when the attempt
-// exceeds Protocol.CellTimeout; detect it with errors.Is.
-var ErrCellTimeout = errors.New("sim: cell attempt timed out")
-
-// errInstanceReleased guards an abandoned (timed-out) attempt that races
-// the network slot's final release: its result is discarded anyway, so
-// it fails fast instead of dereferencing a dropped instance.
-var errInstanceReleased = errors.New("sim: network instance already released")
-
-// CellError is one failed (network, run) cell: the coordinates, the
-// failing policy when the failure is attributable to one factory, and
-// the joined errors of every attempt. Without ContinueOnError it is the
-// error Run returns; with it, failed cells are collected into the
-// trailing *FailureSummary.
+// CellError is the error Run returns for the first failed (network, run)
+// cell: the coordinates, the failing policy when the failure is
+// attributable to one factory, and the cause. Cells committed before the
+// failure stay in the checkpoint, so a resumed run picks up from there.
 type CellError struct {
 	// Policy names the factory whose execution failed; empty when the
-	// failure happened before any policy ran (network generate/setup,
-	// timeout of the whole attempt).
+	// failure happened before any policy ran (network generate/setup).
 	Policy string
 	// Network and Run locate the failed cell in the Monte-Carlo grid.
 	Network, Run int
-	// Err joins the errors of every attempt of the cell.
+	// Err is the cause.
 	Err error
 }
 
@@ -38,34 +24,5 @@ func (e *CellError) Error() string {
 	return fmt.Sprintf("sim: cell network %d run %d policy %s failed: %v", e.Network, e.Run, e.Policy, e.Err)
 }
 
-// Unwrap exposes the attempt errors to errors.Is/As.
+// Unwrap exposes the cause to errors.Is/As.
 func (e *CellError) Unwrap() error { return e.Err }
-
-// FailureSummary is returned by Run when ContinueOnError is set and some
-// cells failed: every surviving cell's records were delivered, and the
-// summary carries the rest. Detect it with errors.As to distinguish a
-// degraded-but-useful grid from a fatal engine error.
-type FailureSummary struct {
-	// Cells is the scheduled grid size (Networks × Runs).
-	Cells int
-	// Failures holds one CellError per failed cell.
-	Failures []*CellError
-}
-
-// Error implements error.
-func (s *FailureSummary) Error() string {
-	return fmt.Sprintf("sim: %d of %d cells failed: %v",
-		len(s.Failures), s.Cells, errors.Join(joinCellErrors(s.Failures)...))
-}
-
-// Unwrap exposes the individual cell errors to errors.Is/As traversal.
-func (s *FailureSummary) Unwrap() []error { return joinCellErrors(s.Failures) }
-
-// joinCellErrors widens a CellError slice for errors.Join.
-func joinCellErrors(ces []*CellError) []error {
-	errs := make([]error, len(ces))
-	for i, ce := range ces {
-		errs[i] = ce
-	}
-	return errs
-}

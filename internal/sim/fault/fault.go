@@ -1,9 +1,9 @@
 // Package fault provides seeded fault-injection wrappers for the
 // Monte-Carlo engine's collaborators: network generators, instance
 // builders and policy factories that fail or stall at deterministic,
-// seed-derived rates. They exist to exercise the engine's fault
-// tolerance — ContinueOnError, CellTimeout, Retries, checkpointing — in
-// tests.
+// seed-derived rates. They exist to exercise the engine's failure rule
+// in tests: a failed cell aborts the grid, the checkpoint keeps every
+// cell committed before it, and a resumed run completes the grid.
 //
 // Every injection decision derives from the seed the wrapped call
 // receives, split under a "fault" label, so a faulted grid is exactly as
@@ -25,7 +25,6 @@ import (
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/graph"
-	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 	"github.com/accu-sim/accu/internal/sim"
@@ -43,15 +42,12 @@ type Rates struct {
 	Fail float64
 	// Stall is the probability in [0, 1] that a call sleeps for StallFor
 	// before proceeding (and before failing, if both fire) — transient
-	// slowness for exercising Protocol.CellTimeout.
+	// slowness that perturbs scheduling order without changing any
+	// record.
 	Stall float64
 	// StallFor is the stall duration (default 50ms when Stall fires with
 	// a zero StallFor).
 	StallFor time.Duration
-	// Metrics, when non-nil, counts injections under fault.failures and
-	// fault.stalls so tests and chaos runs can reconcile injected counts
-	// against the engine's sim.cell_failures.
-	Metrics *obs.Registry
 }
 
 // decide draws the injection decision for one call from seed. The seed
@@ -61,14 +57,6 @@ func (r Rates) decide(seed rng.Seed) (fail, stall bool) {
 	rnd := seed.Rand()
 	fail = rnd.Float64() < r.Fail
 	stall = rnd.Float64() < r.Stall
-	if r.Metrics != nil {
-		if fail {
-			r.Metrics.Counter("fault.failures").Inc()
-		}
-		if stall {
-			r.Metrics.Counter("fault.stalls").Inc()
-		}
-	}
 	return fail, stall
 }
 
@@ -128,9 +116,8 @@ func (b Builder) Build(g *graph.Graph, seed rng.Seed) (*osn.Instance, error) {
 
 // Factory wraps a policy factory so a seeded fraction of cells fail or
 // stall when the policy initializes. The decision derives from the
-// per-cell factory seed — the engine re-derives that seed on every retry
-// attempt, so a transiently faulted cell can succeed on retry while
-// staying deterministic.
+// per-cell factory seed, so the same cells fail on every run of the same
+// protocol.
 func Factory(f sim.PolicyFactory, r Rates) sim.PolicyFactory {
 	return sim.PolicyFactory{
 		Name: f.Name,

@@ -1,14 +1,17 @@
 package fault_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
 	"testing"
-	"time"
 
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/gen"
-	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 	"github.com/accu-sim/accu/internal/sim"
@@ -40,89 +43,146 @@ func abmFactory(t *testing.T) sim.PolicyFactory {
 	return f
 }
 
-// TestChaosGridCompletes wires every wrapper at once — faulted
-// generator, faulted builder, faulted policy factory — and checks the
-// engine degrades instead of dying: the run finishes, the surviving
-// cells are delivered, and the injected failures reconcile with the
-// engine's failure ledger.
-func TestChaosGridCompletes(t *testing.T) {
-	p := testProtocol()
-	p.ContinueOnError = true
-	reg := obs.New()
-	p.Metrics = reg
-	rates := fault.Rates{Fail: 0.3, Metrics: reg}
-	p.Gen = fault.Generator{Inner: p.Gen, Rates: rates}
-	p.Setup = fault.Builder{Inner: p.Setup, Rates: rates}
-	factory := fault.Factory(abmFactory(t), rates)
+// TestAbortResumeOracle pins the engine's one failure rule with every
+// wrapper at once — faulted generator, builder and policy factory — over
+// several seeds at one and four workers: the faulted grid aborts with a
+// *CellError that unwraps to ErrInjected; every record it delivered or
+// journaled is bit-identical to the same cell of an unfaulted run; and
+// resuming from its journal with the faults removed reaches the
+// unfaulted digest.
+func TestAbortResumeOracle(t *testing.T) {
+	factory := abmFactory(t)
+	journaled := 0
+	for s := uint64(1); s <= 4; s++ {
+		clean := testProtocol()
+		clean.Seed = rng.NewSeed(s, 11)
+		want := map[sim.CellKey][]byte{}
+		wantDigest := sim.NewRecordDigest()
+		if err := sim.Run(context.Background(), clean, []sim.PolicyFactory{factory}, func(r sim.Record) {
+			want[sim.CellKey{Network: r.Network, Run: r.Run}] = marshal(t, r)
+			wantDigest.Collect(r)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("seed %d, %d workers", s, workers)
+			sameAsClean := func(what string, r sim.Record) {
+				if !bytes.Equal(marshal(t, r), want[sim.CellKey{Network: r.Network, Run: r.Run}]) {
+					t.Errorf("%s: %s record of cell (%d,%d) differs from the unfaulted run", name, what, r.Network, r.Run)
+				}
+			}
+			p := clean
+			p.Workers = workers
+			path := filepath.Join(t.TempDir(), "cells.jsonl")
+			journal, err := sim.OpenCellJournal(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rates := fault.Rates{Fail: 0.2}
+			faulted := p
+			faulted.Gen = fault.Generator{Inner: p.Gen, Rates: rates}
+			faulted.Setup = fault.Builder{Inner: p.Setup, Rates: rates}
+			faulted.Checkpoint = journal
+			err = sim.Run(context.Background(), faulted, []sim.PolicyFactory{fault.Factory(factory, rates)}, func(r sim.Record) {
+				sameAsClean("delivered", r)
+			})
+			if cerr := journal.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			var ce *sim.CellError
+			if !errors.As(err, &ce) || !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("%s: err = %v, want a *sim.CellError wrapping ErrInjected", name, err)
+			}
 
-	collected := 0
-	err := sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, func(sim.Record) { collected++ })
-	var sum *sim.FailureSummary
-	if err != nil && !errors.As(err, &sum) {
-		t.Fatalf("err = %v, want nil or *FailureSummary", err)
-	}
-	failed := 0
-	if sum != nil {
-		failed = len(sum.Failures)
-		if !errors.Is(err, fault.ErrInjected) {
-			t.Errorf("summary does not unwrap to ErrInjected: %v", err)
+			if journal, err = sim.OpenCellJournal(path, true); err != nil {
+				t.Fatal(err)
+			}
+			journaled += journal.Cells()
+			got := sim.NewRecordDigest()
+			journal.Replay(func(r sim.Record) {
+				sameAsClean("journaled", r)
+				got.Collect(r)
+			})
+			p.Checkpoint = journal
+			err = sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, got.Collect)
+			if cerr := journal.Close(); cerr != nil {
+				t.Fatal(cerr)
+			}
+			if err != nil {
+				t.Fatalf("%s: resume without faults: %v", name, err)
+			}
+			if got.Sum() != wantDigest.Sum() {
+				t.Errorf("%s: resumed digest %s, want the unfaulted %s", name, got.Sum(), wantDigest.Sum())
+			}
 		}
 	}
-	if collected+failed != p.Networks*p.Runs {
-		t.Errorf("collected %d + failed %d != grid %d", collected, failed, p.Networks*p.Runs)
-	}
-	if v := reg.Counter("sim.cell_failures").Value(); v != int64(failed) {
-		t.Errorf("sim.cell_failures = %d, want %d", v, failed)
-	}
-	if reg.Counter("fault.failures").Value() == 0 {
-		t.Error("no faults injected at Fail=0.3 on a 16-cell grid; seed choice starved the test")
+	if journaled == 0 {
+		t.Fatal("no faulted run journaled a cell before aborting; seed choice starved the test")
 	}
 }
 
-// TestPolicyFaultsReconcileWithEngine uses only the policy wrapper with
-// Retries=0, so every injected policy fault is exactly one failed cell:
-// fault.failures must equal sim.cell_failures.
-func TestPolicyFaultsReconcileWithEngine(t *testing.T) {
-	p := testProtocol()
-	p.ContinueOnError = true
-	reg := obs.New()
-	p.Metrics = reg
-	factory := fault.Factory(abmFactory(t), fault.Rates{Fail: 0.25, Metrics: reg})
-
-	err := sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, func(sim.Record) {})
-	var sum *sim.FailureSummary
-	if err != nil && !errors.As(err, &sum) {
-		t.Fatalf("err = %v, want nil or *FailureSummary", err)
+func marshal(t *testing.T, r sim.Record) []byte {
+	t.Helper()
+	b, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	injected := reg.Counter("fault.failures").Value()
-	if injected == 0 {
-		t.Fatal("no faults injected at Fail=0.25 on a 16-cell grid; seed choice starved the test")
-	}
-	if v := reg.Counter("sim.cell_failures").Value(); v != injected {
-		t.Errorf("sim.cell_failures = %d, want the %d injected faults", v, injected)
-	}
+	return b
 }
 
-// TestFaultDeterminism runs the same chaos grid twice and requires the
-// identical failure set — fault injection must be as reproducible as the
-// engine it exercises.
+// skipSet is an in-memory Checkpointer whose done set the test can also
+// extend with failed cells, so the next run skips them.
+type skipSet struct {
+	mu   sync.Mutex
+	done map[sim.CellKey]bool
+}
+
+func (s *skipSet) Done(k sim.CellKey) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.done[k]
+}
+
+func (s *skipSet) Commit(k sim.CellKey, _ []sim.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.done[k] = true
+	return nil
+}
+
+// TestFaultDeterminism drives the same faulted grid to the end by abort
+// and resume — each abort's failed cell is marked done so the next run
+// skips it — and requires the identical failure set at one and at four
+// workers: fault injection must be as reproducible as the engine it
+// exercises.
 func TestFaultDeterminism(t *testing.T) {
-	failures := func() map[sim.CellKey]bool {
+	failures := func(workers int) map[sim.CellKey]bool {
 		p := testProtocol()
-		p.ContinueOnError = true
+		p.Workers = workers
+		ck := &skipSet{done: map[sim.CellKey]bool{}}
+		p.Checkpoint = ck
 		factory := fault.Factory(abmFactory(t), fault.Rates{Fail: 0.25})
-		err := sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, func(sim.Record) {})
-		var sum *sim.FailureSummary
-		if !errors.As(err, &sum) {
-			t.Fatalf("err = %v, want *FailureSummary", err)
+		failed := map[sim.CellKey]bool{}
+		for range p.Networks*p.Runs + 1 {
+			err := sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, func(sim.Record) {})
+			if err == nil {
+				return failed
+			}
+			var ce *sim.CellError
+			if !errors.As(err, &ce) || !errors.Is(err, fault.ErrInjected) {
+				t.Fatalf("workers=%d: err = %v, want an injected *sim.CellError", workers, err)
+			}
+			k := sim.CellKey{Network: ce.Network, Run: ce.Run}
+			failed[k] = true
+			ck.Commit(k, nil)
 		}
-		got := map[sim.CellKey]bool{}
-		for _, ce := range sum.Failures {
-			got[sim.CellKey{Network: ce.Network, Run: ce.Run}] = true
-		}
-		return got
+		t.Fatalf("workers=%d: grid never completed", workers)
+		return nil
 	}
-	a, b := failures(), failures()
+	a, b := failures(1), failures(4)
+	if len(a) == 0 {
+		t.Fatal("no faults injected at Fail=0.25; seed choice starved the test")
+	}
 	if len(a) != len(b) {
 		t.Fatalf("failure sets differ in size: %d vs %d", len(a), len(b))
 	}
@@ -162,64 +222,5 @@ func TestNonFaultedCellsUntouched(t *testing.T) {
 		if wrapped[k] != v {
 			t.Errorf("cell %+v: benefit %v plain vs %v wrapped", k, v, wrapped[k])
 		}
-	}
-}
-
-// TestRetriesRecoverInjectedFaults checks the end-to-end transient-fault
-// story: the engine re-derives the cell seed per attempt, so a faulted
-// attempt can succeed on retry, and enough retries drive the failure
-// count well below the no-retry baseline.
-func TestRetriesRecoverInjectedFaults(t *testing.T) {
-	failedWith := func(retries int) int {
-		p := testProtocol()
-		p.ContinueOnError = true
-		p.Retries = retries
-		factory := fault.Factory(abmFactory(t), fault.Rates{Fail: 0.25})
-		err := sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, func(sim.Record) {})
-		var sum *sim.FailureSummary
-		if err == nil {
-			return 0
-		}
-		if !errors.As(err, &sum) {
-			t.Fatalf("retries=%d: err = %v, want *FailureSummary", retries, err)
-		}
-		return len(sum.Failures)
-	}
-	base := failedWith(0)
-	if base == 0 {
-		t.Fatal("no faults injected at Fail=0.25; seed choice starved the test")
-	}
-	if retried := failedWith(3); retried >= base {
-		t.Errorf("retries did not reduce failures: %d without vs %d with", base, retried)
-	}
-}
-
-// TestStallExercisesCellTimeout stalls one quarter of policy builds past
-// the cell timeout and requires the engine to time the cells out rather
-// than hang.
-func TestStallExercisesCellTimeout(t *testing.T) {
-	p := testProtocol()
-	p.ContinueOnError = true
-	p.CellTimeout = 20 * time.Millisecond
-	reg := obs.New()
-	p.Metrics = reg
-	factory := fault.Factory(abmFactory(t), fault.Rates{
-		Stall:    0.25,
-		StallFor: 250 * time.Millisecond,
-		Metrics:  reg,
-	})
-	err := sim.Run(context.Background(), p, []sim.PolicyFactory{factory}, func(sim.Record) {})
-	var sum *sim.FailureSummary
-	if !errors.As(err, &sum) {
-		t.Fatalf("err = %v, want *FailureSummary", err)
-	}
-	if !errors.Is(err, sim.ErrCellTimeout) {
-		t.Errorf("summary does not unwrap to ErrCellTimeout: %v", err)
-	}
-	if reg.Counter("fault.stalls").Value() == 0 {
-		t.Fatal("no stalls injected at Stall=0.25; seed choice starved the test")
-	}
-	if reg.Counter("sim.cell_timeouts").Value() == 0 {
-		t.Error("stalled cells did not trip sim.cell_timeouts")
 	}
 }

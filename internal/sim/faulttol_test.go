@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,21 +20,17 @@ var errBoom = errors.New("boom")
 // fault decision in it) then runs for every cell, not once per worker.
 type nonReusable struct{ core.Policy }
 
-// policySeed reproduces the engine's attempt-0 seed derivation for
-// factory fi of cell (i, j), so tests can pre-compute exactly which New
-// calls belong to which cells.
+// policySeed reproduces the engine's seed derivation for factory fi of
+// cell (i, j), so tests can pre-compute exactly which New calls belong
+// to which cells.
 func policySeed(p Protocol, i, j, fi int) rng.Seed {
 	return p.Seed.SplitN("network", i).SplitN("run", j).SplitN("policy", fi)
 }
 
-// seededFaultFactory fails construction for the given policy seeds and
-// stalls construction for the given duration on stall seeds; otherwise it
-// yields a MaxDegree policy.
-func seededFaultFactory(name string, fail map[rng.Seed]bool, stall map[rng.Seed]bool, stallFor time.Duration) PolicyFactory {
+// seededFaultFactory fails construction for the given policy seeds;
+// otherwise it yields a MaxDegree policy.
+func seededFaultFactory(name string, fail map[rng.Seed]bool) PolicyFactory {
 	return PolicyFactory{Name: name, New: func(s rng.Seed) (core.Policy, error) {
-		if stall[s] {
-			time.Sleep(stallFor)
-		}
 		if fail[s] {
 			return nil, errBoom
 		}
@@ -44,71 +38,10 @@ func seededFaultFactory(name string, fail map[rng.Seed]bool, stall map[rng.Seed]
 	}}
 }
 
-func TestRunContinueOnErrorCollectsSurvivors(t *testing.T) {
-	p := testProtocol()
-	p.Networks = 3
-	p.Runs = 2
-	failCells := []CellKey{{Network: 0, Run: 1}, {Network: 2, Run: 0}}
-	fail := map[rng.Seed]bool{}
-	for _, c := range failCells {
-		fail[policySeed(p, c.Network, c.Run, 0)] = true
-	}
-	clean := seededFaultFactory("victim", nil, nil, 0)
-	var want []Record
-	if err := Run(context.Background(), p, []PolicyFactory{clean}, func(r Record) { want = append(want, r) }); err != nil {
-		t.Fatal(err)
-	}
-	survivors := want[:0]
-	for _, r := range want {
-		failed := false
-		for _, c := range failCells {
-			if r.Network == c.Network && r.Run == c.Run {
-				failed = true
-			}
-		}
-		if !failed {
-			survivors = append(survivors, r)
-		}
-	}
-
-	p.ContinueOnError = true
-	reg := obs.New()
-	p.Metrics = reg
-	faulty := seededFaultFactory("victim", fail, nil, 0)
-	var got []Record
-	err := Run(context.Background(), p, []PolicyFactory{faulty}, func(r Record) { got = append(got, r) })
-	var sum *FailureSummary
-	if !errors.As(err, &sum) {
-		t.Fatalf("err = %v, want *FailureSummary", err)
-	}
-	if len(sum.Failures) != len(failCells) || sum.Cells != p.Networks*p.Runs {
-		t.Fatalf("summary = %d failures of %d cells, want %d of %d",
-			len(sum.Failures), sum.Cells, len(failCells), p.Networks*p.Runs)
-	}
-	if !errors.Is(err, errBoom) {
-		t.Errorf("summary does not unwrap to the injected error: %v", err)
-	}
-	for _, ce := range sum.Failures {
-		if ce.Policy != "victim" {
-			t.Errorf("cell (%d,%d): Policy = %q, want victim", ce.Network, ce.Run, ce.Policy)
-		}
-	}
-	// Every non-faulted cell's record must match the clean run's exactly.
-	if !bytes.Equal(marshalRecords(t, got), marshalRecords(t, survivors)) {
-		t.Error("surviving records differ from the uninterrupted run")
-	}
-	if v := reg.Counter("sim.cell_failures").Value(); v != int64(len(failCells)) {
-		t.Errorf("sim.cell_failures = %d, want %d", v, len(failCells))
-	}
-	if v := reg.Counter("sim.cells").Value(); v != int64(len(got)) {
-		t.Errorf("sim.cells = %d, want collected count %d", v, len(got))
-	}
-}
-
-func TestRunFailsFastWithoutContinueOnError(t *testing.T) {
+func TestRunAbortsAtFirstFailedCell(t *testing.T) {
 	p := testProtocol()
 	fail := map[rng.Seed]bool{policySeed(p, 1, 0, 0): true}
-	err := Run(context.Background(), p, []PolicyFactory{seededFaultFactory("victim", fail, nil, 0)}, func(Record) {})
+	err := Run(context.Background(), p, []PolicyFactory{seededFaultFactory("victim", fail)}, func(Record) {})
 	var ce *CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CellError", err)
@@ -118,104 +51,6 @@ func TestRunFailsFastWithoutContinueOnError(t *testing.T) {
 	}
 	if !errors.Is(err, errBoom) {
 		t.Errorf("cell error does not unwrap to the injected error: %v", err)
-	}
-}
-
-func TestRunFailureBudget(t *testing.T) {
-	p := testProtocol()
-	p.Workers = 1 // deterministic failure order for the budget check
-	p.ContinueOnError = true
-	p.MaxFailures = 1
-	fail := map[rng.Seed]bool{
-		policySeed(p, 0, 0, 0): true,
-		policySeed(p, 1, 1, 0): true,
-	}
-	err := Run(context.Background(), p, []PolicyFactory{seededFaultFactory("victim", fail, nil, 0)}, func(Record) {})
-	if err == nil || !strings.Contains(err.Error(), "failure budget exhausted") {
-		t.Fatalf("err = %v, want budget exhaustion", err)
-	}
-	var sum *FailureSummary
-	if errors.As(err, &sum) {
-		t.Errorf("budget exhaustion reported as a benign FailureSummary: %v", err)
-	}
-	if !errors.Is(err, errBoom) {
-		t.Errorf("budget error does not unwrap to the injected error: %v", err)
-	}
-}
-
-func TestRunRetriesRecoverTransientFaults(t *testing.T) {
-	p := testProtocol()
-	p.Retries = 1
-	// Fault only the attempt-0 policy seeds: the retry re-derives the cell
-	// seed under a fresh "retry" branch, so attempt 1 succeeds.
-	fail := map[rng.Seed]bool{
-		policySeed(p, 0, 1, 0): true,
-		policySeed(p, 2, 0, 0): true,
-	}
-	reg := obs.New()
-	p.Metrics = reg
-	run := func() ([]byte, int) {
-		var recs []Record
-		if err := Run(context.Background(), p, []PolicyFactory{seededFaultFactory("victim", fail, nil, 0)}, func(r Record) {
-			recs = append(recs, r)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return marshalRecords(t, recs), len(recs)
-	}
-	first, collected := run()
-	if want := p.Networks * p.Runs; collected != want {
-		t.Errorf("collected %d records, want the full grid of %d", collected, want)
-	}
-	if v := reg.Counter("sim.cell_retries").Value(); v != int64(len(fail)) {
-		t.Errorf("sim.cell_retries = %d, want %d", v, len(fail))
-	}
-	if v := reg.Counter("sim.cell_failures").Value(); v != 0 {
-		t.Errorf("sim.cell_failures = %d, want 0 (all retries recovered)", v)
-	}
-	// Retried seed derivation is deterministic: same faults, same records.
-	if second, _ := run(); !bytes.Equal(first, second) {
-		t.Error("retried grid not reproducible across runs")
-	}
-}
-
-// TestRunCellTimeout also pins the timed-attempt handoff: the abandoned
-// attempt goroutine must still be able to hand off its outcome and exit
-// once its stall ends, even though nobody receives it any more.
-func TestRunCellTimeout(t *testing.T) {
-	before := runtime.NumGoroutine()
-	p := testProtocol()
-	p.ContinueOnError = true
-	p.CellTimeout = 25 * time.Millisecond
-	stall := map[rng.Seed]bool{policySeed(p, 1, 1, 0): true}
-	reg := obs.New()
-	p.Metrics = reg
-	var got []Record
-	err := Run(context.Background(), p, []PolicyFactory{seededFaultFactory("victim", nil, stall, 300*time.Millisecond)}, func(r Record) {
-		got = append(got, r)
-	})
-	var sum *FailureSummary
-	if !errors.As(err, &sum) {
-		t.Fatalf("err = %v, want *FailureSummary", err)
-	}
-	if !errors.Is(err, ErrCellTimeout) {
-		t.Fatalf("summary does not unwrap to ErrCellTimeout: %v", err)
-	}
-	if len(sum.Failures) != 1 || sum.Failures[0].Network != 1 || sum.Failures[0].Run != 1 {
-		t.Fatalf("failures = %+v, want exactly cell (1,1)", sum.Failures)
-	}
-	if want := p.Networks*p.Runs - 1; len(got) != want {
-		t.Errorf("collected %d records, want %d", len(got), want)
-	}
-	if v := reg.Counter("sim.cell_timeouts").Value(); v < 1 {
-		t.Errorf("sim.cell_timeouts = %d, want >= 1", v)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines leaked by the abandoned attempt: %d before, %d after", before, after)
 	}
 }
 
@@ -251,7 +86,7 @@ func TestRunCancellationUnpinsInstances(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for i := range e.nets {
-		if e.nets[i].inst.Load() != nil {
+		if e.nets[i].inst != nil {
 			t.Errorf("network %d instance still pinned after cancelled run", i)
 		}
 	}
@@ -286,7 +121,7 @@ func TestRunCompletionUnpinsInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range e.nets {
-		if e.nets[i].inst.Load() != nil {
+		if e.nets[i].inst != nil {
 			t.Errorf("network %d instance still pinned after full run", i)
 		}
 		if rem := e.nets[i].remaining.Load(); rem != 0 {
@@ -295,32 +130,45 @@ func TestRunCompletionUnpinsInstances(t *testing.T) {
 	}
 }
 
-// TestRunContinueOnErrorSurvivesCancellationAccounting runs a faulted,
-// continue-on-error grid under -race with several workers to shake out
-// races between the failure ledger, delivery and release paths.
-func TestRunContinueOnErrorConcurrent(t *testing.T) {
+// TestRunAbortConcurrent aborts a grid with several failing cells under
+// -race with more workers than fit one network, to shake out races
+// between the abort, delivery and release paths: the error names one of
+// the failing cells, no failing cell delivers a record, every slot ends
+// unpinned and sim.cells equals the records collected.
+func TestRunAbortConcurrent(t *testing.T) {
 	p := testProtocol()
 	p.Networks = 4
 	p.Runs = 4
 	p.Workers = 8
-	p.ContinueOnError = true
+	failCells := map[CellKey]bool{{0, 2}: true, {1, 3}: true, {2, 2}: true, {3, 1}: true}
 	fail := map[rng.Seed]bool{}
-	for _, c := range []CellKey{{0, 0}, {1, 3}, {2, 2}, {3, 1}} {
+	for c := range failCells {
 		fail[policySeed(p, c.Network, c.Run, 0)] = true
 	}
 	reg := obs.New()
 	p.Metrics = reg
+	e, err := newEngine(p, []PolicyFactory{seededFaultFactory("victim", fail)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var n atomic.Int64
-	err := Run(context.Background(), p, []PolicyFactory{seededFaultFactory("victim", fail, nil, 0)}, func(Record) { n.Add(1) })
-	var sum *FailureSummary
-	if !errors.As(err, &sum) {
-		t.Fatalf("err = %v, want *FailureSummary", err)
+	err = e.run(context.Background(), func(r Record) {
+		n.Add(1)
+		if failCells[CellKey{Network: r.Network, Run: r.Run}] {
+			t.Errorf("failing cell (%d,%d) delivered a record", r.Network, r.Run)
+		}
+	})
+	var ce *CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *CellError", err)
 	}
-	if len(sum.Failures) != len(fail) {
-		t.Errorf("failures = %d, want %d", len(sum.Failures), len(fail))
+	if !failCells[CellKey{Network: ce.Network, Run: ce.Run}] {
+		t.Errorf("cell error names (%d,%d), not one of the failing cells", ce.Network, ce.Run)
 	}
-	if want := int64(p.Networks*p.Runs - len(fail)); n.Load() != want {
-		t.Errorf("collected %d records, want %d", n.Load(), want)
+	for i := range e.nets {
+		if e.nets[i].inst != nil {
+			t.Errorf("network %d instance still pinned after aborted run", i)
+		}
 	}
 	if v := reg.Counter("sim.cells").Value(); v != n.Load() {
 		t.Errorf("sim.cells = %d, want %d", v, n.Load())

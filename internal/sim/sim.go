@@ -11,13 +11,11 @@
 // randomness still derives from per-cell seed splits, so the record
 // stream is bit-identical at any worker count.
 //
-// The engine is fault-tolerant: a Checkpointer (see CellJournal) makes
-// completed cells durable and lets an interrupted grid resume without
-// recomputation, ContinueOnError degrades gracefully around failed cells
-// instead of discarding the whole grid, and CellTimeout/Retries bound
-// and re-attempt transient failures. Because every cell reseeds from its
-// (network, run) coordinates alone, none of these mechanisms perturb the
-// record stream of the surviving cells.
+// A failed cell aborts the grid: Run returns its *CellError. A
+// Checkpointer (see CellJournal) keeps every cell committed before the
+// failure, so the grid resumes from there without recomputation; because
+// every cell reseeds from its (network, run) coordinates alone, the
+// resumed record set is bit-identical to an uninterrupted run's.
 package sim
 
 import (
@@ -96,28 +94,6 @@ type Protocol struct {
 	// alone, a resumed grid's merged record set is bit-identical to an
 	// uninterrupted run's.
 	Checkpoint Checkpointer
-	// ContinueOnError degrades gracefully: a cell that fails (after
-	// Retries re-attempts) is recorded as a *CellError and counted in
-	// sim.cell_failures while the rest of the grid keeps going; Run then
-	// returns a *FailureSummary joining every cell failure. Without it
-	// the first cell failure aborts the grid, as before. Checkpoint
-	// Commit errors always abort: records that cannot be made durable
-	// would silently re-run on resume.
-	ContinueOnError bool
-	// MaxFailures bounds ContinueOnError's tolerance: once more than
-	// MaxFailures cells have failed the run aborts with the joined
-	// failures. 0 means no budget (unlimited).
-	MaxFailures int
-	// CellTimeout bounds the wall time of one cell attempt (0 = none).
-	// Policies are pure compute and cannot be interrupted, so a
-	// timed-out attempt is abandoned with its scratch state; the cell is
-	// retried or failed with ErrCellTimeout.
-	CellTimeout time.Duration
-	// Retries re-attempts a failed or timed-out cell up to Retries extra
-	// times. Every attempt a > 0 re-derives the cell's seed branch via
-	// SplitN("retry", a) — never reusing a consumed stream — so retried
-	// grids stay fully deterministic.
-	Retries int
 }
 
 // Progress is one OnProgress notification.
@@ -153,12 +129,6 @@ func (p Protocol) Validate() error {
 		return fmt.Errorf("sim: BatchSize = %d, must be >= 0", p.BatchSize)
 	case p.Workers < 0:
 		return fmt.Errorf("sim: Workers = %d, must be >= 0", p.Workers)
-	case p.MaxFailures < 0:
-		return fmt.Errorf("sim: MaxFailures = %d, must be >= 0", p.MaxFailures)
-	case p.CellTimeout < 0:
-		return fmt.Errorf("sim: CellTimeout = %v, must be >= 0", p.CellTimeout)
-	case p.Retries < 0:
-		return fmt.Errorf("sim: Retries = %d, must be >= 0", p.Retries)
 	}
 	return nil
 }
@@ -239,14 +209,9 @@ type engineMetrics struct {
 	// utilizationPct observes each Run's pool utilisation — this run's
 	// busy time over wall × workers — in percent (100 = fully busy).
 	utilizationPct *obs.Histogram
-	// Fault-tolerance counters: cells that failed after exhausting their
-	// retries (ContinueOnError), cells skipped because the checkpoint
-	// already holds them, re-attempts of failed/timed-out cells, and
-	// attempts abandoned at CellTimeout.
-	cellFailures *obs.Counter
+	// cellsSkipped counts cells skipped because the checkpoint already
+	// holds them.
 	cellsSkipped *obs.Counter
-	cellRetries  *obs.Counter
-	cellTimeouts *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
@@ -263,10 +228,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		workersRequested: reg.Gauge("sim.workers_requested"),
 		workersClamped:   reg.Counter("sim.workers_clamped"),
 		utilizationPct:   reg.Histogram("sim.worker_utilization_pct"),
-		cellFailures:     reg.Counter("sim.cell_failures"),
 		cellsSkipped:     reg.Counter("sim.cells_skipped"),
-		cellRetries:      reg.Counter("sim.cell_retries"),
-		cellTimeouts:     reg.Counter("sim.cell_timeouts"),
 	}
 }
 
@@ -291,10 +253,10 @@ func (p Protocol) ResolveWorkers() (workers int, clamped bool) {
 // truth. collect is invoked serially (no locking needed by the caller)
 // but in nondeterministic cell order; the per-cell randomness itself is
 // fully deterministic in Protocol.Seed — the collected record set is
-// bit-identical at any worker count. Run stops at the first error or
-// when ctx is cancelled (a worker error always wins over the context
-// cancellation it triggers) unless ContinueOnError is set, in which case
-// failed cells are skipped and summarized in a trailing *FailureSummary.
+// bit-identical at any worker count. Run stops at the first error — a
+// failed cell's *CellError or a checkpoint Commit error — or when ctx is
+// cancelled (a worker error always wins over the context cancellation it
+// triggers).
 func Run(ctx context.Context, p Protocol, factories []PolicyFactory, collect func(Record)) error {
 	e, err := newEngine(p, factories)
 	if err != nil {
@@ -303,8 +265,8 @@ func Run(ctx context.Context, p Protocol, factories []PolicyFactory, collect fun
 	return e.run(ctx, collect)
 }
 
-// engine is the per-Run scheduler state: the memoized network slots, the
-// checkpoint skip set and the failure ledger.
+// engine is the per-Run scheduler state: the memoized network slots and
+// the checkpoint skip set.
 type engine struct {
 	p         Protocol
 	factories []PolicyFactory
@@ -313,9 +275,6 @@ type engine struct {
 	nets      []netSlot
 	skip      []bool // cells the checkpoint already holds
 	resumed   int    // records the checkpoint already holds (skipped cells × factories)
-
-	mu       sync.Mutex
-	failures []*CellError // failed cells under ContinueOnError
 }
 
 // newEngine validates the protocol and prepares the grid: the checkpoint
@@ -389,24 +348,15 @@ func (e *engine) run(ctx context.Context, collect func(Record)) error {
 	for w := 0; w < e.workers; w++ {
 		go func() {
 			defer wg.Done()
-			wk := &worker{scratch: newScratch(len(e.factories))}
+			sc := newScratch(len(e.factories))
 			for c := range cellIdx {
 				busyStart := time.Now()
-				err := e.runCell(ctx, wk, c, records)
+				err := e.runCell(ctx, sc, c, records)
 				e.em.workerBusy.Add(int64(time.Since(busyStart)))
-				if err == nil {
-					continue
-				}
-				var ce *CellError
-				if e.p.ContinueOnError && errors.As(err, &ce) {
-					if e.recordFailure(ce) {
-						continue
-					}
-					fail(e.budgetExhausted())
+				if err != nil {
+					fail(err)
 					return
 				}
-				fail(err)
-				return
 			}
 		}()
 	}
@@ -445,10 +395,9 @@ func (e *engine) run(ctx context.Context, collect func(Record)) error {
 	// The pool has drained (records closed), so no cell will release its
 	// network slot anymore. A cancelled grid leaves the slots of its
 	// never-scheduled cells pinned; unpin them all so an abandoned run
-	// cannot hold instances live through the engine. Abandoned timed-out
-	// attempts observe the nil slot and fail fast (errInstanceReleased).
+	// cannot hold instances live through the engine.
 	for i := range e.nets {
-		e.nets[i].inst.Store(nil)
+		e.nets[i].inst = nil
 	}
 
 	wall := time.Since(start)
@@ -462,53 +411,18 @@ func (e *engine) run(ctx context.Context, collect func(Record)) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return e.failureSummary()
-}
-
-// recordFailure registers one failed cell under ContinueOnError and
-// reports whether the grid may keep going (failure budget not yet
-// exhausted).
-func (e *engine) recordFailure(ce *CellError) bool {
-	e.em.cellFailures.Inc()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.failures = append(e.failures, ce)
-	return e.p.MaxFailures <= 0 || len(e.failures) <= e.p.MaxFailures
-}
-
-// budgetExhausted builds the fatal error for a blown failure budget.
-func (e *engine) budgetExhausted() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return fmt.Errorf("sim: failure budget exhausted (%d cells failed, MaxFailures = %d): %w",
-		len(e.failures), e.p.MaxFailures, errors.Join(joinCellErrors(e.failures)...))
-}
-
-// failureSummary returns the trailing *FailureSummary of a completed
-// ContinueOnError run, or nil if every cell succeeded.
-func (e *engine) failureSummary() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.failures) == 0 {
-		return nil
-	}
-	return &FailureSummary{
-		Cells:    e.p.Networks * e.p.Runs,
-		Failures: append([]*CellError(nil), e.failures...),
-	}
+	return ctx.Err()
 }
 
 // netSlot memoizes one network's immutable instance behind a build-once
 // gate, and drops it once every scheduled cell of the network has
 // released so long grids do not pin all Networks instances in memory at
-// once. The instance pointer is atomic because a timed-out, abandoned
-// attempt may still read the slot while the final release unpins it.
+// once. The last release unpins the instance only after every other
+// cell of the network has released (the remaining counter orders them),
+// so no reader races it.
 type netSlot struct {
 	once sync.Once
-	inst atomic.Pointer[osn.Instance]
+	inst *osn.Instance
 	err  error
 	// remaining counts the scheduled cells of this network still owed a
 	// release; at zero the memoized instance is unpinned.
@@ -516,9 +430,7 @@ type netSlot struct {
 }
 
 // get returns the network's instance, building it on first use. Callers
-// racing the builder block on the once-gate instead of regenerating. A
-// nil, nil return means the slot was already released (only reachable by
-// an abandoned attempt racing the last release).
+// racing the builder block on the once-gate instead of regenerating.
 func (s *netSlot) get(p Protocol, i int, netSeed rng.Seed, em engineMetrics) (*osn.Instance, error) {
 	s.once.Do(func() {
 		defer obs.StartSpan(em.networkNS).End()
@@ -533,9 +445,9 @@ func (s *netSlot) get(p Protocol, i int, netSeed rng.Seed, em engineMetrics) (*o
 			return
 		}
 		inst.Instrument(p.Metrics)
-		s.inst.Store(inst)
+		s.inst = inst
 	})
-	return s.inst.Load(), s.err
+	return s.inst, s.err
 }
 
 // release marks one scheduled cell of the network finished — success,
@@ -545,22 +457,14 @@ func (s *netSlot) get(p Protocol, i int, netSeed rng.Seed, em engineMetrics) (*o
 // can leak the instance for the rest of the grid.
 func (s *netSlot) release() {
 	if s.remaining.Add(-1) == 0 {
-		s.inst.Store(nil)
+		s.inst = nil
 	}
 }
 
-// worker holds one pool goroutine's reusable scratch. The indirection
-// exists for CellTimeout: an abandoned (timed-out) attempt keeps the old
-// scratch exclusively while the worker re-arms with a fresh one, so a
-// leaked attempt never shares mutable state with subsequent cells.
-type worker struct {
-	scratch *scratch
-}
-
-// scratch is the pooled attack state (core.Runner) and, for policies
-// implementing core.Reusable, the policy instances themselves — their
-// Init re-slices internal buffers, so reuse turns three-plus O(N)
-// allocations per cell into reseeds.
+// scratch is one pool goroutine's pooled attack state (core.Runner)
+// and, for policies implementing core.Reusable, the policy instances
+// themselves — their Init re-slices internal buffers, so reuse turns
+// three-plus O(N) allocations per cell into reseeds.
 type scratch struct {
 	runner core.Runner
 	pols   []core.Reusable
@@ -588,40 +492,22 @@ func (sc *scratch) policy(f PolicyFactory, fi int, seed rng.Seed) (core.Policy, 
 	return pol, nil
 }
 
-// runCell executes cell c = network·Runs + run through the retry loop,
-// delivers its records and commits it to the checkpoint. Records are
-// delivered only for fully successful cells, so a failed cell never
-// leaks a partial policy roster into the collector. The network slot is
-// released exactly once per cell on every path — success, failure, retry
-// exhaustion and cancellation alike.
-func (e *engine) runCell(ctx context.Context, wk *worker, c int, records chan<- Record) error {
+// runCell executes cell c = network·Runs + run, delivers its records and
+// commits it to the checkpoint. Records are delivered only for fully
+// successful cells, so a failed cell never leaks a partial policy roster
+// into the collector. The network slot is released exactly once per cell
+// on every path — success, failure and cancellation alike.
+func (e *engine) runCell(ctx context.Context, sc *scratch, c int, records chan<- Record) error {
 	i, j := c/e.p.Runs, c%e.p.Runs
 	defer e.nets[i].release()
-	var (
-		attempts []error
-		lastPol  string
-	)
-	for attempt := 0; attempt <= e.p.Retries; attempt++ {
-		if ctx.Err() != nil {
-			return nil // cooperative cancellation, not a cell failure
-		}
-		recs, pol, err := e.runAttempt(ctx, wk, i, j, attempt)
-		if err == nil {
-			return e.deliver(ctx, recs, i, j, records)
-		}
-		// Only a cancellation the attempt itself observed is cooperative;
-		// a genuine cell error that races an external cancellation still
-		// counts (the worker-error-wins contract).
-		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
-			return nil
-		}
-		attempts = append(attempts, err)
-		lastPol = pol
-		if attempt < e.p.Retries {
-			e.em.cellRetries.Inc()
-		}
+	if ctx.Err() != nil {
+		return nil // cooperative cancellation, not a cell failure
 	}
-	return &CellError{Policy: lastPol, Network: i, Run: j, Err: errors.Join(attempts...)}
+	recs, pol, err := e.computeCell(sc, i, j)
+	if err != nil {
+		return &CellError{Policy: pol, Network: i, Run: j, Err: err}
+	}
+	return e.deliver(ctx, recs, i, j, records)
 }
 
 // deliver streams one completed cell's records to the collector and,
@@ -645,65 +531,20 @@ func (e *engine) deliver(ctx context.Context, recs []Record, i, j int, records c
 	return nil
 }
 
-// runAttempt executes one cell attempt, bounded by Protocol.CellTimeout
-// when set. Policies are pure compute and cannot be interrupted, so a
-// timed-out attempt is abandoned together with the worker's scratch;
-// the replacement scratch keeps later cells isolated from the leaked
-// goroutine.
-func (e *engine) runAttempt(ctx context.Context, wk *worker, i, j, attempt int) ([]Record, string, error) {
-	if e.p.CellTimeout <= 0 {
-		return e.attemptCell(wk.scratch, i, j, attempt)
-	}
-	type outcome struct {
-		recs []Record
-		pol  string
-		err  error
-	}
-	sc := wk.scratch
-	ch := make(chan outcome, 1)
-	go func() {
-		//accu:allow scratchescape -- ownership transfer, not sharing: on timeout or cancel the worker abandons this attempt and re-arms with a fresh scratch below, so this goroutine is the scratch's sole owner for its remaining lifetime
-		recs, pol, err := e.attemptCell(sc, i, j, attempt)
-		ch <- outcome{recs: recs, pol: pol, err: err}
-	}()
-	timer := time.NewTimer(e.p.CellTimeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.recs, o.pol, o.err
-	case <-timer.C:
-		wk.scratch = newScratch(len(e.factories))
-		e.em.cellTimeouts.Inc()
-		return nil, "", fmt.Errorf("sim: network %d run %d attempt %d: %w after %v",
-			i, j, attempt, ErrCellTimeout, e.p.CellTimeout)
-	case <-ctx.Done():
-		wk.scratch = newScratch(len(e.factories))
-		return nil, "", ctx.Err()
-	}
-}
-
-// attemptCell computes every policy record of cell (i, j) for one
-// attempt: sample the cell's realization and attack it with every
-// policy. Attempt 0 derives seeds exactly as the historical scheduler
-// did (network split, then run split, then realization/policy splits),
-// which is what keeps the record stream byte-identical across worker
-// counts, scheduler versions and resumes; attempt a > 0 re-derives a
-// fresh branch via SplitN("retry", a) so retries never replay a consumed
-// stream. The failing factory's name accompanies the error when the
-// failure is attributable to one policy.
-func (e *engine) attemptCell(sc *scratch, i, j, attempt int) ([]Record, string, error) {
+// computeCell computes every policy record of cell (i, j): sample the
+// cell's realization and attack it with every policy. Seeds derive from
+// the cell's coordinates alone (network split, then run split, then
+// realization/policy splits), which is what keeps the record stream
+// byte-identical across worker counts, scheduler versions and resumes.
+// The failing factory's name accompanies the error when the failure is
+// attributable to one policy.
+func (e *engine) computeCell(sc *scratch, i, j int) ([]Record, string, error) {
 	netSeed := e.p.Seed.SplitN("network", i)
 	inst, err := e.nets[i].get(e.p, i, netSeed, e.em)
 	if err != nil {
 		return nil, "", err
 	}
-	if inst == nil {
-		return nil, "", errInstanceReleased
-	}
 	runSeed := netSeed.SplitN("run", j)
-	if attempt > 0 {
-		runSeed = runSeed.SplitN("retry", attempt)
-	}
 	re := inst.SampleRealization(runSeed.Split("realization"))
 	recs := make([]Record, 0, len(e.factories))
 	for fi, f := range e.factories {

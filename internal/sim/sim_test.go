@@ -43,9 +43,6 @@ func TestProtocolValidate(t *testing.T) {
 		func(p *Protocol) { p.Runs = 0 },
 		func(p *Protocol) { p.K = 0 },
 		func(p *Protocol) { p.Workers = -1 },
-		func(p *Protocol) { p.MaxFailures = -1 },
-		func(p *Protocol) { p.CellTimeout = -1 },
-		func(p *Protocol) { p.Retries = -1 },
 	}
 	for i, mutate := range cases {
 		p := testProtocol()
