@@ -15,7 +15,7 @@ race:
 
 # lint runs the gofmt check, the standard vet suite plus accuvet, the
 # project's own analyzer suite (map order, seed discipline, scratch
-# ownership, response bodies, durability errors, wire tags) — once
+# ownership, durability errors, wire tags) — once
 # through `go vet -vettool` exactly as CI does, and once standalone so
 # the wire-schema lockfile is diffed against the whole tree. staticcheck
 # runs too when it is on PATH (CI pins its version).

@@ -1,9 +1,9 @@
-// Command accuvet is the project's static-analysis suite: six analyzers
+// Command accuvet is the project's static-analysis suite: five analyzers
 // for invariants that go vet, staticcheck, the race detector and the
 // tests cannot see. maporder, seedflow and scratchescape guard the
-// deterministic record path and its per-worker scratch; httpbody checks
-// response-body hygiene over a package-local call graph and CFG; errdrop
-// tracks discarded durability errors and wiretag locks the wire schema.
+// deterministic record path and its per-worker scratch; errdrop tracks
+// discarded durability errors over a package-local call graph and
+// wiretag locks the wire schema. None needs a control-flow graph.
 // An //accu:allow directive that names no analyzer in the suite is
 // itself a finding. See DESIGN.md "Determinism invariants & static
 // enforcement".

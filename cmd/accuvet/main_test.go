@@ -61,13 +61,13 @@ func Keys(m map[int]bool) []int {
 	}
 }
 
-// TestListAnalyzers: -list names exactly the six analyzers.
+// TestListAnalyzers: -list names exactly the five analyzers.
 func TestListAnalyzers(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit = %d: %s", code, stderr.String())
 	}
-	want := []string{"maporder", "seedflow", "scratchescape", "httpbody", "errdrop", "wiretag"}
+	want := []string{"maporder", "seedflow", "scratchescape", "errdrop", "wiretag"}
 	var got []string
 	for _, line := range strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n") {
 		got = append(got, strings.Fields(line)[0])
@@ -247,9 +247,9 @@ func TestDedupSort(t *testing.T) {
 
 	diags := []analysis.Diagnostic{
 		{Pos: posB, Analyzer: "maporder", Message: "m3"},
-		{Pos: posA1, Analyzer: "httpbody", Message: "m2"},
+		{Pos: posA1, Analyzer: "errdrop", Message: "m2"},
 		{Pos: posA2, Analyzer: "seedflow", Message: "m1"},
-		{Pos: posA1, Analyzer: "httpbody", Message: "m2"}, // exact duplicate
+		{Pos: posA1, Analyzer: "errdrop", Message: "m2"}, // exact duplicate
 	}
 	got := dedupSort(fset, diags)
 	if len(got) != 3 {

@@ -2,8 +2,8 @@ package analysis
 
 // callgraph.go is the interprocedural layer: a package-local
 // static call graph built from the typed AST, on which analyzers build
-// bounded context-insensitive summaries ("does this helper close the
-// body it is handed", "does this function transitively fsync").
+// bounded context-insensitive summaries ("does this function
+// transitively fsync").
 //
 // Scope and soundness limits, deliberately chosen:
 //
@@ -260,66 +260,6 @@ func (g *CallGraph) PropagateUp(seed map[*types.Func]string, include func(CallEd
 	return out
 }
 
-// ParamSummary computes which parameters of in-package functions satisfy
-// a property, propagated bottom-up through call sites: a parameter is
-// marked when intrinsic says its own body establishes the property
-// (e.g. "this body closes p"), or when it is passed — in a form argIs
-// accepts — to an already-marked parameter of an in-package callee. argIs
-// decides whether an argument expression denotes the parameter (nil
-// means a plain identifier reference); analyzers widen it for derived
-// forms such as `p.Body`. Receivers are not summarized — only ordinary
-// parameters — and variadic calls match positionally, both documented
-// precision limits. The fixpoint is bounded by the function count.
-func (g *CallGraph) ParamSummary(info *types.Info, intrinsic func(fn *types.Func, decl *ast.FuncDecl, p *types.Var) bool, argIs func(arg ast.Expr, p *types.Var) bool) map[*types.Func]map[int]bool {
-	if argIs == nil {
-		argIs = func(arg ast.Expr, p *types.Var) bool {
-			id, ok := ast.Unparen(arg).(*ast.Ident)
-			return ok && info.Uses[id] == p
-		}
-	}
-	marked := make(map[*types.Func]map[int]bool)
-	mark := func(fn *types.Func, i int) {
-		if marked[fn] == nil {
-			marked[fn] = make(map[int]bool)
-		}
-		marked[fn][i] = true
-	}
-	paramsOf := func(fn *types.Func) *types.Tuple { return fn.Type().(*types.Signature).Params() }
-
-	for _, fn := range g.funcs {
-		ps := paramsOf(fn)
-		for i := 0; i < ps.Len(); i++ {
-			if intrinsic(fn, g.decls[fn], ps.At(i)) {
-				mark(fn, i)
-			}
-		}
-	}
-	for sweep := 0; sweep <= len(g.funcs); sweep++ {
-		changed := false
-		for _, fn := range g.funcs {
-			ps := paramsOf(fn)
-			for i := 0; i < ps.Len(); i++ {
-				if marked[fn][i] {
-					continue
-				}
-				p := ps.At(i)
-				for _, e := range g.edges[fn] {
-					for j, arg := range e.Site.Args {
-						if marked[e.Callee][j] && argIs(arg, p) {
-							mark(fn, i)
-							changed = true
-						}
-					}
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return marked
-}
-
 // calleeFunc resolves the function or method a call expression invokes,
 // in-package or not; nil for builtins, conversions and dynamic calls
 // through function values.
@@ -339,23 +279,6 @@ func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// isPackageFunc reports whether f is a package-level function (no
-// receiver) — distinguishing e.g. time.After from time.Time.After.
-func isPackageFunc(f *types.Func) bool {
-	sig, ok := f.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
-}
-
-// isNamed reports whether t is the named type pkgPath.name.
-func isNamed(t types.Type, pkgPath, name string) bool {
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 // namedRecvName returns the receiver's named-type name (through one

@@ -1,9 +1,11 @@
 package analysis
 
-// NewSuite returns fresh instances of the six accuvet analyzers, in the
+// NewSuite returns fresh instances of the five accuvet analyzers, in the
 // order they report. Each one has a real in-tree finding or an allowed
 // in-tree site (DESIGN.md §8); invariants that go vet, staticcheck, the
-// race job or a dynamic test already pin are left to those.
+// race job or a dynamic test already pin are left to those. All five
+// work from syntax and types; errdrop adds a package-local call graph.
+// None needs a control-flow graph.
 //
 // Determinism (AST + object identity):
 //
@@ -11,11 +13,7 @@ package analysis
 //	seedflow      — one Split per seed consumer
 //	scratchescape — per-worker scratch never escapes its worker goroutine
 //
-// Service layer (package-local call graph + CFG):
-//
-//	httpbody      — every *http.Response body closed on all paths, drained
-//
-// Durability and wire format (call graph + CFG):
+// Durability (package-local call graph) and wire format (types):
 //
 //	errdrop       — no discarded error on a durability-critical call chain
 //	wiretag       — //accu:wire structs carry explicit unique json tags,
@@ -25,7 +23,6 @@ func NewSuite() []*Analyzer {
 		MapOrder(),
 		SeedFlow(),
 		ScratchEscape(),
-		HTTPBody(),
 		ErrDrop(),
 		WireTag(),
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -350,6 +351,37 @@ func TestChaosStallDigestStable(t *testing.T) {
 	}
 	if res.Digest != wantDigest {
 		t.Errorf("chaos digest %s, want %s", res.Digest, wantDigest)
+	}
+}
+
+// TestWorkerStopsAtFailedCell: a failed cell is deterministic, so a
+// worker that hits one releases its lease and stops with the cell's
+// error instead of leasing the same range forever.
+func TestWorkerStopsAtFailedCell(t *testing.T) {
+	spec := testSpec()
+	_, srv := newTestCoordinator(t, spec, 2, 30*time.Second, obs.New())
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w := &Worker{
+		Coordinator:  srv.URL,
+		ID:           "doomed",
+		PollInterval: 10 * time.Millisecond,
+		Logf:         t.Logf,
+		Mutate: func(p *sim.Protocol) {
+			p.Gen = fault.Generator{Inner: p.Gen, Rates: fault.Rates{Fail: 1}}
+		},
+	}
+	err := w.Run(ctx)
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Run = %v, want an error wrapping fault.ErrInjected", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("Run returned only after the deadline: %v", err)
+	}
+	var cellErr *sim.CellError
+	if !errors.As(err, &cellErr) {
+		t.Errorf("Run = %v, want a *sim.CellError", err)
 	}
 }
 

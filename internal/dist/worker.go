@@ -22,7 +22,9 @@ import (
 // as one JSONL upload. A cell only counts as committed once the
 // coordinator acks it durable — an upload failure aborts the range (the
 // engine treats a Checkpointer.Commit error as fatal), the worker
-// reports the lease failed, and the range reassigns.
+// reports the lease failed, and the range reassigns. A failed cell also
+// releases the lease, but stops the worker: the engine is
+// deterministic, so the same cell would fail on every lease.
 type Worker struct {
 	// Coordinator is the base URL, e.g. "http://127.0.0.1:9090".
 	Coordinator string
@@ -49,7 +51,8 @@ type Worker struct {
 }
 
 // Run executes ranges until the coordinator reports the grid done (nil),
-// the context is canceled, or the coordinator stays unreachable past
+// a cell fails (its *sim.CellError, after releasing the lease), the
+// context is canceled, or the coordinator stays unreachable past
 // MaxRetries consecutive attempts.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.ID == "" {
@@ -117,6 +120,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			_ = w.postJSON(ctx, "/api/v1/dist/fail", FailRequest{
 				Worker: w.ID, Lease: lease.ID, Error: err.Error(),
 			}, &struct{}{})
+			// A failed cell fails again on every lease; only upload and
+			// transport errors are worth another.
+			if errors.As(err, new(*sim.CellError)) {
+				return fmt.Errorf("dist: range [%d,%d): %w", lease.Start, lease.End, err)
+			}
 			if !sleepCtx(ctx, poll) {
 				return ctx.Err()
 			}
@@ -210,11 +218,11 @@ func (w *Worker) post(ctx context.Context, path, contentType string, body io.Rea
 }
 
 // drainClose drains what is left of a response body (bounded, in case a
-// misbehaving peer streams forever) and closes it. A body with unread
-// bytes — a JSON decoder stops at the value and leaves the trailing
-// newline — forces the transport to discard the connection instead of
-// returning it to the keep-alive pool, which under upload load means a
-// fresh TCP handshake per cell batch.
+// misbehaving peer streams forever) and closes it. A body closed before
+// EOF — a JSON decoder stops at the end of its value and can leave
+// trailing bytes unread — forces the transport to discard the
+// connection instead of returning it to the keep-alive pool, which under
+// upload load means a fresh TCP handshake per cell batch.
 func drainClose(rc io.ReadCloser) {
 	io.Copy(io.Discard, io.LimitReader(rc, 64<<10))
 	rc.Close()

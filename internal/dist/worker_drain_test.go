@@ -3,11 +3,11 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -31,37 +31,52 @@ func TestDrainCloseConsumesAndCloses(t *testing.T) {
 	}
 }
 
-// TestWorkerReusesConnections pins the drain fix behaviorally: a JSON
-// decoder stops at the end of the value and leaves the encoder's
-// trailing newline unread, and a body closed with unread bytes makes the
-// transport discard the connection. With drainClose in Worker.do, every
-// sequential postJSON must arrive over the same keep-alive connection.
+// TestWorkerReusesConnections pins the body discipline of Worker.do,
+// the one place the tree reads an *http.Response: the body is closed on
+// every path and drained first. The transport returns a connection to
+// the keep-alive pool only once the body has been read to EOF and
+// closed; a body closed with unread bytes, or never closed, costs a
+// fresh connection. Every answer here carries whitespace past its JSON
+// value — more than a decoder's first read takes, so without the drain
+// the transport never sees EOF. Sequential requests must share one
+// connection on the 200 path and on the error path (a non-200 answer
+// with a JSON error body) alike.
 func TestWorkerReusesConnections(t *testing.T) {
 	var mu sync.Mutex
 	conns := make(map[string]int)
+	trailer := bytes.Repeat([]byte(" "), 8<<10)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		conns[r.RemoteAddr]++
 		mu.Unlock()
 		io.Copy(io.Discard, r.Body)
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
+		if r.URL.Path == "/reject" {
+			writeJSON(w, http.StatusConflict, errorBody{Error: "rejected"})
+		} else {
+			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		}
+		w.Write(trailer)
 	}))
 	defer srv.Close()
 
 	tr := &http.Transport{}
 	defer tr.CloseIdleConnections()
 	w := &Worker{Coordinator: srv.URL, Client: &http.Client{Transport: tr}}
-	for i := 0; i < 3; i++ {
+	for i, path := range []string{"/ack", "/reject", "/ack", "/reject", "/ack"} {
 		var out map[string]string
-		if err := w.postJSON(context.Background(), "/ack", map[string]int{"attempt": i}, &out); err != nil {
-			t.Fatal(err)
+		err := w.postJSON(context.Background(), path, map[string]int{"attempt": i}, &out)
+		if path == "/reject" {
+			if err == nil || !strings.Contains(err.Error(), "rejected") {
+				t.Fatalf("request %d to %s: err = %v, want the JSON error body", i, path, err)
+			}
+		} else if err != nil {
+			t.Fatalf("request %d to %s: %v", i, path, err)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(conns) != 1 {
-		t.Fatalf("sequential uploads used %d connections (want 1 reused keep-alive): %v", len(conns), conns)
+		t.Fatalf("sequential requests used %d connections (want 1 reused keep-alive): %v", len(conns), conns)
 	}
 }
 

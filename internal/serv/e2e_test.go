@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/accu-sim/accu/internal/sim"
 )
@@ -80,24 +79,23 @@ func TestCancelResumeBitIdentical(t *testing.T) {
 	wantDigest, wantRecords := referenceRun(t, spec)
 
 	s := newTestServer(t, Config{})
-	// First execution: run the real executor, cancelling from the side
-	// once a few records are durable. The post-Resume execution also has
-	// Attempt == 1 (Resume resets the budget), so a Once gates the watcher.
-	interrupted := make(chan struct{})
+	// First execution: cancel from inside the engine's progress callback
+	// once record 3 is collected (a cell is durable by then), so the
+	// interruption lands mid-grid however fast the engine is. The
+	// post-Resume execution must run to the end, so a Once gates it.
 	var once sync.Once
-	s.execute = func(ctx context.Context, e *entry) (*Result, error) {
+	s.mutate = func(p *sim.Protocol) {
 		once.Do(func() {
-			go func() {
-				defer close(interrupted)
-				for e.done.Load() < 3 {
-					time.Sleep(time.Millisecond)
+			progress := p.OnProgress
+			p.OnProgress = func(pr sim.Progress) {
+				progress(pr)
+				if pr.Done == 3 {
+					if _, err := s.Cancel("resumable"); err != nil {
+						t.Errorf("mid-run Cancel: %v", err)
+					}
 				}
-				if _, err := s.Cancel(e.job.ID); err != nil {
-					t.Errorf("mid-run Cancel: %v", err)
-				}
-			}()
+			}
 		})
-		return s.executeJob(ctx, e)
 	}
 	s.Start()
 	defer drain(t, s)
@@ -107,7 +105,6 @@ func TestCancelResumeBitIdentical(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	cancelled := waitState(t, s, job.ID, StateCancelled)
-	<-interrupted
 	if cancelled.Progress.Done == 0 {
 		t.Fatal("cancelled with zero records: interruption did not land mid-grid")
 	}
@@ -151,21 +148,27 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	s1 := newTestServer(t, Config{Dir: dir})
-	// Run attempt 1 with a context we abandon mid-grid, then persist the
-	// running state as a crash would leave it.
+	// Run attempt 1 with a context we abandon from inside the engine's
+	// progress callback at record 3, then persist the running state as a
+	// crash would leave it.
 	crashed := make(chan struct{})
+	var stop context.CancelFunc
 	s1.execute = func(ctx context.Context, e *entry) (*Result, error) {
-		runCtx, stop := context.WithCancel(ctx)
-		go func() {
-			for e.done.Load() < 3 {
-				time.Sleep(time.Millisecond)
-			}
-			stop()
-		}()
+		runCtx, cancel := context.WithCancel(ctx)
+		stop = cancel
 		res, err := s1.executeJob(runCtx, e)
-		stop()
+		cancel()
 		close(crashed)
 		return res, err
+	}
+	s1.mutate = func(p *sim.Protocol) {
+		progress := p.OnProgress
+		p.OnProgress = func(pr sim.Progress) {
+			progress(pr)
+			if pr.Done == 3 {
+				stop()
+			}
+		}
 	}
 	s1.Start()
 	job, err := s1.Submit(SubmitRequest{ID: "crashjob", Spec: spec})

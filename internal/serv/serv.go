@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"github.com/accu-sim/accu/internal/obs"
+	"github.com/accu-sim/accu/internal/sim"
 )
 
 // Service errors, mapped onto HTTP statuses by the handlers.
@@ -124,6 +125,10 @@ type Server struct {
 	// lifecycle tests to script outcomes without real simulations. The
 	// default is (*Server).executeJob.
 	execute func(ctx context.Context, e *entry) (*Result, error)
+	// mutate, when non-nil, adjusts each job's built protocol just before
+	// executeJob runs it; interruption tests wrap OnProgress through it
+	// to stop a run at a chosen record.
+	mutate func(p *sim.Protocol)
 }
 
 // New opens (or creates) the data directory, loads every persisted job

@@ -50,6 +50,9 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 		e.done.Store(int64(pr.Done))
 		e.resumed.Store(int64(pr.Resumed))
 	}
+	if s.mutate != nil {
+		s.mutate(&protocol)
+	}
 
 	err = sim.Run(ctx, protocol, factories, collect)
 	cerr := journal.Close()
