@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime 10s
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime 10s
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime 10s
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

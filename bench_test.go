@@ -222,15 +222,26 @@ func BenchmarkMutualCSRvsSet(b *testing.B) {
 	})
 }
 
-// BenchmarkGenerators measures network-generation throughput per preset.
+// BenchmarkGenerators measures network-generation throughput per preset
+// at ×0.02, plus twitter at ×0.1: the network of bench/'s wide-dist
+// workload.
 func BenchmarkGenerators(b *testing.B) {
+	type genCase struct {
+		name, preset string
+		scale        float64
+	}
+	var cases []genCase
 	for _, name := range accu.PresetNames() {
-		b.Run(name, func(b *testing.B) {
-			preset, err := accu.PresetByName(name)
+		cases = append(cases, genCase{name, name, 0.02})
+	}
+	cases = append(cases, genCase{"twitter-x0.1", "twitter", 0.1})
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			preset, err := accu.PresetByName(c.preset)
 			if err != nil {
 				b.Fatal(err)
 			}
-			generator, err := preset.Generator(0.02)
+			generator, err := preset.Generator(c.scale)
 			if err != nil {
 				b.Fatal(err)
 			}

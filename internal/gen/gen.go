@@ -112,14 +112,14 @@ func generatePA(seed rng.Seed, n, mAttach int, pTriad float64) (*graph.Graph, er
 	b := graph.NewBuilder(n)
 	adj := make([][]int32, n) // parallel adjacency for O(1) neighbor sampling
 
-	addEdge := func(u, v int) (bool, error) {
+	addEdge := func(u, v int) error {
 		ok, err := b.AddEdge(u, v)
 		if err != nil || !ok {
-			return ok, err
+			return err
 		}
 		adj[u] = append(adj[u], int32(v))
 		adj[v] = append(adj[v], int32(u))
-		return true, nil
+		return nil
 	}
 
 	// Seed clique of mAttach+1 nodes.
@@ -127,39 +127,35 @@ func generatePA(seed rng.Seed, n, mAttach int, pTriad float64) (*graph.Graph, er
 	endpoints := make([]int32, 0, 2*n*mAttach)
 	for u := 0; u < seedSize; u++ {
 		for v := u + 1; v < seedSize; v++ {
-			if _, err := addEdge(u, v); err != nil {
+			if err := addEdge(u, v); err != nil {
 				return nil, err
 			}
 			endpoints = append(endpoints, int32(u), int32(v))
 		}
 	}
 
+	// While u attaches, its builder edges are exactly the targets added
+	// so far: its degree counts them and HasEdge tests membership.
 	for u := seedSize; u < n; u++ {
-		added := make(map[int32]bool, mAttach)
 		lastTarget := int32(-1)
-		for len(added) < mAttach {
+		for b.Degree(u) < mAttach {
 			var target int32
 			if lastTarget >= 0 && pTriad > 0 && r.Float64() < pTriad {
 				// Triad step: connect to a random neighbor of the last
 				// target that we are not already connected to.
-				target = pickTriadTarget(adj, r, lastTarget, u, added)
+				target = pickTriadTarget(b, adj, r, lastTarget, u)
 				if target < 0 {
 					target = endpoints[r.IntN(len(endpoints))]
 				}
 			} else {
 				target = endpoints[r.IntN(len(endpoints))]
 			}
-			if int(target) == u || added[target] {
+			if int(target) == u || b.HasEdge(u, int(target)) {
 				continue
 			}
-			ok, err := addEdge(u, int(target))
-			if err != nil {
+			if err := addEdge(u, int(target)); err != nil {
 				return nil, err
 			}
-			if !ok {
-				continue
-			}
-			added[target] = true
 			lastTarget = target
 			endpoints = append(endpoints, int32(u), target)
 		}
@@ -170,7 +166,7 @@ func generatePA(seed rng.Seed, n, mAttach int, pTriad float64) (*graph.Graph, er
 // pickTriadTarget returns a random neighbor of lastTarget not yet linked
 // to u, or -1 if a few tries fail (the caller falls back to preferential
 // attachment, as in the Holme–Kim construction).
-func pickTriadTarget(adj [][]int32, r *rand.Rand, lastTarget int32, u int, added map[int32]bool) int32 {
+func pickTriadTarget(b *graph.Builder, adj [][]int32, r *rand.Rand, lastTarget int32, u int) int32 {
 	nbrs := adj[lastTarget]
 	if len(nbrs) == 0 {
 		return -1
@@ -178,7 +174,7 @@ func pickTriadTarget(adj [][]int32, r *rand.Rand, lastTarget int32, u int, added
 	const tries = 4
 	for i := 0; i < tries; i++ {
 		cand := nbrs[r.IntN(len(nbrs))]
-		if int(cand) != u && !added[cand] {
+		if int(cand) != u && !b.HasEdge(u, int(cand)) {
 			return cand
 		}
 	}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -243,7 +244,7 @@ func TestPresetScaleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []float64{0, -1, 1.5} {
+	for _, s := range []float64{0, -1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := p.Generator(s); err == nil {
 			t.Errorf("scale %v: want error", s)
 		}

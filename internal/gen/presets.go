@@ -26,7 +26,7 @@ type Preset struct {
 // (0, 1]. Scale shrinks the node count; densities are preserved so degree
 // structure stays comparable.
 func (p Preset) Generator(scale float64) (Generator, error) {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("%w: scale %v not in (0, 1]", ErrBadParam, scale)
 	}
 	n := int(float64(p.RefNodes) * scale)

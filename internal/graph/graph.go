@@ -10,6 +10,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -18,10 +20,17 @@ var ErrNodeRange = errors.New("graph: node id out of range")
 
 // Builder accumulates edges for an undirected simple graph. The zero value
 // is not usable; construct with NewBuilder.
+//
+// Edges live in one flat open-addressing set of u<<32|v keys with u < v:
+// linear probing over a power-of-two table that doubles at load ½. Key 0
+// marks an empty slot; it would be the self-loop (0, 0), which is never
+// stored. Per-node degrees are kept beside the set, so Freeze is a counting
+// sort that needs no per-node structure.
 type Builder struct {
-	n   int
-	adj []map[int32]struct{}
-	m   int
+	n    int
+	deg  []int32
+	keys []uint64
+	m    int
 }
 
 // NewBuilder returns a builder for a graph with n nodes and no edges.
@@ -29,7 +38,7 @@ func NewBuilder(n int) *Builder {
 	if n < 0 {
 		n = 0
 	}
-	return &Builder{n: n, adj: make([]map[int32]struct{}, n)}
+	return &Builder{n: n, deg: make([]int32, n)}
 }
 
 // N reports the number of nodes.
@@ -37,6 +46,39 @@ func (b *Builder) N() int { return b.n }
 
 // M reports the number of (undirected) edges added so far.
 func (b *Builder) M() int { return b.m }
+
+// edgeKey packs the undirected edge (u, v), u != v, into its set key.
+func edgeKey(u, v int) uint64 {
+	if u > v {
+		u, v = v, u
+	}
+	return uint64(u)<<32 | uint64(v)
+}
+
+// slot returns the table index where key lives, or the empty slot where
+// it would be inserted. The table must be non-empty and not full.
+func (b *Builder) slot(key uint64) int {
+	mask := uint64(len(b.keys) - 1)
+	// Fibonacci hashing: the multiply mixes both endpoints into the high
+	// bits, and the shift keeps log2(len) of them.
+	i := key * 0x9E3779B97F4A7C15 >> (bits.LeadingZeros64(mask) & 63)
+	for b.keys[i] != 0 && b.keys[i] != key {
+		i = (i + 1) & mask
+	}
+	return int(i)
+}
+
+// grow doubles the table (or allocates the first one) and reinserts every
+// key.
+func (b *Builder) grow() {
+	old := b.keys
+	b.keys = make([]uint64, max(16, 2*len(old)))
+	for _, k := range old {
+		if k != 0 {
+			b.keys[b.slot(k)] = k
+		}
+	}
+}
 
 // AddEdge inserts the undirected edge (u, v). It reports whether the edge
 // was newly added; self-loops and duplicates are ignored with ok=false.
@@ -48,17 +90,17 @@ func (b *Builder) AddEdge(u, v int) (ok bool, err error) {
 	if u == v {
 		return false, nil
 	}
-	if b.adj[u] == nil {
-		b.adj[u] = make(map[int32]struct{})
+	if 2*(b.m+1) > len(b.keys) {
+		b.grow()
 	}
-	if _, dup := b.adj[u][int32(v)]; dup {
+	key := edgeKey(u, v)
+	i := b.slot(key)
+	if b.keys[i] == key {
 		return false, nil
 	}
-	if b.adj[v] == nil {
-		b.adj[v] = make(map[int32]struct{})
-	}
-	b.adj[u][int32(v)] = struct{}{}
-	b.adj[v][int32(u)] = struct{}{}
+	b.keys[i] = key
+	b.deg[u]++
+	b.deg[v]++
 	b.m++
 	return true, nil
 }
@@ -66,11 +108,11 @@ func (b *Builder) AddEdge(u, v int) (ok bool, err error) {
 // HasEdge reports whether the edge (u, v) exists. Out-of-range endpoints
 // report false.
 func (b *Builder) HasEdge(u, v int) bool {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n || b.adj[u] == nil {
+	if u < 0 || u >= b.n || v < 0 || v >= b.n || u == v || len(b.keys) == 0 {
 		return false
 	}
-	_, ok := b.adj[u][int32(v)]
-	return ok
+	key := edgeKey(u, v)
+	return b.keys[b.slot(key)] == key
 }
 
 // Degree reports the degree of u, or 0 if out of range.
@@ -78,25 +120,32 @@ func (b *Builder) Degree(u int) int {
 	if u < 0 || u >= b.n {
 		return 0
 	}
-	return len(b.adj[u])
+	return int(b.deg[u])
 }
 
-// Freeze converts the builder into an immutable CSR graph. The builder
-// remains usable afterwards.
+// Freeze converts the builder into an immutable CSR graph by counting
+// sort: row offsets come from the degrees, one pass over the edge set
+// scatters both directions of each edge, and each row is then sorted. The
+// builder remains usable afterwards.
 func (b *Builder) Freeze() *Graph {
 	offsets := make([]int64, b.n+1)
-	for u := 0; u < b.n; u++ {
-		offsets[u+1] = offsets[u] + int64(len(b.adj[u]))
+	for u, d := range b.deg {
+		offsets[u+1] = offsets[u] + int64(d)
 	}
 	neighbors := make([]int32, offsets[b.n])
-	for u := 0; u < b.n; u++ {
-		row := neighbors[offsets[u]:offsets[u+1]]
-		i := 0
-		for v := range b.adj[u] {
-			row[i] = v
-			i++
+	next := slices.Clone(offsets[:b.n])
+	for _, k := range b.keys {
+		if k == 0 {
+			continue
 		}
-		sort.Slice(row, func(a, c int) bool { return row[a] < row[c] })
+		u, v := int32(k>>32), int32(uint32(k))
+		neighbors[next[u]] = v
+		next[u]++
+		neighbors[next[v]] = u
+		next[v]++
+	}
+	for u := 0; u < b.n; u++ {
+		slices.Sort(neighbors[offsets[u]:offsets[u+1]])
 	}
 	return &Graph{n: b.n, m: b.m, offsets: offsets, neighbors: neighbors}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -130,6 +131,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 			return sp
 		}()}},
 		{"zero runs", SubmitRequest{Spec: func() Spec { sp := testSpec(); sp.Runs = 0; return sp }()}},
+		{"NaN scale", SubmitRequest{Spec: func() Spec { sp := testSpec(); sp.Scale = math.NaN(); return sp }()}},
 	}
 	for _, tc := range cases {
 		if _, err := s.Submit(tc.req); err == nil {

@@ -94,7 +94,7 @@ func (s Spec) Validate() error {
 	if _, err := gen.PresetByName(s.Preset); err != nil {
 		return err
 	}
-	if sc := s.scale(); sc <= 0 || sc > 1 {
+	if sc := s.scale(); !(sc > 0 && sc <= 1) { // also rejects NaN
 		return fmt.Errorf("serv: scale %v not in (0, 1]", sc)
 	}
 	if s.cautious() < 0 {
