@@ -128,7 +128,7 @@ func NewABM(w Weights, opts ...core.Option) (*ABM, error) { return core.NewABM(w
 func WithFullRescan() core.Option { return core.WithFullRescan() }
 
 // WithMetrics records ABM's work counters (heap pops, stale skips,
-// rescores, dirty-set sizes) into the given registry.
+// rescores, eager-set sizes) into the given registry.
 func WithMetrics(reg *Metrics) core.Option { return core.WithMetrics(reg) }
 
 // NewPureGreedy returns the classical adaptive greedy (w_D=1, w_I=0).

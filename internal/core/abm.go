@@ -11,12 +11,16 @@ import (
 // ABM is the Adaptive Benefit Maximization greedy of Algorithm 1: at each
 // step it requests the user with the highest potential P(u|ω).
 //
-// By default ABM re-scores lazily: after each acceptance only the
-// candidates whose potential inputs changed, a subset of the new friend's
-// two-hop neighborhood (see Observe), are re-evaluated (stale heap entries
-// are version-checked on pop). WithFullRescan restores the naive
-// recompute-everything behaviour for ablation benchmarks; both variants
-// select identical sequences.
+// By default ABM re-scores lazily. After each acceptance (see Observe) it
+// re-scores at once only the candidates whose potential may have risen:
+// cautious potential neighbours of the new friend, and the neighbours of
+// a cautious realized neighbour whose deficit shrank. Every other
+// candidate whose inputs changed can only have fallen; ABM marks it
+// stale-high and re-scores it when its entry reaches the top of the heap
+// (CELF's lazy evaluation). Superseded heap entries are version-checked
+// on pop. WithFullRescan restores the naive recompute-everything
+// behaviour for ablation benchmarks; both variants select identical
+// sequences.
 type ABM struct {
 	weights    Weights
 	fullRescan bool
@@ -24,9 +28,12 @@ type ABM struct {
 	scores  []float64
 	version []int32
 	pq      potentialHeap
+	// staleHigh[u] reports that scores[u] may exceed u's fresh potential
+	// but is never below it; u is re-scored when its entry is popped.
+	staleHigh []bool
 
-	// dirtyStamp/epoch dedupe the dirty set without allocating: a node
-	// is already queued this round iff its stamp equals the epoch.
+	// dirtyStamp/epoch dedupe the eager set without allocating: a node
+	// is already re-scored this round iff its stamp equals the epoch.
 	dirtyStamp []int32
 	epoch      int32
 	// seenMutual[v] is v's mutual count as of the last Observe that
@@ -38,9 +45,9 @@ type ABM struct {
 	// Instruments resolved once by WithMetrics; nil (no-op) by default.
 	// See DESIGN.md "Reading a metrics dump" for what each one means.
 	mHeapPops    *obs.Counter   // heap entries popped in SelectNext
-	mStaleSkips  *obs.Counter   // popped entries discarded as stale/requested
+	mStaleSkips  *obs.Counter   // popped entries not selected: superseded, requested or stale-high
 	mRescores    *obs.Counter   // potential re-evaluations
-	mDirtySize   *obs.Histogram // dirty-set size per acceptance
+	mDirtySize   *obs.Histogram // eager-set size per acceptance
 	mCompactions *obs.Counter   // stale-entry heap compactions
 }
 
@@ -53,7 +60,7 @@ func WithFullRescan() Option {
 }
 
 // WithMetrics records the policy's work counters — heap pops, stale-entry
-// skips, rescores and per-acceptance dirty-set sizes — into the given
+// skips, rescores and per-acceptance eager-set sizes — into the given
 // registry. The instruments are shared and atomic, so many concurrent
 // attacks may report into one registry; a nil registry leaves the policy
 // uninstrumented (the counters stay no-ops).
@@ -113,9 +120,10 @@ func (a *ABM) Init(st *osn.State) error {
 	} else {
 		a.scores = a.scores[:n] // fully overwritten below
 	}
-	a.version = resetInt32s(a.version, n)
-	a.dirtyStamp = resetInt32s(a.dirtyStamp, n)
-	a.seenMutual = resetInt32s(a.seenMutual, n)
+	a.version = resetSlice(a.version, n)
+	a.staleHigh = resetSlice(a.staleHigh, n)
+	a.dirtyStamp = resetSlice(a.dirtyStamp, n)
+	a.seenMutual = resetSlice(a.seenMutual, n)
 	a.epoch = 0
 	a.pq = a.pq[:0]
 	if cap(a.pq) < n {
@@ -130,21 +138,23 @@ func (a *ABM) Init(st *osn.State) error {
 	return nil
 }
 
-// resetInt32s returns a zeroed int32 slice of length n, reusing s's
-// backing array when it is large enough.
-func resetInt32s(s []int32, n int) []int32 {
+// resetSlice returns a zeroed slice of length n, reusing s's backing
+// array when it is large enough.
+func resetSlice[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-// SelectNext implements Policy: pop the freshest highest-potential
-// candidate.
+// SelectNext implements Policy: pop the highest-potential candidate. Every
+// unrequested user has exactly one current-version entry in the heap,
+// scored at or above its fresh potential. A popped stale-high entry is
+// re-scored and pushed back; the first exact entry popped is therefore the
+// argmax of the fresh potentials under the heap's (score desc, user asc)
+// order, as a full rescan would select.
 func (a *ABM) SelectNext(st *osn.State) (int, bool) {
 	for a.pq.Len() > 0 {
 		e := a.pq.pop()
@@ -154,13 +164,21 @@ func (a *ABM) SelectNext(st *osn.State) (int, bool) {
 			a.mStaleSkips.Inc()
 			continue
 		}
+		if a.staleHigh[u] {
+			a.mStaleSkips.Inc()
+			a.staleHigh[u] = false
+			a.mRescores.Inc()
+			a.push(u, Potential(st, u, a.weights))
+			continue
+		}
 		return u, true
 	}
 	return 0, false
 }
 
 // Observe implements Policy: after an acceptance, re-score the candidates
-// whose potential may have changed.
+// whose potential may have risen, and mark stale-high those whose
+// potential can only have fallen.
 func (a *ABM) Observe(st *osn.State, out osn.Outcome) {
 	if !out.Accepted {
 		return
@@ -178,49 +196,83 @@ func (a *ABM) Observe(st *osn.State, out osn.Outcome) {
 		return
 	}
 
-	// Dirty set: potential neighbors of the new friend (posterior edge
-	// beliefs and the friend-exclusion changed), plus every realized
-	// neighbor v (mutual count / FOF status changed). v's potential
-	// neighbors are dirty only when v's term in their potentials moved
-	// since v was last visited: v is not a friend, its mutual count grew
-	// from old, and either v just entered FOF (P_D) or is cautious with a
-	// deficit that shrank (P_I). Every other input of a second-hop
-	// candidate is unchanged, so its rescore would return the same float.
-	// Deduped with an epoch stamp to avoid per-acceptance allocation.
+	// Inputs of x's potential that an acceptance of f can change, and
+	// the direction each one moves:
+	//   - x ∈ N(f): f's P_D/P_I terms leave x's sums (f is a friend now),
+	//     and if (x,f) is realized x may enter FOF, which lowers the start
+	//     value from B_f to B_f − B_fof. Both can only lower x's score;
+	//     only a cautious x's q̂ can rise (its mutual count may reach θ_x).
+	//   - x ∈ N(v), v a realized non-friend neighbour of f whose mutual
+	//     count grew since ABM last visited v: if v just entered FOF
+	//     (w_D > 0, old count 0), v's P_D term leaves x's sum, which can
+	//     only lower x's score; if v is cautious with a deficit that shrank
+	//     (w_I > 0, θ_v > old), v's P_I term grows.
+	// No other input of any candidate moves. The rises are re-scored now
+	// (touch); the falls are marked stale-high (markHigh) and re-scored
+	// when they reach the top of the heap.
+	//
+	// Why a fall is exact in floating point: osn.NewInstance enforces
+	// 0 ≤ B_fof ≤ B_f, and p̂, q and the weights are ≥ 0, so every term
+	// of Potential is non-negative. Dropping a term from a left-to-right
+	// sum, or lowering its start value, cannot raise any partial sum,
+	// because IEEE rounding is monotone; the products that follow are
+	// monotone too. So the fresh float is ≤ the cached one, bit for bit.
+	// This needs PosteriorEdgeProb's observed set to alias friend (only
+	// f's incident edge beliefs change), which holds for every State ABM
+	// observes: a MultiState.View is only ever scored by RunMulti.
+	//
+	// A stale-high mark never suppresses an eager re-score in the same
+	// Observe: markHigh skips a node already touched this epoch, and
+	// rescore clears the mark. Eager touches are deduped with an epoch
+	// stamp to avoid per-acceptance allocation.
 	inst := st.Instance()
 	g := inst.Graph()
 	re := st.Realization()
 	a.epoch++
-	dirty := 0
-	touch := func(v int) {
-		if a.dirtyStamp[v] == a.epoch {
+	eager := 0
+	touch := func(x int) {
+		if a.dirtyStamp[x] == a.epoch {
 			return
 		}
-		a.dirtyStamp[v] = a.epoch
-		dirty++
-		if !st.Requested(v) {
-			a.rescore(st, v)
+		a.dirtyStamp[x] = a.epoch
+		eager++
+		if !st.Requested(x) {
+			a.rescore(st, x)
+		}
+	}
+	markHigh := func(x int) {
+		if a.dirtyStamp[x] != a.epoch && !st.Requested(x) {
+			a.staleHigh[x] = true
 		}
 	}
 	base := g.AdjBase(out.User)
 	for i, v32 := range g.Neighbors(out.User) {
 		v := int(v32)
-		touch(v)
+		if inst.Kind(v) == osn.Cautious {
+			touch(v)
+		} else {
+			markHigh(v)
+		}
 		if !re.EdgeExistsSlot(base+i) || st.IsFriend(v) {
 			continue
 		}
 		old, cur := int(a.seenMutual[v]), st.Mutual(v)
 		a.seenMutual[v] = int32(cur)
-		moved := (a.weights.WD > 0 && old == 0) ||
-			(a.weights.WI > 0 && inst.Kind(v) == osn.Cautious && inst.Theta(v) > old)
-		if cur == old || !moved {
+		if cur == old {
 			continue
 		}
-		for _, x := range g.Neighbors(v) {
-			touch(int(x))
+		switch {
+		case a.weights.WI > 0 && inst.Kind(v) == osn.Cautious && inst.Theta(v) > old:
+			for _, x := range g.Neighbors(v) {
+				touch(int(x))
+			}
+		case a.weights.WD > 0 && old == 0:
+			for _, x := range g.Neighbors(v) {
+				markHigh(int(x))
+			}
 		}
 	}
-	a.mDirtySize.Observe(int64(dirty))
+	a.mDirtySize.Observe(int64(eager))
 	a.maybeCompact(st)
 }
 
@@ -232,8 +284,9 @@ const compactSlack = 64
 // previous entry in the heap, so a long high-churn attack would otherwise
 // grow the heap without bound; compaction restores |heap| <= live
 // candidates in O(|heap|), amortized O(1) per stranded entry. Selection
-// is unaffected: stale entries are skipped on pop anyway, and the fresh
-// entries form a total order on (score, user id), so rebuilding the heap
+// is unaffected: superseded entries are skipped on pop anyway, and the
+// current entries (stale-high ones included: they hold the current
+// version) form a total order on (score, user id), so rebuilding the heap
 // preserves the pop sequence exactly.
 func (a *ABM) maybeCompact(st *osn.State) {
 	live := st.Instance().N() - st.Requests()
@@ -252,13 +305,19 @@ func (a *ABM) maybeCompact(st *osn.State) {
 	a.mCompactions.Inc()
 }
 
-// rescore recomputes u's potential and pushes a fresh heap entry.
+// rescore recomputes u's potential, clears its stale-high mark, and
+// pushes a fresh heap entry if the score changed.
 func (a *ABM) rescore(st *osn.State, u int) {
+	a.staleHigh[u] = false
 	a.mRescores.Inc()
-	s := Potential(st, u, a.weights)
-	if s == a.scores[u] {
-		return
+	if s := Potential(st, u, a.weights); s != a.scores[u] {
+		a.push(u, s)
 	}
+}
+
+// push records s as u's score and pushes it as u's current heap entry,
+// superseding any earlier one.
+func (a *ABM) push(u int, s float64) {
 	a.scores[u] = s
 	a.version[u]++
 	a.pq.push(heapEntry{score: s, user: int32(u), version: a.version[u]})

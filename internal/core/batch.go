@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/accu-sim/accu/internal/osn"
 )
@@ -18,48 +17,24 @@ type BatchSelector interface {
 	SelectBatch(st *osn.State, b int) []int
 }
 
-// SelectBatch implements BatchSelector for ABM: it pops the b freshest
+// SelectBatch implements BatchSelector for ABM: it pops the b
 // highest-potential candidates; all are scored against the pre-batch
 // state, exactly the information available to a batching attacker.
-//
-// The returned slice itself is the dedup structure — an
-// insertion-ordered set probed linearly. Batches are small (b ≪ n), so
-// the scan beats a map allocation on the hot path, and unlike a map it
-// can never leak iteration order into selection.
-func (a *ABM) SelectBatch(st *osn.State, b int) []int {
-	out := make([]int, 0, b)
-	for len(out) < b && a.pq.Len() > 0 {
-		e := a.pq.pop()
-		u := int(e.user)
-		if st.Requested(u) || e.version != a.version[u] {
-			continue
-		}
-		if slices.Contains(out, u) {
-			continue
-		}
-		out = append(out, u)
-	}
-	return out
-}
+func (a *ABM) SelectBatch(st *osn.State, b int) []int { return selectBatch(a, st, b) }
 
 // SelectBatch implements BatchSelector for StaticRank.
-func (s *StaticRank) SelectBatch(st *osn.State, b int) []int {
-	out := make([]int, 0, b)
-	for len(out) < b {
-		u, ok := s.SelectNext(st)
-		if !ok {
-			break
-		}
-		out = append(out, u)
-	}
-	return out
-}
+func (s *StaticRank) SelectBatch(st *osn.State, b int) []int { return selectBatch(s, st, b) }
 
 // SelectBatch implements BatchSelector for Random.
-func (r *Random) SelectBatch(st *osn.State, b int) []int {
+func (r *Random) SelectBatch(st *osn.State, b int) []int { return selectBatch(r, st, b) }
+
+// selectBatch calls p.SelectNext up to b times with no request in
+// between. Each shipped policy consumes what it selects (a heap entry, a
+// rank position, a shuffled slot), so the users are distinct.
+func selectBatch(p Policy, st *osn.State, b int) []int {
 	out := make([]int, 0, b)
 	for len(out) < b {
-		u, ok := r.SelectNext(st)
+		u, ok := p.SelectNext(st)
 		if !ok {
 			break
 		}

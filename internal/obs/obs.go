@@ -1,7 +1,7 @@
 // Package obs is a lightweight, allocation-conscious metrics layer for
 // the simulator's hot paths: atomic counters and gauges, histograms over
 // the stats quantile sketch, plus a Span phase timer. It exists so the
-// Monte-Carlo engine can report what the dirty-set optimisation and the
+// Monte-Carlo engine can report what ABM's lazy re-scoring and the
 // worker fan-out are actually doing at scale.
 //
 // Every instrument is nil-safe: methods on a nil *Registry, *Counter,

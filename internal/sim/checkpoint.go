@@ -203,8 +203,10 @@ func (j *CellJournal) Done(key CellKey) bool {
 }
 
 // Commit implements Checkpointer: the cell is appended as one JSONL line
-// in a single write, fsynced per SyncEvery. Committed records are not
-// retained in memory — only resumed cells are, for Replay.
+// in a single write, fsynced per SyncEvery. The cell counts as done only
+// once that write (and the fsync, if one is due) succeeded. Committed
+// records are not retained in memory — only resumed cells are, for
+// Replay.
 func (j *CellJournal) Commit(key CellKey, recs []Record) error {
 	line, err := json.Marshal(CellLine{CellKey: key, Records: recs})
 	if err != nil {
@@ -219,7 +221,6 @@ func (j *CellJournal) Commit(key CellKey, recs []Record) error {
 	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("append cell: %w", err)
 	}
-	j.done[key] = true
 	j.sinceSync++
 	if j.syncEvery > 0 && j.sinceSync >= j.syncEvery {
 		if err := j.f.Sync(); err != nil {
@@ -227,6 +228,11 @@ func (j *CellJournal) Commit(key CellKey, recs []Record) error {
 		}
 		j.sinceSync = 0
 	}
+	// Only now is the cell committed: after a failed write or fsync it
+	// stays undone, so a retried Commit writes (and syncs) it again. The
+	// line a failed fsync left behind is harmless: load keeps the first
+	// copy of a cell.
+	j.done[key] = true
 	return nil
 }
 

@@ -285,6 +285,35 @@ func TestCellJournalSyncEvery(t *testing.T) {
 	}
 }
 
+// TestCellJournalFailedSyncLeavesCellUndone pins that a cell is done only
+// after its fsync succeeded. The journal's file is a pipe's write end,
+// which accepts the write and fails Sync (EINVAL). Under SyncEvery(1) the
+// failed Commit must leave the cell undone and uncounted, and a retry must
+// try again and fail again rather than return nil as a duplicate; an
+// accudist coordinator would otherwise ack the retried upload without
+// ever making its records durable.
+func TestCellJournalFailedSyncLeavesCellUndone(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	j := &CellJournal{f: w, done: make(map[CellKey]bool)}
+	defer j.Close()
+	j.SyncEvery(1)
+	key := CellKey{Network: 0, Run: 0}
+	recs := []Record{{Policy: "a", Network: 0, Run: 0, Result: &core.Result{Benefit: 1}}}
+	if err := j.Commit(key, recs); err == nil {
+		t.Fatal("Commit on an unsyncable file returned nil")
+	}
+	if j.Done(key) || j.Cells() != 0 {
+		t.Fatalf("after a failed fsync: Done = %v, Cells = %d; want false, 0", j.Done(key), j.Cells())
+	}
+	if err := j.Commit(key, recs); err == nil {
+		t.Fatal("retried Commit after a failed fsync returned nil without syncing")
+	}
+}
+
 // TestRunCheckpointKillAndResume pins the resume-determinism contract:
 // kill a checkpointed grid mid-run, reopen the journal, and the union of
 // replayed and freshly computed records is byte-identical to an
