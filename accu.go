@@ -28,7 +28,6 @@ import (
 	"io"
 
 	"github.com/accu-sim/accu/internal/core"
-	"github.com/accu-sim/accu/internal/defense"
 	"github.com/accu-sim/accu/internal/exp"
 	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/graph"
@@ -365,53 +364,3 @@ func RunBatched(p BatchSelector, re *Realization, k, batchSize int) (*Result, er
 // BatchSelector is a policy that can propose several distinct targets
 // without intermediate observations.
 type BatchSelector = core.BatchSelector
-
-// Collaborative multi-bot attack (paper reference [5]).
-type (
-	// MultiState is the shared-observation, per-bot-friendship attack
-	// state of the collaborative multi-socialbot model.
-	MultiState = osn.MultiState
-	// MultiResult is the trace of a collaborative attack.
-	MultiResult = core.MultiResult
-	// MultiStep records one request of a collaborative attack.
-	MultiStep = core.MultiStep
-)
-
-// NewMultiAttack starts a collaborative attack with the given number of
-// bots against one realization.
-func NewMultiAttack(re *Realization, bots int) (*MultiState, error) {
-	return osn.NewMultiState(re, bots)
-}
-
-// RunMulti executes the collaborative multi-bot greedy: bots share all
-// observations and a single budget of k requests dispatched round-robin.
-func RunMulti(re *Realization, bots, k int, w Weights) (*MultiResult, error) {
-	return core.RunMulti(re, bots, k, w)
-}
-
-// Defense analysis (the paper's motivation: reveal the users to protect).
-type (
-	// VulnerabilityAnalysis aggregates per-user compromise statistics
-	// across repeated simulated attacks.
-	VulnerabilityAnalysis = defense.Analysis
-	// UserVulnerability is one user's fate across those attacks.
-	UserVulnerability = defense.UserStats
-	// AttackerFactory builds a fresh attack policy per analysis run.
-	AttackerFactory = defense.PolicyFactory
-)
-
-// ABMAttacker returns the default attacker (balanced-weight ABM) for
-// vulnerability analyses.
-func ABMAttacker() AttackerFactory { return defense.ABMAttacker() }
-
-// AnalyzeVulnerability measures per-user compromise/exposure rates under
-// `runs` simulated attacks of budget k.
-func AnalyzeVulnerability(ctx context.Context, inst *Instance, attacker AttackerFactory, runs, k int, seed Seed) (*VulnerabilityAnalysis, error) {
-	return defense.Analyze(ctx, inst, attacker, runs, k, seed)
-}
-
-// Harden converts the given users to cautious acceptance with
-// θ = max(1, round(fraction·deg)) and returns the hardened instance.
-func Harden(inst *Instance, users []int, fraction float64) (*Instance, error) {
-	return defense.Harden(inst, users, fraction)
-}

@@ -160,7 +160,7 @@ func TestPublicPageRank(t *testing.T) {
 }
 
 func TestRunExperimentRegistry(t *testing.T) {
-	if len(accu.Experiments()) != 13 {
+	if len(accu.Experiments()) != 11 {
 		t.Errorf("experiments = %v", accu.Experiments())
 	}
 	cfg := accu.ExperimentConfig{

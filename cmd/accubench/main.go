@@ -6,9 +6,9 @@
 //	accubench -list
 //	accubench all                 # run every experiment
 //
-// Experiments: table1, fig2 ... fig7, thm1, ext-soft, ext-batch,
-// ext-multi, ext-defense, and claims (the executable checklist of the
-// paper's qualitative claims). Use -list for the full roster.
+// Experiments: table1, fig2 ... fig7, thm1, ext-soft, ext-batch, and
+// claims (the executable checklist of the paper's qualitative claims).
+// Use -list for the full roster.
 //
 // The default configuration is laptop-scale; pass -scale 1 -networks 100
 // -runs 30 -k 500 -cautious 100 for the paper's full protocol.

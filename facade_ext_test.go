@@ -55,47 +55,6 @@ func TestPublicRunBatched(t *testing.T) {
 	}
 }
 
-func TestPublicRunMulti(t *testing.T) {
-	_, re := smallInstance(t)
-	res, err := accu.RunMulti(re, 3, 15, accu.DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bots != 3 || len(res.Steps) != 15 || res.Benefit <= 0 {
-		t.Errorf("multi result: %+v", res)
-	}
-	ms, err := accu.NewMultiAttack(re, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Bots() != 2 {
-		t.Errorf("bots = %d", ms.Bots())
-	}
-}
-
-func TestPublicDefenseFlow(t *testing.T) {
-	inst, _ := smallInstance(t)
-	a, err := accu.AnalyzeVulnerability(context.Background(), inst, accu.ABMAttacker(), 3, 15, accu.NewSeed(41, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	top := a.TopCompromised(5)
-	if len(top) != 5 {
-		t.Fatalf("top = %d", len(top))
-	}
-	targets := make([]int, 0, 5)
-	for _, st := range top {
-		targets = append(targets, st.User)
-	}
-	hardened, err := accu.Harden(inst, targets, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hardened.NumCautious() < inst.NumCautious() {
-		t.Error("hardening lost cautious users")
-	}
-}
-
 func TestPublicJournalRoundTrip(t *testing.T) {
 	_, re := smallInstance(t)
 	abm, err := accu.NewABM(accu.DefaultWeights())

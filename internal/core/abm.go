@@ -217,9 +217,8 @@ func (a *ABM) Observe(st *osn.State, out osn.Outcome) {
 	// sum, or lowering its start value, cannot raise any partial sum,
 	// because IEEE rounding is monotone; the products that follow are
 	// monotone too. So the fresh float is ≤ the cached one, bit for bit.
-	// This needs PosteriorEdgeProb's observed set to alias friend (only
-	// f's incident edge beliefs change), which holds for every State ABM
-	// observes: a MultiState.View is only ever scored by RunMulti.
+	// PosteriorEdgeProb reads the friend set, so only f's incident edge
+	// beliefs change.
 	//
 	// A stale-high mark never suppresses an eager re-score in the same
 	// Observe: markHigh skips a node already touched this epoch, and

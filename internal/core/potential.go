@@ -53,8 +53,7 @@ func (w Weights) Validate() error {
 // deterministic acceptance indicator (1 iff the threshold is already
 // met — any policy knows a below-threshold request would be rejected);
 // p̂ is the attacker's posterior edge belief (1/0 once observed, the
-// prior otherwise). Friends and already-requested users score 0. st may
-// be a single attack or one bot's MultiState.View.
+// prior otherwise). Friends and already-requested users score 0.
 func Potential(st *osn.State, u int, w Weights) float64 {
 	if st.Requested(u) || st.IsFriend(u) {
 		return 0

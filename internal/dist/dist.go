@@ -371,7 +371,9 @@ func (c *Coordinator) validLine(cl sim.CellLine) bool {
 func (c *Coordinator) rangeIndex(ci int) int { return ci / c.cfg.RangeSize }
 
 // Fail releases a lease a worker reports it cannot finish, so the range
-// reassigns immediately instead of waiting out the TTL.
+// reassigns immediately instead of waiting out the TTL. Only the worker
+// holding the lease can release it: lease IDs are predictable, and a
+// stale or foreign report must not free a range another worker is on.
 func (c *Coordinator) Fail(req FailRequest) {
 	now := c.now()
 	c.mu.Lock()
@@ -380,7 +382,7 @@ func (c *Coordinator) Fail(req FailRequest) {
 	c.updateWorkersLive(now)
 	c.failures = append(c.failures, fmt.Sprintf("worker %s lease %s: %s", req.Worker, req.Lease, req.Error))
 	for _, r := range c.ranges {
-		if r.leaseID == req.Lease {
+		if r.leaseID == req.Lease && r.worker == req.Worker {
 			c.logf("dist: worker %s failed lease %s on range [%d,%d): %s",
 				req.Worker, req.Lease, r.start, r.end, req.Error)
 			r.leaseID, r.worker = "", ""

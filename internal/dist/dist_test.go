@@ -472,6 +472,56 @@ func TestWorkerFailReleasesLease(t *testing.T) {
 	}
 }
 
+// TestFailFromOtherWorkerKeepsLease pins that a fail report releases a
+// range only for the worker holding its lease: lease IDs are
+// predictable, so another worker naming one must not hand the range out
+// twice.
+func TestFailFromOtherWorkerKeepsLease(t *testing.T) {
+	spec := testSpec()
+	coord, _ := newTestCoordinator(t, spec, spec.Networks*spec.Runs, time.Hour, obs.New())
+
+	lease, done := coord.Lease("A")
+	if done || lease == nil {
+		t.Fatalf("lease = %v, done = %v", lease, done)
+	}
+	coord.Fail(FailRequest{Worker: "B", Lease: lease.ID, Error: "forged"})
+	if got, _ := coord.Lease("C"); got != nil {
+		t.Fatalf("worker C leased [%d,%d) while A still holds lease %s", got.Start, got.End, lease.ID)
+	}
+	if r := coord.Status().Ranges[0]; r.Worker != "A" || r.Lease != lease.ID {
+		t.Errorf("range held by %q under %q, want A under %q", r.Worker, r.Lease, lease.ID)
+	}
+}
+
+// TestFailWithoutWorkerIsRejected pins that the fail endpoint, like the
+// lease and upload endpoints, answers 400 to a request naming no worker,
+// and that such a request registers no phantom worker.
+func TestFailWithoutWorkerIsRejected(t *testing.T) {
+	spec := testSpec()
+	reg := obs.New()
+	coord, srv := newTestCoordinator(t, spec, 3, time.Hour, reg)
+
+	lease, _ := coord.Lease("A")
+	body, err := json.Marshal(FailRequest{Lease: lease.ID, Error: "anonymous"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/v1/dist/fail", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("fail without worker: status %d, want 400", resp.StatusCode)
+	}
+	if ws := coord.Status().Workers; len(ws) != 1 || ws[0] != "A" {
+		t.Errorf("workers = %q, want [A]", ws)
+	}
+	if got := reg.Gauge("dist.workers_live").Value(); got != 1 {
+		t.Errorf("dist.workers_live = %v, want 1", got)
+	}
+}
+
 // TestFailedCommitIsNotAcked pins fsync-before-ack at the wire: when the
 // coordinator cannot commit a cell to its journal, the upload must not
 // answer 200, and the worker's checkpointer must surface the failure so

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/accu-sim/accu/internal/sim"
 )
@@ -58,6 +62,77 @@ func FuzzUpload(f *testing.F) {
 		defer resumed.Close()
 		if n := resumed.journal.Cells(); n > resumed.total {
 			t.Fatalf("resumed journal holds %d cells, grid has %d", n, resumed.total)
+		}
+	})
+}
+
+// FuzzLeaseAndFail drives the lease and fail handlers with fuzzed JSON
+// bodies, interleaved on one coordinator. The script holds one request
+// per line: 'L' then a lease body, or 'F' then a fail body. No request may
+// panic or register the empty worker, every leased range must name the
+// worker its lease ID was granted to, and a lease ends only when that
+// worker fails it (nothing uploads, and the TTL outlives the run).
+func FuzzLeaseAndFail(f *testing.F) {
+	f.Add("L{\"worker\":\"A\"}\nF{\"worker\":\"A\",\"lease\":\"r0-a1\",\"error\":\"x\"}\nL{\"worker\":\"B\"}")
+	f.Add("L{\"worker\":\"A\"}\nF{\"worker\":\"B\",\"lease\":\"r0-a1\"}\nL{\"worker\":\"C\"}")
+	f.Add("L{\"worker\":\"A\"}\nF{\"lease\":\"r0-a1\"}\nF{\"worker\":\"\",\"lease\":\"r0-a1\"}\nL{\"worker\":\"\"}")
+	f.Add("L{\"worker\":\"A\"}\nL{\"worker\":\"A\"}\nL{\"worker\":\"A\"}\nF{\"worker\":\"A\",\"lease\":\"r1-a1\"}\nL{\"worker\":\"B\"}")
+	f.Add("L\nFnull\nL[]\nF{\"worker\":7}\nL{\"worker\":\"A\"}{\"worker\":\"B\"}")
+
+	f.Fuzz(func(t *testing.T, script string) {
+		coord, err := New(Config{Spec: testSpec(), Dir: t.TempDir(), RangeSize: 2, LeaseTTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		granted := map[string]string{} // lease ID -> worker it was granted to
+		live := map[string]bool{}      // granted leases their worker has not failed
+		for _, line := range strings.Split(script, "\n") {
+			if line == "" {
+				continue
+			}
+			// Decode as the handlers do: the first JSON value counts.
+			dec := json.NewDecoder(strings.NewReader(line[1:]))
+			rec := httptest.NewRecorder()
+			body := strings.NewReader(line[1:])
+			if line[0] == 'L' {
+				coord.handleLease(rec, httptest.NewRequest(http.MethodPost, "/api/v1/dist/lease", body))
+				var resp LeaseResponse
+				if rec.Code == http.StatusOK && json.Unmarshal(rec.Body.Bytes(), &resp) == nil && resp.Lease != nil {
+					var req LeaseRequest
+					_ = dec.Decode(&req)
+					granted[resp.Lease.ID] = req.Worker
+					live[resp.Lease.ID] = true
+				}
+			} else {
+				coord.handleFail(rec, httptest.NewRequest(http.MethodPost, "/api/v1/dist/fail", body))
+				var req FailRequest
+				if rec.Code == http.StatusOK && dec.Decode(&req) == nil && live[req.Lease] && granted[req.Lease] == req.Worker {
+					delete(live, req.Lease)
+				}
+			}
+			st := coord.Status()
+			for _, w := range st.Workers {
+				if w == "" {
+					t.Fatalf("after %q: the empty worker is registered", line)
+				}
+			}
+			held := map[string]bool{}
+			for _, r := range st.Ranges {
+				if r.Lease == "" {
+					continue
+				}
+				held[r.Lease] = true
+				if granted[r.Lease] != r.Worker {
+					t.Fatalf("after %q: range [%d,%d) under lease %s names %q, granted to %q",
+						line, r.Start, r.End, r.Lease, r.Worker, granted[r.Lease])
+				}
+			}
+			for id := range live {
+				if !held[id] {
+					t.Fatalf("after %q: lease %s of worker %q ended without its worker failing it", line, id, granted[id])
+				}
+			}
 		}
 	})
 }

@@ -108,6 +108,10 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad fail request: " + err.Error()})
 		return
 	}
+	if req.Worker == "" {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "fail request without worker"})
+		return
+	}
 	c.Fail(req)
 	writeJSON(w, http.StatusOK, struct{}{})
 }

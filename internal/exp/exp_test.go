@@ -60,7 +60,7 @@ func TestNormalizeValidation(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "thm1", "ext-soft", "ext-batch", "ext-defense", "ext-multi", "claims"}
+	want := []string{"table1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "thm1", "ext-soft", "ext-batch", "claims"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Errorf("registry size = %d, want %d", len(reg), len(want))
@@ -272,36 +272,6 @@ func TestExtBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"batch", "vs-adaptive", "25"} {
-		if !strings.Contains(rep.Rendered, want) {
-			t.Errorf("missing %q in:\n%s", want, rep.Rendered)
-		}
-	}
-}
-
-func TestExtDefense(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.K = 15
-	cfg.Runs = 2
-	rep, err := ExtDefense(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"none (baseline)", "vulnerability-guided", "degree-based", "random"} {
-		if !strings.Contains(rep.Rendered, want) {
-			t.Errorf("missing %q in:\n%s", want, rep.Rendered)
-		}
-	}
-}
-
-func TestExtMulti(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.K = 15
-	cfg.Runs = 1
-	rep, err := ExtMulti(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bots", "benefit", "8"} {
 		if !strings.Contains(rep.Rendered, want) {
 			t.Errorf("missing %q in:\n%s", want, rep.Rendered)
 		}

@@ -67,19 +67,17 @@ type Runner func(ctx context.Context, cfg Config) (*Report, error)
 // figure of §IV plus the Theorem 1 verification.
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"table1":      Table1,
-		"fig2":        Fig2,
-		"fig3":        Fig3,
-		"fig4":        Fig4,
-		"fig5":        Fig5,
-		"fig6":        Fig6,
-		"fig7":        Fig7,
-		"thm1":        Theorem1,
-		"ext-soft":    ExtSoft,
-		"ext-batch":   ExtBatch,
-		"ext-defense": ExtDefense,
-		"ext-multi":   ExtMulti,
-		"claims":      Claims,
+		"table1":    Table1,
+		"fig2":      Fig2,
+		"fig3":      Fig3,
+		"fig4":      Fig4,
+		"fig5":      Fig5,
+		"fig6":      Fig6,
+		"fig7":      Fig7,
+		"thm1":      Theorem1,
+		"ext-soft":  ExtSoft,
+		"ext-batch": ExtBatch,
+		"claims":    Claims,
 	}
 }
 

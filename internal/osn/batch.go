@@ -18,9 +18,6 @@ var ErrDuplicateInBatch = errors.New("osn: duplicate user in batch")
 // gain (the total is order-independent — it depends only on the final
 // friend set).
 func (st *State) RequestBatch(users []int) ([]Outcome, error) {
-	if st.readOnly {
-		return nil, ErrReadOnly
-	}
 	// Validate and decide acceptance against the pre-batch state.
 	seen := make(map[int]struct{}, len(users))
 	outs := make([]Outcome, len(users))

@@ -210,22 +210,6 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 
 func bad(p float64) bool { return p < 0 || p > 1 || math.IsNaN(p) }
 
-// Params returns a deep copy of the instance's parameters, suitable for
-// modification and rebuilding via NewInstance (used by defense analyses
-// that harden users).
-func (in *Instance) Params() Params {
-	return Params{
-		Kind:       append([]Kind(nil), in.kind...),
-		AcceptProb: append([]float64(nil), in.acceptProb...),
-		Theta:      append([]int(nil), in.theta...),
-		BFriend:    append([]float64(nil), in.bFriend...),
-		BFof:       append([]float64(nil), in.bFof...),
-		EdgeProb:   append([]float64(nil), in.edgeProb...),
-		QLow:       append([]float64(nil), in.qLow...),
-		QHigh:      append([]float64(nil), in.qHigh...),
-	}
-}
-
 // Graph returns the potential-friendship graph.
 func (in *Instance) Graph() *graph.Graph { return in.g }
 

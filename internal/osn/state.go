@@ -11,7 +11,6 @@ import (
 var (
 	ErrAlreadyRequested = errors.New("osn: user already received a request")
 	ErrBadUser          = errors.New("osn: user id out of range")
-	ErrReadOnly         = errors.New("osn: request on a read-only bot view")
 )
 
 // State is the attacker's partial realization ω: which requests were sent
@@ -24,10 +23,6 @@ var (
 // mutual[v] = |N(s) ∩ N(v)| at all times.
 //
 // A State is single-goroutine; clone per concurrent run.
-//
-// MultiState.View returns a read-only State over one bot of a
-// collaborative attack; only the scoring reads are meaningful on it, its
-// counters read as an empty attack (see MultiState.View).
 type State struct {
 	inst *Instance
 	real *Realization
@@ -35,11 +30,6 @@ type State struct {
 	requested []bool
 	friend    []bool
 	mutual    []int32
-	// observed[u] reports whether u's realized neighborhood is revealed.
-	// It aliases friend, except on a bot view, where it is the shared
-	// "befriended by any bot" set.
-	observed []bool
-	readOnly bool
 
 	benefit         float64
 	requests        int
@@ -52,14 +42,12 @@ type State struct {
 // sent, F = FOF = ∅.
 func NewState(re *Realization) *State {
 	n := re.inst.N()
-	friend := make([]bool, n)
 	return &State{
 		inst:      re.inst,
 		real:      re,
 		requested: make([]bool, n),
-		friend:    friend,
+		friend:    make([]bool, n),
 		mutual:    make([]int32, n),
-		observed:  friend,
 	}
 }
 
@@ -86,9 +74,6 @@ type Outcome struct {
 // reveals N(u) on acceptance, and updates the benefit accounting. A user
 // may receive at most one request (Algorithm 1 selects from V \ Q).
 func (st *State) Request(u int) (Outcome, error) {
-	if st.readOnly {
-		return Outcome{}, ErrReadOnly
-	}
 	if u < 0 || u >= st.inst.N() {
 		return Outcome{}, fmt.Errorf("%w: %d", ErrBadUser, u)
 	}
@@ -219,10 +204,10 @@ func (st *State) ClassCounts() (friends, fof, strangers int) {
 
 // PosteriorEdgeProb returns the attacker's belief that the potential edge
 // at the CSR slot (u, Neighbors(u)[i]) exists: 1 or 0 once observed
-// (either endpoint's neighborhood is revealed), the prior p(u, v)
-// otherwise.
+// (either endpoint is a friend, so its neighborhood is revealed), the
+// prior p(u, v) otherwise.
 func (st *State) PosteriorEdgeProb(u, v, slot int) float64 {
-	if st.observed[u] || st.observed[v] {
+	if st.friend[u] || st.friend[v] {
 		if st.real.edgeExists[slot] {
 			return 1
 		}
@@ -257,18 +242,13 @@ func (st *State) RecomputeBenefit() float64 {
 // exists for schedulers that execute many attacks per worker goroutine
 // (internal/sim's cell queue) and want to avoid three O(N) allocations
 // per cell; a Reset state is observationally identical to a new one.
-// Resetting a bot view detaches it from its MultiState first.
 func (st *State) Reset(re *Realization) {
 	n := re.inst.N()
-	if st.readOnly {
-		*st = State{}
-	}
 	st.inst = re.inst
 	st.real = re
 	st.requested = resetBools(st.requested, n)
 	st.friend = resetBools(st.friend, n)
 	st.mutual = resetInt32s(st.mutual, n)
-	st.observed = st.friend
 	st.benefit = 0
 	st.requests = 0
 	st.numFriends = 0
@@ -303,15 +283,11 @@ func resetInt32s(s []int32, n int) []int32 {
 }
 
 // Clone returns an independent copy of the state sharing the immutable
-// instance and realization. A bot view clones to a read-only snapshot.
+// instance and realization.
 func (st *State) Clone() *State {
 	cp := *st
 	cp.requested = append([]bool(nil), st.requested...)
 	cp.friend = append([]bool(nil), st.friend...)
 	cp.mutual = append([]int32(nil), st.mutual...)
-	cp.observed = cp.friend
-	if st.readOnly {
-		cp.observed = append([]bool(nil), st.observed...)
-	}
 	return &cp
 }

@@ -337,105 +337,29 @@ func TestStateResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestStateObservedAliasesFriend pins the single-attack invariant behind
-// PosteriorEdgeProb: observed is the state's own friend set after
-// NewState, Reset and Clone, never another state's; and a MultiState bot
-// view stays read-only, also once cloned.
-func TestStateObservedAliasesFriend(t *testing.T) {
-	inst := cautiousFixture(t)
-	re := allIn(inst)
-	aliased := func(name string, st *State) {
-		t.Helper()
-		if &st.observed[0] != &st.friend[0] {
-			t.Errorf("%s: observed does not alias its own friend set", name)
-		}
+// TestCloneKeepsObservations pins that a clone owns its revealed
+// neighborhoods: resetting the original must not clear the clone's
+// PosteriorEdgeProb.
+func TestCloneKeepsObservations(t *testing.T) {
+	g := buildGraph(t, 3, [][2]int{{0, 1}, {1, 2}})
+	p := uniformParams(3)
+	p.EdgeProb = make([]float64, g.AdjSize())
+	for i := range p.EdgeProb {
+		p.EdgeProb[i] = 0.4
 	}
+	inst, err := NewInstance(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := allIn(inst)
 	st := NewState(re)
-	aliased("new", st)
 	if _, err := st.Request(1); err != nil {
 		t.Fatal(err)
 	}
 	cp := st.Clone()
-	aliased("clone", cp)
-	if &cp.observed[0] == &st.friend[0] {
-		t.Error("clone: observed aliases the original's friend set")
-	}
 	st.Reset(re)
-	aliased("reset", st)
-	if cp.PosteriorEdgeProb(1, 2, inst.Graph().IndexOf(1, 2)) != 1 {
-		t.Error("reset of the original cleared the clone's observations")
-	}
-
-	ms, err := NewMultiState(re, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.Request(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	view, err := ms.View(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, v := range map[string]*State{"view": view, "view clone": view.Clone()} {
-		if _, err := v.Request(0); !errors.Is(err, ErrReadOnly) {
-			t.Errorf("%s: Request err = %v, want ErrReadOnly", name, err)
-		}
-		if _, err := v.RequestBatch([]int{0}); !errors.Is(err, ErrReadOnly) {
-			t.Errorf("%s: RequestBatch err = %v, want ErrReadOnly", name, err)
-		}
-		if v.IsFriend(1) || v.PosteriorEdgeProb(1, 2, inst.Graph().IndexOf(1, 2)) != 1 {
-			t.Errorf("%s: want bot-local friendship over shared observations", name)
-		}
-	}
-	if ms.Requests() != 1 {
-		t.Errorf("requests = %d after refused view requests", ms.Requests())
-	}
-	// Resetting a view detaches it instead of clearing the bot's slices.
-	view.Reset(re)
-	aliased("reset view", view)
-	if v0, _ := ms.View(0); !v0.IsFriend(1) || !ms.FriendOfAny(1) {
-		t.Error("resetting a bot view cleared the MultiState")
-	}
-	if _, err := view.Request(0); err != nil {
-		t.Errorf("reset view: Request err = %v", err)
-	}
-}
-
-// TestBotViewKeepsNoAccounting pins what MultiState.View documents: a
-// view's scoring reads follow the bot live, but its counters read as an
-// empty attack and its RecomputeBenefit sees only that bot's friends.
-func TestBotViewKeepsNoAccounting(t *testing.T) {
-	inst := cautiousFixture(t)
-	ms, err := NewMultiState(allIn(inst), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ms.Request(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	v0, _ := ms.View(0)
-	v1, _ := ms.View(1)
-	if !v0.IsFriend(1) || !v0.IsFOF(0) || v0.Mutual(3) != 1 || v1.IsFriend(1) || v1.Mutual(3) != 0 {
-		t.Error("scoring reads do not follow the bot's own friendships")
-	}
-	if ms.Requests() != 1 || ms.Friends() != 1 || ms.Benefit() == 0 {
-		t.Fatalf("multi-state totals: requests %d friends %d benefit %v", ms.Requests(), ms.Friends(), ms.Benefit())
-	}
-	for name, v := range map[string]*State{"bot 0": v0, "bot 1": v1} {
-		if v.Benefit() != 0 || v.Requests() != 0 || v.Friends() != 0 || v.CautiousFriends() != 0 || v.FOFCount() != 0 {
-			t.Errorf("%s: view counters = benefit %v requests %d friends %d cautious %d fof %d, want all 0",
-				name, v.Benefit(), v.Requests(), v.Friends(), v.CautiousFriends(), v.FOFCount())
-		}
-		if f, fof, s := v.ClassCounts(); f != 0 || fof != 0 || s != inst.N() {
-			t.Errorf("%s: ClassCounts = %d/%d/%d, want 0/0/%d", name, f, fof, s, inst.N())
-		}
-	}
-	if got, want := v0.RecomputeBenefit(), ms.RecomputeBenefit(); got != want {
-		t.Errorf("bot 0 view RecomputeBenefit = %v, want %v", got, want)
-	}
-	if got := v1.RecomputeBenefit(); got != 0 {
-		t.Errorf("bot 1 view RecomputeBenefit = %v, want 0 (it has no friends)", got)
+	if got := cp.PosteriorEdgeProb(1, 2, g.IndexOf(1, 2)); got != 1 {
+		t.Errorf("clone posterior = %v after resetting the original, want 1", got)
 	}
 }
 
