@@ -51,12 +51,14 @@ vet-fix:
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations — the decoder surfaces (store block
-# decoder, cell-journal resume, accuserv submit, accudist cell upload,
-# accudist lease and fail) the analyzers cannot reach.
+# decoder, cell-journal resume, accuserv submit and job documents,
+# accudist cell upload, accudist lease and fail) and the graph builder,
+# which the analyzers cannot reach.
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime 10s
+	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzLoadJobs -fuzztime 10s
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime 10s
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzLeaseAndFail -fuzztime 10s
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime 10s

@@ -44,6 +44,7 @@ import (
 	accu "github.com/accu-sim/accu"
 	"github.com/accu-sim/accu/internal/prof"
 	"github.com/accu-sim/accu/internal/serv"
+	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
 
@@ -514,18 +515,13 @@ func runRepeated(out io.Writer, protocol accu.Protocol, factory accu.PolicyFacto
 
 	var cells *accu.CellJournal
 	if checkpoint != "" {
-		j, err := accu.OpenCellJournal(checkpoint, resume)
+		j, err := sim.ResumeJournal(checkpoint, resume, collect, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "accurun: "+format+"\n", args...)
+		})
 		if err != nil {
 			return err
 		}
 		cells = j
-		if replayed := cells.Cells(); replayed > 0 {
-			fmt.Fprintf(os.Stderr, "accurun: resuming %d completed cell(s) from %s\n", replayed, checkpoint)
-		}
-		if d := cells.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "accurun: warning: %s: corrupt journal line discarded %d valid completed cell(s) after it; they will re-run\n", checkpoint, d)
-		}
-		cells.Replay(collect)
 		protocol.Checkpoint = cells
 	}
 
@@ -570,7 +566,7 @@ func runRepeated(out io.Writer, protocol accu.Protocol, factory accu.PolicyFacto
 		fmt.Fprintf(out, "digest:  %s\n", dig.Sum())
 	}
 	if outPath != "" {
-		res := serv.BuildResult(n, dig, summary)
+		res := serv.BuildResult(dig, summary)
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err

@@ -6,9 +6,13 @@
 // Progress is polled from the job document; results, metrics and the
 // admin surface (list/cancel/resume) are plain JSON endpoints.
 //
+// A job whose execution fails goes straight to failed; its checkpoint
+// keeps every committed cell, and the admin resume endpoint completes it
+// (the service's counterpart of accurun -resume).
+//
 // On SIGINT/SIGTERM the server stops accepting jobs, preempts running
-// ones (their attempt is not consumed), waits for the workers to park,
-// then shuts the listener down.
+// ones (they requeue at their place and resume from their checkpoints),
+// waits for the workers to park, then shuts the listener down.
 package main
 
 import (
@@ -41,7 +45,6 @@ func run(args []string, stderr io.Writer) error {
 		addr         = fs.String("addr", "127.0.0.1:8470", "listen address")
 		dataDir      = fs.String("data", "accuserv-data", "state directory (job documents and checkpoints)")
 		workers      = fs.Int("workers", 0, "concurrent jobs (0 = number of CPUs)")
-		maxAttempts  = fs.Int("max-attempts", 3, "execution attempts per job before it fails")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint and park on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -54,10 +57,9 @@ func run(args []string, stderr io.Writer) error {
 	logger := log.New(stderr, "accuserv: ", log.LstdFlags)
 
 	srv, err := serv.New(serv.Config{
-		Dir:                *dataDir,
-		Workers:            *workers,
-		DefaultMaxAttempts: *maxAttempts,
-		Logf:               logger.Printf,
+		Dir:     *dataDir,
+		Workers: *workers,
+		Logf:    logger.Printf,
 	})
 	if err != nil {
 		return err

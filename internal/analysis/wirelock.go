@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -94,35 +95,45 @@ func (l *WireLock) Diff(current []WireSchema) []string {
 	return drift
 }
 
-// diffWireStruct reports field-level drift. Order matters: unkeyed
-// literals are banned by the analyzer, but journal replay and mixed-
-// version clusters still see reordering as a semantic change worth a
-// review, so it is reported rather than normalized away.
+// diffWireStruct reports field-level drift, matching fields by Go name:
+// a removed or new field, a changed wire name or type, and one line when
+// the fields both versions share changed order. Unkeyed literals are
+// banned by the analyzer, but journal replay and mixed-version clusters
+// still see reordering as a semantic change worth a review, so it is
+// reported rather than normalized away.
 func diffWireStruct(key string, old, cur WireSchema) []string {
-	var drift []string
-	n := len(old.Fields)
-	if len(cur.Fields) < n {
-		n = len(cur.Fields)
-	}
-	for i := 0; i < n; i++ {
-		o, c := old.Fields[i], cur.Fields[i]
-		switch {
-		case o == c:
-		case o.JSON != c.JSON && o.Name == c.Name:
-			drift = append(drift, fmt.Sprintf("%s.%s: wire name changed %q -> %q; old payloads no longer decode into it", key, c.Name, o.JSON, c.JSON))
-		case o.Type != c.Type && o.Name == c.Name && o.JSON == c.JSON:
-			drift = append(drift, fmt.Sprintf("%s.%s: type changed %s -> %s", key, c.Name, o.Type, c.Type))
-		default:
-			drift = append(drift, fmt.Sprintf("%s: field %d changed %s(json:%q %s) -> %s(json:%q %s)", key, i, o.Name, o.JSON, o.Type, c.Name, c.JSON, c.Type))
+	byName := func(fields []WireField) map[string]WireField {
+		m := make(map[string]WireField, len(fields))
+		for _, f := range fields {
+			m[f.Name] = f
 		}
+		return m
 	}
-	for i := n; i < len(old.Fields); i++ {
-		o := old.Fields[i]
-		drift = append(drift, fmt.Sprintf("%s: field %s(json:%q) was removed; old payloads carrying it now silently drop data", key, o.Name, o.JSON))
+	oldByName, curByName := byName(old.Fields), byName(cur.Fields)
+	var drift, oldOrder, curOrder []string
+	for _, o := range old.Fields {
+		c, ok := curByName[o.Name]
+		switch {
+		case !ok:
+			drift = append(drift, fmt.Sprintf("%s: field %s(json:%q) was removed; old payloads carrying it now silently drop data", key, o.Name, o.JSON))
+			continue
+		case o.JSON != c.JSON:
+			drift = append(drift, fmt.Sprintf("%s.%s: wire name changed %q -> %q; old payloads no longer decode into it", key, c.Name, o.JSON, c.JSON))
+		}
+		if o.Type != c.Type {
+			drift = append(drift, fmt.Sprintf("%s.%s: type changed %s -> %s", key, c.Name, o.Type, c.Type))
+		}
+		oldOrder = append(oldOrder, o.Name)
 	}
-	for i := n; i < len(cur.Fields); i++ {
-		c := cur.Fields[i]
-		drift = append(drift, fmt.Sprintf("%s: field %s(json:%q) is new; commit it with -write-wire-lock", key, c.Name, c.JSON))
+	for _, c := range cur.Fields {
+		if _, ok := oldByName[c.Name]; !ok {
+			drift = append(drift, fmt.Sprintf("%s: field %s(json:%q) is new; commit it with -write-wire-lock", key, c.Name, c.JSON))
+			continue
+		}
+		curOrder = append(curOrder, c.Name)
+	}
+	if !slices.Equal(oldOrder, curOrder) {
+		drift = append(drift, fmt.Sprintf("%s: fields reordered %v -> %v", key, oldOrder, curOrder))
 	}
 	return drift
 }

@@ -96,7 +96,6 @@ type Coordinator struct {
 	workers  map[string]time.Time // worker ID -> last contact
 	summary  *sim.Summary
 	digest   *sim.RecordDigest
-	records  int
 	finished bool
 	done     chan struct{} // closed once every cell is durable
 	failures []string
@@ -124,15 +123,16 @@ func New(cfg Config) (*Coordinator, error) {
 		logf = func(string, ...any) {}
 	}
 
-	journal, err := sim.OpenCellJournal(filepath.Join(cfg.Dir, "cells.jsonl"), cfg.Resume)
+	summary, digest := sim.NewSummary(nil), sim.NewRecordDigest()
+	journal, err := sim.ResumeJournal(filepath.Join(cfg.Dir, "cells.jsonl"), cfg.Resume, func(rec sim.Record) {
+		summary.Collect(rec)
+		digest.Collect(rec)
+	}, func(format string, args ...any) { logf("dist: "+format, args...) })
 	if err != nil {
 		return nil, err
 	}
 	// Acked cells must survive a coordinator crash: fsync every commit.
 	journal.SyncEvery(1)
-	if d := journal.Dropped(); d > 0 {
-		logf("dist: warning: corrupt journal line discarded %d valid completed cell(s); they will be reassigned", d)
-	}
 
 	c := &Coordinator{
 		cfg:        cfg,
@@ -143,17 +143,12 @@ func New(cfg Config) (*Coordinator, error) {
 		met:        newMetrics(cfg.Metrics),
 		now:        time.Now,
 		workers:    make(map[string]time.Time),
-		summary:    sim.NewSummary(nil),
-		digest:     sim.NewRecordDigest(),
+		summary:    summary,
+		digest:     digest,
 		done:       make(chan struct{}),
 		reaperStop: make(chan struct{}),
 		reaperDone: make(chan struct{}),
 	}
-	journal.Replay(func(rec sim.Record) {
-		c.summary.Collect(rec)
-		c.digest.Collect(rec)
-		c.records++
-	})
 	for start := 0; start < c.total; start += cfg.RangeSize {
 		end := start + cfg.RangeSize
 		if end > c.total {
@@ -306,7 +301,6 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 			c.summary.Collect(rec)
 			c.digest.Collect(rec)
 		}
-		c.records += len(cl.Records)
 		r := c.ranges[c.rangeIndex(indexOf(cl.CellKey, runs))]
 		r.remaining--
 		if r.remaining == 0 && r.leaseID != "" {
@@ -332,7 +326,7 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	if !c.finished && c.journal.Cells() == c.total {
 		c.finished = true
 		close(c.done)
-		c.logf("dist: grid complete: %d cells, %d records", c.total, c.records)
+		c.logf("dist: grid complete: %d cells, %d records", c.total, c.digest.Count())
 	}
 	resp.Done = c.finished
 	return resp, nil
@@ -398,7 +392,7 @@ func (c *Coordinator) Status() Status {
 	st := Status{
 		Total:     c.total,
 		Committed: c.journal.Cells(),
-		Records:   c.records,
+		Records:   c.digest.Count(),
 		Done:      c.finished,
 	}
 	for w := range c.workers {
@@ -426,7 +420,7 @@ func (c *Coordinator) Result() (*serv.Result, error) {
 	if !c.finished {
 		return nil, fmt.Errorf("dist: grid incomplete: %d/%d cells", c.journal.Cells(), c.total)
 	}
-	res := serv.BuildResult(c.records, c.digest, c.summary)
+	res := serv.BuildResult(c.digest, c.summary)
 	if len(c.failures) > 0 {
 		res.Warning = fmt.Sprintf("%d worker failure(s) before completion; last: %s",
 			len(c.failures), c.failures[len(c.failures)-1])

@@ -152,21 +152,19 @@ func (c Config) protocol(g gen.Generator, s osn.Setup, seed rng.Seed) sim.Protoc
 // and unique within CheckpointDir). When CheckpointDir is set, completed
 // cells from a resumed journal are replayed into collect before the
 // engine starts and freshly completed cells are committed as they
-// finish; cells a corrupt journal line discarded are reported on stderr
-// and re-run.
+// finish; the resume and any cells a corrupt journal line discarded are
+// reported on stderr (see sim.ResumeJournal).
 func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, factories []sim.PolicyFactory, collect func(sim.Record)) error {
 	var journal *sim.CellJournal
 	if c.CheckpointDir != "" {
 		path := filepath.Join(c.CheckpointDir, sanitizeName(name)+".jsonl")
-		j, err := sim.OpenCellJournal(path, c.Resume)
+		j, err := sim.ResumeJournal(path, c.Resume, collect, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
+		})
 		if err != nil {
 			return fmt.Errorf("exp: %s: %w", name, err)
 		}
 		journal = j
-		if d := journal.Dropped(); d > 0 {
-			fmt.Fprintf(os.Stderr, "exp: warning: %s: corrupt journal line discarded %d valid completed cell(s) after it; they will re-run\n", path, d)
-		}
-		journal.Replay(collect)
 		protocol.Checkpoint = journal
 	}
 	err := sim.Run(ctx, protocol, factories, collect)

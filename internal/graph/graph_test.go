@@ -222,32 +222,6 @@ func TestNeighborsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	g := path(t, 5)
-	dist := g.BFS(0)
-	for i, want := range []int{0, 1, 2, 3, 4} {
-		if dist[i] != want {
-			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want)
-		}
-	}
-}
-
-func TestBFSUnreachable(t *testing.T) {
-	b := NewBuilder(4)
-	mustAdd(t, b, 0, 1)
-	g := b.Freeze()
-	dist := g.BFS(0)
-	if dist[2] != -1 || dist[3] != -1 {
-		t.Errorf("unreachable distances: %v", dist)
-	}
-	distBad := g.BFS(-1)
-	for i, d := range distBad {
-		if d != -1 {
-			t.Errorf("BFS(-1): dist[%d]=%d", i, d)
-		}
-	}
-}
-
 func TestComponents(t *testing.T) {
 	b := NewBuilder(6)
 	mustAdd(t, b, 0, 1)
@@ -266,46 +240,6 @@ func TestComponents(t *testing.T) {
 	}
 	if labels[5] == labels[0] || labels[5] == labels[3] {
 		t.Error("singleton 5 merged")
-	}
-}
-
-func TestLargestComponent(t *testing.T) {
-	b := NewBuilder(7)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 2, 3)
-	mustAdd(t, b, 3, 4)
-	mustAdd(t, b, 4, 5)
-	g := b.Freeze()
-	lc := g.LargestComponent()
-	want := []int{2, 3, 4, 5}
-	if len(lc) != len(want) {
-		t.Fatalf("largest = %v, want %v", lc, want)
-	}
-	for i := range want {
-		if lc[i] != want[i] {
-			t.Fatalf("largest = %v, want %v", lc, want)
-		}
-	}
-}
-
-func TestTwoHopNeighbors(t *testing.T) {
-	g := path(t, 5)
-	th := g.TwoHopNeighbors(2)
-	want := []int{0, 4}
-	if len(th) != 2 || th[0] != want[0] || th[1] != want[1] {
-		t.Errorf("TwoHop(2) = %v, want %v", th, want)
-	}
-	if g.TwoHopNeighbors(-1) != nil {
-		t.Error("out-of-range TwoHop not nil")
-	}
-	// A direct neighbor reachable in 2 hops must NOT appear.
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	mustAdd(t, b, 0, 2)
-	tri := b.Freeze()
-	if got := tri.TwoHopNeighbors(0); len(got) != 0 {
-		t.Errorf("triangle TwoHop(0) = %v, want empty", got)
 	}
 }
 

@@ -84,49 +84,3 @@ func TestReadEdgeListEmpty(t *testing.T) {
 		t.Errorf("N=%d M=%d, want empty", g.N(), g.M())
 	}
 }
-
-func TestInducedSubgraph(t *testing.T) {
-	b := NewBuilder(5)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	mustAdd(t, b, 2, 3)
-	mustAdd(t, b, 3, 4)
-	mustAdd(t, b, 0, 4)
-	g := b.Freeze()
-
-	sub, orig, err := g.InducedSubgraph([]int{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.N() != 3 || sub.M() != 2 {
-		t.Fatalf("sub N=%d M=%d, want 3/2", sub.N(), sub.M())
-	}
-	if orig[0] != 1 || orig[1] != 2 || orig[2] != 3 {
-		t.Fatalf("orig = %v", orig)
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
-		t.Error("sub edges wrong")
-	}
-}
-
-func TestInducedSubgraphErrors(t *testing.T) {
-	g := path(t, 3)
-	if _, _, err := g.InducedSubgraph([]int{0, 7}); err == nil {
-		t.Error("out of range: want error")
-	}
-	if _, _, err := g.InducedSubgraph([]int{0, 0}); err == nil {
-		t.Error("duplicate: want error")
-	}
-}
-
-func TestClone(t *testing.T) {
-	g := path(t, 4)
-	b := g.Clone()
-	if b.N() != 4 || b.M() != 3 {
-		t.Fatalf("clone N=%d M=%d", b.N(), b.M())
-	}
-	mustAdd(t, b, 0, 3)
-	if g.HasEdge(0, 3) {
-		t.Error("clone mutation leaked into original")
-	}
-}

@@ -113,22 +113,6 @@ func (g *Graph) AverageClustering(maxSample int) float64 {
 	return sum / float64(taken)
 }
 
-// DegreeHistogram returns counts[d] = number of nodes of degree d, up to
-// the maximum degree.
-func (g *Graph) DegreeHistogram() []int {
-	maxDeg := 0
-	for u := 0; u < g.n; u++ {
-		if d := g.Degree(u); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	counts := make([]int, maxDeg+1)
-	for u := 0; u < g.n; u++ {
-		counts[g.Degree(u)]++
-	}
-	return counts
-}
-
 // DegreeAssortativity returns the Pearson correlation of degrees across
 // edges (Newman 2002): positive when high-degree nodes attach to each
 // other (social networks), negative for hub-and-spoke structures. Returns

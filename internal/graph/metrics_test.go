@@ -97,21 +97,6 @@ func TestAverageClustering(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	b := NewBuilder(5)
-	for i := 1; i < 5; i++ {
-		mustAdd(t, b, 0, i)
-	}
-	g := b.Freeze()
-	h := g.DegreeHistogram()
-	if len(h) != 5 {
-		t.Fatalf("histogram len = %d", len(h))
-	}
-	if h[1] != 4 || h[4] != 1 || h[0] != 0 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestNodesInDegreeBand(t *testing.T) {
 	b := NewBuilder(5)
 	for i := 1; i < 5; i++ {

@@ -1,35 +1,5 @@
 package graph
 
-import "sort"
-
-// BFS performs a breadth-first search from src and returns the distance
-// (in hops) to every node; unreachable nodes get -1. An out-of-range src
-// returns all -1.
-func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	if src < 0 || src >= g.n {
-		return dist
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, 64)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for _, v := range g.Neighbors(int(u)) {
-			if dist[v] == -1 {
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
 // Components labels connected components. It returns the component id of
 // every node (ids are dense, assigned in discovery order) and the number
 // of components.
@@ -58,57 +28,4 @@ func (g *Graph) Components() (labels []int, count int) {
 		count++
 	}
 	return labels, count
-}
-
-// LargestComponent returns the node set of the largest connected
-// component, sorted ascending. Ties break toward the lowest component id.
-func (g *Graph) LargestComponent() []int {
-	labels, count := g.Components()
-	if count == 0 {
-		return nil
-	}
-	sizes := make([]int, count)
-	for _, c := range labels {
-		sizes[c]++
-	}
-	best := 0
-	for c := 1; c < count; c++ {
-		if sizes[c] > sizes[best] {
-			best = c
-		}
-	}
-	out := make([]int, 0, sizes[best])
-	for u, c := range labels {
-		if c == best {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// TwoHopNeighbors returns the set of nodes at exactly distance 2 from u
-// (friend-of-friend candidates), as a sorted slice. O(sum of neighbor
-// degrees).
-func (g *Graph) TwoHopNeighbors(u int) []int {
-	if u < 0 || u >= g.n {
-		return nil
-	}
-	mark := make(map[int32]bool)
-	for _, v := range g.Neighbors(u) {
-		mark[v] = true
-	}
-	twoHop := make(map[int32]bool)
-	for _, v := range g.Neighbors(u) {
-		for _, w := range g.Neighbors(int(v)) {
-			if int(w) != u && !mark[w] {
-				twoHop[w] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(twoHop))
-	for w := range twoHop {
-		out = append(out, int(w))
-	}
-	sort.Ints(out)
-	return out
 }

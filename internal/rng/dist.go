@@ -1,93 +1,10 @@
 package rng
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 )
-
-// ErrEmptyWeights is returned when a distribution is constructed from an
-// empty or all-zero weight vector.
-var ErrEmptyWeights = errors.New("rng: weights are empty or sum to zero")
-
-// Alias is a Walker alias table for O(1) sampling from a fixed discrete
-// distribution. Construction is O(n).
-type Alias struct {
-	prob  []float64
-	alias []int
-}
-
-// NewAlias builds an alias table from non-negative weights. Weights need
-// not be normalized.
-func NewAlias(weights []float64) (*Alias, error) {
-	n := len(weights)
-	if n == 0 {
-		return nil, ErrEmptyWeights
-	}
-	var sum float64
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("rng: weight %d is invalid (%v)", i, w)
-		}
-		sum += w
-	}
-	if sum == 0 {
-		return nil, ErrEmptyWeights
-	}
-
-	a := &Alias{
-		prob:  make([]float64, n),
-		alias: make([]int, n),
-	}
-	// Scaled probabilities; partition into small (<1) and large (>=1).
-	scaled := make([]float64, n)
-	small := make([]int, 0, n)
-	large := make([]int, 0, n)
-	for i, w := range weights {
-		scaled[i] = w * float64(n) / sum
-		if scaled[i] < 1 {
-			small = append(small, i)
-		} else {
-			large = append(large, i)
-		}
-	}
-	for len(small) > 0 && len(large) > 0 {
-		s := small[len(small)-1]
-		small = small[:len(small)-1]
-		l := large[len(large)-1]
-		large = large[:len(large)-1]
-
-		a.prob[s] = scaled[s]
-		a.alias[s] = l
-		scaled[l] -= 1 - scaled[s]
-		if scaled[l] < 1 {
-			small = append(small, l)
-		} else {
-			large = append(large, l)
-		}
-	}
-	// Numerical leftovers are all probability 1.
-	for _, i := range large {
-		a.prob[i] = 1
-	}
-	for _, i := range small {
-		a.prob[i] = 1
-	}
-	return a, nil
-}
-
-// Len reports the number of outcomes.
-func (a *Alias) Len() int { return len(a.prob) }
-
-// Sample draws one outcome index.
-func (a *Alias) Sample(r *rand.Rand) int {
-	i := r.IntN(len(a.prob))
-	if r.Float64() < a.prob[i] {
-		return i
-	}
-	return a.alias[i]
-}
 
 // PowerLawDegrees samples n integer degrees from a discrete power law
 // P(d) ∝ d^(-gamma) on [minDeg, maxDeg], using inverse transform sampling

@@ -68,61 +68,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestNewAliasErrors(t *testing.T) {
-	if _, err := NewAlias(nil); err == nil {
-		t.Error("nil weights: want error")
-	}
-	if _, err := NewAlias([]float64{0, 0}); err == nil {
-		t.Error("zero weights: want error")
-	}
-	if _, err := NewAlias([]float64{1, -1}); err == nil {
-		t.Error("negative weight: want error")
-	}
-	if _, err := NewAlias([]float64{math.NaN()}); err == nil {
-		t.Error("NaN weight: want error")
-	}
-	if _, err := NewAlias([]float64{math.Inf(1)}); err == nil {
-		t.Error("Inf weight: want error")
-	}
-}
-
-func TestAliasMatchesWeights(t *testing.T) {
-	weights := []float64{1, 2, 3, 4}
-	a, err := NewAlias(weights)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", a.Len())
-	}
-	r := NewSeed(1, 1).Rand()
-	counts := make([]int, 4)
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		counts[a.Sample(r)]++
-	}
-	for i, w := range weights {
-		got := float64(counts[i]) / draws
-		want := w / 10
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("outcome %d: frequency %.4f, want %.4f ± 0.01", i, got, want)
-		}
-	}
-}
-
-func TestAliasSingleOutcome(t *testing.T) {
-	a, err := NewAlias([]float64{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewSeed(2, 2).Rand()
-	for i := 0; i < 50; i++ {
-		if a.Sample(r) != 0 {
-			t.Fatal("single-outcome alias returned nonzero index")
-		}
-	}
-}
-
 func TestPowerLawDegreesBounds(t *testing.T) {
 	r := NewSeed(3, 3).Rand()
 	degs, err := PowerLawDegrees(r, 5000, 2, 100, 2.5)

@@ -129,7 +129,7 @@ func TestCancelResumeBitIdentical(t *testing.T) {
 		t.Errorf("resumed records = %d, want %d", done.Result.Records, wantRecords)
 	}
 	if done.Progress.Resumed == 0 {
-		t.Error("Progress.Resumed = 0, want the checkpointed cells of attempt 1")
+		t.Error("Progress.Resumed = 0, want the checkpointed cells of the cancelled execution")
 	}
 	if done.Progress.Done+done.Progress.Resumed != int64(wantRecords) {
 		t.Errorf("Done %d + Resumed %d != %d", done.Progress.Done, done.Progress.Resumed, wantRecords)
@@ -148,7 +148,7 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	s1 := newTestServer(t, Config{Dir: dir})
-	// Run attempt 1 with a context we abandon from inside the engine's
+	// Run the first execution with a context we abandon from inside the engine's
 	// progress callback at record 3, then persist the running state as a
 	// crash would leave it.
 	crashed := make(chan struct{})
@@ -182,7 +182,6 @@ func TestRestartResumeBitIdentical(t *testing.T) {
 	s1.mu.Lock()
 	e := s1.jobs[job.ID]
 	e.job.State = StateRunning
-	e.job.Attempt = 1
 	e.job.Error = ""
 	if err := s1.store.saveJob(&e.job); err != nil {
 		t.Fatalf("saveJob: %v", err)
@@ -272,7 +271,7 @@ func TestRestartLogsDroppedCheckpointCells(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	want := "job corrupt: warning: corrupt checkpoint line discarded 4 valid completed cell(s)"
+	want := "job corrupt: warning: " + path + ": corrupt journal line discarded 4 valid completed cell(s)"
 	for _, l := range logs {
 		if strings.HasPrefix(l, want) {
 			return

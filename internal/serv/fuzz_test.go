@@ -4,8 +4,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzSubmit drives POST /api/v1/jobs with arbitrary bodies. Whatever the
@@ -47,4 +51,72 @@ func FuzzSubmit(f *testing.F) {
 			t.Fatalf("accepted spec does not build: %v", err)
 		}
 	})
+}
+
+// FuzzLoadJobs opens a server over a data directory holding one job
+// document with arbitrary bytes. New must not panic or create files
+// outside its directory, and every job it loads must survive a saveJob →
+// loadJobs round trip unchanged.
+func FuzzLoadJobs(f *testing.F) {
+	current, err := json.Marshal(Job{
+		ID: "x", Seq: 3, Spec: testSpec(), State: StateRunning,
+		SubmittedAt: time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC),
+		Progress:    Progress{Total: 8},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(current)
+	f.Add(legacyJobDoc(f, "x"))
+	f.Add([]byte(`{"id": "../../escaped", "state": "running"}`))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "data")
+		if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", "x.json"), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Config{Dir: dir})
+		if out := filesOutside(t, root, dir); len(out) > 0 {
+			t.Fatalf("New wrote outside its data directory: %v", out)
+		}
+		if err != nil {
+			return
+		}
+		want := s.List("")
+		for i := range want {
+			if err := s.store.saveJob(&want[i]); err != nil {
+				t.Fatalf("saveJob(%s) of a loaded job: %v", want[i].ID, err)
+			}
+		}
+		got, err := s.store.loadJobs()
+		if err != nil {
+			t.Fatalf("loadJobs after saveJob: %v", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip changed the jobs:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// filesOutside lists the paths under root that are neither dir nor
+// inside it.
+func filesOutside(t *testing.T, root, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(path string, _ os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if path != root && path != dir && !strings.HasPrefix(path, dir+string(filepath.Separator)) {
+			out = append(out, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

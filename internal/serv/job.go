@@ -11,11 +11,14 @@ import (
 // State is a job's lifecycle state. Transitions:
 //
 //	queued ──claim──▶ running ──▶ done
-//	  ▲                  │  ├──▶ failed     (attempts exhausted)
-//	  │                  │  ├──▶ cancelled  (client cancel)
-//	  ├──retry───────────┘  │
-//	  ├──resume (admin)─────┘               (failed/cancelled → queued)
+//	  ▲                  │  ├──▶ failed     (execution error)
+//	  │                  │  └──▶ cancelled  (client cancel)
+//	  ├──resume (admin)──┘                  (failed/cancelled → queued)
 //	  └──drain/crash: running → queued      (resume from checkpoint)
+//
+// A failed execution is never retried automatically: like a failed cell
+// under accurun -resume, the checkpoint keeps every committed cell and an
+// admin resume completes the grid.
 type State string
 
 // Job lifecycle states.
@@ -93,13 +96,8 @@ type Job struct {
 	Seq  int64 `json:"seq"`
 	Spec Spec  `json:"spec"`
 
-	State State `json:"state"`
-	// Attempt counts claims so far; MaxAttempts bounds them (a failed
-	// job with Attempt < MaxAttempts is requeued automatically). Drain
-	// and crash requeues do not consume attempts.
-	Attempt     int    `json:"attempt"`
-	MaxAttempts int    `json:"maxAttempts"`
-	Error       string `json:"error,omitempty"`
+	State State  `json:"state"`
+	Error string `json:"error,omitempty"`
 
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`

@@ -3,14 +3,14 @@ package serv
 import "github.com/accu-sim/accu/internal/sim"
 
 // BuildResult assembles the shared result payload from an aggregation
-// pass: the record count, the canonical digest, and per-policy snapshots
-// in first-seen order. Both the job service's executeJob and the
+// pass: the digest's record count and canonical sum, and per-policy
+// snapshots in first-seen order. Both the job service's executeJob and the
 // internal/dist coordinator produce Results this way, so a distributed
 // run's payload is structurally identical to a local service run's.
 // Warning is left to the caller.
-func BuildResult(records int, digest *sim.RecordDigest, summary *sim.Summary) *Result {
+func BuildResult(digest *sim.RecordDigest, summary *sim.Summary) *Result {
 	res := &Result{
-		Records: records,
+		Records: digest.Count(),
 		Digest:  digest.Sum(),
 	}
 	for _, policy := range summary.Policies() {

@@ -6,7 +6,7 @@
 // document for progress, and an admin surface lists, cancels, resumes and
 // observes jobs. cmd/accuserv is the binary wrapping this package.
 //
-// Durability model: the job documents (state, seq, attempts) and the
+// Durability model: the job documents (state, seq) and the
 // per-job sim.CellJournal both live under one data directory. Every
 // completed (network, run) cell is journaled before it counts, so the
 // kill-anywhere guarantee of the PR-4 checkpoint machinery extends to the
@@ -58,9 +58,6 @@ type Config struct {
 	// confused with Spec.Workers, the engine pool inside one job).
 	// 0 means 1: jobs run strictly one at a time.
 	Workers int
-	// DefaultMaxAttempts is the per-job attempt budget when a submit
-	// does not set one; 0 means 1 (no automatic retry).
-	DefaultMaxAttempts int
 	// Logf, when non-nil, receives one line per lifecycle transition.
 	Logf func(format string, args ...any)
 }
@@ -73,7 +70,6 @@ type servMetrics struct {
 	completed  *obs.Counter
 	failed     *obs.Counter
 	cancelled  *obs.Counter
-	retried    *obs.Counter
 	resumed    *obs.Counter
 	requeued   *obs.Counter
 	dupRejects *obs.Counter
@@ -88,7 +84,6 @@ func newServMetrics(reg *obs.Registry) servMetrics {
 		completed:  reg.Counter("serv.jobs_completed"),
 		failed:     reg.Counter("serv.jobs_failed"),
 		cancelled:  reg.Counter("serv.jobs_cancelled"),
-		retried:    reg.Counter("serv.jobs_retried"),
 		resumed:    reg.Counter("serv.jobs_resumed"),
 		requeued:   reg.Counter("serv.jobs_requeued"),
 		dupRejects: reg.Counter("serv.duplicate_rejections"),
@@ -133,14 +128,10 @@ type Server struct {
 
 // New opens (or creates) the data directory, loads every persisted job
 // and requeues the ones a previous process left queued or running —
-// running jobs are the crash case and resume from their checkpoints
-// without consuming an attempt.
+// running jobs are the crash case and resume from their checkpoints.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.DefaultMaxAttempts <= 0 {
-		cfg.DefaultMaxAttempts = 1
 	}
 	st, err := openStore(cfg.Dir)
 	if err != nil {
@@ -165,18 +156,13 @@ func New(cfg Config) (*Server, error) {
 		e := &entry{job: j}
 		if j.State == StateRunning {
 			// Crash recovery: the previous process died mid-run. The cell
-			// journal holds the completed cells; requeue without burning
-			// an attempt.
+			// journal holds the completed cells; requeue at its Seq.
 			e.job.State = StateQueued
-			if e.job.Attempt > 0 {
-				e.job.Attempt--
-			}
 			if err := st.saveJob(&e.job); err != nil {
 				return nil, err
 			}
 			s.m.requeued.Inc()
-			s.logf("job %s: recovered running job, requeued (attempt %d/%d)",
-				j.ID, e.job.Attempt, e.job.MaxAttempts)
+			s.logf("job %s: recovered running job, requeued", j.ID)
 		}
 		s.jobs[j.ID] = e
 		if e.job.State == StateQueued {
@@ -220,11 +206,8 @@ type SubmitRequest struct {
 	// ID, when set, names the job (lowercase [a-z0-9_], ≤ 64 chars); a
 	// resubmission of an existing ID is rejected with ErrDuplicateJob,
 	// which is the idempotency handle. Empty auto-assigns "j<seq>".
-	ID string `json:"id,omitempty"`
-	// MaxAttempts bounds automatic retries of failed executions; 0 uses
-	// the server default.
-	MaxAttempts int  `json:"maxAttempts,omitempty"`
-	Spec        Spec `json:"spec"`
+	ID   string `json:"id,omitempty"`
+	Spec Spec   `json:"spec"`
 }
 
 // Submit validates and enqueues a job, returning its document.
@@ -235,11 +218,6 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 	if err := req.Spec.Validate(); err != nil {
 		return Job{}, err
 	}
-	maxAttempts := req.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = s.cfg.DefaultMaxAttempts
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -259,7 +237,6 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 			Seq:         s.seq,
 			Spec:        req.Spec,
 			State:       StateQueued,
-			MaxAttempts: maxAttempts,
 			SubmittedAt: time.Now().UTC(),
 			Progress:    Progress{Total: req.Spec.Cells()},
 		},
@@ -278,8 +255,7 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 }
 
 // enqueueLocked inserts e into the queue at its Seq position, so a
-// retried, drained, resumed or recovered job keeps its submission-order
-// place. Callers hold s.mu.
+// drained, resumed or recovered job keeps its submission-order place. Callers hold s.mu.
 func (s *Server) enqueueLocked(e *entry) {
 	i, _ := slices.BinarySearchFunc(s.queue, e.job.Seq, func(q *entry, seq int64) int {
 		return cmp.Compare(q.job.Seq, seq)
@@ -355,8 +331,9 @@ func (s *Server) Cancel(id string) (Job, error) {
 	}
 }
 
-// Resume requeues a failed or cancelled job with a fresh attempt budget;
-// its checkpoint journal is picked up where it left off.
+// Resume requeues a failed or cancelled job; its checkpoint journal is
+// picked up where it left off. It is the service's -resume: the one way a
+// failed job runs again.
 func (s *Server) Resume(id string) (Job, error) {
 	s.mu.Lock()
 	e, ok := s.jobs[id]
@@ -374,7 +351,6 @@ func (s *Server) Resume(id string) (Job, error) {
 		return Job{}, ErrDraining
 	}
 	e.job.State = StateQueued
-	e.job.Attempt = 0
 	e.job.Error = ""
 	e.job.FinishedAt = nil
 	if err := s.store.saveJob(&e.job); err != nil {
@@ -425,8 +401,8 @@ func (s *Server) Draining() bool {
 }
 
 // Drain gracefully stops the worker pool: no new claims, running jobs
-// are preempted (they checkpoint at cell granularity and requeue without
-// consuming an attempt). It returns when the pool has stopped or ctx
+// are preempted (they checkpoint at cell granularity and requeue at their
+// Seq). It returns when the pool has stopped or ctx
 // expires. Idempotent.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -482,11 +458,10 @@ func (s *Server) claim() (*entry, context.Context, context.CancelCauseFunc) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	e.cancel = cancel
 	e.job.State = StateRunning
-	e.job.Attempt++
 	now := time.Now().UTC()
 	e.job.StartedAt = &now
 	e.job.Error = ""
-	e.reg = obs.New() // fresh per attempt: /metrics reflects the live run
+	e.reg = obs.New() // fresh per execution: /metrics reflects the live run
 	e.done.Store(0)
 	e.resumed.Store(0)
 	s.runningCount++
@@ -499,7 +474,7 @@ func (s *Server) claim() (*entry, context.Context, context.CancelCauseFunc) {
 	s.updateGauges()
 	job := e.job
 	s.mu.Unlock()
-	s.logf("job %s: claimed (attempt %d/%d)", job.ID, job.Attempt, job.MaxAttempts)
+	s.logf("job %s: claimed", job.ID)
 	return e, ctx, cancel
 }
 
@@ -523,10 +498,9 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 	case errors.Is(cause, errCancelJob):
 		s.finishLocked(e, StateCancelled, "cancelled by client")
 	case errors.Is(cause, errDrainJob):
-		// Preempted, not failed: requeue for the next process without
-		// consuming an attempt. The checkpoint holds the completed cells.
+		// Preempted, not failed: requeue for the next process. The
+		// checkpoint holds the completed cells.
 		e.job.State = StateQueued
-		e.job.Attempt--
 		e.job.StartedAt = nil
 		if perr := s.store.saveJob(&e.job); perr != nil {
 			s.logf("job %s: persist requeue: %v", e.job.ID, perr)
@@ -534,16 +508,6 @@ func (s *Server) runJob(e *entry, ctx context.Context, cancel context.CancelCaus
 		s.enqueueLocked(e)
 		s.m.requeued.Inc()
 		s.logf("job %s: drained, requeued", e.job.ID)
-	case e.job.Attempt < e.job.MaxAttempts:
-		e.job.State = StateQueued
-		e.job.Error = err.Error()
-		if perr := s.store.saveJob(&e.job); perr != nil {
-			s.logf("job %s: persist retry: %v", e.job.ID, perr)
-		}
-		s.enqueueLocked(e)
-		s.m.retried.Inc()
-		s.cond.Signal()
-		s.logf("job %s: attempt %d/%d failed, retrying: %v", e.job.ID, e.job.Attempt, e.job.MaxAttempts, err)
 	default:
 		s.finishLocked(e, StateFailed, err.Error())
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -32,18 +33,35 @@ func testSpec() Spec {
 
 // testSpecDoc is testSpec as a JSON object with extra fields merged in,
 // for documents a Spec can no longer express.
-func testSpecDoc(t *testing.T, extra map[string]any) map[string]any {
-	t.Helper()
+func testSpecDoc(tb testing.TB, extra map[string]any) map[string]any {
+	tb.Helper()
 	b, err := json.Marshal(testSpec())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var doc map[string]any
 	if err := json.Unmarshal(b, &doc); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for k, v := range extra {
 		doc[k] = v
+	}
+	return doc
+}
+
+// legacyJobDoc is a running job document as older versions wrote it: the
+// retired tenant, priority, attempt and maxAttempts fields, and the
+// retired cell-fault fields of its spec.
+func legacyJobDoc(tb testing.TB, id string) []byte {
+	tb.Helper()
+	doc, err := json.Marshal(map[string]any{
+		"id": id, "tenant": "team_a", "priority": 5, "seq": 7,
+		"spec":  testSpecDoc(tb, map[string]any{"retries": 1, "continueOnError": true}),
+		"state": "running", "attempt": 1, "maxAttempts": 3,
+		"submittedAt": time.Now().UTC(), "progress": map[string]int64{"total": 8},
+	})
+	if err != nil {
+		tb.Fatalf("marshal legacy job: %v", err)
 	}
 	return doc
 }
@@ -194,63 +212,8 @@ func TestLifecycleDone(t *testing.T) {
 	if done.Progress.Done != 8 {
 		t.Errorf("Progress.Done = %d, want 8", done.Progress.Done)
 	}
-	if done.Attempt != 1 {
-		t.Errorf("Attempt = %d, want 1", done.Attempt)
-	}
 	if done.StartedAt == nil || done.FinishedAt == nil {
 		t.Errorf("StartedAt/FinishedAt not set: %+v", done)
-	}
-}
-
-func TestRetryThenSucceed(t *testing.T) {
-	s := newTestServer(t, Config{DefaultMaxAttempts: 3})
-	var attempts int
-	var mu sync.Mutex
-	s.execute = func(ctx context.Context, e *entry) (*Result, error) {
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n == 1 {
-			return nil, errors.New("transient fault")
-		}
-		return &Result{Digest: "ok"}, nil
-	}
-	s.Start()
-	defer drain(t, s)
-	job, err := s.Submit(SubmitRequest{Spec: testSpec()})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	done := waitState(t, s, job.ID, StateDone)
-	if done.Attempt != 2 {
-		t.Errorf("Attempt = %d, want 2 (one retry)", done.Attempt)
-	}
-	if done.Error != "" {
-		t.Errorf("Error = %q, want cleared after successful retry", done.Error)
-	}
-	if got := counterValue(t, s, "serv.jobs_retried"); got != 1 {
-		t.Errorf("jobs_retried = %v, want 1", got)
-	}
-}
-
-func TestRetriesExhaustedFails(t *testing.T) {
-	s := newTestServer(t, Config{})
-	s.execute = func(context.Context, *entry) (*Result, error) {
-		return nil, errors.New("permanent fault")
-	}
-	s.Start()
-	defer drain(t, s)
-	job, err := s.Submit(SubmitRequest{MaxAttempts: 2, Spec: testSpec()})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	failed := waitState(t, s, job.ID, StateFailed)
-	if failed.Attempt != 2 {
-		t.Errorf("Attempt = %d, want 2", failed.Attempt)
-	}
-	if failed.Error != "permanent fault" {
-		t.Errorf("Error = %q, want permanent fault", failed.Error)
 	}
 }
 
@@ -328,7 +291,9 @@ func TestResumeFailedJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	waitState(t, s, job.ID, StateFailed)
+	if failed := waitState(t, s, job.ID, StateFailed); failed.Error != "boom" {
+		t.Errorf("Error = %q, want boom", failed.Error)
+	}
 
 	if _, err := s.Resume("nosuch"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Resume unknown err = %v, want ErrNotFound", err)
@@ -340,8 +305,8 @@ func TestResumeFailedJob(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resume: %v", err)
 	}
-	if resumed.State != StateQueued || resumed.Attempt != 0 {
-		t.Errorf("resumed job = state %s attempt %d, want queued/0", resumed.State, resumed.Attempt)
+	if resumed.State != StateQueued || resumed.Error != "" {
+		t.Errorf("resumed job = state %s error %q, want queued with no error", resumed.State, resumed.Error)
 	}
 	done := waitState(t, s, job.ID, StateDone)
 	if done.Result == nil || done.Result.Digest != "recovered" {
@@ -354,7 +319,7 @@ func TestResumeFailedJob(t *testing.T) {
 
 // recordOrder swaps in an execute stub that appends each claimed job's ID
 // to the returned log; fail, when non-nil, decides per call whether the
-// attempt fails.
+// execution fails.
 func recordOrder(s *Server, fail func(id string) bool) func() []string {
 	var mu sync.Mutex
 	var order []string
@@ -384,8 +349,8 @@ func submitIDs(t *testing.T, s *Server, ids ...string) {
 }
 
 // TestQueueOrderBySeq pins the queue discipline: jobs run in submission
-// (Seq) order, never in ID or filename order, and a retried job keeps its
-// place ahead of later submissions.
+// (Seq) order, never in ID or filename order, and a resumed job takes its
+// place back ahead of later submissions.
 func TestQueueOrderBySeq(t *testing.T) {
 	// IDs sort opposite to their Seq, so ID or filename order would show.
 	ids := []string{"zz", "mm", "aa"}
@@ -420,7 +385,7 @@ func TestQueueOrderBySeq(t *testing.T) {
 		}
 	})
 
-	t.Run("retry", func(t *testing.T) {
+	t.Run("resume", func(t *testing.T) {
 		s := newTestServer(t, Config{Workers: 1})
 		failed := false
 		order := recordOrder(s, func(id string) bool {
@@ -428,18 +393,35 @@ func TestQueueOrderBySeq(t *testing.T) {
 			failed = failed || first
 			return first
 		})
-		if _, err := s.Submit(SubmitRequest{ID: "zz", MaxAttempts: 2, Spec: testSpec()}); err != nil {
-			t.Fatalf("Submit zz: %v", err)
+		// mm holds the only worker until zz is resumed, so aa is still
+		// queued behind it when zz comes back.
+		release := make(chan struct{})
+		record := s.execute
+		s.execute = func(ctx context.Context, e *entry) (*Result, error) {
+			if e.job.ID == "mm" {
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return record(ctx, e)
 		}
-		submitIDs(t, s, "mm", "aa")
+		submitIDs(t, s, ids...)
 		s.Start()
 		defer drain(t, s)
-		waitState(t, s, "aa", StateDone)
-		if got, want := order(), []string{"zz", "zz", "mm", "aa"}; !slices.Equal(got, want) {
-			t.Errorf("execution order = %v, want %v (the retry keeps its place)", got, want)
+		waitState(t, s, "zz", StateFailed)
+		waitState(t, s, "mm", StateRunning)
+		if _, err := s.Resume("zz"); err != nil {
+			t.Fatalf("Resume zz: %v", err)
 		}
-		if j, _ := s.Get("zz"); j.State != StateDone || j.Attempt != 2 {
-			t.Errorf("zz = state %s attempt %d, want done after 2 attempts", j.State, j.Attempt)
+		close(release)
+		waitState(t, s, "aa", StateDone)
+		if got, want := order(), []string{"zz", "mm", "zz", "aa"}; !slices.Equal(got, want) {
+			t.Errorf("execution order = %v, want %v (the resumed job keeps its place)", got, want)
+		}
+		if j, _ := s.Get("zz"); j.State != StateDone {
+			t.Errorf("zz = state %s, want done after its resume", j.State)
 		}
 	})
 }
@@ -462,9 +444,6 @@ func TestDrainPreemptsAndRequeues(t *testing.T) {
 	if got.State != StateQueued {
 		t.Errorf("state after drain = %s, want queued (preempted, not failed)", got.State)
 	}
-	if got.Attempt != 0 {
-		t.Errorf("Attempt after drain = %d, want 0 (drain does not consume attempts)", got.Attempt)
-	}
 	if _, err := s.Submit(SubmitRequest{Spec: testSpec()}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("Submit while draining err = %v, want ErrDraining", err)
 	}
@@ -486,24 +465,11 @@ func TestRestartRecoversCrashedRunningJob(t *testing.T) {
 	s.mu.Lock()
 	e := s.jobs[job.ID]
 	e.job.State = StateRunning
-	e.job.Attempt = 1
 	if err := s.store.saveJob(&e.job); err != nil {
 		t.Fatalf("saveJob: %v", err)
 	}
 	s.mu.Unlock()
-	// A running job document as older versions wrote it, with the
-	// retired tenant and priority fields and the retired cell-fault
-	// fields of its spec.
-	legacy, err := json.Marshal(map[string]any{
-		"id": "legacy", "tenant": "team_a", "priority": 5, "seq": 7,
-		"spec":  testSpecDoc(t, map[string]any{"retries": 1, "continueOnError": true}),
-		"state": "running", "attempt": 1, "maxAttempts": 3,
-		"submittedAt": time.Now().UTC(), "progress": map[string]int64{"total": 8},
-	})
-	if err != nil {
-		t.Fatalf("marshal legacy job: %v", err)
-	}
-	if err := os.WriteFile(s.store.jobPath("legacy"), legacy, 0o644); err != nil {
+	if err := os.WriteFile(s.store.jobPath("legacy"), legacyJobDoc(t, "legacy"), 0o644); err != nil {
 		t.Fatalf("write legacy job: %v", err)
 	}
 
@@ -516,9 +482,6 @@ func TestRestartRecoversCrashedRunningJob(t *testing.T) {
 		}
 		if j.State != StateQueued {
 			t.Errorf("%s: recovered state = %s, want queued", id, j.State)
-		}
-		if j.Attempt != 0 {
-			t.Errorf("%s: recovered Attempt = %d, want 0 (crash requeue is free)", id, j.Attempt)
 		}
 		got = j
 	}
@@ -535,6 +498,33 @@ func TestRestartRecoversCrashedRunningJob(t *testing.T) {
 	}
 	if next.Seq <= got.Seq {
 		t.Errorf("next Seq = %d, want > %d", next.Seq, got.Seq)
+	}
+}
+
+// TestLoadRejectsForeignJobID pins that a job document cannot name files
+// outside the data directory: a document whose id is invalid or differs
+// from its file name fails the load, as an unparseable one does, and
+// nothing is written anywhere.
+func TestLoadRejectsForeignJobID(t *testing.T) {
+	for _, id := range []string{"../../escaped", "b", "A", ""} {
+		root := t.TempDir()
+		dir := filepath.Join(root, "data")
+		if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(map[string]any{"id": id, "state": "running", "spec": testSpec()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", "a.json"), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{Dir: dir}); err == nil {
+			t.Errorf("id %q in a.json: New succeeded, want a load error", id)
+		}
+		if out := filesOutside(t, root, dir); len(out) > 0 {
+			t.Errorf("id %q in a.json: New wrote outside its data directory: %v", id, out)
+		}
 	}
 }
 

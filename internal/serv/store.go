@@ -14,7 +14,7 @@ import (
 //	                              on every state transition
 //	<dir>/checkpoints/<id>.jsonl  the job's sim.CellJournal
 //
-// The job documents carry the queue (state, seq, attempts); the
+// The job documents carry the queue (state, seq); the
 // cell journals carry the durable per-cell progress. Together they make a
 // restarted server resume exactly where the previous process — cleanly
 // drained or SIGKILLed mid-cell — left off.
@@ -63,8 +63,11 @@ func (s *store) saveJob(j *Job) error {
 
 // loadJobs reads every job document in the store, in filename order (New
 // restores the queue's Seq order itself). Unparseable documents fail the
-// load — silently dropping a job would orphan its checkpoint. Unknown
-// fields are ignored, so documents written by older versions still load.
+// load — silently dropping a job would orphan its checkpoint — and so do
+// documents whose id is invalid or differs from their file name: the id
+// names the job's files, and a foreign one could point them outside the
+// store. Unknown fields are ignored, so documents written by older
+// versions still load.
 func (s *store) loadJobs() ([]Job, error) {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "jobs"))
 	if err != nil {
@@ -83,6 +86,9 @@ func (s *store) loadJobs() ([]Job, error) {
 		var j Job
 		if err := json.Unmarshal(data, &j); err != nil {
 			return nil, fmt.Errorf("serv: parse job %s: %w", name, err)
+		}
+		if !ValidJobID(j.ID) || j.ID+".json" != name {
+			return nil, fmt.Errorf("serv: job %s: id %q is invalid or does not match the file name", name, j.ID)
 		}
 		jobs = append(jobs, j)
 	}

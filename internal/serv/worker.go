@@ -25,25 +25,18 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 		return nil, err
 	}
 
-	path := s.store.checkpointPath(id)
-	journal, err := sim.OpenCellJournal(path, s.store.checkpointExists(id))
-	if err != nil {
-		return nil, err
-	}
-	if d := journal.Dropped(); d > 0 {
-		s.logf("job %s: warning: corrupt checkpoint line discarded %d valid completed cell(s); they will re-run", id, d)
-	}
-
 	summary := sim.NewSummary(nil)
 	digest := sim.NewRecordDigest()
-	records := 0
 	collect := func(rec sim.Record) {
 		summary.Collect(rec)
 		digest.Collect(rec)
-		records++
 	}
-	journal.Replay(collect)
-	e.resumed.Store(int64(records))
+	journal, err := sim.ResumeJournal(s.store.checkpointPath(id), s.store.checkpointExists(id), collect,
+		func(format string, args ...any) { s.logf("job "+id+": "+format, args...) })
+	if err != nil {
+		return nil, err
+	}
+	e.resumed.Store(int64(digest.Count()))
 
 	protocol.Checkpoint = journal
 	protocol.OnProgress = func(pr sim.Progress) {
@@ -62,5 +55,5 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 	if cerr != nil {
 		return nil, fmt.Errorf("serv: close checkpoint journal: %w", cerr)
 	}
-	return BuildResult(records, digest, summary), nil
+	return BuildResult(digest, summary), nil
 }

@@ -106,6 +106,27 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 	return j, nil
 }
 
+// ResumeJournal opens the journal at path like OpenCellJournal, logs
+// through logf how many completed cells it resumes and how many valid
+// cells a corrupt line discarded (they re-run), then replays the loaded
+// records into collect. Every entry point that checkpoints a grid starts
+// it this way, so a resumed grid aggregates the same record set whichever
+// program runs it.
+func ResumeJournal(path string, resume bool, collect func(Record), logf func(format string, args ...any)) (*CellJournal, error) {
+	j, err := OpenCellJournal(path, resume)
+	if err != nil {
+		return nil, err
+	}
+	if n := j.Cells(); n > 0 {
+		logf("resuming %d completed cell(s) from %s", n, path)
+	}
+	if d := j.Dropped(); d > 0 {
+		logf("warning: %s: corrupt journal line discarded %d valid completed cell(s) after it; they will re-run", path, d)
+	}
+	j.Replay(collect)
+	return j, nil
+}
+
 // load parses the journal's existing lines and positions the file for
 // appending. Parsing stops at the first torn or corrupt line, which is
 // truncated away together with everything after it — those cells simply

@@ -8,10 +8,10 @@ import (
 // Summary aggregates Monte-Carlo records per policy: the final benefit
 // and cautious-friend distributions (mean/variance via Welford plus a
 // mergeable quantile sketch each), and optionally a benefit-vs-k curve
-// sampled at fixed request checkpoints with a per-checkpoint sketch.
-// Use its Collect method as the collect callback of Run. Not safe for
-// concurrent use (Run invokes collect serially). Memory is O(policies ×
-// checkpoints × sketch centroids), independent of the grid size.
+// of means sampled at fixed request checkpoints. Use its Collect method
+// as the collect callback of Run. Not safe for concurrent use (Run
+// invokes collect serially). Memory is O(policies × (checkpoints +
+// sketch centroids)), independent of the grid size.
 type Summary struct {
 	checkpoints []int
 	order       []string
@@ -46,7 +46,7 @@ func (s *Summary) adopt(policy string) {
 		for i, c := range s.checkpoints {
 			xs[i] = float64(c)
 		}
-		s.curves[policy] = stats.NewSeriesSketched(policy, xs)
+		s.curves[policy] = stats.NewSeries(policy, xs)
 	}
 }
 

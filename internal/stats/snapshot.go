@@ -31,33 +31,3 @@ func (w *Welford) Snapshot() WelfordSnapshot {
 		CI95:     w.CI95(),
 	}
 }
-
-// SeriesSnapshot is the JSON-marshalable view of a Series: one point
-// snapshot per x position, in axis order. Sketches is present (same
-// length and order as Points) only for series built with
-// NewSeriesSketched.
-type SeriesSnapshot struct {
-	Label    string            `json:"label"`
-	Xs       []float64         `json:"xs"`
-	Points   []WelfordSnapshot `json:"points"`
-	Sketches []SketchSnapshot  `json:"sketches,omitempty"`
-}
-
-// Snapshot captures the series' per-position statistics.
-func (s *Series) Snapshot() SeriesSnapshot {
-	out := SeriesSnapshot{
-		Label:  s.Label,
-		Xs:     append([]float64(nil), s.xs...),
-		Points: make([]WelfordSnapshot, len(s.accs)),
-	}
-	for i := range s.accs {
-		out.Points[i] = s.accs[i].Snapshot()
-	}
-	if s.sketches != nil {
-		out.Sketches = make([]SketchSnapshot, len(s.sketches))
-		for i := range s.sketches {
-			out.Sketches[i] = s.sketches[i].Snapshot()
-		}
-	}
-	return out
-}

@@ -78,16 +78,12 @@ func (w *Welford) StdErr() float64 {
 func (w *Welford) CI95() float64 { return 1.96 * w.StdErr() }
 
 // Series is a sequence of x-positions each accumulating y observations —
-// one benefit-vs-k curve, for example. Construct with NewSeries, or
-// NewSeriesSketched to also track per-position quantile sketches.
+// one benefit-vs-k curve, for example. Construct with NewSeries.
 type Series struct {
 	// Label names the curve (e.g. the policy name).
 	Label string
 	xs    []float64
 	accs  []Welford
-	// sketches is nil for a plain series; when present it holds one
-	// quantile sketch per x position, fed by the same Add calls.
-	sketches []*Sketch
 }
 
 // NewSeries creates a series over the given x positions.
@@ -99,18 +95,6 @@ func NewSeries(label string, xs []float64) *Series {
 	}
 }
 
-// NewSeriesSketched creates a series that additionally accumulates a
-// mergeable quantile sketch at every x position, for p50/p90/p99
-// reporting at O(centroids) memory per position.
-func NewSeriesSketched(label string, xs []float64) *Series {
-	s := NewSeries(label, xs)
-	s.sketches = make([]*Sketch, len(s.xs))
-	for i := range s.sketches {
-		s.sketches[i] = NewSketch()
-	}
-	return s
-}
-
 // Len returns the number of x positions.
 func (s *Series) Len() int { return len(s.xs) }
 
@@ -120,25 +104,10 @@ func (s *Series) X(i int) float64 { return s.xs[i] }
 // Add folds an observation into position i.
 func (s *Series) Add(i int, y float64) {
 	s.accs[i].Add(y)
-	if s.sketches != nil {
-		s.sketches[i].Add(y)
-	}
 }
 
 // At returns the accumulator at position i.
 func (s *Series) At(i int) *Welford { return &s.accs[i] }
-
-// SketchAt returns the quantile sketch at position i, or nil for a
-// series built without sketches.
-func (s *Series) SketchAt(i int) *Sketch {
-	if s.sketches == nil {
-		return nil
-	}
-	return s.sketches[i]
-}
-
-// Sketched reports whether the series tracks per-position sketches.
-func (s *Series) Sketched() bool { return s.sketches != nil }
 
 // matchAxis verifies two axes cover the same positions. Positions are
 // compared by bit pattern, not by ==: NaN != NaN under IEEE comparison,
