@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt-check vet accuvet vet-fix fuzz-smoke bench serve service-e2e clean
+.PHONY: all build test race lint fmt-check vet fuzz-smoke bench serve service-e2e clean
 
 all: build test lint
 
@@ -13,47 +13,24 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
-# lint runs the gofmt check, the standard vet suite plus accuvet, the
-# project's own analyzer suite (map order, seed discipline, scratch
-# ownership, durability errors, wire tags) — once
-# through `go vet -vettool` exactly as CI does, and once standalone so
-# the wire-schema lockfile is diffed against the whole tree. staticcheck
-# runs too when it is on PATH (CI pins its version).
-lint: fmt-check vet accuvet
+# lint runs the gofmt check and the standard vet suite. staticcheck runs
+# too when it is on PATH (CI pins its version).
+lint: fmt-check vet
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || \
 		echo "staticcheck not installed; skipping (CI runs it pinned)"
 
-# fmt-check fails when any tracked Go file outside the analyzer testdata
-# fixtures (which are deliberately unformatted inputs) needs gofmt.
+# fmt-check fails when any tracked Go file needs gofmt.
 fmt-check:
-	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v /testdata/)); \
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 		if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
 
-# The standalone pass mirrors CI: it sees every package at once and
-# diffs the //accu:wire schemas against the committed lockfile. After a deliberate wire-struct
-# change, refresh the lockfile:
-#   ./bin/accuvet -write-wire-lock .accuwire.lock.json ./...
-accuvet:
-	$(GO) build -o bin/accuvet ./cmd/accuvet
-	$(GO) vet -vettool=$(CURDIR)/bin/accuvet ./...
-	./bin/accuvet -wire-lock .accuwire.lock.json ./...
-
-# vet-fix prints every accuvet finding — including ones already covered
-# by an //accu:allow directive, marked "(allowed)" — together with the
-# exact suppression comment to paste above a site that is intentional.
-# Exit status matches plain accuvet: 1 only while live findings remain.
-vet-fix:
-	$(GO) build -o bin/accuvet ./cmd/accuvet
-	./bin/accuvet -suggest ./...
-
 # fuzz-smoke runs each native fuzz target briefly against its committed
-# corpus plus fresh mutations — the decoder surfaces (store block
+# corpus plus fresh mutations: the decoder surfaces (store block
 # decoder, cell-journal resume, accuserv submit and job documents,
-# accudist cell upload, accudist lease and fail) and the graph builder,
-# which the analyzers cannot reach.
+# accudist cell upload, accudist lease and fail) and the graph builder.
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s

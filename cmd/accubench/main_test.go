@@ -116,4 +116,18 @@ func TestJSONReports(t *testing.T) {
 	if len(reports[0].Tables) == 0 || len(reports[0].Tables[0].Rows) != 3 {
 		t.Errorf("tables = %+v", reports[0].Tables)
 	}
+
+	// Rendered twice in one process, an experiment's JSON is identical:
+	// no map iteration order, worker schedule or clock leaks into it.
+	args := []string{
+		"-json", "-workers", "4", "-scale", "0.02", "-networks", "2", "-runs", "2", "-k", "20",
+		"-cautious", "5", "-datasets", "slashdot", "fig2", "ext-batch",
+	}
+	first, err := capture(t, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second, err := capture(t, args); err != nil || second != first {
+		t.Errorf("fig2 + ext-batch JSON changed between two renders (err %v):\nfirst  %s\nsecond %s", err, first, second)
+	}
 }

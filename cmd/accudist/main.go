@@ -136,7 +136,7 @@ func run(args []string, out io.Writer) error {
 		// fsync of the cell journal, and a swallowed failure would let
 		// -resume silently re-run cells that were reported durable.
 		if cerr := coord.Close(); cerr != nil {
-			return fmt.Errorf("serve: %w (journal close: %v)", err, cerr)
+			return fmt.Errorf("serve: %w (journal close: %w)", err, cerr)
 		}
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 // TestCoordinatorSIGTERMAsSoonAsHealthy builds the binary and sends the
@@ -101,4 +104,28 @@ func waitHealthy(url string, timeout time.Duration) error {
 		time.Sleep(time.Millisecond)
 	}
 	return fmt.Errorf("%s not healthy within %v", url, timeout)
+}
+
+// TestServeErrorReturnsJournalCloseError: when the coordinator cannot
+// serve (its address is taken), run still closes the journal — its last
+// fsync — and returns that error beside the serve error, so a coordinator
+// never exits over cells it reported durable without saying so.
+func TestServeErrorReturnsJournalCloseError(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	dir := t.TempDir()
+	spec := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"preset":"slashdot","policies":[{"name":"abm"}],"networks":1,"runs":1,"k":10,"seed":42}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := &vfs.Recorder{}
+	defer vfs.Swap(rec)()
+	rec.Fail(vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO})
+	err = run([]string{"-coordinator", "-addr", taken.Addr().String(), "-spec", spec, "-dir", filepath.Join(dir, "data")}, io.Discard)
+	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "serve") {
+		t.Fatalf("err = %v, want the serve error and the journal's close error", err)
+	}
 }

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/serv"
 	"github.com/accu-sim/accu/internal/sim"
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 func TestRunABMTrace(t *testing.T) {
@@ -475,5 +478,22 @@ func TestQueryFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-out", "x.json"}, &buf); err == nil {
 		t.Error("-out on a single run: want error")
+	}
+}
+
+// TestCheckpointCloseErrorFailsRun: closing the checkpoint journal is its
+// last fsync, so a failure there must fail the run instead of exiting 0
+// over cells a -resume would not find.
+func TestCheckpointCloseErrorFailsRun(t *testing.T) {
+	rec := &vfs.Recorder{}
+	defer vfs.Swap(rec)()
+	rec.Fail(vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO})
+	var buf bytes.Buffer
+	err := run([]string{
+		"-preset", "slashdot", "-scale", "0.02", "-k", "10", "-cautious", "5", "-runs", "3",
+		"-checkpoint", filepath.Join(t.TempDir(), "cells.jsonl"),
+	}, &buf)
+	if !errors.Is(err, syscall.EIO) || !strings.Contains(err.Error(), "close checkpoint journal") {
+		t.Fatalf("err = %v, want the journal's close error", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"github.com/accu-sim/accu/internal/serv"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/sim/fault"
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 // testSpec is a small grid: 2 networks × 3 runs = 6 cells, two policies.
@@ -642,5 +644,21 @@ func TestUploadRejectsMalformedCell(t *testing.T) {
 	defer coord2.Close()
 	if st := coord2.Status(); st.Committed != 0 || st.Records != 0 {
 		t.Errorf("resumed status committed=%d records=%d, want 0/0", st.Committed, st.Records)
+	}
+}
+
+// TestCoordinatorCloseSurfacesJournalFault: Close is the journal's last
+// fsync, so its failure must reach the caller (accudist's run), or a
+// coordinator would exit cleanly over cells that are not durable.
+func TestCoordinatorCloseSurfacesJournalFault(t *testing.T) {
+	rec := &vfs.Recorder{}
+	defer vfs.Swap(rec)()
+	coord, err := New(Config{Spec: testSpec(), Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Fail(vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO})
+	if err := coord.Close(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Close err = %v, want the journal's fsync error", err)
 	}
 }

@@ -96,7 +96,6 @@ func PresetByName(name string) (Preset, error) {
 // PresetNames lists all preset keys in a stable order.
 func PresetNames() []string {
 	names := make([]string, 0, len(presets))
-	//accu:allow maporder -- key collection only; sorted before return
 	for k := range presets {
 		names = append(names, k)
 	}

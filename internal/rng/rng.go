@@ -56,8 +56,15 @@ func (s Seed) SplitN(label string, n int) Seed {
 	return child.Split(label)
 }
 
+// onRand, when set, sees every seed that reaches Rand. Only tests set
+// it, to catch one stream drawn twice where two were meant.
+var onRand func(Seed)
+
 // Rand returns a new generator for this seed. Each call returns an
 // independent generator object positioned at the start of the same stream.
 func (s Seed) Rand() *rand.Rand {
+	if onRand != nil {
+		onRand(s)
+	}
 	return rand.New(rand.NewPCG(s.hi, s.lo))
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 // store is the on-disk layout of the service:
@@ -42,21 +44,17 @@ func (s *store) checkpointPath(id string) string {
 	return filepath.Join(s.dir, "checkpoints", id+".jsonl")
 }
 
-// saveJob atomically rewrites a job document (temp file + rename), so a
-// crash mid-write can never leave a torn document behind.
+// saveJob atomically rewrites a job document with vfs.WriteFile (fsynced
+// temp file, rename, fsynced directory), so neither a crash mid-write nor
+// a power loss can leave a torn or empty document behind.
 func (s *store) saveJob(j *Job) error {
 	data, err := json.MarshalIndent(j, "", "  ")
 	if err != nil {
 		return fmt.Errorf("serv: marshal job %s: %w", j.ID, err)
 	}
 	data = append(data, '\n')
-	path := s.jobPath(j.ID)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("serv: write job %s: %w", j.ID, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("serv: commit job %s: %w", j.ID, err)
+	if err := vfs.WriteFile(s.jobPath(j.ID), data, 0o644); err != nil {
+		return fmt.Errorf("serv: save job %s: %w", j.ID, err)
 	}
 	return nil
 }
@@ -79,7 +77,7 @@ func (s *store) loadJobs() ([]Job, error) {
 		if de.IsDir() || !strings.HasSuffix(name, ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(s.dir, "jobs", name))
+		data, err := vfs.ReadFile(filepath.Join(s.dir, "jobs", name))
 		if err != nil {
 			return nil, fmt.Errorf("serv: read job %s: %w", name, err)
 		}

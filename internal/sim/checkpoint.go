@@ -9,6 +9,8 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 // CellKey identifies one (network, run) cell of the Monte-Carlo grid.
@@ -65,7 +67,7 @@ type CellJournal struct {
 	// mu is held across every append, fsync and close: entries serialize,
 	// and an fsync covers every append made before it.
 	mu    sync.Mutex
-	f     *os.File
+	f     vfs.File
 	done  map[CellKey]bool
 	lines []CellLine // cells loaded at resume, in journal order (for Replay)
 	// syncEvery > 0 fsyncs after every syncEvery-th newly committed
@@ -83,13 +85,14 @@ var _ Checkpointer = (*CellJournal)(nil)
 // must not already exist (guarding against accidentally mixing two
 // experiments into one journal); with resume=true an existing journal is
 // loaded — its completed cells answer Done and feed Replay — and a
-// missing one is simply created.
+// missing one is simply created. The journal reaches the disk through
+// internal/vfs, so its first fsync also fsyncs the directory.
 func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 	flags := os.O_RDWR | os.O_CREATE
 	if !resume {
 		flags |= os.O_EXCL
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	f, err := vfs.OpenFile(path, flags, 0o644)
 	if err != nil {
 		if !resume && errors.Is(err, fs.ErrExist) {
 			return nil, fmt.Errorf("sim: checkpoint %s already exists; resume it or remove it: %w", path, err)

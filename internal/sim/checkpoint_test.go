@@ -5,15 +5,19 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/obs"
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 // marshalRecords serializes a record set in (policy, network, run) order
@@ -454,17 +458,99 @@ func (c *failingCheckpointer) Commit(CellKey, []Record) error {
 
 // TestRunCheckpointCommitErrorIsFatal pins the durability contract: a
 // failing Commit aborts the run, because a cell that cannot be made
-// durable would silently re-run on resume.
+// durable would silently re-run on resume. The failure comes from a
+// checkpointer that refuses its third commit, and from a real journal
+// whose third append hits a full disk.
 func TestRunCheckpointCommitErrorIsFatal(t *testing.T) {
-	p := testProtocol()
-	sentinel := errors.New("disk full")
-	p.Checkpoint = &failingCheckpointer{n: 2, err: sentinel}
 	factories, err := DefaultFactories(core.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := testProtocol()
+	sentinel := errors.New("disk full")
+	p.Checkpoint = &failingCheckpointer{n: 2, err: sentinel}
 	err = Run(context.Background(), p, factories, func(Record) {})
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v, want the checkpoint error", err)
+	}
+
+	rec := &vfs.Recorder{}
+	defer vfs.Swap(rec)()
+	rec.Fail(vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Skip: 2, Err: syscall.ENOSPC})
+	j, err := OpenCellJournal(filepath.Join(t.TempDir(), "cells.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	p.Checkpoint = j
+	if err := Run(context.Background(), p, factories, func(Record) {}); !errors.Is(err, syscall.ENOSPC) {
+		t.Errorf("err = %v, want the journal's ENOSPC", err)
+	}
+}
+
+// TestCellJournalSurfacesFileFaults injects one file fault into each
+// durable step of a journal — an append torn by a short write or a full
+// disk, a failed per-commit fsync of the file or of its new directory
+// entry under SyncEvery(1), a failed Sync, and a failed fsync or close
+// inside Close — and requires the step to return it. A swallowed error would let a caller (the dist coordinator acking
+// an upload, accurun exiting 0) report cells durable that are not.
+func TestCellJournalSurfacesFileFaults(t *testing.T) {
+	recs := []Record{{Policy: "a", Network: 0, Run: 0, Result: &core.Result{Benefit: 1}}}
+	commit := func(j *CellJournal) error { return j.Commit(CellKey{}, recs) }
+	for name, tc := range map[string]struct {
+		fault     vfs.Fault
+		syncEvery int
+		step      func(*CellJournal) error
+	}{
+		"commit short write": {fault: vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: io.ErrShortWrite}, step: commit},
+		"commit ENOSPC":      {fault: vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: syscall.ENOSPC}, step: commit},
+		"commit fsync":       {fault: vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}, syncEvery: 1, step: commit},
+		"commit dir fsync":   {fault: vfs.Fault{Kind: vfs.OpSyncDir, Err: syscall.EIO}, syncEvery: 1, step: commit},
+		"sync":               {fault: vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Sync},
+		"close fsync":        {fault: vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Close},
+		"close":              {fault: vfs.Fault{Kind: vfs.OpClose, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Close},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := &vfs.Recorder{}
+			defer vfs.Swap(rec)()
+			j, err := OpenCellJournal(filepath.Join(t.TempDir(), "cells.jsonl"), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			j.SyncEvery(tc.syncEvery)
+			rec.Fail(tc.fault)
+			if err := tc.step(j); !errors.Is(err, tc.fault.Err) {
+				t.Fatalf("err = %v, want %v", err, tc.fault.Err)
+			}
+			if j.Done(CellKey{}) {
+				t.Error("a cell whose commit failed counts as done")
+			}
+		})
+	}
+}
+
+// TestCellJournalCreateSyncsDir pins the order of a fresh journal's
+// operations: its first fsync is followed by one of its directory, so
+// the new entry survives power loss along with the cells the file
+// fsyncs. Without the directory fsync, a coordinator could ack uploads
+// into a file that vanishes.
+func TestCellJournalCreateSyncsDir(t *testing.T) {
+	rec := &vfs.Recorder{}
+	defer vfs.Swap(rec)()
+	dir := filepath.Join(t.TempDir(), "state")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenCellJournal(filepath.Join(dir, "cells.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(rec.Log(), ", ")
+	if want := "open cells.jsonl, sync cells.jsonl, syncdir state, close cells.jsonl"; got != want {
+		t.Errorf("operations: %s\nwant        %s", got, want)
 	}
 }

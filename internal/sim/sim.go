@@ -481,7 +481,6 @@ func (sc *scratch) policy(f PolicyFactory, fi int, seed rng.Seed) (core.Policy, 
 		cached.Reseed(seed)
 		return cached, nil
 	}
-	//accu:allow seedflow -- exclusive branch: reuse path returned above
 	pol, err := f.New(seed)
 	if err != nil {
 		return nil, fmt.Errorf("sim: build policy %s: %w", f.Name, err)

@@ -14,6 +14,7 @@ import (
 	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
+	"github.com/accu-sim/accu/internal/stats"
 )
 
 // testProtocol returns a tiny but fully featured protocol.
@@ -88,55 +89,110 @@ func TestRunProducesAllCells(t *testing.T) {
 
 func itoa(i int) string { return string(rune('0' + i)) }
 
+// TestRunDeterministicAcrossWorkerCounts pins the determinism contract
+// that map iteration order would break first: Go randomizes the order of
+// every range over a map, so any map-ordered step on the record path
+// (a batch deduplicated through a map, a summary emitting its rows from
+// one) gives a different answer from run to run. Each input — the tiny
+// Erdős–Rényi protocol and every preset at a small scale, unbatched and
+// with BatchSize 4, over the full five-policy roster — runs three times
+// at 1 worker and three times at 4 in one process. Every run must give
+// the same RecordDigest and the same Summary JSON, sketch bytes
+// included. The Summary is fed in canonical record order, because a
+// Welford mean depends on the order it folds in.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	collectSorted := func(workers int) []float64 {
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	factories = append(factories, PolicyFactory{Name: "greedy", New: func(rng.Seed) (core.Policy, error) {
+		return core.NewPureGreedy(), nil
+	}})
+	names := append([]string{"erdos-renyi"}, gen.PresetNames()...)
+	inputs := []Protocol{testProtocol()}
+	for _, name := range names[1:] {
+		preset, err := gen.PresetByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := preset.Generator(0.005)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p := testProtocol()
-		p.Workers = workers
-		factories, err := DefaultFactories(core.DefaultWeights())
-		if err != nil {
-			t.Fatal(err)
-		}
-		type key struct {
-			policy       string
-			network, run int
-		}
-		got := map[key]float64{}
-		err = Run(context.Background(), p, factories, func(r Record) {
-			got[key{r.Policy, r.Network, r.Run}] = r.Result.Benefit
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]key, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.policy != b.policy {
-				return a.policy < b.policy
+		p.Gen, p.Networks, p.Runs, p.K = g, 2, 2, 10
+		inputs = append(inputs, p)
+	}
+	for i, p := range inputs {
+		name := names[i]
+		for _, batch := range []int{0, 4} {
+			p.BatchSize = batch
+			var wantDigest, wantSummary string
+			for _, workers := range []int{1, 1, 1, 4, 4, 4} {
+				p.Workers = workers
+				digest, summary := digestAndSummary(t, p, factories)
+				if wantDigest == "" {
+					wantDigest, wantSummary = digest, summary
+					continue
+				}
+				if digest != wantDigest {
+					t.Errorf("%s batch %d workers %d: digest %s, first run %s", name, batch, workers, digest, wantDigest)
+				}
+				if summary != wantSummary {
+					t.Errorf("%s batch %d workers %d: summary differs from the first run:\n got %s\nwant %s", name, batch, workers, summary, wantSummary)
+				}
 			}
-			if a.network != b.network {
-				return a.network < b.network
-			}
-			return a.run < b.run
+		}
+	}
+}
+
+// digestAndSummary runs p and returns its record digest and the JSON of
+// a Summary over its records: per policy, in Summary.Policies order, the
+// Welford and sketch snapshots of both outcome columns.
+func digestAndSummary(t *testing.T, p Protocol, factories []PolicyFactory) (string, string) {
+	t.Helper()
+	digest := NewRecordDigest()
+	var recs []Record
+	err := Run(context.Background(), p, factories, func(r Record) {
+		digest.Collect(r)
+		recs = append(recs, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cell delivers its records in roster order, so a stable sort by
+	// cell gives the canonical order at any worker count.
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if a.Network != b.Network {
+			return a.Network < b.Network
+		}
+		return a.Run < b.Run
+	})
+	sum := NewSummary(nil)
+	for _, r := range recs {
+		sum.Collect(r)
+	}
+	type row struct {
+		Policy                        string
+		Benefit, Cautious             stats.WelfordSnapshot
+		BenefitSketch, CautiousSketch stats.SketchSnapshot
+	}
+	var rows []row
+	for _, pol := range sum.Policies() {
+		rows = append(rows, row{
+			Policy:         pol,
+			Benefit:        sum.FinalBenefit(pol).Snapshot(),
+			Cautious:       sum.CautiousFriends(pol).Snapshot(),
+			BenefitSketch:  sum.FinalBenefitSketch(pol).Snapshot(),
+			CautiousSketch: sum.CautiousFriendsSketch(pol).Snapshot(),
 		})
-		out := make([]float64, 0, len(keys))
-		for _, k := range keys {
-			out = append(out, got[k])
-		}
-		return out
 	}
-	seq := collectSorted(1)
-	par := collectSorted(3)
-	if len(seq) != len(par) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq), len(par))
+	out, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("cell %d differs: %v vs %v", i, seq[i], par[i])
-		}
-	}
+	return digest.Sum(), string(out)
 }
 
 // marshalSortedRecords runs the protocol and returns the full record set

@@ -12,6 +12,8 @@ import (
 	"io/fs"
 	"math"
 	"os"
+
+	"github.com/accu-sim/accu/internal/vfs"
 )
 
 // The columnar result store is the on-disk complement of the streaming
@@ -72,7 +74,7 @@ type StoreRecord struct {
 // finishes. Not safe for concurrent use (the engine invokes collect
 // serially).
 type StoreWriter struct {
-	f    *os.File
+	f    vfs.File
 	w    *bufio.Writer
 	rows []StoreRecord
 	// BlockRows caps rows per block; set before the first Append to
@@ -84,9 +86,11 @@ type StoreWriter struct {
 // CreateStore creates a new store file at path with the given metadata
 // (protocol parameters, say — anything a later query should display).
 // Like OpenCellJournal, the file must not already exist: mixing two
-// grids into one store would poison every later query.
+// grids into one store would poison every later query. The file reaches
+// the disk through internal/vfs, so its fsync in Close also fsyncs the
+// directory.
 func CreateStore(path string, meta map[string]string) (*StoreWriter, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := vfs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		if errors.Is(err, fs.ErrExist) {
 			return nil, fmt.Errorf("stats: store %s already exists; remove it first: %w", path, err)
