@@ -81,6 +81,7 @@ func BenchmarkFig7Heatmap(b *testing.B) {
 	}
 }
 func BenchmarkTheoremBound(b *testing.B) { benchExperiment(b, "thm1") }
+func BenchmarkClaims(b *testing.B)       { benchExperiment(b, "claims") }
 
 // benchInstance builds a mid-size instance shared by the micro-benches.
 func benchInstance(b *testing.B, scale float64) (*accu.Instance, *accu.Realization) {

@@ -53,7 +53,7 @@ func run(args []string, out *os.File) error {
 		seed     = fs.Uint64("seed", 20191243, "root random seed")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 
-		checkpoint = fs.String("checkpoint", "", "journal completed Monte-Carlo cells to this directory (one JSONL file per protocol)")
+		checkpoint = fs.String("checkpoint", "", "journal completed Monte-Carlo cells under this directory (DIR/<experiment>/<grid>.jsonl)")
 		resume     = fs.Bool("resume", false, "reopen journals in the -checkpoint directory and compute only missing cells")
 
 		metrics    = fs.Bool("metrics", false, "collect engine metrics and print a table after each report")
@@ -85,11 +85,6 @@ func run(args []string, out *os.File) error {
 
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
-	}
-	if *checkpoint != "" {
-		if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
-			return fmt.Errorf("create checkpoint directory: %w", err)
-		}
 	}
 
 	cfg := accu.ExperimentConfig{

@@ -131,3 +131,79 @@ func TestJSONReports(t *testing.T) {
 		t.Errorf("fig2 + ext-batch JSON changed between two renders (err %v):\nfirst  %s\nsecond %s", err, first, second)
 	}
 }
+
+// TestCheckpointJournalsPerExperiment runs experiments that share grids
+// under one -checkpoint directory: fig6 and fig7 both run the heat-*
+// sweep, and claims runs fig2's and fig4's grids. Each experiment
+// journals under DIR/<experiment>/, so none collides, and a -resume rerun
+// simulates no cell and prints the same reports.
+func TestCheckpointJournalsPerExperiment(t *testing.T) {
+	type report struct {
+		ID      string          `json:"id"`
+		Tables  json.RawMessage `json:"tables"`
+		Notes   []string        `json:"notes"`
+		Metrics struct {
+			Counters []struct {
+				Name  string `json:"name"`
+				Value int64  `json:"value"`
+			} `json:"counters"`
+		} `json:"metrics"`
+	}
+	parse := func(out string) []report {
+		t.Helper()
+		var reps []report
+		if err := json.Unmarshal([]byte(out), &reps); err != nil {
+			t.Fatalf("invalid JSON: %v\n%s", err, out)
+		}
+		return reps
+	}
+	cells := func(r report) int64 {
+		for _, c := range r.Metrics.Counters {
+			if c.Name == "sim.cells" {
+				return c.Value
+			}
+		}
+		return 0
+	}
+	for _, experiments := range [][]string{{"fig6", "fig7", "claims"}, {"all"}} {
+		t.Run(strings.Join(experiments, "+"), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ckpt")
+			args := append([]string{
+				"-json", "-metrics", "-checkpoint", dir, "-scale", "0.02", "-networks", "1", "-runs", "1", "-k", "10",
+				"-cautious", "5", "-datasets", "slashdot",
+			}, experiments...)
+			out, err := capture(t, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := parse(out)
+			for _, grid := range []string{"fig6/heat-slashdot-0.1-20.jsonl", "fig7/heat-slashdot-0.1-20.jsonl", "claims/fig2-slashdot.jsonl", "claims/fig4-slashdot.jsonl"} {
+				if _, err := os.Stat(filepath.Join(dir, grid)); err != nil {
+					t.Errorf("journal %s: %v", grid, err)
+				}
+			}
+
+			out, err = capture(t, append([]string{"-resume"}, args...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed := parse(out)
+			if len(resumed) != len(first) {
+				t.Fatalf("resumed %d reports, want %d", len(resumed), len(first))
+			}
+			simulated := int64(0)
+			for i, r := range resumed {
+				simulated += cells(first[i])
+				if n := cells(r); n != 0 {
+					t.Errorf("%s: resume simulated %d cells, want 0", r.ID, n)
+				}
+				if r.ID != first[i].ID || string(r.Tables) != string(first[i].Tables) || strings.Join(r.Notes, "\n") != strings.Join(first[i].Notes, "\n") {
+					t.Errorf("%s: resumed report differs:\nfirst   %s %v\nresumed %s %v", r.ID, first[i].Tables, first[i].Notes, r.Tables, r.Notes)
+				}
+			}
+			if simulated == 0 {
+				t.Error("first run simulated no cell")
+			}
+		})
+	}
+}

@@ -3,271 +3,128 @@ package exp
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
-	"github.com/accu-sim/accu/internal/core"
-	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
-	"github.com/accu-sim/accu/internal/theory"
 )
 
-// claim is one checkable qualitative statement from the paper.
-type claim struct {
-	id        string
-	source    string // where the paper makes the claim
-	statement string
-	check     func(ctx context.Context, cfg Config) (bool, string, error)
-}
-
-// Claims runs the paper's qualitative claims as an executable checklist:
-// each row re-derives one finding from fresh simulations and reports
-// pass/fail with the observed evidence. This is the one-command
-// reproduction check.
+// Claims runs the paper's qualitative claims as an executable checklist,
+// reporting pass/fail with the observed evidence; this is the
+// one-command reproduction check. Each row reads one finding off the
+// data Fig. 2, Fig. 4 and Theorem 1 publish, through their own data
+// steps, grids and seeds. Only the Fig. 7 claim runs grids of its own (a
+// θ pair), because the default B_f(c) is not on the Fig. 6/7 axis.
 func Claims(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.normalize("claims")
 	if err != nil {
 		return nil, err
 	}
-	header := []string{"claim", "source", "holds", "evidence"}
 	var rows [][]string
 	var notes []string
 	failures := 0
-	for _, c := range paperClaims() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		ok, evidence, err := c.check(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("exp: claim %s: %w", c.id, err)
-		}
-		if !ok {
+	add := func(id, source, statement string, holds bool, evidence string) {
+		if !holds {
 			failures++
 		}
-		rows = append(rows, []string{c.id, c.source, fmt.Sprintf("%v", ok), evidence})
-		notes = append(notes, fmt.Sprintf("%s: %s", c.id, c.statement))
+		rows = append(rows, []string{id, source, fmt.Sprintf("%v", holds), evidence})
+		notes = append(notes, fmt.Sprintf("%s: %s", id, statement))
 	}
+
+	worstMargin, where := 1e18, ""
+	randomWorst, randomText := true, "random last everywhere"
+	for _, ds := range cfg.Datasets {
+		factories, sum, err := fig2Data(ctx, cfg, ds)
+		if err != nil {
+			return nil, err
+		}
+		abm, rnd := sum.FinalBenefit(factories[0].Name).Mean(), sum.FinalBenefit("random").Mean()
+		for i, f := range factories {
+			b := sum.FinalBenefit(f.Name).Mean()
+			if i > 0 && abm-b < worstMargin {
+				worstMargin, where = abm-b, ds+"/"+f.Name
+			}
+			if randomWorst && f.Name != "random" && b < rnd {
+				randomWorst, randomText = false, fmt.Sprintf("%s below random on %s", f.Name, ds)
+			}
+		}
+	}
+	add("abm-dominates", "§IV-B Fig.2", "ABM collects at least as much benefit as MaxDegree, PageRank and Random on every dataset",
+		worstMargin >= 0, fmt.Sprintf("min margin %+.1f (%s)", worstMargin, where))
+	add("random-worst", "§IV-B Fig.2", "the Random baseline is the weakest policy on every dataset", randomWorst, randomText)
+
+	_, benefit, cautious, err := fig4Data(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	var seq []string
+	for _, wi := range []float64{0, 0.3, 0.6} {
+		seq = append(seq, fmt.Sprintf("%.2f", sweepAt(cautious, wi).Mean()))
+	}
+	// Endpoint comparison with confidence slack: the trend is refuted
+	// only when the w_I=0.6 estimate falls below the w_I=0 estimate
+	// beyond both confidence intervals.
+	first, last := sweepAt(cautious, 0), sweepAt(cautious, 0.6)
+	add("wI-monotone-cautious", "§IV-C Fig.4", "the number of cautious friends grows (weakly) with w_I",
+		last.Mean()+last.CI95() >= first.Mean()-first.CI95(), strings.Join(seq, " → "))
+	helps, text := indirectTermHelps(benefit)
+	add("indirect-term-helps", "§IV-C Fig.4", "some w_I > 0 beats the pure greedy w_I = 0 (the paper's case for the indirect term)", helps, text)
+
+	dataset, g, err := cfg.sweepDataset()
+	if err != nil {
+		return nil, err
+	}
+	var cracked [2]float64
+	for i, tf := range []float64{0.1, 0.5} {
+		setup := cfg.setup()
+		setup.ThetaFraction = tf
+		name := fmt.Sprintf("claims-theta-%v", tf)
+		_, c, err := cfg.abmCell(ctx, name, cfg.protocol(g, setup, cfg.Seed.Split(name)))
+		if err != nil {
+			return nil, fmt.Errorf("exp: claims %s θ=%v: %w", dataset, tf, err)
+		}
+		cracked[i] = c.Mean()
+	}
+	add("theta-blocks-cautious", "§IV-D Fig.7", "raising the acceptance threshold reduces the cautious users cracked",
+		cracked[1] <= cracked[0], fmt.Sprintf("θ=0.1: %.2f vs θ=0.5: %.2f", cracked[0], cracked[1]))
+
+	thm, err := thm1Data(ctx)
+	if err != nil {
+		return nil, err
+	}
+	w := thm.witness
+	add("not-adaptive-submodular", "§III-B Fig.1", "the benefit function violates adaptive submodularity on the Fig.1 instance",
+		w.DeltaLate > w.DeltaEarly, fmt.Sprintf("Δ(v1|∅)=%.1f < Δ(v1|ω2)=%.1f", w.DeltaEarly, w.DeltaLate))
+	add("curvature-unbounded", "§III-B", "the adaptive total primal curvature is unbounded under the deterministic threshold model",
+		thm.gamma > 1e18, fmt.Sprintf("Γ = %v", thm.gamma))
+	worst := 1e18
+	for _, r := range thm.rows {
+		worst = min(worst, r.greedy-r.bound*r.opt)
+	}
+	add("theorem1-bound", "§III-B Theorem 1", "greedy ≥ (1 − e^{−λ})·OPT on the enumerable verification instances",
+		worst >= -1e-9, fmt.Sprintf("min slack %.3f", worst))
+
 	if failures > 0 {
 		notes = append(notes, fmt.Sprintf("%d claim(s) FAILED at this Monte-Carlo budget — re-run with more networks/runs before concluding a mismatch", failures))
 	}
-	tables := []stats.Table{{Header: header, Rows: rows}}
+	tables := []stats.Table{{Header: []string{"claim", "source", "holds", "evidence"}, Rows: rows}}
 	return newReport("claims", "Executable checklist of the paper's qualitative claims", tables, notes), nil
 }
 
-// claimSummary runs the default policy roster once and aggregates.
-func claimSummary(ctx context.Context, cfg Config, dataset string, w core.Weights, label string) (*sim.Summary, error) {
-	g, _, err := cfg.generator(dataset)
-	if err != nil {
-		return nil, err
-	}
-	factories, err := sim.DefaultFactories(w, cfg.abmOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	sum := sim.NewSummary(nil)
-	name := "claims-" + label + "-" + dataset
-	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split(name))
-	if err := cfg.run(ctx, name, protocol, factories, sum.Collect); err != nil {
-		return nil, err
-	}
-	return sum, nil
+// sweepAt returns a Fig. 4 series' accumulator at one w_I point.
+func sweepAt(s *stats.Series, wi float64) *stats.Welford {
+	return s.At(slices.Index(fig45Weights, wi))
 }
 
-// abmOf finds the ABM entry in a summary ("greedy" is ABM with w_I = 0).
-func abmOf(sum *sim.Summary) string {
-	for _, name := range sum.Policies() {
-		if strings.HasPrefix(name, "abm") || name == "greedy" {
-			return name
-		}
+// indirectTermHelps holds iff some w_I > 0 point read from the Fig. 4
+// sweep (0.2 or 0.4) has a mean benefit strictly above the pure
+// greedy's (w_I = 0).
+func indirectTermHelps(benefit *stats.Series) (bool, string) {
+	pure := sweepAt(benefit, 0).Mean()
+	best := math.Inf(-1)
+	for _, wi := range []float64{0.2, 0.4} {
+		best = max(best, sweepAt(benefit, wi).Mean())
 	}
-	return ""
-}
-
-func paperClaims() []claim {
-	return []claim{
-		{
-			id:        "abm-dominates",
-			source:    "§IV-B Fig.2",
-			statement: "ABM collects at least as much benefit as MaxDegree, PageRank and Random on every dataset",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				worstMargin := 1e18
-				var where string
-				for _, ds := range cfg.Datasets {
-					sum, err := claimSummary(ctx, cfg, ds, cfg.Weights, "dom")
-					if err != nil {
-						return false, "", err
-					}
-					abm := sum.FinalBenefit(abmOf(sum)).Mean()
-					for _, name := range sum.Policies() {
-						if strings.HasPrefix(name, "abm") {
-							continue
-						}
-						if margin := abm - sum.FinalBenefit(name).Mean(); margin < worstMargin {
-							worstMargin = margin
-							where = ds + "/" + name
-						}
-					}
-				}
-				return worstMargin >= 0, fmt.Sprintf("min margin %+.1f (%s)", worstMargin, where), nil
-			},
-		},
-		{
-			id:        "random-worst",
-			source:    "§IV-B Fig.2",
-			statement: "the Random baseline is the weakest policy on every dataset",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				for _, ds := range cfg.Datasets {
-					sum, err := claimSummary(ctx, cfg, ds, cfg.Weights, "dom")
-					if err != nil {
-						return false, "", err
-					}
-					rnd := sum.FinalBenefit("random").Mean()
-					for _, name := range sum.Policies() {
-						if name == "random" {
-							continue
-						}
-						if sum.FinalBenefit(name).Mean() < rnd {
-							return false, fmt.Sprintf("%s below random on %s", name, ds), nil
-						}
-					}
-				}
-				return true, "random last everywhere", nil
-			},
-		},
-		{
-			id:        "wI-monotone-cautious",
-			source:    "§IV-C Fig.4",
-			statement: "the number of cautious friends grows (weakly) with w_I",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				ds := fig45Dataset(cfg)
-				var seq []string
-				var accs []*stats.Welford
-				for _, wi := range []float64{0, 0.3, 0.6} {
-					sum, err := claimSummary(ctx, cfg, ds, core.Weights{WD: 1 - wi, WI: wi}, fmt.Sprintf("wi%v", wi))
-					if err != nil {
-						return false, "", err
-					}
-					acc := sum.CautiousFriends(abmOf(sum))
-					accs = append(accs, acc)
-					seq = append(seq, fmt.Sprintf("%.2f", acc.Mean()))
-				}
-				// Endpoint comparison with confidence slack: the trend is
-				// refuted only when the w_I=0.6 estimate falls below the
-				// w_I=0 estimate beyond both confidence intervals.
-				first, last := accs[0], accs[len(accs)-1]
-				ok := last.Mean()+last.CI95() >= first.Mean()-first.CI95()
-				return ok, strings.Join(seq, " → "), nil
-			},
-		},
-		{
-			id:        "indirect-term-helps",
-			source:    "§IV-C Fig.4",
-			statement: "some w_I > 0 beats the pure greedy w_I = 0 (the paper's case for the indirect term)",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				ds := fig45Dataset(cfg)
-				base, err := claimSummary(ctx, cfg, ds, core.Weights{WD: 1, WI: 0}, "wi0")
-				if err != nil {
-					return false, "", err
-				}
-				pure := base.FinalBenefit("greedy").Mean()
-				best := pure
-				for _, wi := range []float64{0.2, 0.4} {
-					sum, err := claimSummary(ctx, cfg, ds, core.Weights{WD: 1 - wi, WI: wi}, fmt.Sprintf("wi%v", wi))
-					if err != nil {
-						return false, "", err
-					}
-					if b := sum.FinalBenefit(abmOf(sum)).Mean(); b > best {
-						best = b
-					}
-				}
-				return best >= pure, fmt.Sprintf("pure %.1f vs best weighted %.1f", pure, best), nil
-			},
-		},
-		{
-			id:        "theta-blocks-cautious",
-			source:    "§IV-D Fig.7",
-			statement: "raising the acceptance threshold reduces the cautious users cracked",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				ds := fig45Dataset(cfg)
-				g, _, err := cfg.generator(ds)
-				if err != nil {
-					return false, "", err
-				}
-				abm, err := sim.ABMFactory(cfg.Weights, cfg.abmOptions()...)
-				if err != nil {
-					return false, "", err
-				}
-				var means []float64
-				for _, tf := range []float64{0.1, 0.5} {
-					setup := cfg.setup()
-					setup.ThetaFraction = tf
-					var acc stats.Welford
-					name := fmt.Sprintf("claims-theta-%v", tf)
-					protocol := cfg.protocol(g, setup, cfg.Seed.Split(name))
-					err := cfg.run(ctx, name, protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
-						acc.Add(float64(rec.Result.CautiousFriends))
-					})
-					if err != nil {
-						return false, "", err
-					}
-					means = append(means, acc.Mean())
-				}
-				return means[1] <= means[0], fmt.Sprintf("θ=0.1: %.2f vs θ=0.5: %.2f", means[0], means[1]), nil
-			},
-		},
-		{
-			id:        "not-adaptive-submodular",
-			source:    "§III-B Fig.1",
-			statement: "the benefit function violates adaptive submodularity on the Fig.1 instance",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				w, err := theory.NonSubmodularWitness()
-				if err != nil {
-					return false, "", err
-				}
-				return w.DeltaLate > w.DeltaEarly,
-					fmt.Sprintf("Δ(v1|∅)=%.1f < Δ(v1|ω2)=%.1f", w.DeltaEarly, w.DeltaLate), nil
-			},
-		},
-		{
-			id:        "curvature-unbounded",
-			source:    "§III-B",
-			statement: "the adaptive total primal curvature is unbounded under the deterministic threshold model",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				gamma, _, err := theory.CurvatureWitness()
-				if err != nil {
-					return false, "", err
-				}
-				return gamma > 1e18, fmt.Sprintf("Γ = %v", gamma), nil
-			},
-		},
-		{
-			id:        "theorem1-bound",
-			source:    "§III-B Theorem 1",
-			statement: "greedy ≥ (1 − e^{−λ})·OPT on the enumerable verification instances",
-			check: func(ctx context.Context, cfg Config) (bool, string, error) {
-				worst := 1e18
-				for _, tc := range thm1Cases() {
-					inst, err := tc.build()
-					if err != nil {
-						return false, "", err
-					}
-					lambda, err := theory.AdaptiveSubmodularRatio(inst)
-					if err != nil {
-						return false, "", err
-					}
-					opt, err := theory.OptimalValue(inst, tc.k)
-					if err != nil {
-						return false, "", err
-					}
-					gre, err := theory.GreedyValue(inst, tc.k)
-					if err != nil {
-						return false, "", err
-					}
-					if slack := gre - theory.Bound(lambda)*opt; slack < worst {
-						worst = slack
-					}
-				}
-				return worst >= -1e-9, fmt.Sprintf("min slack %.3f", worst), nil
-			},
-		},
-	}
+	return best > pure, fmt.Sprintf("pure %.1f vs best weighted %.1f", pure, best)
 }

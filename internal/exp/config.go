@@ -20,6 +20,7 @@ import (
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 	"github.com/accu-sim/accu/internal/sim"
+	"github.com/accu-sim/accu/internal/stats"
 )
 
 // Config scales the experiment protocol. The paper's full protocol is
@@ -57,9 +58,10 @@ type Config struct {
 	// for each.
 	OnProgress func(sim.Progress)
 	// CheckpointDir, when non-empty, journals every completed Monte-Carlo
-	// cell to one JSONL file per protocol under this directory, so an
-	// interrupted experiment can resume without recomputing finished
-	// cells.
+	// cell to one JSONL file per protocol under this directory, at
+	// CheckpointDir/<experiment id>/<grid>.jsonl, so an interrupted
+	// experiment can resume without recomputing finished cells and two
+	// experiments that run the same grid keep separate journals.
 	CheckpointDir string
 	// Resume reopens existing journals in CheckpointDir, replays their
 	// cells and computes only what is missing. Without Resume a leftover
@@ -89,8 +91,9 @@ func PaperConfig() Config {
 	}
 }
 
-// normalize fills derived defaults and validates.
-func (c Config) normalize() (Config, error) {
+// normalize fills derived defaults, validates, and scopes CheckpointDir
+// to the experiment id.
+func (c Config) normalize(id string) (Config, error) {
 	if c.Scale <= 0 || c.Scale > 1 {
 		return c, fmt.Errorf("exp: scale %v not in (0, 1]", c.Scale)
 	}
@@ -117,6 +120,9 @@ func (c Config) normalize() (Config, error) {
 	}
 	if err := c.Weights.Validate(); err != nil {
 		return c, err
+	}
+	if c.CheckpointDir != "" {
+		c.CheckpointDir = filepath.Join(c.CheckpointDir, id)
 	}
 	return c, nil
 }
@@ -157,6 +163,9 @@ func (c Config) protocol(g gen.Generator, s osn.Setup, seed rng.Seed) sim.Protoc
 func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, factories []sim.PolicyFactory, collect func(sim.Record)) error {
 	var journal *sim.CellJournal
 	if c.CheckpointDir != "" {
+		if err := os.MkdirAll(c.CheckpointDir, 0o755); err != nil {
+			return fmt.Errorf("exp: %s: %w", name, err)
+		}
 		path := filepath.Join(c.CheckpointDir, sanitizeName(name)+".jsonl")
 		j, err := sim.ResumeJournal(path, c.Resume, collect, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
@@ -174,6 +183,22 @@ func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, fac
 		}
 	}
 	return err
+}
+
+// abmCell runs ABM with the config's weights alone over one built
+// protocol (journaled as name) and returns its final-benefit and
+// cautious-friend accumulators: one point of a sweep that varies the
+// setup or the batch size.
+func (c Config) abmCell(ctx context.Context, name string, protocol sim.Protocol) (benefit, cautious stats.Welford, err error) {
+	abm, err := sim.ABMFactory(c.Weights, c.abmOptions()...)
+	if err != nil {
+		return benefit, cautious, err
+	}
+	err = c.run(ctx, name, protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
+		benefit.Add(rec.Result.Benefit)
+		cautious.Add(float64(rec.Result.CautiousFriends))
+	})
+	return benefit, cautious, err
 }
 
 // sanitizeName maps a protocol name to a filesystem-safe journal stem:

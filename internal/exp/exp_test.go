@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
+	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/rng"
+	"github.com/accu-sim/accu/internal/stats"
 )
 
 // tinyConfig returns the smallest config that exercises the full
@@ -25,7 +27,7 @@ func tinyConfig() Config {
 
 func TestNormalizeDefaults(t *testing.T) {
 	c := QuickConfig()
-	n, err := c.normalize()
+	n, err := c.normalize("x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestNormalizeValidation(t *testing.T) {
 	for i, mutate := range cases {
 		c := tinyConfig()
 		mutate(&c)
-		if _, err := c.normalize(); err == nil {
+		if _, err := c.normalize("x"); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
@@ -89,21 +91,6 @@ func TestCheckpoints(t *testing.T) {
 	cps = checkpoints(5)
 	if len(cps) != 5 || cps[0] != 1 || cps[4] != 5 {
 		t.Errorf("checkpoints(5) = %v", cps)
-	}
-}
-
-func TestBenefitAt(t *testing.T) {
-	res := &core.Result{Steps: []core.Step{
-		{BenefitAfter: 1}, {BenefitAfter: 3}, {BenefitAfter: 3.5},
-	}}
-	if got := benefitAt(res, 2); got != 3 {
-		t.Errorf("benefitAt(2) = %v", got)
-	}
-	if got := benefitAt(res, 10); got != 3.5 {
-		t.Errorf("benefitAt(10) = %v (short trace holds final)", got)
-	}
-	if got := benefitAt(&core.Result{}, 1); got != 0 {
-		t.Errorf("benefitAt(empty) = %v", got)
 	}
 }
 
@@ -285,6 +272,16 @@ func TestClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Fig. 4 claims read Fig. 4's own grid: the pure greedy's benefit
+	// in the evidence is the w_I = 0 row of the Fig. 4 table.
+	fig4, err := Fig4(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pure := strings.Fields(fig4.Tables[0].Rows[0][1])[0]
+	if got := rep.Tables[0].Rows[3][3]; !strings.HasPrefix(got, "pure "+pure+" ") {
+		t.Errorf("indirect-term-helps evidence %q does not read Fig. 4's w_I = 0 benefit %s", got, pure)
+	}
 	for _, want := range []string{"abm-dominates", "random-worst", "theorem1-bound", "not-adaptive-submodular"} {
 		if !strings.Contains(rep.Rendered, want) {
 			t.Errorf("missing claim %q in:\n%s", want, rep.Rendered)
@@ -298,5 +295,41 @@ func TestClaims(t *testing.T) {
 				t.Errorf("structural claim %s failed: %v", row[0], row)
 			}
 		}
+	}
+}
+
+// TestIndirectTermHelpsNeedsStrictGain is the regression test for a check
+// that could not fail: the best weighted benefit started at the pure
+// greedy's, so "best >= pure" held on every sweep.
+func TestIndirectTermHelpsNeedsStrictGain(t *testing.T) {
+	sweep := func(weighted float64) *stats.Series {
+		s := stats.NewSeries("benefit", fig45Weights)
+		s.Add(0, 100)
+		for i := 1; i < len(fig45Weights); i++ {
+			s.Add(i, weighted)
+		}
+		return s
+	}
+	for weighted, want := range map[float64]bool{90: false, 100: false, 100.5: true} {
+		if ok, text := indirectTermHelps(sweep(weighted)); ok != want {
+			t.Errorf("weighted %v vs pure 100: holds = %v (%s), want %v", weighted, ok, text, want)
+		}
+	}
+}
+
+// TestClaimsCellCount pins what the checklist simulates: Fig. 2's four
+// policies per dataset, Fig. 4's seven w_I points and the θ pair, each
+// grid once — N·R·(4D + 9) records.
+func TestClaimsCellCount(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.K = 10
+	cfg.Datasets = []string{"slashdot", "dblp"}
+	cfg.Metrics = obs.New()
+	if _, err := Claims(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(cfg.Networks * cfg.Runs * (4*len(cfg.Datasets) + 9))
+	if got := cfg.Metrics.Counter("sim.cells").Value(); got != want {
+		t.Errorf("sim.cells = %d, want %d", got, want)
 	}
 }

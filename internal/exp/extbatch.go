@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
 
@@ -19,16 +18,11 @@ var batchSizes = []int{1, 5, 10, 25}
 // batch cannot court a cautious user and then immediately exploit the
 // unlocked threshold.
 func ExtBatch(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.normalize("ext-batch")
 	if err != nil {
 		return nil, err
 	}
-	dataset := fig45Dataset(cfg)
-	g, _, err := cfg.generator(dataset)
-	if err != nil {
-		return nil, err
-	}
-	abm, err := sim.ABMFactory(cfg.Weights, cfg.abmOptions()...)
+	dataset, g, err := cfg.sweepDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -40,13 +34,9 @@ func ExtBatch(ctx context.Context, cfg Config) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var benefit, cautious stats.Welford
 		protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("extbatch")) // same seed: paired across batch sizes
 		protocol.BatchSize = b
-		err := cfg.run(ctx, fmt.Sprintf("extbatch-%d", b), protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
-			benefit.Add(rec.Result.Benefit)
-			cautious.Add(float64(rec.Result.CautiousFriends))
-		})
+		benefit, cautious, err := cfg.abmCell(ctx, fmt.Sprintf("extbatch-%d", b), protocol)
 		if err != nil {
 			return nil, fmt.Errorf("exp: extbatch b=%d: %w", b, err)
 		}

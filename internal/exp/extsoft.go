@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 	"github.com/accu-sim/accu/internal/theory"
 )
@@ -23,16 +22,11 @@ var softGrid = []struct{ qLow, qHigh float64 }{
 // 1 − (1 − 1/(δk))^k guarantee — the bound the paper shows degenerates to
 // 0 as qLow → 0, motivating the adaptive submodular ratio.
 func ExtSoft(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.normalize("ext-soft")
 	if err != nil {
 		return nil, err
 	}
-	dataset := fig45Dataset(cfg)
-	g, _, err := cfg.generator(dataset)
-	if err != nil {
-		return nil, err
-	}
-	abm, err := sim.ABMFactory(cfg.Weights, cfg.abmOptions()...)
+	dataset, g, err := cfg.sweepDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -47,13 +41,8 @@ func ExtSoft(ctx context.Context, cfg Config) (*Report, error) {
 		setup.QLowCautious = cell.qLow
 		setup.QHighCautious = cell.qHigh
 
-		var benefit, cautious stats.Welford
 		name := fmt.Sprintf("extsoft-%v-%v", cell.qLow, cell.qHigh)
-		protocol := cfg.protocol(g, setup, cfg.Seed.Split(name))
-		err := cfg.run(ctx, name, protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
-			benefit.Add(rec.Result.Benefit)
-			cautious.Add(float64(rec.Result.CautiousFriends))
-		})
+		benefit, cautious, err := cfg.abmCell(ctx, name, cfg.protocol(g, setup, cfg.Seed.Split(name)))
 		if err != nil {
 			return nil, fmt.Errorf("exp: extsoft (%v, %v): %w", cell.qLow, cell.qHigh, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
@@ -28,45 +27,40 @@ func checkpoints(k int) []int {
 	return out
 }
 
-// benefitAt reads the cumulative benefit after the first c requests of a
-// trace (traces shorter than c — candidate exhaustion — hold their final
-// value).
-func benefitAt(res *core.Result, c int) float64 {
-	if len(res.Steps) == 0 {
-		return 0
+// fig2Data runs the §IV roster on one dataset (grid fig2-<dataset>) and
+// returns the roster, ABM first, with its summary: Fig. 2's benefit
+// curves and the final benefits the claims checklist compares.
+func fig2Data(ctx context.Context, cfg Config, dataset string) ([]sim.PolicyFactory, *sim.Summary, error) {
+	factories, err := sim.DefaultFactories(cfg.Weights, cfg.abmOptions()...)
+	if err != nil {
+		return nil, nil, err
 	}
-	if c > len(res.Steps) {
-		c = len(res.Steps)
+	g, _, err := cfg.generator(dataset)
+	if err != nil {
+		return nil, nil, err
 	}
-	return res.Steps[c-1].BenefitAfter
+	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig2-"+dataset))
+	sum := sim.NewSummary(checkpoints(cfg.K))
+	if err := cfg.run(ctx, "fig2-"+dataset, protocol, factories, sum.Collect); err != nil {
+		return nil, nil, fmt.Errorf("exp: fig2 %s: %w", dataset, err)
+	}
+	return factories, sum, nil
 }
 
 // Fig2 reproduces Fig. 2: total benefit vs number of requests k for ABM,
 // MaxDegree, PageRank and Random on every dataset.
 func Fig2(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.normalize("fig2")
 	if err != nil {
 		return nil, err
 	}
-	factories, err := sim.DefaultFactories(cfg.Weights, cfg.abmOptions()...)
-	if err != nil {
-		return nil, err
-	}
-	cps := checkpoints(cfg.K)
-
 	var tables []stats.Table
 	var notes []string
 	for _, name := range cfg.Datasets {
-		g, _, err := cfg.generator(name)
+		factories, sum, err := fig2Data(ctx, cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig2-"+name))
-		sum := sim.NewSummary(cps)
-		if err := cfg.run(ctx, "fig2-"+name, protocol, factories, sum.Collect); err != nil {
-			return nil, fmt.Errorf("exp: fig2 %s: %w", name, err)
-		}
-
 		ordered := make([]*stats.Series, 0, len(factories))
 		for _, f := range factories {
 			if curve := sum.Curve(f.Name); curve != nil {

@@ -14,7 +14,7 @@ import (
 // (the paper plots per-request curves; buckets keep the table readable
 // while preserving the shape — the cautious-gain concentration region).
 func Fig3(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.normalize("fig3")
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/core"
+	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
@@ -12,49 +14,42 @@ import (
 // fig45Weights is the w_I grid of Fig. 4/5 (w_D = 1 − w_I).
 var fig45Weights = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
 
-// fig45Dataset picks the sweep dataset: the paper uses Twitter; fall back
-// to the first configured dataset if Twitter is not in the roster.
-func fig45Dataset(cfg Config) string {
-	for _, d := range cfg.Datasets {
-		if d == "twitter" {
-			return d
-		}
+// sweepDataset picks the dataset of the single-dataset experiments
+// (Figs. 4–7, the extensions and the claims' θ pair) and returns it with
+// its generator: the paper uses Twitter; fall back to the first
+// configured dataset if Twitter is not in the roster.
+func (c Config) sweepDataset() (string, gen.Generator, error) {
+	dataset := c.Datasets[0]
+	if slices.Contains(c.Datasets, "twitter") {
+		dataset = "twitter"
 	}
-	return cfg.Datasets[0]
+	g, _, err := c.generator(dataset)
+	return dataset, g, err
 }
 
-// Fig4 reproduces Fig. 4: total benefit and number of cautious friends
-// after k requests on Twitter, varying w_I with w_D = 1 − w_I.
-func Fig4(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+// fig4Data runs the Fig. 4 sweep (grid fig4-<dataset>): one ABM per
+// fig45Weights point, w_D = 1 − w_I. It returns the dataset and ABM's
+// benefit and cautious-friend series over the sweep, which Fig. 4
+// tabulates and the claims checklist reads.
+func fig4Data(ctx context.Context, cfg Config) (dataset string, benefit, cautious *stats.Series, err error) {
+	dataset, g, err := cfg.sweepDataset()
 	if err != nil {
-		return nil, err
+		return "", nil, nil, err
 	}
-	dataset := fig45Dataset(cfg)
-	g, _, err := cfg.generator(dataset)
-	if err != nil {
-		return nil, err
-	}
-
 	xs := fig45Weights
-	benefit := stats.NewSeries("benefit", xs)
-	cautious := stats.NewSeries("cautious-friends", xs)
-
+	benefit = stats.NewSeries("benefit", xs)
+	cautious = stats.NewSeries("cautious-friends", xs)
 	factories := make([]sim.PolicyFactory, 0, len(xs))
-	for _, wi := range xs {
-		w := core.Weights{WD: 1 - wi, WI: wi}
-		f, err := sim.ABMFactory(w, cfg.abmOptions()...)
+	index := make(map[string]int, len(xs))
+	for i, wi := range xs {
+		f, err := sim.ABMFactory(core.Weights{WD: 1 - wi, WI: wi}, cfg.abmOptions()...)
 		if err != nil {
-			return nil, err
+			return "", nil, nil, err
 		}
 		f.Name = fmt.Sprintf("wI=%.1f", wi)
 		factories = append(factories, f)
-	}
-	index := make(map[string]int, len(factories))
-	for i, f := range factories {
 		index[f.Name] = i
 	}
-
 	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig4-"+dataset))
 	err = cfg.run(ctx, "fig4-"+dataset, protocol, factories, func(rec sim.Record) {
 		i := index[rec.Policy]
@@ -62,9 +57,22 @@ func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 		cautious.Add(i, float64(rec.Result.CautiousFriends))
 	})
 	if err != nil {
-		return nil, fmt.Errorf("exp: fig4 %s: %w", dataset, err)
+		return "", nil, nil, fmt.Errorf("exp: fig4 %s: %w", dataset, err)
 	}
+	return dataset, benefit, cautious, nil
+}
 
+// Fig4 reproduces Fig. 4: total benefit and number of cautious friends
+// after k requests on Twitter, varying w_I with w_D = 1 − w_I.
+func Fig4(ctx context.Context, cfg Config) (*Report, error) {
+	cfg, err := cfg.normalize("fig4")
+	if err != nil {
+		return nil, err
+	}
+	dataset, benefit, cautious, err := fig4Data(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
 	var notes []string
 	bm := benefit.Means()
 	best := 0
@@ -73,7 +81,7 @@ func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 			best = i
 		}
 	}
-	notes = append(notes, fmt.Sprintf("%s: benefit peaks at wI=%.1f", dataset, xs[best]))
+	notes = append(notes, fmt.Sprintf("%s: benefit peaks at wI=%.1f", dataset, fig45Weights[best]))
 	cm := cautious.Means()
 	monotone := true
 	for i := 1; i < len(cm); i++ {
@@ -96,12 +104,11 @@ func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 // targets a cautious user, for several w_I settings (bucketed in ten
 // request-index groups).
 func Fig5(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.normalize("fig5")
 	if err != nil {
 		return nil, err
 	}
-	dataset := fig45Dataset(cfg)
-	g, _, err := cfg.generator(dataset)
+	dataset, g, err := cfg.sweepDataset()
 	if err != nil {
 		return nil, err
 	}

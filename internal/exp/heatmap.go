@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
 
@@ -15,42 +14,37 @@ var (
 	heatThetas   = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 )
 
-// heatmap runs the Fig. 6/7 sweep and aggregates the chosen metric.
-func heatmap(ctx context.Context, cfg Config, metric func(rec sim.Record) float64) (*stats.Grid, string, error) {
-	cfg, err := cfg.normalize()
+// heatmap runs the Fig. 6/7 sweep for experiment id (one ABM grid
+// heat-<dataset>-<θ>-<Bf> per cell) and returns ABM's benefit and
+// cautious-friend grids.
+func heatmap(ctx context.Context, cfg Config, id string) (benefit, cautious *stats.Grid, dataset string, err error) {
+	cfg, err = cfg.normalize(id)
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	dataset := fig45Dataset(cfg)
-	g, _, err := cfg.generator(dataset)
+	dataset, g, err := cfg.sweepDataset()
 	if err != nil {
-		return nil, "", err
+		return nil, nil, "", err
 	}
-	abm, err := sim.ABMFactory(cfg.Weights, cfg.abmOptions()...)
-	if err != nil {
-		return nil, "", err
-	}
-
-	grid := stats.NewGrid("theta", heatThetas, "Bf(c)", heatBenefits)
+	benefit = stats.NewGrid("theta", heatThetas, "Bf(c)", heatBenefits)
+	cautious = stats.NewGrid("theta", heatThetas, "Bf(c)", heatBenefits)
 	for i, tf := range heatThetas {
 		for j, bf := range heatBenefits {
 			if err := ctx.Err(); err != nil {
-				return nil, "", err
+				return nil, nil, "", err
 			}
 			setup := cfg.setup()
 			setup.ThetaFraction = tf
 			setup.BFriendCautious = bf
 			name := fmt.Sprintf("heat-%s-%v-%v", dataset, tf, bf)
-			protocol := cfg.protocol(g, setup, cfg.Seed.Split(name))
-			err := cfg.run(ctx, name, protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
-				grid.Add(i, j, metric(rec))
-			})
+			b, c, err := cfg.abmCell(ctx, name, cfg.protocol(g, setup, cfg.Seed.Split(name)))
 			if err != nil {
-				return nil, "", fmt.Errorf("exp: heatmap cell (θ=%v, Bf=%v): %w", tf, bf, err)
+				return nil, nil, "", fmt.Errorf("exp: heatmap cell (θ=%v, Bf=%v): %w", tf, bf, err)
 			}
+			*benefit.At(i, j), *cautious.At(i, j) = b, c
 		}
 	}
-	return grid, dataset, nil
+	return benefit, cautious, dataset, nil
 }
 
 // heatNotes derives the qualitative observations the paper reports on the
@@ -74,9 +68,7 @@ func heatNotes(grid *stats.Grid, dataset, what string) []string {
 // Fig6 reproduces Fig. 6: the total-benefit heat map over cautious-user
 // benefit and threshold fraction.
 func Fig6(ctx context.Context, cfg Config) (*Report, error) {
-	grid, dataset, err := heatmap(ctx, cfg, func(rec sim.Record) float64 {
-		return rec.Result.Benefit
-	})
+	grid, _, dataset, err := heatmap(ctx, cfg, "fig6")
 	if err != nil {
 		return nil, err
 	}
@@ -87,9 +79,7 @@ func Fig6(ctx context.Context, cfg Config) (*Report, error) {
 // Fig7 reproduces Fig. 7: the cautious-friend-count heat map over the
 // same grid.
 func Fig7(ctx context.Context, cfg Config) (*Report, error) {
-	grid, dataset, err := heatmap(ctx, cfg, func(rec sim.Record) float64 {
-		return float64(rec.Result.CautiousFriends)
-	})
+	_, grid, dataset, err := heatmap(ctx, cfg, "fig7")
 	if err != nil {
 		return nil, err
 	}

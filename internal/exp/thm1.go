@@ -82,65 +82,100 @@ func thm1Cases() []thm1Case {
 	}
 }
 
+// thm1Row is Theorem 1's verdict on one case: the exhaustive adaptive
+// submodular ratio λ, its bound 1 − e^{−λ}, and the exact-greedy
+// (w_I = 0) and optimal adaptive values.
+type thm1Row struct {
+	name                       string
+	k                          int
+	lambda, bound, greedy, opt float64
+}
+
+// holds reports greedy ≥ (1 − e^{−λ})·OPT up to rounding.
+func (r thm1Row) holds() bool { return r.greedy+1e-9 >= r.bound*r.opt }
+
+// thm1Result is what Theorem 1 publishes and the claims checklist reads:
+// one row per case, plus the Fig. 1 non-submodularity witness and the
+// adaptive total primal curvature Γ it implies.
+type thm1Result struct {
+	rows    []thm1Row
+	witness theory.Witness
+	gamma   float64
+}
+
+// thm1Data evaluates every case and the witnesses.
+func thm1Data(ctx context.Context) (*thm1Result, error) {
+	res := &thm1Result{}
+	for _, tc := range thm1Cases() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		r, err := tc.evaluate()
+		if err != nil {
+			return nil, fmt.Errorf("exp: thm1 %s: %w", tc.name, err)
+		}
+		res.rows = append(res.rows, r)
+	}
+	var err error
+	if res.gamma, res.witness, err = theory.CurvatureWitness(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// evaluate computes one case's row by exhaustive enumeration.
+func (tc thm1Case) evaluate() (thm1Row, error) {
+	r := thm1Row{name: tc.name, k: tc.k}
+	inst, err := tc.build()
+	if err != nil {
+		return r, err
+	}
+	if r.lambda, err = theory.AdaptiveSubmodularRatio(inst); err != nil {
+		return r, err
+	}
+	if r.opt, err = theory.OptimalValue(inst, tc.k); err != nil {
+		return r, err
+	}
+	r.bound = theory.Bound(r.lambda)
+	r.greedy, err = theory.GreedyValue(inst, tc.k)
+	return r, err
+}
+
 // Theorem1 verifies the 1 − e^{−λ} guarantee on enumerable instances:
 // for each case it computes the exhaustive adaptive submodular ratio λ,
 // the optimal adaptive value, the exact-greedy value (w_I = 0), and
 // checks greedy ≥ (1 − e^{−λ})·OPT.
 func Theorem1(ctx context.Context, cfg Config) (*Report, error) {
+	res, err := thm1Data(ctx)
+	if err != nil {
+		return nil, err
+	}
 	header := []string{"instance", "k", "lambda", "bound", "greedy", "optimal", "ratio", "holds"}
 	var rows [][]string
 	var notes []string
-	for _, tc := range thm1Cases() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		inst, err := tc.build()
-		if err != nil {
-			return nil, fmt.Errorf("exp: thm1 %s: %w", tc.name, err)
-		}
-		lambda, err := theory.AdaptiveSubmodularRatio(inst)
-		if err != nil {
-			return nil, fmt.Errorf("exp: thm1 %s: %w", tc.name, err)
-		}
-		opt, err := theory.OptimalValue(inst, tc.k)
-		if err != nil {
-			return nil, fmt.Errorf("exp: thm1 %s: %w", tc.name, err)
-		}
-		gre, err := theory.GreedyValue(inst, tc.k)
-		if err != nil {
-			return nil, fmt.Errorf("exp: thm1 %s: %w", tc.name, err)
-		}
-		bound := theory.Bound(lambda)
-		holds := gre+1e-9 >= bound*opt
+	for _, r := range res.rows {
 		ratio := 0.0
-		if opt > 0 {
-			ratio = gre / opt
+		if r.opt > 0 {
+			ratio = r.greedy / r.opt
 		}
 		rows = append(rows, []string{
-			tc.name,
-			fmt.Sprintf("%d", tc.k),
-			fmt.Sprintf("%.4f", lambda),
-			fmt.Sprintf("%.4f", bound),
-			fmt.Sprintf("%.3f", gre),
-			fmt.Sprintf("%.3f", opt),
+			r.name,
+			fmt.Sprintf("%d", r.k),
+			fmt.Sprintf("%.4f", r.lambda),
+			fmt.Sprintf("%.4f", r.bound),
+			fmt.Sprintf("%.3f", r.greedy),
+			fmt.Sprintf("%.3f", r.opt),
 			fmt.Sprintf("%.3f", ratio),
-			fmt.Sprintf("%v", holds),
+			fmt.Sprintf("%v", r.holds()),
 		})
-		if !holds {
-			notes = append(notes, fmt.Sprintf("%s: BOUND VIOLATED (greedy %.3f < %.3f)", tc.name, gre, bound*opt))
+		if !r.holds() {
+			notes = append(notes, fmt.Sprintf("%s: BOUND VIOLATED (greedy %.3f < %.3f)", r.name, r.greedy, r.bound*r.opt))
 		}
 	}
-	w, err := theory.NonSubmodularWitness()
-	if err != nil {
-		return nil, err
-	}
-	notes = append(notes, fmt.Sprintf("Fig.1 witness: Δ(v1|∅)=%.1f < Δ(v1|ω2)=%.1f — not adaptive submodular", w.DeltaEarly, w.DeltaLate))
-	gamma, _, err := theory.CurvatureWitness()
-	if err != nil {
-		return nil, err
-	}
-	notes = append(notes, fmt.Sprintf("curvature witness: Γ = %v (unbounded, §III-B)", gamma))
-
+	w := res.witness
+	notes = append(notes,
+		fmt.Sprintf("Fig.1 witness: Δ(v1|∅)=%.1f < Δ(v1|ω2)=%.1f — not adaptive submodular", w.DeltaEarly, w.DeltaLate),
+		fmt.Sprintf("curvature witness: Γ = %v (unbounded, §III-B)", res.gamma))
 	tables := []stats.Table{{Header: header, Rows: rows}}
 	return newReport("thm1", "Theorem 1 verification: greedy ≥ (1 − e^{−λ})·OPT on enumerable instances", tables, notes), nil
 }

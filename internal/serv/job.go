@@ -30,12 +30,6 @@ const (
 	StateCancelled State = "cancelled"
 )
 
-// terminal reports whether no further transitions happen without an
-// explicit admin resume.
-func (s State) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
 // Progress is the record-level completion of a job's Monte-Carlo grid.
 // Done counts records delivered by the current (or last) run, Resumed the
 // records that were already durable in the job's checkpoint when that run

@@ -103,14 +103,3 @@ func (s *Summary) CautiousFriendsSketch(policy string) *stats.Sketch { return s.
 // Curve returns the benefit-vs-k series for a policy, or nil when the
 // summary was built without checkpoints.
 func (s *Summary) Curve(policy string) *stats.Series { return s.curves[policy] }
-
-// Curves returns all benefit curves in first-seen policy order.
-func (s *Summary) Curves() []*stats.Series {
-	out := make([]*stats.Series, 0, len(s.order))
-	for _, p := range s.order {
-		if c := s.curves[p]; c != nil {
-			out = append(out, c)
-		}
-	}
-	return out
-}

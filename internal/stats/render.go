@@ -120,40 +120,6 @@ func RenderTable(header []string, rows [][]string) string {
 	return sb.String()
 }
 
-// RenderSeries renders one or more series sharing x positions as a
-// table: the first column is x, then one "mean ± ci" column per series.
-// Like SeriesTable, mismatched axes fail loudly with ErrMismatchedAxes.
-func RenderSeries(xName string, series []*Series) (string, error) {
-	if len(series) == 0 {
-		return "", nil
-	}
-	t, err := SeriesTable("", xName, series)
-	if err != nil {
-		return "", err
-	}
-	return RenderTable(t.Header, t.Rows), nil
-}
-
-// RenderGrid renders a heat-map grid as a table of cell means: rows ×
-// columns, with axis labels.
-func RenderGrid(g *Grid) string {
-	header := make([]string, 0, len(g.Cols())+1)
-	header = append(header, fmt.Sprintf("%s \\ %s", g.RowLabel, g.ColLabel))
-	for _, c := range g.Cols() {
-		header = append(header, trimFloat(c))
-	}
-	rows := make([][]string, 0, len(g.Rows()))
-	for i, r := range g.Rows() {
-		row := make([]string, 0, len(header))
-		row = append(row, trimFloat(r))
-		for j := range g.Cols() {
-			row = append(row, fmt.Sprintf("%.1f", g.At(i, j).Mean()))
-		}
-		rows = append(rows, row)
-	}
-	return RenderTable(header, rows)
-}
-
 // formatMeanCI renders "mean ± ci" with the precision of each part
 // adapted to its own magnitude, so small fractions (e.g. Fig. 5's
 // request shares) stay visible. Precision used to follow the mean

@@ -10,7 +10,7 @@ import (
 	"math"
 )
 
-// ErrMismatchedAxes is returned by SeriesTable and RenderSeries when the
+// ErrMismatchedAxes is returned by SeriesTable when the
 // series do not accumulate over the same positions — lining them up as
 // columns would misattribute observations.
 var ErrMismatchedAxes = errors.New("stats: mismatched axes")

@@ -177,31 +177,10 @@ func TestRenderTable(t *testing.T) {
 	}
 }
 
-func TestRenderSeries(t *testing.T) {
-	s1 := NewSeries("abm", []float64{10, 20})
-	s2 := NewSeries("random", []float64{10, 20})
-	s1.Add(0, 5)
-	s1.Add(1, 9)
-	s2.Add(0, 1)
-	s2.Add(1, 2)
-	out, err := RenderSeries("k", []*Series{s1, s2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"k", "abm", "random", "10", "20", "5.0", "9.0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	if out, err := RenderSeries("k", nil); err != nil || out != "" {
-		t.Errorf("empty series list should render empty: %q, %v", out, err)
-	}
-}
-
-// TestRenderSeriesMismatchedAxes is the regression test for the silent
+// TestSeriesTableMismatchedAxes is the regression test for the silent
 // shared-axis assumption: a shorter series used to panic at At(i) and a
 // longer one silently lost its tail points. Both now fail loudly.
-func TestRenderSeriesMismatchedAxes(t *testing.T) {
+func TestSeriesTableMismatchedAxes(t *testing.T) {
 	cases := map[string]*Series{
 		"shorter": NewSeries("s", []float64{10}),
 		"longer":  NewSeries("s", []float64{10, 20, 30}),
@@ -210,23 +189,8 @@ func TestRenderSeriesMismatchedAxes(t *testing.T) {
 	for name, other := range cases {
 		base := NewSeries("base", []float64{10, 20})
 		base.Add(0, 1)
-		if _, err := RenderSeries("k", []*Series{base, other}); !errors.Is(err, ErrMismatchedAxes) {
-			t.Errorf("RenderSeries %s: err = %v, want ErrMismatchedAxes", name, err)
-		}
 		if _, err := SeriesTable("t", "k", []*Series{base, other}); !errors.Is(err, ErrMismatchedAxes) {
 			t.Errorf("SeriesTable %s: err = %v, want ErrMismatchedAxes", name, err)
-		}
-	}
-}
-
-func TestRenderGrid(t *testing.T) {
-	g := NewGrid("theta", []float64{0.1, 0.3}, "Bf", []float64{20, 50})
-	g.Add(0, 0, 1)
-	g.Add(1, 1, 9)
-	out := RenderGrid(g)
-	for _, want := range []string{"theta \\ Bf", "0.1", "0.3", "20", "50", "1.0", "9.0"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
 		}
 	}
 }
