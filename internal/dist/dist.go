@@ -47,7 +47,8 @@ type metrics struct {
 	cellsAccepted    *obs.Counter
 	cellsDuplicate   *obs.Counter
 	cellsRejected    *obs.Counter
-	uploads          *obs.Counter
+	uploads          *obs.Counter // cell lines received
+	uploadRequests   *obs.Counter
 	workersLive      *obs.Gauge
 	rangeNS          *obs.Histogram
 }
@@ -61,6 +62,7 @@ func newMetrics(reg *obs.Registry) metrics {
 		cellsDuplicate:   reg.Counter("dist.cells_duplicate"),
 		cellsRejected:    reg.Counter("dist.cells_rejected"),
 		uploads:          reg.Counter("dist.uploads"),
+		uploadRequests:   reg.Counter("dist.upload_requests"),
 		workersLive:      reg.Gauge("dist.workers_live"),
 		rangeNS:          reg.Histogram("dist.range_ns"),
 	}
@@ -265,10 +267,11 @@ func (c *Coordinator) Lease(worker string) (lease *Lease, done bool) {
 // particular — because the journal dedups by key and the first durable
 // commit wins. A line that is not a complete cell of this grid (see
 // validLine) is rejected before it reaches the journal, so it can neither
-// poison a resume nor the aggregation. Accepted cells are fsynced before
-// this returns (the journal runs SyncEvery(1)), and the matching lease's
-// deadline is extended, so durable progress keeps a slow worker's lease
-// alive.
+// poison a resume nor the aggregation. The fresh cells of the batch are
+// committed with one CommitBatch, so one fsync covers them all (the
+// journal runs SyncEvery(1)); only then are they aggregated and the
+// matching lease's deadline extended, so durable progress keeps a slow
+// worker's lease alive. A failed commit accepts none of them.
 func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (UploadResponse, error) {
 	now := c.now()
 	runs := c.cfg.Spec.Runs
@@ -278,25 +281,30 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	defer c.mu.Unlock()
 	c.workers[worker] = now
 	c.updateWorkersLive(now)
-	c.met.uploads.Inc()
+	c.met.uploadRequests.Inc()
+	c.met.uploads.Add(int64(len(lines)))
+	var fresh []sim.CellLine
+	inBatch := make(map[sim.CellKey]bool, len(lines))
 	for _, cl := range lines {
-		if !c.validLine(cl) {
+		switch {
+		case !c.validLine(cl):
 			resp.Rejected++
-			continue
-		}
-		if c.journal.Done(cl.CellKey) {
+		case inBatch[cl.CellKey] || c.journal.Done(cl.CellKey):
 			resp.Duplicate++
-			continue
+		default:
+			inBatch[cl.CellKey] = true
+			fresh = append(fresh, cl)
 		}
-		if err := c.journal.Commit(cl.CellKey, cl.Records); err != nil {
-			// The cell is not durable; the worker must not treat it as
-			// committed. Abort the whole batch.
-			c.met.cellsAccepted.Add(int64(resp.Accepted))
-			c.met.cellsDuplicate.Add(int64(resp.Duplicate))
-			c.met.cellsRejected.Add(int64(resp.Rejected))
-			return resp, fmt.Errorf("dist: commit cell (%d,%d): %w", cl.Network, cl.Run, err)
-		}
-		resp.Accepted++
+	}
+	c.met.cellsDuplicate.Add(int64(resp.Duplicate))
+	c.met.cellsRejected.Add(int64(resp.Rejected))
+	if err := c.journal.CommitBatch(fresh); err != nil {
+		// Not durable: the worker must not treat any cell as committed.
+		return resp, fmt.Errorf("dist: commit %d cell(s): %w", len(fresh), err)
+	}
+	resp.Accepted = len(fresh)
+	c.met.cellsAccepted.Add(int64(resp.Accepted))
+	for _, cl := range fresh {
 		for _, rec := range cl.Records {
 			c.summary.Collect(rec)
 			c.digest.Collect(rec)
@@ -308,9 +316,6 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 			r.leaseID, r.worker = "", ""
 		}
 	}
-	c.met.cellsAccepted.Add(int64(resp.Accepted))
-	c.met.cellsDuplicate.Add(int64(resp.Duplicate))
-	c.met.cellsRejected.Add(int64(resp.Rejected))
 	if resp.Duplicate > 0 {
 		c.logf("dist: upload from %s (lease %s): %d duplicate cell(s) dropped", worker, leaseID, resp.Duplicate)
 	}

@@ -10,12 +10,16 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"github.com/accu-sim/accu/internal/core"
+	"github.com/accu-sim/accu/internal/gen"
+	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/obs"
+	"github.com/accu-sim/accu/internal/rng"
 	"github.com/accu-sim/accu/internal/serv"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/sim/fault"
@@ -526,8 +530,8 @@ func TestFailWithoutWorkerIsRejected(t *testing.T) {
 
 // TestFailedCommitIsNotAcked pins fsync-before-ack at the wire: when the
 // coordinator cannot commit a cell to its journal, the upload must not
-// answer 200, and the worker's checkpointer must surface the failure so
-// the engine aborts the range instead of treating the cell as durable.
+// answer 200, and the worker's flush must surface the failure so the
+// range fails instead of treating its cells as durable.
 func TestFailedCommitIsNotAcked(t *testing.T) {
 	spec := testSpec()
 	reg := obs.New()
@@ -551,18 +555,90 @@ func TestFailedCommitIsNotAcked(t *testing.T) {
 		t.Fatal("upload answered 200 although the journal commit failed")
 	}
 
-	rc := &rangeCheckpointer{
-		w:     &Worker{Coordinator: srv.URL, ID: "w1"},
-		ctx:   context.Background(),
-		lease: &Lease{ID: "r0-a1", Start: 0, End: spec.Networks * spec.Runs},
-		runs:  spec.Runs,
+	protocol, factories, err := spec.Build(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	key := sim.CellKey{Network: 0, Run: 1}
-	if err := rc.Commit(key, wellFormedLine(spec, key).Records); err == nil {
-		t.Fatal("rangeCheckpointer.Commit returned nil for a cell the coordinator failed to commit")
+	w := &Worker{Coordinator: srv.URL, ID: "w1"}
+	lease := &Lease{ID: "r0-a1", Start: 0, End: spec.Networks * spec.Runs}
+	if err := w.runRange(context.Background(), protocol, factories, lease); err == nil {
+		t.Fatal("runRange returned nil for cells the coordinator failed to commit")
 	}
 	if got := counterValue(reg, "dist.cells_accepted"); got != 0 {
 		t.Errorf("dist.cells_accepted = %d after failed commits, want 0", got)
+	}
+}
+
+// failFrom is a generator whose calls from the n-th on (0-based) fail.
+// At one engine worker the engine generates network i just before its
+// first cell, so failFrom{n: 1} fails the first cell of network 1.
+type failFrom struct {
+	gen.Generator
+	n     int
+	calls atomic.Int32
+}
+
+func (g *failFrom) Generate(seed rng.Seed) (*graph.Graph, error) {
+	if int(g.calls.Add(1))-1 >= g.n {
+		return nil, fault.ErrInjected
+	}
+	return g.Generator.Generate(seed)
+}
+
+// TestWorkerFlushesCellsBeforeFailedCell: the cells a range completed
+// before its failed cell are batched, not yet uploaded, when the engine
+// stops. They must be durable at the coordinator before Run returns the
+// *sim.CellError, so a resume never recomputes them.
+func TestWorkerFlushesCellsBeforeFailedCell(t *testing.T) {
+	spec := testSpec() // one engine worker, cells in index order
+	reg := obs.New()
+	coord, srv := newTestCoordinator(t, spec, spec.Networks*spec.Runs, time.Minute, reg)
+	w := &Worker{
+		Coordinator:  srv.URL,
+		ID:           "w1",
+		PollInterval: 10 * time.Millisecond,
+		Logf:         t.Logf,
+		Mutate:       func(p *sim.Protocol) { p.Gen = &failFrom{Generator: p.Gen, n: 1} },
+	}
+	err := w.Run(context.Background())
+	if !errors.As(err, new(*sim.CellError)) {
+		t.Fatalf("Run = %v, want a *sim.CellError", err)
+	}
+	// Cell k = 4 is (1,0), the first of network 1: cells 0..2 come before it.
+	if got := coord.Status().Committed; got != spec.Runs {
+		t.Errorf("%d cells durable when Run returned, want the %d before the failed one", got, spec.Runs)
+	}
+	for run := 0; run < spec.Runs; run++ {
+		if !coord.journal.Done(sim.CellKey{Network: 0, Run: run}) {
+			t.Errorf("cell (0,%d) not durable", run)
+		}
+	}
+}
+
+// TestWorkerSlowCellsUploadAlone: a cell that completes more than
+// uploadEvery after the range's last upload flushes at once, so with a
+// Throttle above uploadEvery every cell is its own upload — the lease
+// heartbeat keeps the rhythm of the cells.
+func TestWorkerSlowCellsUploadAlone(t *testing.T) {
+	spec := testSpec()
+	reg := obs.New()
+	_, srv := newTestCoordinator(t, spec, spec.Networks*spec.Runs, time.Minute, reg)
+	w := &Worker{
+		Coordinator:  srv.URL,
+		ID:           "slow",
+		PollInterval: 10 * time.Millisecond,
+		Throttle:     uploadEvery + 20*time.Millisecond,
+		Logf:         t.Logf,
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	cells := int64(spec.Networks * spec.Runs)
+	if got := counterValue(reg, "dist.upload_requests"); got != cells {
+		t.Errorf("dist.upload_requests = %d, want one per cell (%d)", got, cells)
+	}
+	if got := counterValue(reg, "dist.uploads"); got != cells {
+		t.Errorf("dist.uploads = %d, want %d", got, cells)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 
 // FuzzUpload feeds arbitrary cell-upload bodies through the coordinator's
 // decoder and Upload, then resumes the journal they left behind. Neither
-// step may panic, and the resumed journal never holds more cells than the
-// grid has.
+// step may panic, Upload accounts for every line as accepted, duplicate
+// or rejected, and the resumed journal holds exactly the accepted cells,
+// never more than the grid has.
 func FuzzUpload(f *testing.F) {
 	spec := testSpec()
 	// A real journal line: cell (0,0) of the same roster at a small K.
@@ -37,7 +38,24 @@ func FuzzUpload(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append(valid, '\n'))
-	f.Add([]byte(`{"network":0,"run":0,"records":[{"Policy":"abm","Network":0,"Run":0,"Result":null}]}`))
+	malformed := []byte(`{"network":0,"run":0,"records":[{"Policy":"abm","Network":0,"Run":0,"Result":null}]}`)
+	f.Add(malformed)
+	// A batch as a worker uploads it: several cells, one of them twice,
+	// and a line that is not a complete cell of the grid.
+	var batch []byte
+	for _, key := range []sim.CellKey{{Network: 0, Run: 0}, {Network: 0, Run: 1}, {Network: 1, Run: 2}, {Network: 0, Run: 1}} {
+		cl := sim.CellLine{CellKey: key}
+		for _, rec := range line.Records {
+			rec.Network, rec.Run = key.Network, key.Run
+			cl.Records = append(cl.Records, rec)
+		}
+		b, err := json.Marshal(cl)
+		if err != nil {
+			f.Fatal(err)
+		}
+		batch = append(append(batch, b...), '\n')
+	}
+	f.Add(append(batch, malformed...))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		lines, err := decodeCellLines(bytes.NewReader(body))
@@ -49,8 +67,12 @@ func FuzzUpload(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := coord.Upload("", "fuzz", lines); err != nil {
+		resp, err := coord.Upload("", "fuzz", lines)
+		if err != nil {
 			t.Fatalf("Upload: %v", err)
+		}
+		if n := resp.Accepted + resp.Duplicate + resp.Rejected; n != len(lines) {
+			t.Fatalf("Upload answered %+v for %d lines", resp, len(lines))
 		}
 		if err := coord.Close(); err != nil {
 			t.Fatal(err)
@@ -60,8 +82,8 @@ func FuzzUpload(f *testing.F) {
 			t.Fatalf("resume: %v", err)
 		}
 		defer resumed.Close()
-		if n := resumed.journal.Cells(); n > resumed.total {
-			t.Fatalf("resumed journal holds %d cells, grid has %d", n, resumed.total)
+		if n := resumed.journal.Cells(); n > resumed.total || n != resp.Accepted {
+			t.Fatalf("resumed journal holds %d cells, grid has %d, upload accepted %d", n, resumed.total, resp.Accepted)
 		}
 	})
 }

@@ -14,10 +14,12 @@
 // expired range is reassigned to the next worker that asks (straggler
 // detection). Uploads are accepted from any lease holder, current or
 // stale — the journal dedups by cell key, so the first durably committed
-// copy of a cell wins and later duplicates are counted and dropped. The
-// coordinator fsyncs each accepted cell before acking (SyncEvery(1)),
-// which makes "first durable commit wins" literal: an acked cell can
-// never be lost to a coordinator crash.
+// copy of a cell wins and later duplicates are counted and dropped.
+// Workers upload completed cells in batches, and the coordinator commits
+// each accepted batch with one write and one fsync before acking
+// (CellJournal.CommitBatch under SyncEvery(1)), which makes "first
+// durable commit wins" literal: an acked cell can never be lost to a
+// coordinator crash.
 package dist
 
 import "github.com/accu-sim/accu/internal/sim"
@@ -53,8 +55,9 @@ type LeaseResponse struct {
 	Lease *Lease `json:"lease,omitempty"`
 }
 
-// UploadResponse acknowledges a cell upload. Accepted cells are durable
-// (fsynced) when this response is written; Duplicate counts cells some
+// UploadResponse acknowledges a cell upload, one batch of cells. The
+// batch's accepted cells are durable (fsynced once, together) when this
+// response is written; Duplicate counts cells some
 // other upload already committed; Rejected counts lines that are not a
 // complete cell of the grid (outside it, or not one record with a result
 // per roster policy). Done mirrors LeaseResponse.Done so an uploader learns about

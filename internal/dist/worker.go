@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"github.com/accu-sim/accu/internal/obs"
@@ -18,12 +19,13 @@ import (
 
 // Worker executes leased cell ranges against a coordinator. It fetches
 // the grid spec once, then loops: lease a range, run the unmodified
-// engine restricted to that range, and stream each completed cell back
-// as one JSONL upload. A cell only counts as committed once the
-// coordinator acks it durable — an upload failure aborts the range (the
-// engine treats a Checkpointer.Commit error as fatal), the worker
-// reports the lease failed, and the range reassigns. A failed cell also
-// releases the lease, but stops the worker: the engine is
+// engine restricted to that range, and stream the completed cells back
+// in JSONL batches (see rangeCheckpointer). A cell only counts as
+// committed once the coordinator acks its batch durable — an upload
+// failure aborts the range (the engine treats a Checkpointer.Commit
+// error as fatal), the worker reports the lease failed, and the range
+// reassigns. A failed cell also releases the lease, after the cells
+// before it are uploaded, but stops the worker: the engine is
 // deterministic, so the same cell would fail on every lease.
 type Worker struct {
 	// Coordinator is the base URL, e.g. "http://127.0.0.1:9090".
@@ -37,6 +39,7 @@ type Worker struct {
 	PollInterval time.Duration
 	// Throttle sleeps before each cell commit — a test/e2e knob to slow
 	// a worker down so stragglers and mid-range kills are reproducible.
+	// Above uploadEvery it makes every cell upload alone.
 	Throttle time.Duration
 	// MaxRetries bounds consecutive transient network failures before
 	// Run gives up (default 5).
@@ -134,29 +137,54 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // runRange executes one leased range with the stock engine: the
 // range-restricted checkpointer marks everything outside [Start, End) as
-// already done, so the engine schedules only the leased cells, and each
-// completed cell uploads (and must be acked durable) before the engine
-// moves on.
+// already done, so the engine schedules only the leased cells, and it
+// uploads the completed cells in batches. The range ends with a flush of
+// the last batch — also when a cell failed, so the cells before it are
+// durable before the *sim.CellError is returned.
 func (w *Worker) runRange(ctx context.Context, protocol sim.Protocol, factories []sim.PolicyFactory, lease *Lease) error {
+	rc := &rangeCheckpointer{w: w, ctx: ctx, lease: lease, runs: protocol.Runs, last: time.Now()}
 	p := protocol // per-range copy; Checkpoint and hooks are range-local
-	p.Checkpoint = &rangeCheckpointer{w: w, ctx: ctx, lease: lease, runs: p.Runs}
+	p.Checkpoint = rc
 	if w.Mutate != nil {
 		w.Mutate(&p)
 	}
 	// Aggregation happens coordinator-side; records are delivered there
 	// through the checkpointer's uploads.
-	return sim.Run(ctx, p, factories, func(sim.Record) {})
+	err := sim.Run(ctx, p, factories, func(sim.Record) {})
+	if err == nil || errors.As(err, new(*sim.CellError)) {
+		err = errors.Join(err, rc.flush())
+	}
+	return err
 }
+
+const (
+	// uploadBatch is the most cells one upload carries: the default
+	// range size, so a range of fast cells uploads once.
+	uploadBatch = defaultRangeSize
+	// uploadEvery is how long a range may go without an upload before a
+	// completed cell flushes the batch at once: a slow cell uploads
+	// alone, and the lease heartbeat keeps its rhythm.
+	uploadEvery = 100 * time.Millisecond
+)
 
 // rangeCheckpointer restricts the engine to one leased range and streams
 // commits to the coordinator. Done claims every out-of-range cell is
-// already recorded (the engine then skips it); Commit uploads the cell
-// and fails unless the coordinator acks it durable.
+// already recorded (the engine then skips it). Commit buffers the cell's
+// journal line and uploads the buffer as one JSONL body once it holds
+// uploadBatch cells or uploadEvery has passed since the last upload;
+// runRange flushes what is left. An upload fails unless the coordinator
+// acks the whole batch durable.
 type rangeCheckpointer struct {
 	w     *Worker
 	ctx   context.Context
 	lease *Lease
 	runs  int
+
+	// mu serializes Commit (called from every engine worker) and flush.
+	mu    sync.Mutex
+	buf   []byte    // marshalled cell lines not yet uploaded
+	cells int       // cell lines in buf
+	last  time.Time // when the range started or last uploaded
 }
 
 func (rc *rangeCheckpointer) Done(key sim.CellKey) bool {
@@ -174,12 +202,33 @@ func (rc *rangeCheckpointer) Commit(key sim.CellKey, recs []sim.Record) error {
 	if err != nil {
 		return fmt.Errorf("marshal cell: %w", err)
 	}
-	line = append(line, '\n')
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	rc.buf = append(append(rc.buf, line...), '\n')
+	rc.cells++
+	if rc.cells >= uploadBatch || time.Since(rc.last) >= uploadEvery {
+		return rc.flushLocked()
+	}
+	return nil
+}
+
+// flush uploads the buffered cells, if any.
+func (rc *rangeCheckpointer) flush() error {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.flushLocked()
+}
+
+func (rc *rangeCheckpointer) flushLocked() error {
+	if rc.cells == 0 {
+		return nil
+	}
 	q := url.Values{"lease": {rc.lease.ID}, "worker": {rc.w.ID}}
 	var resp UploadResponse
-	if err := rc.w.post(rc.ctx, "/api/v1/dist/cells?"+q.Encode(), "application/jsonl", bytes.NewReader(line), &resp); err != nil {
-		return fmt.Errorf("upload cell (%d,%d): %w", key.Network, key.Run, err)
+	if err := rc.w.post(rc.ctx, "/api/v1/dist/cells?"+q.Encode(), "application/jsonl", bytes.NewReader(rc.buf), &resp); err != nil {
+		return fmt.Errorf("upload %d cell(s): %w", rc.cells, err)
 	}
+	rc.buf, rc.cells, rc.last = rc.buf[:0], 0, time.Now()
 	return nil
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
@@ -70,5 +71,54 @@ func BenchmarkCellSchedulerAllocs(b *testing.B) {
 		if err := Run(context.Background(), p, factories, func(Record) {}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCellJournalCommit measures the durable step of a cell: one op
+// makes 16 cells of benchProtocol durable in a journal under a temporary
+// directory with SyncEvery(1). sync-each commits them one by one (16
+// writes and fsyncs); batch commits them with one CommitBatch, which
+// writes once and fsyncs once.
+func BenchmarkCellJournalCommit(b *testing.B) {
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const cells = 16
+	recs := make([][]Record, cells)
+	if err := Run(context.Background(), benchProtocol(1, cells, 1), factories, func(r Record) {
+		recs[r.Run] = append(recs[r.Run], r)
+	}); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []string{"sync-each", "batch"} {
+		b.Run(mode, func(b *testing.B) {
+			j, err := OpenCellJournal(filepath.Join(b.TempDir(), "cells.jsonl"), false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			j.SyncEvery(1)
+			lines := make([]CellLine, cells)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for run := range lines {
+					lines[run] = CellLine{CellKey: CellKey{Network: i, Run: run}, Records: recs[run]}
+				}
+				if mode == "batch" {
+					err = j.CommitBatch(lines)
+				} else {
+					for _, cl := range lines {
+						if err = j.Commit(cl.CellKey, cl.Records); err != nil {
+							break
+						}
+					}
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sync"
 
 	"github.com/accu-sim/accu/internal/vfs"
@@ -34,8 +35,9 @@ type Checkpointer interface {
 	// Commit records one completed cell with its records. Each
 	// implementation defines its own durability point: CellJournal
 	// reaches stable storage at Sync/Close (or per commit under
-	// SyncEvery); a distributed checkpointer may not ack until a remote
-	// store has fsynced.
+	// SyncEvery); the internal/dist worker's checkpointer buffers cells
+	// and counts them only once the coordinator has fsynced their
+	// batch (one fsync per accepted batch).
 	Commit(key CellKey, recs []Record) error
 }
 
@@ -58,11 +60,18 @@ type CellLine struct {
 // journal's replayed records and a resumed Run's records is
 // bit-identical to an uninterrupted run at any worker count.
 //
-// Durability: Commit appends with a single write but does not fsync by
-// default — a cell is only guaranteed to survive power loss after Sync
-// or Close. Callers that ack commits to another party (the internal/dist
-// coordinator acking a worker's upload, for example) must either enable
-// SyncEvery or call Sync before acking, or an acked cell can vanish.
+// Durability: Commit and CommitBatch append with a single write but do
+// not fsync by default — a cell is only guaranteed to survive power loss
+// after Sync or Close. Callers that ack commits to another party (the
+// internal/dist coordinator acking a worker's upload, for example) must
+// either enable SyncEvery or call Sync before acking, or an acked cell
+// can vanish.
+//
+// A failed write or fsync fails the journal: the file may end in a torn
+// line, and an append behind it would merge with it into one corrupt
+// line that load truncates together with every cell after it. So every
+// later Commit, CommitBatch and Sync returns that first error and marks
+// nothing done; reopening with resume truncates the torn tail.
 type CellJournal struct {
 	// mu is held across every append, fsync and close: entries serialize,
 	// and an fsync covers every append made before it.
@@ -77,6 +86,9 @@ type CellJournal struct {
 	// dropped counts valid cells discarded by load's truncate-forward
 	// corruption recovery (everything after the first corrupt line).
 	dropped int
+	// err is the first failed write or fsync; once set, the journal
+	// accepts nothing more.
+	err error
 }
 
 var _ Checkpointer = (*CellJournal)(nil)
@@ -226,37 +238,76 @@ func (j *CellJournal) Done(key CellKey) bool {
 	return j.done[key]
 }
 
-// Commit implements Checkpointer: the cell is appended as one JSONL line
-// in a single write, fsynced per SyncEvery. The cell counts as done only
-// once that write (and the fsync, if one is due) succeeded. Committed
-// records are not retained in memory — only resumed cells are, for
-// Replay.
+// Commit implements Checkpointer as a batch of one (see CommitBatch).
+// Committed records are not retained in memory — only resumed cells
+// are, for Replay.
 func (j *CellJournal) Commit(key CellKey, recs []Record) error {
-	line, err := json.Marshal(CellLine{CellKey: key, Records: recs})
-	if err != nil {
-		return fmt.Errorf("marshal cell: %w", err)
+	return j.CommitBatch([]CellLine{{CellKey: key, Records: recs}})
+}
+
+// CommitBatch appends every line whose cell is not yet done, skipping
+// repeats of a key within lines, as JSONL in a single write, then fsyncs
+// once if SyncEvery makes one due. The cells count as done only after
+// that write (and the fsync) succeeded; on any error none of them does,
+// and the journal is failed (see CellJournal).
+func (j *CellJournal) CommitBatch(lines []CellLine) error {
+	encoded := make([][]byte, len(lines)) // marshalled outside the lock
+	for i := range lines {
+		b, err := json.Marshal(&lines[i])
+		if err != nil {
+			return fmt.Errorf("marshal cell: %w", err)
+		}
+		encoded[i] = b
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.done[key] {
+	if j.err != nil {
+		return j.err
+	}
+	// Keep the first line of each fresh key; nil marks a skipped one.
+	fresh := make(map[CellKey]bool, len(lines))
+	size := 0
+	for i, cl := range lines {
+		if j.done[cl.CellKey] || fresh[cl.CellKey] {
+			encoded[i] = nil
+			continue
+		}
+		fresh[cl.CellKey] = true
+		size += len(encoded[i]) + 1
+	}
+	if len(fresh) == 0 {
 		return nil
 	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("append cell: %w", err)
+	var out []byte
+	for _, b := range encoded {
+		switch {
+		case b == nil:
+			continue
+		case out == nil:
+			// Grow the first line's own buffer once to hold the batch; a
+			// lone line usually has room for its newline already.
+			out = slices.Grow(b, size-len(b))
+		default:
+			out = append(out, b...)
+		}
+		out = append(out, '\n')
 	}
-	j.sinceSync++
+	if _, err := j.f.Write(out); err != nil {
+		j.err = fmt.Errorf("append %d cell(s): %w", len(fresh), err)
+		return j.err
+	}
+	j.sinceSync += len(fresh)
 	if j.syncEvery > 0 && j.sinceSync >= j.syncEvery {
 		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("sync cell: %w", err)
+			j.err = fmt.Errorf("sync %d cell(s): %w", len(fresh), err)
+			return j.err
 		}
 		j.sinceSync = 0
 	}
-	// Only now is the cell committed: after a failed write or fsync it
-	// stays undone, so a retried Commit writes (and syncs) it again. The
-	// line a failed fsync left behind is harmless: load keeps the first
-	// copy of a cell.
-	j.done[key] = true
+	// Only now are the cells committed.
+	for key := range fresh {
+		j.done[key] = true
+	}
 	return nil
 }
 
@@ -284,12 +335,21 @@ func (j *CellJournal) Replay(collect func(Record)) {
 	}
 }
 
-// Sync flushes the journal to stable storage (fsync).
+// Sync flushes the journal to stable storage (fsync). A failed Sync
+// fails the journal: what the page cache held is no longer known to
+// reach the disk.
 func (j *CellJournal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.err != nil {
+		return j.err
+	}
+	if err := j.f.Sync(); err != nil {
+		j.err = fmt.Errorf("sync: %w", err)
+		return j.err
+	}
 	j.sinceSync = 0
-	return j.f.Sync()
+	return nil
 }
 
 // Close syncs and closes the journal file.

@@ -293,9 +293,9 @@ func TestCellJournalSyncEvery(t *testing.T) {
 // after its fsync succeeded. The journal's file is a pipe's write end,
 // which accepts the write and fails Sync (EINVAL). Under SyncEvery(1) the
 // failed Commit must leave the cell undone and uncounted, and a retry must
-// try again and fail again rather than return nil as a duplicate; an
-// accudist coordinator would otherwise ack the retried upload without
-// ever making its records durable.
+// fail again rather than return nil as a duplicate; an accudist
+// coordinator would otherwise ack the retried upload without ever making
+// its records durable.
 func TestCellJournalFailedSyncLeavesCellUndone(t *testing.T) {
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -491,23 +491,38 @@ func TestRunCheckpointCommitErrorIsFatal(t *testing.T) {
 // TestCellJournalSurfacesFileFaults injects one file fault into each
 // durable step of a journal — an append torn by a short write or a full
 // disk, a failed per-commit fsync of the file or of its new directory
-// entry under SyncEvery(1), a failed Sync, and a failed fsync or close
-// inside Close — and requires the step to return it. A swallowed error would let a caller (the dist coordinator acking
-// an upload, accurun exiting 0) report cells durable that are not.
+// entry under SyncEvery(1), the same four under a three-cell CommitBatch,
+// a failed Sync, and a failed fsync or close inside Close — and requires
+// the step to return it with no cell of it done. A swallowed error would
+// let a caller (the dist coordinator acking an upload, accurun exiting 0)
+// report cells durable that are not.
 func TestCellJournalSurfacesFileFaults(t *testing.T) {
-	recs := []Record{{Policy: "a", Network: 0, Run: 0, Result: &core.Result{Benefit: 1}}}
-	commit := func(j *CellJournal) error { return j.Commit(CellKey{}, recs) }
+	line := func(run int) CellLine {
+		return CellLine{CellKey: CellKey{Run: run}, Records: []Record{{Policy: "a", Run: run, Result: &core.Result{Benefit: 1}}}}
+	}
+	commit := func(j *CellJournal) error { return j.Commit(CellKey{}, line(0).Records) }
+	batch := func(j *CellJournal) error { return j.CommitBatch([]CellLine{line(0), line(1), line(2)}) }
+	var (
+		shortWrite = vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: io.ErrShortWrite}
+		enospc     = vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: syscall.ENOSPC}
+		fsync      = vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}
+		dirFsync   = vfs.Fault{Kind: vfs.OpSyncDir, Err: syscall.EIO}
+	)
 	for name, tc := range map[string]struct {
 		fault     vfs.Fault
 		syncEvery int
 		step      func(*CellJournal) error
 	}{
-		"commit short write": {fault: vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: io.ErrShortWrite}, step: commit},
-		"commit ENOSPC":      {fault: vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: syscall.ENOSPC}, step: commit},
-		"commit fsync":       {fault: vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}, syncEvery: 1, step: commit},
-		"commit dir fsync":   {fault: vfs.Fault{Kind: vfs.OpSyncDir, Err: syscall.EIO}, syncEvery: 1, step: commit},
-		"sync":               {fault: vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Sync},
-		"close fsync":        {fault: vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Close},
+		"commit short write": {fault: shortWrite, step: commit},
+		"commit ENOSPC":      {fault: enospc, step: commit},
+		"commit fsync":       {fault: fsync, syncEvery: 1, step: commit},
+		"commit dir fsync":   {fault: dirFsync, syncEvery: 1, step: commit},
+		"batch short write":  {fault: shortWrite, step: batch},
+		"batch ENOSPC":       {fault: enospc, step: batch},
+		"batch fsync":        {fault: fsync, syncEvery: 1, step: batch},
+		"batch dir fsync":    {fault: dirFsync, syncEvery: 1, step: batch},
+		"sync":               {fault: fsync, step: (*CellJournal).Sync},
+		"close fsync":        {fault: fsync, step: (*CellJournal).Close},
 		"close":              {fault: vfs.Fault{Kind: vfs.OpClose, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Close},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -523,10 +538,116 @@ func TestCellJournalSurfacesFileFaults(t *testing.T) {
 			if err := tc.step(j); !errors.Is(err, tc.fault.Err) {
 				t.Fatalf("err = %v, want %v", err, tc.fault.Err)
 			}
-			if j.Done(CellKey{}) {
-				t.Error("a cell whose commit failed counts as done")
+			for run := 0; run < 3; run++ {
+				if j.Done(CellKey{Run: run}) {
+					t.Errorf("cell (0,%d) counts as done after its commit failed", run)
+				}
 			}
 		})
+	}
+}
+
+// TestCellJournalFailsAfterFault pins that a failed append or fsync
+// fails the journal for good, so a torn append cannot cost a cell acked
+// after it. A short write leaves half a line at the end of the file; an
+// append behind it would merge with it into one corrupt line that resume
+// truncates together with every later cell. After either fault every
+// commit (retries included) and Sync must return the fault, and every
+// cell that was acked must resume.
+func TestCellJournalFailsAfterFault(t *testing.T) {
+	for name, fault := range map[string]vfs.Fault{
+		"torn append": {Kind: vfs.OpWrite, Path: "cells.jsonl", Skip: 1, Err: io.ErrShortWrite},
+		"fsync":       {Kind: vfs.OpSync, Path: "cells.jsonl", Skip: 1, Err: syscall.EIO},
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := &vfs.Recorder{}
+			defer vfs.Swap(rec)()
+			path := filepath.Join(t.TempDir(), "cells.jsonl")
+			j, err := OpenCellJournal(path, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.SyncEvery(1)
+			rec.Fail(fault) // the second commit's write or fsync
+			var acked []CellKey
+			for run := 0; run < 5; run++ {
+				key := CellKey{Run: run}
+				for attempt := 0; attempt < 2; attempt++ { // a failed commit is retried once
+					err := j.Commit(key, []Record{{Policy: "a", Run: run, Result: &core.Result{Benefit: 1}}})
+					if err == nil {
+						acked = append(acked, key)
+						break
+					}
+					if !errors.Is(err, fault.Err) {
+						t.Fatalf("commit (0,%d): err = %v, want the first fault %v", run, err, fault.Err)
+					}
+				}
+			}
+			if len(acked) != 1 {
+				t.Errorf("%d cells acked, want only the one before the fault", len(acked))
+			}
+			if err := j.Sync(); !errors.Is(err, fault.Err) {
+				t.Errorf("Sync after the fault: err = %v, want %v", err, fault.Err)
+			}
+			j.Close()
+
+			r, err := OpenCellJournal(path, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			for _, key := range acked {
+				if !r.Done(key) {
+					t.Errorf("acked cell (%d,%d) lost on resume (%d acked, %d resumed, %d dropped)",
+						key.Network, key.Run, len(acked), r.Cells(), r.Dropped())
+				}
+			}
+			if r.Dropped() != 0 {
+				t.Errorf("Dropped() = %d, want 0: a torn line is a tail, not corruption", r.Dropped())
+			}
+		})
+	}
+}
+
+// TestCellJournalBatchRepeatsKeyOnce: a batch that repeats a key, or
+// holds one already done, writes each cell once — the first copy within
+// the batch — and marks every fresh cell done.
+func TestCellJournalBatchRepeatsKeyOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j, err := OpenCellJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := CellKey{Run: 0}, CellKey{Run: 1}
+	if err := j.Commit(a, []Record{{Policy: "first"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.CommitBatch([]CellLine{
+		{CellKey: b, Records: []Record{{Policy: "first"}}},
+		{CellKey: a, Records: []Record{{Policy: "second"}}},
+		{CellKey: b, Records: []Record{{Policy: "second"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if j.Cells() != 2 || !j.Done(b) {
+		t.Errorf("Cells() = %d, Done(b) = %v; want 2, true", j.Cells(), j.Done(b))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimRight(data, "\n"), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("journal has %d lines, want 2:\n%s", len(lines), data)
+	}
+	for i, line := range lines {
+		var cl CellLine
+		if err := json.Unmarshal(line, &cl); err != nil || cl.Records[0].Policy != "first" {
+			t.Errorf("line %d = %s, want the first copy of its cell", i, line)
+		}
 	}
 }
 
