@@ -356,11 +356,7 @@ func CurvatureBound(delta float64, k int) float64 { return theory.CurvatureBound
 
 // RunBatched executes a parallel-batching attack (paper reference [4]):
 // requests go out batchSize at a time with no observations inside a
-// batch. All shipped policies implement BatchSelector.
-func RunBatched(p BatchSelector, re *Realization, k, batchSize int) (*Result, error) {
+// batch. Any policy runs batched; batchSize = 1 is Run.
+func RunBatched(p Policy, re *Realization, k, batchSize int) (*Result, error) {
 	return core.RunBatched(p, re, k, batchSize)
 }
-
-// BatchSelector is a policy that can propose several distinct targets
-// without intermediate observations.
-type BatchSelector = core.BatchSelector

@@ -351,29 +351,31 @@ func BenchmarkPageRank(b *testing.B) {
 }
 
 // BenchmarkPolicies measures a full attack per policy on the same
-// realization (Fig. 2's inner loop).
+// realization (Fig. 2's inner loop); abm-b5 runs ABM in batches of 5.
 func BenchmarkPolicies(b *testing.B) {
-	inst, re := benchInstance(b, 0.05)
-	_ = inst
-	mk := map[string]func() (accu.Policy, error){
-		"abm": func() (accu.Policy, error) { return accu.NewABM(accu.DefaultWeights()) },
-		"greedy": func() (accu.Policy, error) {
-			return accu.NewPureGreedy(), nil
-		},
-		"maxdegree": func() (accu.Policy, error) { return accu.NewMaxDegree(), nil },
-		"pagerank":  func() (accu.Policy, error) { return accu.NewPageRank(), nil },
-		"random":    func() (accu.Policy, error) { return accu.NewRandom(accu.NewSeed(1, 1)), nil },
+	_, re := benchInstance(b, 0.05)
+	newABM := func() (accu.Policy, error) { return accu.NewABM(accu.DefaultWeights()) }
+	cases := []struct {
+		name    string
+		batch   int
+		factory func() (accu.Policy, error)
+	}{
+		{"abm", 1, newABM},
+		{"abm-b5", 5, newABM},
+		{"greedy", 1, func() (accu.Policy, error) { return accu.NewPureGreedy(), nil }},
+		{"maxdegree", 1, func() (accu.Policy, error) { return accu.NewMaxDegree(), nil }},
+		{"pagerank", 1, func() (accu.Policy, error) { return accu.NewPageRank(), nil }},
+		{"random", 1, func() (accu.Policy, error) { return accu.NewRandom(accu.NewSeed(1, 1)), nil }},
 	}
-	for _, name := range []string{"abm", "greedy", "maxdegree", "pagerank", "random"} {
-		factory := mk[name]
-		b.Run(name, func(b *testing.B) {
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pol, err := factory()
+				pol, err := c.factory()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := accu.Run(pol, re, 60); err != nil {
+				if _, err := accu.RunBatched(pol, re, 60, c.batch); err != nil {
 					b.Fatal(err)
 				}
 			}

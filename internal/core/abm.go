@@ -38,8 +38,8 @@ type ABM struct {
 	epoch      int32
 	// seenMutual[v] is v's mutual count as of the last Observe that
 	// visited v: the value its neighbours' cached scores reflect. Comparing
-	// against it, not Mutual(v)-1, keeps Observe exact when RunBatched
-	// applies several acceptances before observing them.
+	// against it, not Mutual(v)-1, keeps Observe exact when a batch
+	// applies several acceptances before they are observed.
 	seenMutual []int32
 
 	// Instruments resolved once by WithMetrics; nil (no-op) by default.

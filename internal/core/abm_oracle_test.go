@@ -56,8 +56,8 @@ func oracleInstances(t *testing.T) map[string]*osn.Instance {
 }
 
 // TestABMLazyScoresMatchFreshPotential is the lazy re-scoring oracle.
-// Before every SelectBatch (batch size 1, or RunBatched's protocol at 5
-// and 10: the whole batch is applied, then every accepted user is
+// Before every batch (size 1, or Runner.Run's protocol at 5 and 10: b
+// SelectNext calls, the whole batch is applied, then every user is
 // observed against the post-batch state) it checks, for every unrequested
 // candidate, the lazy contract against a from-scratch Potential:
 //   - an unmarked cached score is bit-identical to the fresh one;
@@ -118,7 +118,14 @@ func TestABMLazyScoresMatchFreshPotential(t *testing.T) {
 							return cmp.Compare(u, v)
 						})
 						want := live[:min(b, len(live))]
-						batch := a.SelectBatch(st, b)
+						var batch []int
+						for len(batch) < b {
+							u, ok := a.SelectNext(st)
+							if !ok {
+								break
+							}
+							batch = append(batch, u)
+						}
 						if !slices.Equal(batch, want) {
 							t.Fatalf("%s after %d requests: selected %v, brute-force top-%d %v", label, sent, batch, b, want)
 						}
@@ -126,7 +133,7 @@ func TestABMLazyScoresMatchFreshPotential(t *testing.T) {
 							break
 						}
 						selections += len(batch)
-						outs, err := st.RequestBatch(batch)
+						outs, err := st.RequestBatch(nil, batch)
 						if err != nil {
 							t.Fatal(err)
 						}

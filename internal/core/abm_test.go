@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -354,28 +355,29 @@ func sameTrace(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestRunnerPoolsStateAcrossRuns checks a Runner's pooled state yields
-// the same results as independent Run calls.
+// TestRunnerPoolsStateAcrossRuns checks a Runner's pooled state and batch
+// scratch yield the same results as independent runs, also when the batch
+// size changes between attacks.
 func TestRunnerPoolsStateAcrossRuns(t *testing.T) {
 	inst := randomInstance(t, 600)
 	var r Runner
-	for i := 0; i < 3; i++ {
+	for i, b := range []int{1, 7, 1, 3} {
 		re := inst.SampleRealization(rng.NewSeed(uint64(40+i), uint64(50+i)))
 		a, err := NewABM(DefaultWeights())
 		if err != nil {
 			t.Fatal(err)
 		}
-		pooled, err := r.Run(a, re, 30)
+		pooled, err := r.Run(a, re, 30, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := Run(a, re, 30)
+		plain, err := RunBatched(a, re, 30, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pooled.Benefit != plain.Benefit || pooled.Friends != plain.Friends {
-			t.Fatalf("run %d: pooled (%v, %d) vs plain (%v, %d)",
-				i, pooled.Benefit, pooled.Friends, plain.Benefit, plain.Friends)
+		if !slices.Equal(pooled.Steps, plain.Steps) || pooled.Benefit != plain.Benefit || pooled.Friends != plain.Friends {
+			t.Fatalf("run %d (b=%d): pooled (%v, %d) vs plain (%v, %d)",
+				i, b, pooled.Benefit, pooled.Friends, plain.Benefit, plain.Friends)
 		}
 	}
 }

@@ -1,11 +1,46 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 )
 
+// referenceRun is the paper's Algorithm 1 written out one request at a
+// time: select, request, observe, stamp the state's running totals.
+func referenceRun(t *testing.T, p Policy, re *osn.Realization, k int) []Step {
+	t.Helper()
+	st := osn.NewState(re)
+	if err := p.Init(st); err != nil {
+		t.Fatal(err)
+	}
+	var steps []Step
+	for len(steps) < k {
+		u, ok := p.SelectNext(st)
+		if !ok {
+			break
+		}
+		out, err := st.Request(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Observe(st, out)
+		steps = append(steps, Step{
+			User:                 u,
+			Accepted:             out.Accepted,
+			Cautious:             out.Cautious,
+			Gain:                 out.Gain,
+			BenefitAfter:         st.Benefit(),
+			CautiousFriendsAfter: st.CautiousFriends(),
+		})
+	}
+	return steps
+}
+
+// TestRunBatchedSizeOneMatchesRun: the batch loop at b = 1 reproduces the
+// one-at-a-time reference loop bit for bit, and journals no batch sizes.
 func TestRunBatchedSizeOneMatchesRun(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		inst := randomInstance(t, 700+seed*10)
@@ -19,22 +54,58 @@ func TestRunBatchedSizeOneMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		const k = 40
-		resSeq, err := Run(seq, re, k)
+		want := referenceRun(t, seq, re, k)
+		res, err := RunBatched(bat, re, k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resBat, err := RunBatched(bat, re, k, 1)
-		if err != nil {
-			t.Fatal(err)
+		if !slices.Equal(res.Steps, want) {
+			t.Fatalf("seed %d: batch-1 steps %+v, reference %+v", seed, res.Steps, want)
 		}
-		if len(resSeq.Steps) != len(resBat.Steps) {
-			t.Fatalf("seed %d: step counts %d vs %d", seed, len(resSeq.Steps), len(resBat.Steps))
+		if res.Journal.BatchSizes != nil || len(res.Journal.Users) != len(want) {
+			t.Errorf("seed %d: journal %+v", seed, res.Journal)
 		}
-		for i := range resSeq.Steps {
-			if resSeq.Steps[i] != resBat.Steps[i] {
-				t.Fatalf("seed %d step %d: %+v vs %+v", seed, i, resSeq.Steps[i], resBat.Steps[i])
+	}
+}
+
+// TestRunBatchedRunningTotals: every step of a batched trace stamps the
+// running totals in fold order — BenefitAfter is the forward sum of the
+// gains so far and CautiousFriendsAfter the number of cautious users
+// accepted so far, not the post-batch count.
+func TestRunBatchedRunningTotals(t *testing.T) {
+	checked := 0
+	for name, inst := range oracleInstances(t) {
+		for _, b := range []int{2, 7, 12, 17, 22} {
+			for seed := uint64(0); seed < 4; seed++ {
+				re := inst.SampleRealization(rng.NewSeed(seed, 31))
+				abm, err := NewABM(DefaultWeights())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := RunBatched(abm, re, 60, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				benefit, cautious := 0.0, 0
+				for i, s := range res.Steps {
+					benefit += s.Gain
+					if s.Accepted && s.Cautious {
+						cautious++
+						checked++
+					}
+					if s.BenefitAfter != benefit || s.CautiousFriendsAfter != cautious {
+						t.Fatalf("%s b=%d seed %d step %d: BenefitAfter %v CautiousFriendsAfter %d, running %v and %d",
+							name, b, seed, i, s.BenefitAfter, s.CautiousFriendsAfter, benefit, cautious)
+					}
+				}
+				if res.Benefit != benefit || res.CautiousFriends != cautious {
+					t.Fatalf("%s b=%d seed %d: final %v/%d, running %v/%d", name, b, seed, res.Benefit, res.CautiousFriends, benefit, cautious)
+				}
 			}
 		}
+	}
+	if checked == 0 {
+		t.Fatal("no cautious user was accepted: the sweep checks nothing")
 	}
 }
 
@@ -103,7 +174,7 @@ func TestRunBatchedAdaptivityGap(t *testing.T) {
 func TestRunBatchedBaselines(t *testing.T) {
 	inst := randomInstance(t, 1000)
 	re := inst.SampleRealization(rng.NewSeed(10, 10))
-	for _, p := range []BatchSelector{NewMaxDegree(), NewPageRank(), NewRandom(rng.NewSeed(1, 1))} {
+	for _, p := range []Policy{NewMaxDegree(), NewPageRank(), NewRandom(rng.NewSeed(1, 1))} {
 		res, err := RunBatched(p, re, 30, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -145,8 +216,7 @@ func TestRunBatchedExhaustsCandidates(t *testing.T) {
 	}
 }
 
-// TestRunBatchedDeterministicAcrossRuns guards the dedup structure in
-// ABM.SelectBatch: batch selection must be a pure function of the
+// TestRunBatchedDeterministicAcrossRuns: batch selection must be a pure function of the
 // realization, so repeated runs from fresh policies yield byte-identical
 // step sequences (a map-backed dedup could leak iteration order here).
 func TestRunBatchedDeterministicAcrossRuns(t *testing.T) {

@@ -82,65 +82,94 @@ type Result struct {
 }
 
 // Runner executes attacks while pooling the per-attack osn.State buffers
-// across calls: a worker goroutine that owns a Runner pays the three O(N)
-// state allocations once instead of once per cell. The zero value is
-// ready to use; a Runner is single-goroutine (one per worker). Results
-// never alias the pooled state, so they stay valid across calls.
+// and the batch scratch across calls: a worker goroutine that owns a
+// Runner pays the three O(N) state allocations once instead of once per
+// cell. The zero value is ready to use; a Runner is single-goroutine (one
+// per worker). Results never alias the pooled state, so they stay valid
+// across calls.
 type Runner struct {
-	st *osn.State
+	st    *osn.State
+	batch []int
+	outs  []osn.Outcome
 }
 
-// state returns a fresh-equivalent attack state for re, reusing the
-// pooled buffers when possible. A nil receiver degrades to plain
-// allocation so package-level Run can share the execution path.
-func (r *Runner) state(re *osn.Realization) *osn.State {
-	if r == nil {
-		return osn.NewState(re)
+// Run executes the policy against the realization for up to k requests,
+// one at a time (the paper's Algorithm 1), and returns the trace. The
+// attack stops early if the policy runs out of candidates.
+func Run(p Policy, re *osn.Realization, k int) (*Result, error) {
+	return new(Runner).Run(p, re, k, 1)
+}
+
+// RunBatched executes a batching attack (paper reference [4]): requests
+// go out in batches of batchSize with no observations inside a batch, up
+// to k requests total (the final batch may be smaller). batchSize = 1 is
+// Run.
+func RunBatched(p Policy, re *osn.Realization, k, batchSize int) (*Result, error) {
+	return new(Runner).Run(p, re, k, batchSize)
+}
+
+// Run executes one attack in batches of up to b requests, reusing the
+// runner's pooled state. Each batch is filled by up to b SelectNext calls
+// scored on the pre-batch state, sent with one osn.State.RequestBatch,
+// and then observed in order; b = 1 is the paper's fully adaptive
+// attacker. Each step's BenefitAfter and CautiousFriendsAfter count
+// forward from the pre-batch state, in the order the batch was folded.
+func (r *Runner) Run(p Policy, re *osn.Realization, k, b int) (*Result, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("%w: k=%d", ErrNoBudget, k)
+	}
+	if b <= 0 {
+		return nil, fmt.Errorf("core: batch size %d must be positive", b)
 	}
 	if r.st == nil {
 		r.st = osn.NewState(re)
 	} else {
 		r.st.Reset(re)
 	}
-	return r.st
-}
-
-// Run executes the policy against the realization for up to k requests
-// and returns the trace. The attack stops early if the policy runs out of
-// candidates.
-func Run(p Policy, re *osn.Realization, k int) (*Result, error) {
-	return (*Runner)(nil).Run(p, re, k)
-}
-
-// Run executes one attack, reusing the runner's pooled state.
-func (r *Runner) Run(p Policy, re *osn.Realization, k int) (*Result, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: k=%d", ErrNoBudget, k)
-	}
-	st := r.state(re)
+	st := r.st
 	if err := p.Init(st); err != nil {
 		return nil, fmt.Errorf("core: init %s: %w", p.Name(), err)
 	}
 	res := &Result{Policy: p.Name(), Steps: make([]Step, 0, k), Journal: &osn.Journal{}}
-	for i := 0; i < k; i++ {
-		u, ok := p.SelectNext(st)
-		if !ok {
+	for len(res.Steps) < k {
+		batch := r.batch[:0]
+		for len(batch) < b && len(res.Steps)+len(batch) < k {
+			u, ok := p.SelectNext(st)
+			if !ok {
+				break
+			}
+			batch = append(batch, u)
+		}
+		r.batch = batch
+		if len(batch) == 0 {
 			break
 		}
-		out, err := st.Request(u)
+		benefit, cautious := st.Benefit(), st.CautiousFriends()
+		outs, err := st.RequestBatch(r.outs[:0], batch)
+		r.outs = outs
 		if err != nil {
-			return nil, fmt.Errorf("core: %s selected invalid user %d: %w", p.Name(), u, err)
+			return nil, fmt.Errorf("core: %s selected invalid users %v: %w", p.Name(), batch, err)
 		}
-		res.Journal.Record(u)
-		p.Observe(st, out)
-		res.Steps = append(res.Steps, Step{
-			User:                 u,
-			Accepted:             out.Accepted,
-			Cautious:             out.Cautious,
-			Gain:                 out.Gain,
-			BenefitAfter:         st.Benefit(),
-			CautiousFriendsAfter: st.CautiousFriends(),
-		})
+		if b == 1 {
+			res.Journal.Record(batch[0])
+		} else {
+			res.Journal.RecordBatch(batch)
+		}
+		for _, out := range outs {
+			p.Observe(st, out)
+			benefit += out.Gain
+			if out.Accepted && out.Cautious {
+				cautious++
+			}
+			res.Steps = append(res.Steps, Step{
+				User:                 out.User,
+				Accepted:             out.Accepted,
+				Cautious:             out.Cautious,
+				Gain:                 out.Gain,
+				BenefitAfter:         benefit,
+				CautiousFriendsAfter: cautious,
+			})
+		}
 	}
 	res.Benefit = st.Benefit()
 	res.Friends = st.Friends()

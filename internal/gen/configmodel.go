@@ -59,48 +59,3 @@ func (g PowerLawConfig) Generate(seed rng.Seed) (*graph.Graph, error) {
 	}
 	return b.Freeze(), nil
 }
-
-// WattsStrogatz generates a small-world graph: a ring lattice where each
-// node connects to its K nearest neighbors (K even), with each edge
-// rewired to a uniform random endpoint with probability Beta.
-type WattsStrogatz struct {
-	N    int     // number of nodes
-	K    int     // ring degree (even)
-	Beta float64 // rewiring probability
-}
-
-var _ Generator = WattsStrogatz{}
-
-// Name implements Generator.
-func (g WattsStrogatz) Name() string {
-	return fmt.Sprintf("ws(n=%d,k=%d,beta=%.2f)", g.N, g.K, g.Beta)
-}
-
-// Generate implements Generator.
-func (g WattsStrogatz) Generate(seed rng.Seed) (*graph.Graph, error) {
-	if g.N < 3 || g.K < 2 || g.K%2 != 0 || g.K >= g.N || g.Beta < 0 || g.Beta > 1 {
-		return nil, fmt.Errorf("%w: ws n=%d k=%d beta=%v", ErrBadParam, g.N, g.K, g.Beta)
-	}
-	r := seed.Rand()
-	b := graph.NewBuilder(g.N)
-	for u := 0; u < g.N; u++ {
-		for j := 1; j <= g.K/2; j++ {
-			v := (u + j) % g.N
-			if rng.Bernoulli(r, g.Beta) {
-				// Rewire: keep u, pick a random new endpoint. A failed
-				// attempt (self-loop/duplicate) keeps the lattice edge.
-				w := r.IntN(g.N)
-				if w != u && !b.HasEdge(u, w) {
-					if _, err := b.AddEdge(u, w); err != nil {
-						return nil, err
-					}
-					continue
-				}
-			}
-			if _, err := b.AddEdge(u, v); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Freeze(), nil
-}

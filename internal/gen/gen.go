@@ -56,30 +56,12 @@ func (g ErdosRenyi) Generate(seed rng.Seed) (*graph.Graph, error) {
 	return b.Freeze(), nil
 }
 
-// BarabasiAlbert generates a preferential-attachment graph: starting from
-// a small seed clique, each new node attaches to MAttach existing nodes
-// chosen proportionally to degree. Degrees follow a power law with
-// exponent ≈ 3.
-type BarabasiAlbert struct {
-	N       int // number of nodes
-	MAttach int // edges added per new node
-}
-
-var _ Generator = BarabasiAlbert{}
-
-// Name implements Generator.
-func (g BarabasiAlbert) Name() string { return fmt.Sprintf("ba(n=%d,m=%d)", g.N, g.MAttach) }
-
-// Generate implements Generator.
-func (g BarabasiAlbert) Generate(seed rng.Seed) (*graph.Graph, error) {
-	return generatePA(seed, g.N, g.MAttach, 0)
-}
-
 // HolmeKim generates a Barabási–Albert graph with triad formation: after
 // each preferential attachment, with probability PTriad the next link
 // closes a triangle with a neighbor of the previous target. This yields
 // the high clustering of real friendship networks (used for the
-// Facebook-like preset).
+// Facebook-like preset). PTriad = 0 is plain Barabási–Albert: each new
+// node attaches to MAttach existing nodes chosen proportionally to degree.
 type HolmeKim struct {
 	N       int     // number of nodes
 	MAttach int     // edges added per new node

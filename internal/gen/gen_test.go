@@ -60,33 +60,39 @@ func assertSameGraph(t *testing.T, g1, g2 *graph.Graph) {
 	})
 }
 
+// The Barabási–Albert model is Holme–Kim without triad formation
+// (PTriad 0); the BA tests run it there and, where the property holds for
+// both, with triad formation too.
+
 func TestBarabasiAlbertShape(t *testing.T) {
-	g, err := BarabasiAlbert{N: 500, MAttach: 3}.Generate(seed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 500 {
-		t.Fatalf("N = %d", g.N())
-	}
-	// Seed clique (4 nodes, 6 edges) + 496 nodes × 3 edges.
-	wantM := 6 + 496*3
-	if g.M() != wantM {
-		t.Fatalf("M = %d, want %d", g.M(), wantM)
-	}
-	// Every non-seed node has degree >= mAttach.
-	for u := 4; u < 500; u++ {
-		if g.Degree(u) < 3 {
-			t.Fatalf("node %d degree %d < 3", u, g.Degree(u))
+	for _, pTriad := range []float64{0, 0.9} {
+		g, err := HolmeKim{N: 500, MAttach: 3, PTriad: pTriad}.Generate(seed(4))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// BA must be connected.
-	if _, count := g.Components(); count != 1 {
-		t.Errorf("BA graph has %d components", count)
+		if g.N() != 500 {
+			t.Fatalf("pTriad %v: N = %d", pTriad, g.N())
+		}
+		// Seed clique (4 nodes, 6 edges) + 496 nodes × 3 edges.
+		wantM := 6 + 496*3
+		if g.M() != wantM {
+			t.Fatalf("pTriad %v: M = %d, want %d", pTriad, g.M(), wantM)
+		}
+		// Every non-seed node has degree >= mAttach.
+		for u := 4; u < 500; u++ {
+			if g.Degree(u) < 3 {
+				t.Fatalf("pTriad %v: node %d degree %d < 3", pTriad, u, g.Degree(u))
+			}
+		}
+		// Preferential attachment must be connected.
+		if _, count := g.Components(); count != 1 {
+			t.Errorf("pTriad %v: graph has %d components", pTriad, count)
+		}
 	}
 }
 
 func TestBarabasiAlbertHubs(t *testing.T) {
-	g, err := BarabasiAlbert{N: 2000, MAttach: 2}.Generate(seed(5))
+	g, err := HolmeKim{N: 2000, MAttach: 2}.Generate(seed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +104,7 @@ func TestBarabasiAlbertHubs(t *testing.T) {
 }
 
 func TestBarabasiAlbertErrors(t *testing.T) {
-	cases := []BarabasiAlbert{
+	cases := []HolmeKim{
 		{N: 0, MAttach: 1},
 		{N: 10, MAttach: 0},
 		{N: 5, MAttach: 5},
@@ -115,7 +121,7 @@ func TestHolmeKimClustering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := BarabasiAlbert{N: 1500, MAttach: 4}.Generate(seed(7))
+	ba, err := HolmeKim{N: 1500, MAttach: 4}.Generate(seed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,38 +164,6 @@ func TestPowerLawConfigErrors(t *testing.T) {
 	}
 	if _, err := (PowerLawConfig{N: 10, MinDeg: 1, MaxDeg: 5, Gamma: 0.5}).Generate(seed(10)); err == nil {
 		t.Error("gamma<1: want error")
-	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	g, err := WattsStrogatz{N: 200, K: 6, Beta: 0.1}.Generate(seed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.N() != 200 {
-		t.Fatalf("N = %d", g.N())
-	}
-	// Edge count close to N*K/2 (rewiring can only drop duplicates).
-	if g.M() < 500 || g.M() > 600 {
-		t.Errorf("M = %d, want ≈ 600", g.M())
-	}
-	// Low beta keeps high clustering.
-	if c := g.AverageClustering(0); c < 0.3 {
-		t.Errorf("clustering %.3f too low for beta=0.1", c)
-	}
-}
-
-func TestWattsStrogatzErrors(t *testing.T) {
-	cases := []WattsStrogatz{
-		{N: 2, K: 2, Beta: 0},
-		{N: 10, K: 3, Beta: 0},  // odd K
-		{N: 10, K: 10, Beta: 0}, // K >= N
-		{N: 10, K: 2, Beta: 2},
-	}
-	for _, c := range cases {
-		if _, err := c.Generate(seed(12)); !errors.Is(err, ErrBadParam) {
-			t.Errorf("%+v: err=%v, want ErrBadParam", c, err)
-		}
 	}
 }
 

@@ -14,7 +14,7 @@ func TestRequestBatchCautiousDecidesPreBatch(t *testing.T) {
 	// though applying 1 first would have unlocked it sequentially.
 	inst := cautiousFixture(t)
 	st := NewState(allIn(inst))
-	outs, err := st.RequestBatch([]int{1, 3})
+	outs, err := st.RequestBatch(nil, []int{1, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRequestBatchTotalMatchesRecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < len(users); i += 8 {
-			if _, err := st.RequestBatch(users[i : i+8]); err != nil {
+			if _, err := st.RequestBatch(nil, users[i:i+8]); err != nil {
 				t.Fatal(err)
 			}
 			if inc, scratch := st.Benefit(), st.RecomputeBenefit(); math.Abs(inc-scratch) > 1e-9 {
@@ -74,7 +74,7 @@ func TestRequestBatchTotalMatchesRecompute(t *testing.T) {
 func TestRequestBatchGainsSumToTotal(t *testing.T) {
 	inst := cautiousFixture(t)
 	st := NewState(allIn(inst))
-	outs, err := st.RequestBatch([]int{0, 1, 2})
+	outs, err := st.RequestBatch(nil, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,42 +90,48 @@ func TestRequestBatchGainsSumToTotal(t *testing.T) {
 func TestRequestBatchErrors(t *testing.T) {
 	inst := cautiousFixture(t)
 	st := NewState(allIn(inst))
-	if _, err := st.RequestBatch([]int{0, 0}); !errors.Is(err, ErrDuplicateInBatch) {
+	if _, err := st.RequestBatch(nil, []int{0, 0}); !errors.Is(err, ErrDuplicateInBatch) {
 		t.Errorf("duplicate: %v", err)
 	}
-	if _, err := st.RequestBatch([]int{-1}); !errors.Is(err, ErrBadUser) {
+	if _, err := st.RequestBatch(nil, []int{-1}); !errors.Is(err, ErrBadUser) {
 		t.Errorf("bad user: %v", err)
 	}
 	if _, err := st.Request(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.RequestBatch([]int{0, 1}); !errors.Is(err, ErrAlreadyRequested) {
+	if _, err := st.RequestBatch(nil, []int{0, 1}); !errors.Is(err, ErrAlreadyRequested) {
 		t.Errorf("already requested: %v", err)
 	}
-	// A failed batch must not consume requests.
+	if _, err := st.RequestBatch(nil, []int{2, 3, 2}); !errors.Is(err, ErrDuplicateInBatch) {
+		t.Errorf("late duplicate: %v", err)
+	}
+	// A failed batch must not consume requests or leave users marked.
 	if st.Requests() != 1 {
 		t.Errorf("requests = %d after failed batches", st.Requests())
 	}
+	if st.Requested(2) || st.Requested(3) {
+		t.Error("failed batch left its users marked as requested")
+	}
+	if _, err := st.RequestBatch(nil, []int{2, 3}); err != nil {
+		t.Errorf("batch after failed batches: %v", err)
+	}
 }
 
-func TestRequestBatchSizeOneMatchesRequest(t *testing.T) {
+// TestRequestDoesNotAllocate: a single request is a batch of one on the
+// shared path, and must not cost an allocation per request.
+func TestRequestDoesNotAllocate(t *testing.T) {
 	inst := cautiousFixture(t)
-	a := NewState(allIn(inst))
-	b := NewState(allIn(inst))
-	for _, u := range []int{1, 0, 3, 2} {
-		outA, err := a.Request(u)
-		if err != nil {
-			t.Fatal(err)
+	re := allIn(inst)
+	st := NewState(re)
+	allocs := testing.AllocsPerRun(10, func() {
+		st.Reset(re)
+		for u := 0; u < inst.N(); u++ {
+			if _, err := st.Request(u); err != nil {
+				t.Fatal(err)
+			}
 		}
-		outsB, err := b.RequestBatch([]int{u})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if outA != outsB[0] {
-			t.Fatalf("user %d: single %+v vs batch-1 %+v", u, outA, outsB[0])
-		}
-	}
-	if a.Benefit() != b.Benefit() {
-		t.Errorf("benefits diverged: %v vs %v", a.Benefit(), b.Benefit())
+	})
+	if allocs > 0 {
+		t.Errorf("Request allocated %v times per attack", allocs)
 	}
 }

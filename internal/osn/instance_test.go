@@ -8,7 +8,7 @@ import (
 	"github.com/accu-sim/accu/internal/rng"
 )
 
-func buildGraph(t *testing.T, n int, edges [][2]int) *graph.Graph {
+func buildGraph(t testing.TB, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(n)
 	for _, e := range edges {

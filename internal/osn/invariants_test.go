@@ -110,7 +110,7 @@ func TestStateInvariantsUnderBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < len(order); i += 12 {
-		if _, err := st.RequestBatch(order[i : i+12]); err != nil {
+		if _, err := st.RequestBatch(nil, order[i:i+12]); err != nil {
 			t.Fatal(err)
 		}
 		checkStateInvariants(t, st)

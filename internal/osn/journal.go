@@ -65,6 +65,22 @@ func (j *Journal) RecordBatch(users []int) {
 	j.BatchSizes = append(j.BatchSizes, len(users))
 }
 
+// eachBatch calls fn with each batch in send order. A journal without
+// BatchSizes is all batches of one. The journal must be valid.
+func (j *Journal) eachBatch(fn func(users []int) error) error {
+	for i, b := 0, 0; i < len(j.Users); b++ {
+		n := 1
+		if j.BatchSizes != nil {
+			n = j.BatchSizes[b]
+		}
+		if err := fn(j.Users[i : i+n]); err != nil {
+			return err
+		}
+		i += n
+	}
+	return nil
+}
+
 // Replay re-executes the journal against a realization and returns the
 // final state. Replaying the journal of an attack against the same
 // realization reproduces its outcomes exactly.
@@ -73,20 +89,14 @@ func (j *Journal) Replay(re *Realization) (*State, error) {
 		return nil, err
 	}
 	st := NewState(re)
-	if j.BatchSizes == nil {
-		for _, u := range j.Users {
-			if _, err := st.Request(u); err != nil {
-				return nil, fmt.Errorf("osn: replay: %w", err)
-			}
-		}
-		return st, nil
-	}
-	i := 0
-	for _, b := range j.BatchSizes {
-		if _, err := st.RequestBatch(j.Users[i : i+b]); err != nil {
-			return nil, fmt.Errorf("osn: replay batch: %w", err)
-		}
-		i += b
+	var outs []Outcome
+	err := j.eachBatch(func(users []int) error {
+		var err error
+		outs, err = st.RequestBatch(outs[:0], users)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("osn: replay: %w", err)
 	}
 	return st, nil
 }
@@ -99,29 +109,21 @@ func (j *Journal) WriteTo(w io.Writer) (int64, error) {
 	}
 	bw := bufio.NewWriter(w)
 	var written int64
-	writeBatch := func(users []int) error {
-		parts := make([]string, len(users))
+	var line []byte
+	err := j.eachBatch(func(users []int) error {
+		line = line[:0]
 		for i, u := range users {
-			parts[i] = strconv.Itoa(u)
+			if i > 0 {
+				line = append(line, ' ')
+			}
+			line = strconv.AppendInt(line, int64(u), 10)
 		}
-		n, err := bw.WriteString(strings.Join(parts, " ") + "\n")
+		n, err := bw.Write(append(line, '\n'))
 		written += int64(n)
 		return err
-	}
-	if j.BatchSizes == nil {
-		for _, u := range j.Users {
-			if err := writeBatch([]int{u}); err != nil {
-				return written, fmt.Errorf("osn: write journal: %w", err)
-			}
-		}
-	} else {
-		i := 0
-		for _, b := range j.BatchSizes {
-			if err := writeBatch(j.Users[i : i+b]); err != nil {
-				return written, fmt.Errorf("osn: write journal: %w", err)
-			}
-			i += b
-		}
+	})
+	if err != nil {
+		return written, fmt.Errorf("osn: write journal: %w", err)
 	}
 	if err := bw.Flush(); err != nil {
 		return written, fmt.Errorf("osn: flush journal: %w", err)
@@ -129,12 +131,13 @@ func (j *Journal) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadJournal parses the plain-text journal format produced by WriteTo.
+// ReadJournal parses the plain-text journal format produced by WriteTo. A
+// journal whose lines all hold one user reads back without BatchSizes.
 func ReadJournal(r io.Reader) (*Journal, error) {
 	j := &Journal{}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
-	var batches [][]int
+	singles := true
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -142,32 +145,21 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		batch := make([]int, 0, len(fields))
 		for _, f := range fields {
 			u, err := strconv.Atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("osn: journal line %d: %w", lineNo, err)
 			}
-			batch = append(batch, u)
+			j.Users = append(j.Users, u)
 		}
-		batches = append(batches, batch)
+		j.BatchSizes = append(j.BatchSizes, len(fields))
+		singles = singles && len(fields) == 1
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("osn: read journal: %w", err)
 	}
-	allSingles := true
-	for _, b := range batches {
-		if len(b) != 1 {
-			allSingles = false
-			break
-		}
-	}
-	for _, b := range batches {
-		if allSingles {
-			j.Users = append(j.Users, b[0])
-		} else {
-			j.RecordBatch(b)
-		}
+	if singles {
+		j.BatchSizes = nil
 	}
 	return j, nil
 }

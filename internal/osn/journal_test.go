@@ -57,7 +57,7 @@ func TestJournalBatchReplay(t *testing.T) {
 
 	live := NewState(re)
 	j := &Journal{}
-	if _, err := live.RequestBatch([]int{0, 1}); err != nil {
+	if _, err := live.RequestBatch(nil, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	j.RecordBatch([]int{0, 1})

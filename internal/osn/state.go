@@ -3,14 +3,16 @@ package osn
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/obs"
 )
 
-// Errors returned by State.Request.
+// Errors returned by State.Request and State.RequestBatch.
 var (
 	ErrAlreadyRequested = errors.New("osn: user already received a request")
 	ErrBadUser          = errors.New("osn: user id out of range")
+	ErrDuplicateInBatch = errors.New("osn: duplicate user in batch")
 )
 
 // State is the attacker's partial realization ω: which requests were sent
@@ -70,33 +72,75 @@ type Outcome struct {
 	Cautious bool
 }
 
-// Request sends a friend request to u, applies the acceptance model,
-// reveals N(u) on acceptance, and updates the benefit accounting. A user
-// may receive at most one request (Algorithm 1 selects from V \ Q).
+// Request sends a friend request to u: a batch of one, which is the
+// paper's one-at-a-time request. A user may receive at most one request
+// (Algorithm 1 selects from V \ Q).
 func (st *State) Request(u int) (Outcome, error) {
-	if u < 0 || u >= st.inst.N() {
-		return Outcome{}, fmt.Errorf("%w: %d", ErrBadUser, u)
+	var buf [1]Outcome
+	users := [1]int{u}
+	outs, err := st.RequestBatch(buf[:0], users[:])
+	if err != nil {
+		return Outcome{}, err
 	}
-	if st.requested[u] {
-		return Outcome{}, fmt.Errorf("%w: %d", ErrAlreadyRequested, u)
+	return outs[0], nil
+}
+
+// RequestBatch sends friend requests to all users at once and appends
+// their outcomes to dst in input order. The attacker observes no response
+// until the whole batch is out, so cautious users decide on the PRE-BATCH
+// mutual-friend counts (the parallel batching model of Li–Smith–Thai,
+// ICDCS 2017, which the paper cites as [4]). Accepted users are then
+// folded into the state in input order; each Outcome.Gain is the marginal
+// benefit in that order, and their sum is the total batch gain (the total
+// is order-independent — it depends only on the final friend set). A
+// batch that fails validation changes nothing.
+func (st *State) RequestBatch(dst []Outcome, users []int) ([]Outcome, error) {
+	start := len(dst)
+	for i, u := range users {
+		var err error
+		switch {
+		case u < 0 || u >= st.inst.N():
+			err = fmt.Errorf("%w: %d", ErrBadUser, u)
+		case st.requested[u] && slices.Contains(users[:i], u):
+			err = fmt.Errorf("%w: %d", ErrDuplicateInBatch, u)
+		case st.requested[u]:
+			err = fmt.Errorf("%w: %d", ErrAlreadyRequested, u)
+		}
+		if err != nil {
+			for _, v := range users[:i] {
+				st.requested[v] = false
+			}
+			return dst[:start], err
+		}
+		st.requested[u] = true
+		out := Outcome{User: u, Cautious: st.inst.kind[u] == Cautious}
+		switch st.inst.kind[u] {
+		case Reckless:
+			out.Accepted = st.real.accepts[u]
+		case Cautious:
+			// Generalized §III-B model: the pre-drawn coin for the
+			// current threshold condition. Under the paper's
+			// deterministic model this is exactly mutual >= θ.
+			out.Accepted = st.real.AcceptsCautious(u, int(st.mutual[u]) >= st.inst.theta[u])
+		}
+		dst = append(dst, out)
 	}
-	st.requested[u] = true
+	for i := start; i < len(dst); i++ {
+		st.fold(&dst[i])
+	}
+	return dst, nil
+}
+
+// fold applies one decided request: it counts the request and, on
+// acceptance, moves the target into F, reveals its realized neighborhood
+// and collects the marginal benefit into out.Gain.
+func (st *State) fold(out *Outcome) {
 	st.requests++
 	st.inst.mRequests.Inc()
-
-	out := Outcome{User: u, Cautious: st.inst.kind[u] == Cautious}
-	switch st.inst.kind[u] {
-	case Reckless:
-		out.Accepted = st.real.accepts[u]
-	case Cautious:
-		// Generalized §III-B model: the pre-drawn coin for the current
-		// threshold condition. Under the paper's deterministic model
-		// this is exactly mutual >= θ.
-		out.Accepted = st.real.AcceptsCautious(u, int(st.mutual[u]) >= st.inst.theta[u])
-	}
 	if !out.Accepted {
-		return out, nil
+		return
 	}
+	u := out.User
 
 	// u joins F. If u was a friend-of-friend its B_fof was already
 	// collected; upgrade to the friend benefit.
@@ -135,7 +179,6 @@ func (st *State) Request(u int) (Outcome, error) {
 
 	st.benefit += gain
 	out.Gain = gain
-	return out, nil
 }
 
 // Requested reports whether u already received a request.

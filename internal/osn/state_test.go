@@ -13,7 +13,7 @@ import (
 //	0 — 1 — 2
 //	    |
 //	    3 (cautious, θ=1, B_f=50)
-func cautiousFixture(t *testing.T) *Instance {
+func cautiousFixture(t testing.TB) *Instance {
 	t.Helper()
 	g := buildGraph(t, 4, [][2]int{{0, 1}, {1, 2}, {1, 3}})
 	p := uniformParams(4)

@@ -60,7 +60,7 @@ type Protocol struct {
 	// BatchSize > 1 switches to the parallel-batching attack model
 	// (requests go out BatchSize at a time with no observations inside a
 	// batch); 0 or 1 is the paper's fully adaptive one-at-a-time model.
-	// Batching requires every policy to implement core.BatchSelector.
+	// Every policy runs under either.
 	BatchSize int
 	// Seed is the root seed; every cell derives its own stream from it.
 	Seed rng.Seed
@@ -194,7 +194,7 @@ type Record struct {
 // the per-cell hot path records through plain pointers (all nil — and
 // therefore no-ops — when Protocol.Metrics is unset).
 type engineMetrics struct {
-	cellNS     *obs.Histogram // one policy execution (core.Run/RunBatched)
+	cellNS     *obs.Histogram // one policy execution (core.Runner.Run)
 	networkNS  *obs.Histogram // generate + setup of one network instance
 	cells      *obs.Counter   // records delivered to the collector
 	workerBusy *obs.Counter   // summed worker busy nanoseconds
@@ -552,16 +552,7 @@ func (e *engine) computeCell(sc *scratch, i, j int) ([]Record, string, error) {
 			return nil, f.Name, err
 		}
 		cell := obs.StartSpan(e.em.cellNS)
-		var res *core.Result
-		if e.p.BatchSize > 1 {
-			bp, ok := pol.(core.BatchSelector)
-			if !ok {
-				return nil, f.Name, fmt.Errorf("sim: policy %s does not support batching", f.Name)
-			}
-			res, err = sc.runner.RunBatched(bp, re, e.p.K, e.p.BatchSize)
-		} else {
-			res, err = sc.runner.Run(pol, re, e.p.K)
-		}
+		res, err := sc.runner.Run(pol, re, e.p.K, max(e.p.BatchSize, 1))
 		cell.End()
 		if err != nil {
 			return nil, f.Name, fmt.Errorf("sim: run %s on network %d run %d: %w", f.Name, i, j, err)

@@ -508,6 +508,45 @@ func TestRunRecordsMetrics(t *testing.T) {
 	}
 }
 
+// TestRunOSNMetricsCountEveryRequest: the osn instruments count every
+// request and acceptance the records show, batched or not.
+func TestRunOSNMetricsCountEveryRequest(t *testing.T) {
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range []int{0, 4} {
+		p := testProtocol()
+		p.BatchSize = batch
+		reg := obs.New()
+		p.Metrics = reg
+		var requests, accepts int64
+		err := Run(context.Background(), p, factories, func(r Record) {
+			for _, s := range r.Result.Steps {
+				requests++
+				if s.Accepted {
+					accepts++
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("osn.requests").Value(); got != requests {
+			t.Errorf("batch %d: osn.requests = %d, records sent %d", batch, got, requests)
+		}
+		if got := reg.Counter("osn.accepts").Value(); got != accepts {
+			t.Errorf("batch %d: osn.accepts = %d, records accepted %d", batch, got, accepts)
+		}
+		if got := reg.Histogram("osn.reveal_ns").Count(); got != accepts {
+			t.Errorf("batch %d: osn.reveal_ns count = %d, records accepted %d", batch, got, accepts)
+		}
+		if got := reg.Counter("osn.edges_revealed").Value(); got <= 0 {
+			t.Errorf("batch %d: osn.edges_revealed = %d, want > 0", batch, got)
+		}
+	}
+}
+
 func TestRunPropagatesGeneratorError(t *testing.T) {
 	p := testProtocol()
 	p.Gen = gen.ErdosRenyi{N: 3, M: 100} // invalid: too many edges
