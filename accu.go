@@ -208,7 +208,7 @@ func NewRecordDigest() *RecordDigest { return sim.NewRecordDigest() }
 // Streaming statistics, re-exported from the stats layer. These are the
 // types Summary accessors return and job results embed.
 type (
-	// Welford is a numerically stable online mean/variance accumulator.
+	// Welford is an order-free mean/variance accumulator.
 	Welford = stats.Welford
 	// WelfordSnapshot is the JSON view of a Welford accumulator.
 	WelfordSnapshot = stats.WelfordSnapshot

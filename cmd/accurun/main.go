@@ -26,7 +26,7 @@
 //
 //	accurun query -store out.acs -policy abm -quantiles 0.5,0.9,0.99 [-where network=0,run=3] [-json]
 //
-// at O(sketch centroids) memory regardless of row count.
+// at O(rows) memory: 16 B per row.
 package main
 
 import (
@@ -278,9 +278,9 @@ type queryResult struct {
 }
 
 // runQuery re-aggregates a columnar result store: it streams the rows
-// through per-policy Welford accumulators and quantile sketches, so
-// memory stays O(policies × sketch centroids) however many rows the
-// store holds.
+// into a Summary, the aggregator behind accurun -out and accuserv
+// results, so the statistics do not depend on row order. Memory is
+// O(rows): the Summary keeps 16 B per row.
 func runQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("accurun query", flag.ContinueOnError)
 	var (
@@ -309,30 +309,14 @@ func runQuery(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	type agg struct {
-		benefit  accu.Welford
-		cautious accu.Welford
-		sketch   *accu.Sketch
-	}
-	var order []string
-	aggs := make(map[string]*agg)
+	summary := accu.NewSummary(nil)
 	var rows int64
 	err = sr.Scan(func(rec accu.StoreRecord) error {
-		if *policy != "" && rec.Policy != *policy {
+		if (*policy != "" && rec.Policy != *policy) || !filter.match(rec) {
 			return nil
 		}
-		if !filter.match(rec) {
-			return nil
-		}
-		a, ok := aggs[rec.Policy]
-		if !ok {
-			a = &agg{sketch: accu.NewSketch()}
-			aggs[rec.Policy] = a
-			order = append(order, rec.Policy)
-		}
-		a.benefit.Add(rec.Benefit)
-		a.cautious.Add(float64(rec.CautiousFriends))
-		a.sketch.Add(rec.Benefit)
+		summary.Collect(accu.Record{Policy: rec.Policy, Network: rec.Network, Run: rec.Run,
+			Result: &accu.Result{Benefit: rec.Benefit, CautiousFriends: rec.CautiousFriends}})
 		rows++
 		return nil
 	})
@@ -342,22 +326,22 @@ func runQuery(args []string, out io.Writer) error {
 	if sr.Truncated() {
 		fmt.Fprintf(os.Stderr, "accurun: warning: %s has a torn trailing block (interrupted writer); results cover the intact prefix\n", *store)
 	}
-	if *policy != "" && len(order) == 0 {
+	if *policy != "" && len(summary.Policies()) == 0 {
 		return fmt.Errorf("query: no rows for policy %q in %s", *policy, *store)
 	}
 
 	res := queryResult{Store: *store, Meta: sr.Meta(), Truncated: sr.Truncated(), Rows: rows}
-	for _, p := range order {
-		a := aggs[p]
+	for _, p := range summary.Policies() {
+		fb, sk := summary.FinalBenefit(p), summary.FinalBenefitSketch(p)
 		qp := queryPolicy{
 			Policy:          p,
-			Count:           a.benefit.Count(),
-			Benefit:         a.benefit.Snapshot(),
-			CautiousFriends: a.cautious.Snapshot(),
-			BenefitSketch:   a.sketch.Snapshot(),
+			Count:           fb.Count(),
+			Benefit:         fb.Snapshot(),
+			CautiousFriends: summary.CautiousFriends(p).Snapshot(),
+			BenefitSketch:   sk.Snapshot(),
 		}
 		for _, q := range qs {
-			qp.Quantiles = append(qp.Quantiles, queryQuantile{Q: q, Value: a.sketch.Quantile(q)})
+			qp.Quantiles = append(qp.Quantiles, queryQuantile{Q: q, Value: sk.Quantile(q)})
 		}
 		res.Policies = append(res.Policies, qp)
 	}

@@ -189,16 +189,16 @@ func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, fac
 // protocol (journaled as name) and returns its final-benefit and
 // cautious-friend accumulators: one point of a sweep that varies the
 // setup or the batch size.
-func (c Config) abmCell(ctx context.Context, name string, protocol sim.Protocol) (benefit, cautious stats.Welford, err error) {
+func (c Config) abmCell(ctx context.Context, name string, protocol sim.Protocol) (benefit, cautious *stats.Welford, err error) {
 	abm, err := sim.ABMFactory(c.Weights, c.abmOptions()...)
 	if err != nil {
-		return benefit, cautious, err
+		return nil, nil, err
 	}
-	err = c.run(ctx, name, protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
-		benefit.Add(rec.Result.Benefit)
-		cautious.Add(float64(rec.Result.CautiousFriends))
-	})
-	return benefit, cautious, err
+	sum := sim.NewSummary(nil)
+	if err := c.run(ctx, name, protocol, []sim.PolicyFactory{abm}, sum.Collect); err != nil {
+		return nil, nil, err
+	}
+	return sum.FinalBenefit(abm.Name), sum.CautiousFriends(abm.Name), nil
 }
 
 // sanitizeName maps a protocol name to a filesystem-safe journal stem:

@@ -40,24 +40,21 @@ func fig4Data(ctx context.Context, cfg Config) (dataset string, benefit, cautiou
 	benefit = stats.NewSeries("benefit", xs)
 	cautious = stats.NewSeries("cautious-friends", xs)
 	factories := make([]sim.PolicyFactory, 0, len(xs))
-	index := make(map[string]int, len(xs))
-	for i, wi := range xs {
+	for _, wi := range xs {
 		f, err := sim.ABMFactory(core.Weights{WD: 1 - wi, WI: wi}, cfg.abmOptions()...)
 		if err != nil {
 			return "", nil, nil, err
 		}
 		f.Name = fmt.Sprintf("wI=%.1f", wi)
 		factories = append(factories, f)
-		index[f.Name] = i
 	}
 	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig4-"+dataset))
-	err = cfg.run(ctx, "fig4-"+dataset, protocol, factories, func(rec sim.Record) {
-		i := index[rec.Policy]
-		benefit.Add(i, rec.Result.Benefit)
-		cautious.Add(i, float64(rec.Result.CautiousFriends))
-	})
-	if err != nil {
+	sum := sim.NewSummary(nil)
+	if err := cfg.run(ctx, "fig4-"+dataset, protocol, factories, sum.Collect); err != nil {
 		return "", nil, nil, fmt.Errorf("exp: fig4 %s: %w", dataset, err)
+	}
+	for i, f := range factories {
+		*benefit.At(i), *cautious.At(i) = *sum.FinalBenefit(f.Name), *sum.CautiousFriends(f.Name)
 	}
 	return dataset, benefit, cautious, nil
 }

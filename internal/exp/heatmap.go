@@ -41,7 +41,7 @@ func heatmap(ctx context.Context, cfg Config, id string) (benefit, cautious *sta
 			if err != nil {
 				return nil, nil, "", fmt.Errorf("exp: heatmap cell (θ=%v, Bf=%v): %w", tf, bf, err)
 			}
-			*benefit.At(i, j), *cautious.At(i, j) = b, c
+			*benefit.At(i, j), *cautious.At(i, j) = *b, *c
 		}
 	}
 	return benefit, cautious, dataset, nil

@@ -133,14 +133,18 @@ func (j *Journal) WriteTo(w io.Writer) (int64, error) {
 
 // ReadJournal parses the plain-text journal format produced by WriteTo. A
 // journal whose lines all hold one user reads back without BatchSizes.
+// Lines have no length cap: WriteTo puts a whole batch on one.
 func ReadJournal(r io.Reader) (*Journal, error) {
 	j := &Journal{}
-	sc := bufio.NewScanner(r)
-	lineNo := 0
+	br := bufio.NewReader(r)
 	singles := true
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
+	var err error
+	for lineNo := 1; err == nil; lineNo++ {
+		var raw string
+		if raw, err = br.ReadString('\n'); err != nil && err != io.EOF {
+			return nil, fmt.Errorf("osn: read journal: %w", err)
+		}
+		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -154,9 +158,6 @@ func ReadJournal(r io.Reader) (*Journal, error) {
 		}
 		j.BatchSizes = append(j.BatchSizes, len(fields))
 		singles = singles && len(fields) == 1
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("osn: read journal: %w", err)
 	}
 	if singles {
 		j.BatchSizes = nil

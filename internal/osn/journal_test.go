@@ -3,6 +3,7 @@ package osn
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,32 @@ func TestJournalSingleOnlySerialization(t *testing.T) {
 	}
 	if len(j2.Users) != 3 || j2.Users[0] != 3 {
 		t.Errorf("users = %v", j2.Users)
+	}
+}
+
+// TestJournalLongBatchRoundTrip is the regression test for the reader's
+// line cap: WriteTo puts one batch on one line, and a 12,000-user batch
+// is a line of about 70 KB, past bufio.Scanner's default 64 KB token
+// limit ("token too long").
+func TestJournalLongBatchRoundTrip(t *testing.T) {
+	users := make([]int, 12000)
+	for i := range users {
+		users[i] = 100000 + i
+	}
+	j := &Journal{}
+	j.Record(1)
+	j.RecordBatch(users)
+	var buf bytes.Buffer
+	if _, err := j.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(j2.Users, j.Users) || !slices.Equal(j2.BatchSizes, j.BatchSizes) {
+		t.Fatalf("round trip changed the journal: %d users in %v batches, want %d in %v",
+			len(j2.Users), j2.BatchSizes, len(j.Users), j.BatchSizes)
 	}
 }
 

@@ -43,10 +43,9 @@ type Progress struct {
 }
 
 // PolicyResult is one policy's aggregated outcome over the grid. The
-// sketch snapshots carry the p50/p90/p99 quantiles; unlike the Welford
-// fields (whose merges can differ in the last float bits depending on
-// fold order), they serialize byte-identically for any merge order or
-// partition of the same record set.
+// sketch snapshots carry the p50/p90/p99 quantiles. Every field, the
+// Welford ones included, serializes byte-identically for any collect
+// order or partition of the same record set.
 //
 //accu:wire
 type PolicyResult struct {

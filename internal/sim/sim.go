@@ -251,12 +251,12 @@ func (p Protocol) ResolveWorkers() (workers int, clamped bool) {
 // Run executes the protocol. Every policy in factories attacks the same
 // realization within a cell, so policies are compared on identical ground
 // truth. collect is invoked serially (no locking needed by the caller)
-// but in nondeterministic cell order; the per-cell randomness itself is
-// fully deterministic in Protocol.Seed — the collected record set is
-// bit-identical at any worker count. Run stops at the first error — a
-// failed cell's *CellError or a checkpoint Commit error — or when ctx is
-// cancelled (a worker error always wins over the context cancellation it
-// triggers).
+// in completion order, but that order reaches no published number: the
+// record set is bit-identical at any worker count, and RecordDigest,
+// Summary and every stats accumulator depend on the set alone. Run stops
+// at the first error — a failed cell's *CellError or a checkpoint Commit
+// error — or when ctx is cancelled (a worker error always wins over the
+// context cancellation it triggers).
 func Run(ctx context.Context, p Protocol, factories []PolicyFactory, collect func(Record)) error {
 	e, err := newEngine(p, factories)
 	if err != nil {

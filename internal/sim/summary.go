@@ -6,62 +6,57 @@ import (
 )
 
 // Summary aggregates Monte-Carlo records per policy: the final benefit
-// and cautious-friend distributions (mean/variance via Welford plus a
-// mergeable quantile sketch each), and optionally a benefit-vs-k curve
-// of means sampled at fixed request checkpoints. Use its Collect method
-// as the collect callback of Run. Not safe for concurrent use (Run
-// invokes collect serially). Memory is O(policies × (checkpoints +
-// sketch centroids)), independent of the grid size.
+// and cautious-friend distributions (Welford moments, with quantile
+// sketches built from the same values when read), and optionally a
+// benefit-vs-k curve of means sampled at fixed request checkpoints. Use
+// its Collect method as the collect callback of Run. Every statistic
+// depends only on the set of records collected, never on their order,
+// so the same grid summarizes to the same bytes at any worker count,
+// resume point or upload order. Not safe for concurrent use (Run
+// invokes collect serially). Memory is 8 B per value: two per record
+// plus one per curve checkpoint.
 type Summary struct {
 	checkpoints []int
 	order       []string
-	final       map[string]*stats.Welford
-	cautious    map[string]*stats.Welford
-	finalSk     map[string]*stats.Sketch
-	cautiousSk  map[string]*stats.Sketch
-	curves      map[string]*stats.Series
+	values      map[string]policyValues
+}
+
+// policyValues is one policy's value store; a policy with no records
+// reads as the zero value, all nil.
+type policyValues struct {
+	final, cautious *stats.Welford
+	curve           *stats.Series // nil without checkpoints
 }
 
 // NewSummary creates a summary; checkpoints may be nil to skip curves.
 func NewSummary(checkpoints []int) *Summary {
 	return &Summary{
 		checkpoints: append([]int(nil), checkpoints...),
-		final:       make(map[string]*stats.Welford),
-		cautious:    make(map[string]*stats.Welford),
-		finalSk:     make(map[string]*stats.Sketch),
-		cautiousSk:  make(map[string]*stats.Sketch),
-		curves:      make(map[string]*stats.Series),
+		values:      make(map[string]policyValues),
 	}
 }
 
-// adopt registers a policy on first sight, preserving first-seen order.
-func (s *Summary) adopt(policy string) {
-	s.order = append(s.order, policy)
-	s.final[policy] = &stats.Welford{}
-	s.cautious[policy] = &stats.Welford{}
-	s.finalSk[policy] = stats.NewSketch()
-	s.cautiousSk[policy] = stats.NewSketch()
-	if len(s.checkpoints) > 0 {
-		xs := make([]float64, len(s.checkpoints))
-		for i, c := range s.checkpoints {
-			xs[i] = float64(c)
-		}
-		s.curves[policy] = stats.NewSeries(policy, xs)
-	}
-}
-
-// Collect folds one record into the summary.
+// Collect folds one record into the summary. Policies are registered on
+// first sight, in first-seen order.
 func (s *Summary) Collect(rec Record) {
-	if _, ok := s.final[rec.Policy]; !ok {
-		s.adopt(rec.Policy)
+	v, ok := s.values[rec.Policy]
+	if !ok {
+		v = policyValues{final: new(stats.Welford), cautious: new(stats.Welford)}
+		if len(s.checkpoints) > 0 {
+			xs := make([]float64, len(s.checkpoints))
+			for i, c := range s.checkpoints {
+				xs[i] = float64(c)
+			}
+			v.curve = stats.NewSeries(rec.Policy, xs)
+		}
+		s.values[rec.Policy] = v
+		s.order = append(s.order, rec.Policy)
 	}
-	s.final[rec.Policy].Add(rec.Result.Benefit)
-	s.cautious[rec.Policy].Add(float64(rec.Result.CautiousFriends))
-	s.finalSk[rec.Policy].Add(rec.Result.Benefit)
-	s.cautiousSk[rec.Policy].Add(float64(rec.Result.CautiousFriends))
-	if curve := s.curves[rec.Policy]; curve != nil {
+	v.final.Add(rec.Result.Benefit)
+	v.cautious.Add(float64(rec.Result.CautiousFriends))
+	if v.curve != nil {
 		for i, c := range s.checkpoints {
-			curve.Add(i, benefitAtStep(rec.Result.Steps, c))
+			v.curve.Add(i, benefitAtStep(rec.Result.Steps, c))
 		}
 	}
 }
@@ -85,21 +80,26 @@ func (s *Summary) Policies() []string { return s.order }
 
 // FinalBenefit returns the final-benefit accumulator for a policy (nil if
 // the policy produced no records).
-func (s *Summary) FinalBenefit(policy string) *stats.Welford { return s.final[policy] }
+func (s *Summary) FinalBenefit(policy string) *stats.Welford { return s.values[policy].final }
 
-// CautiousFriends returns the cautious-friend accumulator for a policy.
-func (s *Summary) CautiousFriends(policy string) *stats.Welford { return s.cautious[policy] }
+// CautiousFriends returns the cautious-friend accumulator for a policy
+// (nil if the policy produced no records).
+func (s *Summary) CautiousFriends(policy string) *stats.Welford { return s.values[policy].cautious }
 
-// FinalBenefitSketch returns the final-benefit quantile sketch for a
-// policy (nil if the policy produced no records). The sketch snapshot is
-// byte-identical across any insertion order or grid partition of the same
-// record set — the property the distributed e2e check relies on.
-func (s *Summary) FinalBenefitSketch(policy string) *stats.Sketch { return s.finalSk[policy] }
+// FinalBenefitSketch returns a new quantile sketch of a policy's final
+// benefits (nil if the policy produced no records). Its snapshot is
+// byte-identical across any insertion order or grid partition of the
+// same record set.
+func (s *Summary) FinalBenefitSketch(policy string) *stats.Sketch {
+	return s.FinalBenefit(policy).Sketch()
+}
 
-// CautiousFriendsSketch returns the cautious-friend quantile sketch for
-// a policy.
-func (s *Summary) CautiousFriendsSketch(policy string) *stats.Sketch { return s.cautiousSk[policy] }
+// CautiousFriendsSketch returns a new quantile sketch of a policy's
+// cautious-friend counts (nil if the policy produced no records).
+func (s *Summary) CautiousFriendsSketch(policy string) *stats.Sketch {
+	return s.CautiousFriends(policy).Sketch()
+}
 
 // Curve returns the benefit-vs-k series for a policy, or nil when the
 // summary was built without checkpoints.
-func (s *Summary) Curve(policy string) *stats.Series { return s.curves[policy] }
+func (s *Summary) Curve(policy string) *stats.Series { return s.values[policy].curve }

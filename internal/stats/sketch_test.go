@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 )
 
 // sketchBytes marshals a sketch's snapshot — the byte-identity the
@@ -371,55 +370,5 @@ func TestSketchFromSnapshotRejectsCorrupt(t *testing.T) {
 	bad.Alpha = 0
 	if _, err := SketchFromSnapshot(bad); err == nil {
 		t.Error("invalid alpha accepted")
-	}
-}
-
-// TestWelfordMergeMultiWayMatchesSequential extends the pairwise merge
-// property to arbitrary partitions and merge orders, the shape the dist
-// coordinator actually produces: mean and variance of the merged
-// accumulator must match the single-stream accumulator to within float
-// round-off, and the count exactly.
-func TestWelfordMergeMultiWayMatchesSequential(t *testing.T) {
-	f := func(xs []float64, assign []uint8, shuffle uint8) bool {
-		if len(xs) == 0 {
-			return true
-		}
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				return true
-			}
-		}
-		var seq Welford
-		for _, x := range xs {
-			seq.Add(x)
-		}
-		const parts = 4
-		var ws [parts]Welford
-		for i, x := range xs {
-			p := 0
-			if i < len(assign) {
-				p = int(assign[i]) % parts
-			}
-			ws[p].Add(x)
-		}
-		order := []int{0, 1, 2, 3}
-		r := rand.New(rand.NewSource(int64(shuffle)))
-		r.Shuffle(parts, func(i, j int) { order[i], order[j] = order[j], order[i] })
-		var merged Welford
-		for _, p := range order {
-			merged.Merge(ws[p])
-		}
-		if merged.Count() != seq.Count() {
-			return false
-		}
-		scale := 1.0
-		for _, x := range xs {
-			scale = math.Max(scale, math.Abs(x))
-		}
-		return math.Abs(merged.Mean()-seq.Mean()) <= 1e-9*scale &&
-			math.Abs(merged.Variance()-seq.Variance()) <= 1e-9*scale*scale
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

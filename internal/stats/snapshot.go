@@ -3,12 +3,11 @@ package stats
 // WelfordSnapshot is the JSON-marshalable view of one accumulator: the
 // derived statistics a results API returns without exposing the mutable
 // accumulator itself. Every derived field — Mean, Variance, Std,
-// StdErr and CI95 alike — carries the full float64 precision, so two
-// snapshots of accumulators in identical states marshal to identical
-// bytes. (Note the claim is over accumulator states: Welford merges
-// folded in a different order can differ from a single-stream
-// accumulation in the last few bits. The Sketch snapshot, by contrast,
-// is byte-stable under any merge order.)
+// StdErr and CI95 alike — carries the full float64 precision. Because a
+// Welford folds its observations in one canonical order, two
+// accumulators over the same multiset of values marshal to identical
+// bytes, whatever order the values were added in — the same promise the
+// Sketch snapshot makes.
 //
 //accu:wire
 type WelfordSnapshot struct {

@@ -1,13 +1,15 @@
 // Package stats provides the small statistical toolkit shared by the
-// experiment harness: online mean/variance accumulation (Welford),
+// experiment harness: order-free mean/variance accumulation (Welford),
 // labeled series for benefit-vs-k curves, grids for the sensitivity heat
 // maps, and plain-text rendering of tables, series and heat maps.
 package stats
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrMismatchedAxes is returned by SeriesTable when the
@@ -15,51 +17,68 @@ import (
 // columns would misattribute observations.
 var ErrMismatchedAxes = errors.New("stats: mismatched axes")
 
-// Welford accumulates a stream of observations with numerically stable
-// online mean and variance. The zero value is ready to use.
+// Welford reports the count, mean and variance of its observations. It
+// keeps every observation (8 B each) and, when read, folds them with
+// Welford's stable recurrence in ascending total order of their bits
+// (orderKey), so every statistic depends on the multiset alone, never on
+// the order of Add calls. The zero value is ready to use. Not safe for
+// concurrent use, reads included: a read sorts in place. A copy shares
+// its original's observations, so copy only an accumulator that nothing
+// adds to any more, and only read the copy.
 type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
+	xs []float64
 }
 
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+// Add records one observation.
+func (w *Welford) Add(x float64) { w.xs = append(w.xs, x) }
+
+// fold sorts the observations into canonical order and folds them.
+func (w *Welford) fold() (mean, m2 float64) {
+	slices.SortFunc(w.xs, func(a, b float64) int { return cmp.Compare(orderKey(a), orderKey(b)) })
+	for i, x := range w.xs {
+		delta := x - mean
+		mean += delta / float64(i+1)
+		m2 += delta * (x - mean)
+	}
+	return mean, m2
 }
 
-// Merge folds another accumulator into this one (parallel reduction,
-// Chan et al.).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
+// orderKey maps a float64 to an integer key whose order is a total order
+// on the float's bits: -NaN < -Inf < ... < -0 < +0 < ... < +Inf < +NaN.
+func orderKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63) // negatives: flip all bits; others: the sign bit
+}
+
+// Sketch returns a new quantile sketch (NewSketch) of the observations,
+// or nil for a nil accumulator.
+func (w *Welford) Sketch() *Sketch {
+	if w == nil {
+		return nil
 	}
-	if w.n == 0 {
-		*w = o
-		return
+	sk := NewSketch()
+	for _, x := range w.xs {
+		sk.Add(x)
 	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += delta * float64(o.n) / float64(n)
-	w.n = n
+	return sk
 }
 
 // Count returns the number of observations.
-func (w *Welford) Count() int64 { return w.n }
+func (w *Welford) Count() int64 { return int64(len(w.xs)) }
 
 // Mean returns the sample mean (0 with no observations).
-func (w *Welford) Mean() float64 { return w.mean }
+func (w *Welford) Mean() float64 {
+	mean, _ := w.fold()
+	return mean
+}
 
 // Variance returns the unbiased sample variance (0 with < 2 observations).
 func (w *Welford) Variance() float64 {
-	if w.n < 2 {
+	if len(w.xs) < 2 {
 		return 0
 	}
-	return w.m2 / float64(w.n-1)
+	_, m2 := w.fold()
+	return m2 / float64(len(w.xs)-1)
 }
 
 // Std returns the sample standard deviation.
@@ -67,10 +86,10 @@ func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
 
 // StdErr returns the standard error of the mean.
 func (w *Welford) StdErr() float64 {
-	if w.n == 0 {
+	if len(w.xs) == 0 {
 		return 0
 	}
-	return w.Std() / math.Sqrt(float64(w.n))
+	return w.Std() / math.Sqrt(float64(len(w.xs)))
 }
 
 // CI95 returns the half-width of the normal-approximation 95% confidence
@@ -161,9 +180,6 @@ func (g *Grid) Rows() []float64 { return g.rows }
 
 // Cols returns the column axis values.
 func (g *Grid) Cols() []float64 { return g.cols }
-
-// Add folds an observation into cell (i, j).
-func (g *Grid) Add(i, j int, y float64) { g.accs[i*len(g.cols)+j].Add(y) }
 
 // At returns the accumulator of cell (i, j).
 func (g *Grid) At(i, j int) *Welford { return &g.accs[i*len(g.cols)+j] }

@@ -1,8 +1,12 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -40,51 +44,78 @@ func TestWelfordSingleObservation(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	f := func(xs []float64, split uint8) bool {
-		if len(xs) == 0 {
-			return true
+// TestWelfordOrderFree pins the accumulator's contract: one multiset of
+// values gives byte-identical snapshot JSON whatever order it is added
+// in, including the orders a split grid delivers — the values dealt out
+// into parts (ranges of a distributed grid, a resumed journal and the
+// cells computed after it), the parts arriving in any order, each in any
+// order inside. Values span many magnitudes, signed zeros and repeats,
+// so a fold that followed the add order would differ in the last bits.
+func TestWelfordOrderFree(t *testing.T) {
+	f := func(raw []int32, assign []uint8, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var xs []float64
+		for i, v := range raw {
+			x := float64(v) / 7
+			xs = append(xs, x*math.Pow(10, float64(i%7-3)), x, math.Copysign(0, x))
 		}
+		var ref Welford
 		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e6 {
-				return true // skip pathological inputs
+			ref.Add(x)
+		}
+		want, err := json.Marshal(ref.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		shuffled := slices.Clone(xs)
+		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		const parts = 4
+		var split [parts][]float64
+		for i, x := range xs {
+			p := 0
+			if i < len(assign) {
+				p = int(assign[i]) % parts
+			}
+			split[p] = append(split[p], x)
+		}
+		var parted []float64
+		for _, p := range r.Perm(parts) {
+			r.Shuffle(len(split[p]), func(i, j int) { split[p][i], split[p][j] = split[p][j], split[p][i] })
+			parted = append(parted, split[p]...)
+		}
+		for _, order := range [][]float64{shuffled, parted} {
+			var w Welford
+			for _, x := range order {
+				w.Add(x)
+			}
+			got, err := json.Marshal(w.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Logf("got  %s\nwant %s", got, want)
+				return false
 			}
 		}
-		cut := int(split) % (len(xs) + 1)
-		var seq, a, b Welford
-		for _, x := range xs {
-			seq.Add(x)
-		}
-		for _, x := range xs[:cut] {
-			a.Add(x)
-		}
-		for _, x := range xs[cut:] {
-			b.Add(x)
-		}
-		a.Merge(b)
-		if a.Count() != seq.Count() {
-			return false
-		}
-		return math.Abs(a.Mean()-seq.Mean()) < 1e-6 &&
-			math.Abs(a.Variance()-seq.Variance()) < 1e-6
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	before := a
-	a.Merge(b) // merging empty is a no-op
-	if a != before {
-		t.Error("merge with empty changed accumulator")
+// TestWelfordReadThenAdd checks that a read, which sorts the values in
+// place, leaves the accumulator open to further adds.
+func TestWelfordReadThenAdd(t *testing.T) {
+	var w Welford
+	w.Add(3)
+	if w.Mean() != 3 {
+		t.Fatalf("mean = %v", w.Mean())
 	}
-	b.Merge(a) // merging into empty copies
-	if b.Mean() != a.Mean() || b.Count() != a.Count() {
-		t.Error("merge into empty lost data")
+	w.Add(1)
+	if w.Mean() != 2 || w.Variance() != 2 || w.Count() != 2 {
+		t.Errorf("after a second add: mean %v variance %v count %d", w.Mean(), w.Variance(), w.Count())
 	}
 }
 
@@ -145,9 +176,9 @@ func TestMergeNaNAxes(t *testing.T) {
 
 func TestGrid(t *testing.T) {
 	g := NewGrid("theta", []float64{0.1, 0.2}, "benefit", []float64{20, 50, 100})
-	g.Add(0, 2, 7)
-	g.Add(1, 0, 3)
-	g.Add(1, 0, 5)
+	g.At(0, 2).Add(7)
+	g.At(1, 0).Add(3)
+	g.At(1, 0).Add(5)
 	if g.At(0, 2).Mean() != 7 {
 		t.Errorf("cell (0,2) = %v", g.At(0, 2).Mean())
 	}
@@ -248,8 +279,8 @@ func TestSeriesTable(t *testing.T) {
 
 func TestGridTable(t *testing.T) {
 	g := NewGrid("theta", []float64{0.1}, "Bf", []float64{20, 50})
-	g.Add(0, 0, 3)
-	g.Add(0, 1, 7)
+	g.At(0, 0).Add(3)
+	g.At(0, 1).Add(7)
 	tab := GridTable("tw", g)
 	if tab.Name != "tw" || len(tab.Header) != 3 {
 		t.Fatalf("table = %+v", tab)

@@ -2,9 +2,10 @@
 # dist_e2e.sh — end-to-end chaos test of accudist distributed execution.
 #
 # The contract under test is the coordinator's headline guarantee: the
-# distributed result digest is bit-identical to a local uninterrupted
-# `accurun -digest` of the same protocol, even when a worker is
-# SIGKILLed mid-range and its lease has to expire and reassign.
+# distributed result is bit-identical to a local uninterrupted
+# `accurun -digest -out` of the same protocol, even when a worker is
+# SIGKILLed mid-range and its lease has to expire and reassign, and even
+# when the coordinator itself is SIGKILLed and restarted with -resume.
 #
 #   1. compute the reference digest and result JSON with
 #      `accurun -digest -out` (no dist)
@@ -14,9 +15,12 @@
 #   4. kill -9 wa while it holds a lease with unfinished cells
 #   5. wb inherits the expired lease; the grid completes
 #   6. assert dist.ranges_reassigned >= 1 and digest == reference
-#   7. assert the distributed per-policy quantile-sketch snapshots are
-#      BYTE-identical to the local run's (the sketch's canonical-merge
-#      guarantee, independent of upload order and partition)
+#   7. assert the distributed per-policy results — Welford snapshots and
+#      quantile sketches alike — are BYTE-identical to the local run's
+#      (jq -S), independent of upload order and partition
+#   8. on a fresh directory, SIGKILL the coordinator mid-grid, restart it
+#      with -resume, finish the grid with a new worker, and assert 6–7's
+#      digest and result equality again
 #
 # Requires: curl, jq. Runs from anywhere inside the repo.
 set -euo pipefail
@@ -42,9 +46,10 @@ WORK=$(mktemp -d)
 COORD_PID=
 WA_PID=
 WB_PID=
+WC_PID=
 
 cleanup() {
-    for pid in "$COORD_PID" "$WA_PID" "$WB_PID"; do
+    for pid in "$COORD_PID" "$WA_PID" "$WB_PID" "$WC_PID"; do
         [ -n "$pid" ] && kill -9 "$pid" 2>/dev/null || true
     done
     rm -rf "$WORK"
@@ -78,17 +83,57 @@ cat >"$WORK/spec.json" <<JSON
  "networks": 1, "runs": $RUNS, "k": $K, "seed": $SEED}
 JSON
 
+start_coordinator() { # start_coordinator <dir> <out> [extra flags...]
+    local dir=$1 out=$2
+    shift 2
+    "$WORK/accudist" -coordinator -addr "$ADDR" -spec "$WORK/spec.json" -dir "$dir" \
+        -range "$RANGE" -lease "$LEASE" -out "$out" "$@" \
+        >>"$WORK/coord.log" 2>&1 &
+    COORD_PID=$!
+    for _ in $(seq 1 100); do
+        curl -sf "$BASE/healthz" >/dev/null 2>&1 && return 0
+        kill -0 "$COORD_PID" 2>/dev/null || fail "coordinator exited during startup"
+        sleep 0.1
+    done
+    fail "coordinator did not become healthy"
+}
+
+wait_coordinator() { # wait for the coordinator to finish and exit 0
+    local ok=0 rc
+    for _ in $(seq 1 1200); do
+        if ! kill -0 "$COORD_PID" 2>/dev/null; then
+            ok=1
+            break
+        fi
+        sleep 0.1
+    done
+    [ "$ok" = 1 ] || fail "coordinator did not exit within 120s"
+    wait "$COORD_PID" 2>/dev/null && rc=0 || rc=$?
+    COORD_PID=
+    [ "$rc" = 0 ] || fail "coordinator exited with code $rc"
+}
+
+check_result() { # check_result <out.json>: digest, records and policies match the local run
+    local out=$1
+    [ -f "$out" ] || fail "coordinator wrote no -out file"
+    local digest records
+    digest=$(jq -r '.result.digest' "$out")
+    records=$(jq -r '.result.records' "$out")
+    [ "$records" = "$RUNS" ] || fail "records=$records, want $RUNS"
+    [ "$digest" = "$REF_DIGEST" ] || fail "digest mismatch: dist $digest != reference $REF_DIGEST — distributed result is not bit-identical"
+    # Every per-policy field, the Welford snapshots as well as the
+    # quantile sketches, is canonically serialized and compared.
+    local local_pol dist_pol
+    local_pol=$(jq -cS '.policies' "$WORK/local.json")
+    dist_pol=$(jq -cS '.result.policies' "$out")
+    [ "$dist_pol" = "$local_pol" ] || fail "distributed policies differ from local:
+  dist:  $dist_pol
+  local: $local_pol"
+    log "digest $digest and policies byte-identical to the local run (mean $(echo "$local_pol" | jq -r '.[0].finalBenefit.mean'))"
+}
+
 log "starting coordinator (range=$RANGE lease=$LEASE)"
-"$WORK/accudist" -coordinator -addr "$ADDR" -spec "$WORK/spec.json" -dir "$WORK/data" \
-    -range "$RANGE" -lease "$LEASE" -out "$WORK/out.json" \
-    >>"$WORK/coord.log" 2>&1 &
-COORD_PID=$!
-for _ in $(seq 1 100); do
-    curl -sf "$BASE/healthz" >/dev/null 2>&1 && break
-    kill -0 "$COORD_PID" 2>/dev/null || fail "coordinator exited during startup"
-    sleep 0.1
-done
-curl -sf "$BASE/healthz" >/dev/null || fail "coordinator did not become healthy"
+start_coordinator "$WORK/data" "$WORK/out.json"
 
 log "starting workers: wa (throttled straggler) and wb"
 "$WORK/accudist" -worker -join "$BASE" -id wa -throttle 150ms -poll 100ms \
@@ -119,45 +164,49 @@ done
 [ "$KILLED" = 1 ] || fail "never caught wa mid-range with >= $KILL_AFTER_CELLS cells durable; grid too small for the kill window"
 
 log "waiting for the coordinator to finish (wb inherits wa's expired lease)"
-WAIT_OK=0
-for _ in $(seq 1 1200); do
-    if ! kill -0 "$COORD_PID" 2>/dev/null; then
-        WAIT_OK=1
-        break
-    fi
-    sleep 0.1
-done
-[ "$WAIT_OK" = 1 ] || fail "coordinator did not exit within 120s of the kill"
-wait "$COORD_PID" 2>/dev/null && RC=0 || RC=$?
-COORD_PID=
-[ "$RC" = 0 ] || fail "coordinator exited with code $RC"
-[ -f "$WORK/out.json" ] || fail "coordinator wrote no -out file"
+wait_coordinator
 
 REASSIGNED=$(jq -r '[.metrics.counters[]? | select(.name == "dist.ranges_reassigned") | .value] | add // 0' "$WORK/out.json")
-DIST_DIGEST=$(jq -r '.result.digest' "$WORK/out.json")
-RECORDS=$(jq -r '.result.records' "$WORK/out.json")
-log "dist digest:      $DIST_DIGEST ($RECORDS records, $REASSIGNED range(s) reassigned)"
-
+log "$REASSIGNED range(s) reassigned"
 [ "$REASSIGNED" -ge 1 ] || fail "dist.ranges_reassigned=$REASSIGNED; the killed worker's lease was never reassigned"
-[ "$RECORDS" = "$RUNS" ] || fail "records=$RECORDS, want $RUNS"
-[ "$DIST_DIGEST" = "$REF_DIGEST" ] || fail "digest mismatch: dist $DIST_DIGEST != reference $REF_DIGEST — distributed result is not bit-identical"
-
-# The quantile sketches must survive the kill/reassign chaos byte for
-# byte: for every policy, the distributed finalBenefitSketch snapshot is
-# canonically serialized and compared against the local run's.
-for policy in $(jq -r '.policies[].policy' "$WORK/local.json"); do
-    LOCAL_SK=$(jq -cS ".policies[] | select(.policy == \"$policy\") | .finalBenefitSketch" "$WORK/local.json")
-    DIST_SK=$(jq -cS ".result.policies[] | select(.policy == \"$policy\") | .finalBenefitSketch" "$WORK/out.json")
-    [ -n "$LOCAL_SK" ] || fail "no local finalBenefitSketch for policy $policy"
-    [ "$DIST_SK" = "$LOCAL_SK" ] || fail "policy $policy: distributed quantile sketch differs from local:
-  dist:  $DIST_SK
-  local: $LOCAL_SK"
-    log "policy $policy: quantile sketch byte-identical (p50/p90/p99 $(echo "$LOCAL_SK" | jq -r '"\(.p50)/\(.p90)/\(.p99)"'))"
-done
+check_result "$WORK/out.json"
 
 # wb should observe done=true on its next poll and exit 0 on its own.
 wait "$WB_PID" 2>/dev/null && WB_RC=0 || WB_RC=$?
 WB_PID=
 [ "$WB_RC" = 0 ] || log "note: wb exited $WB_RC (coordinator shut down between polls); not fatal"
 
-log "PASS: distributed result with a SIGKILLed worker is bit-identical to the uninterrupted local run"
+log "coordinator kill: fresh grid, throttled worker wc, SIGKILL the coordinator after $KILL_AFTER_CELLS durable cells"
+start_coordinator "$WORK/data2" "$WORK/out2.json"
+"$WORK/accudist" -worker -join "$BASE" -id wc -throttle 50ms -poll 100ms \
+    >>"$WORK/wc.log" 2>&1 &
+WC_PID=$!
+KILLED=0
+for _ in $(seq 1 600); do
+    STATUS=$(curl -sf "$BASE/api/v1/dist/status" || echo '{}')
+    COMMITTED=$(echo "$STATUS" | jq -r '.committed // 0')
+    [ "$(echo "$STATUS" | jq -r '.done // false')" = true ] && break
+    if [ "$COMMITTED" -ge "$KILL_AFTER_CELLS" ]; then
+        kill -9 "$COORD_PID" "$WC_PID"
+        wait "$COORD_PID" "$WC_PID" 2>/dev/null || true
+        COORD_PID=
+        WC_PID=
+        KILLED=1
+        log "killed the coordinator (and wc) after $COMMITTED/$RUNS cells"
+        break
+    fi
+    sleep 0.05
+done
+[ "$KILLED" = 1 ] || fail "never caught the coordinator mid-grid with >= $KILL_AFTER_CELLS cells durable"
+
+log "restarting the coordinator with -resume; worker wd finishes the grid"
+start_coordinator "$WORK/data2" "$WORK/out2.json" -resume
+grep -q "resuming [1-9][0-9]* completed cell" "$WORK/coord.log" || fail "restarted coordinator did not resume from its journal"
+"$WORK/accudist" -worker -join "$BASE" -id wd -poll 100ms >>"$WORK/wd.log" 2>&1 &
+WC_PID=$!
+wait_coordinator
+check_result "$WORK/out2.json"
+wait "$WC_PID" 2>/dev/null || true
+WC_PID=
+
+log "PASS: distributed results with a SIGKILLed worker and a SIGKILLed coordinator are bit-identical to the uninterrupted local run"

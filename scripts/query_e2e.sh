@@ -13,7 +13,9 @@
 #   3. assert the queried benefitSketch == the live finalBenefitSketch
 #      (canonical jq -cS serialization) and the requested quantiles
 #      match the snapshot's p50/p90/p99
-#   4. assert a -where filter narrows the row count
+#   4. assert the queried benefit and cautiousFriends Welford snapshots
+#      equal the live run's byte for byte
+#   5. assert a -where filter narrows the row count
 #
 # Requires: jq. Runs from anywhere inside the repo.
 set -euo pipefail
@@ -61,6 +63,18 @@ QUERY_SK=$(jq -cS '.policies[] | select(.policy == "'"$POLICY"'") | .benefitSket
   query: $QUERY_SK
   live:  $LIVE_SK"
 log "queried sketch byte-identical to live run"
+
+# The Welford snapshots too: query folds the store's rows through the
+# same order-free aggregator as the live run.
+for pair in "benefit finalBenefit" "cautiousFriends cautiousFriends"; do
+    set -- $pair
+    QW=$(jq -cS '.policies[] | select(.policy == "'"$POLICY"'") | .'"$1" "$WORK/query.json")
+    LW=$(jq -cS '.policies[] | select(.policy == "'"$POLICY"'") | .'"$2" "$WORK/result.json")
+    [ "$QW" = "$LW" ] || fail "queried $1 differs from live $2:
+  query: $QW
+  live:  $LW"
+done
+log "queried Welford snapshots byte-identical to live run"
 
 # The requested quantiles must equal the snapshot's own p50/p90/p99.
 for pair in "0.5 p50" "0.9 p90" "0.99 p99"; do

@@ -6,12 +6,15 @@
 # protocol, even when the serving process is SIGKILLed mid-grid and a new
 # process resumes the job from its checkpoint journal.
 #
-#   1. compute the reference digest with `accurun -digest` (no service)
+#   1. compute the reference digest and result with `accurun -digest -out`
+#      (no service)
 #   2. start accuserv, submit the same protocol as a job over HTTP
 #   3. poll the job's progress until a few cells are durable
 #   4. kill -9 the server mid-grid
 #   5. restart it on the same data dir; the job resumes automatically
-#   6. assert the finished job's digest equals the reference digest
+#   6. assert the finished job's digest equals the reference digest and
+#      its per-policy results (Welford snapshots and sketches) are
+#      byte-identical to the reference's (jq -S)
 #   7. drain the server with SIGTERM and require a clean exit
 #
 # Requires: curl, jq. Runs from anywhere inside the repo.
@@ -53,9 +56,10 @@ log "building binaries"
 go build -o "$WORK/accuserv" ./cmd/accuserv
 go build -o "$WORK/accurun" ./cmd/accurun
 
-log "computing reference digest with accurun (uninterrupted local run)"
+log "computing reference digest and result with accurun (uninterrupted local run)"
 "$WORK/accurun" -preset "$PRESET" -scale "$SCALE" -cautious "$CAUTIOUS" \
     -policy "$POLICY" -k "$K" -seed "$SEED" -runs "$RUNS" -digest \
+    -out "$WORK/local.json" \
     >"$WORK/reference.txt"
 REF_DIGEST=$(awk '/^digest:/ {print $2}' "$WORK/reference.txt")
 [ -n "$REF_DIGEST" ] || fail "no digest in accurun output"
@@ -146,11 +150,18 @@ done
 RESUMED=$(job_field .progress.resumed)
 [ "${RESUMED:-0}" -gt 0 ] || fail "job finished with progress.resumed=$RESUMED; it did not resume from the checkpoint"
 
-JOB_DIGEST=$(curl -sf "$BASE/api/v1/jobs/$JOB/result" | jq -r .digest)
-RECORDS=$(curl -sf "$BASE/api/v1/jobs/$JOB/result" | jq -r .records)
+curl -sf "$BASE/api/v1/jobs/$JOB/result" >"$WORK/job.json"
+JOB_DIGEST=$(jq -r .digest "$WORK/job.json")
+RECORDS=$(jq -r .records "$WORK/job.json")
 log "job digest:       $JOB_DIGEST ($RECORDS records, $RESUMED resumed)"
 [ "$RECORDS" = "$RUNS" ] || fail "records=$RECORDS, want $RUNS"
 [ "$JOB_DIGEST" = "$REF_DIGEST" ] || fail "digest mismatch: job $JOB_DIGEST != reference $REF_DIGEST — resumed result is not bit-identical"
+LOCAL_POL=$(jq -cS .policies "$WORK/local.json")
+JOB_POL=$(jq -cS .policies "$WORK/job.json")
+[ "$JOB_POL" = "$LOCAL_POL" ] || fail "job policies differ from the local run:
+  job:   $JOB_POL
+  local: $LOCAL_POL"
+log "job policies byte-identical to the local run (mean $(echo "$LOCAL_POL" | jq -r '.[0].finalBenefit.mean'))"
 
 log "graceful drain via SIGTERM"
 kill -TERM "$SERVER_PID"
