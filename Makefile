@@ -29,12 +29,14 @@ vet:
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations: the decoder surfaces (store block
-# decoder, cell-journal resume, request-journal read and replay,
+# decoder, cell-journal resume and its line decoder against
+# encoding/json, request-journal read and replay,
 # accuserv submit and job documents,
 # accudist cell upload, accudist lease and fail) and the graph builder.
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDecodeCellLine -fuzztime 10s
 	$(GO) test ./internal/osn -run '^$$' -fuzz FuzzReadJournalReplay -fuzztime 10s
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime 10s
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzLoadJobs -fuzztime 10s

@@ -254,7 +254,8 @@ func OpenResultStore(path string) (*StoreReader, error) { return stats.OpenStore
 // OpenCellJournal opens (resume=true) or creates (resume=false) the cell
 // journal at path for use as a Protocol.Checkpoint. On resume, feed the
 // already-completed cells to your collector with Replay before starting
-// the run.
+// the run. Replay hands the loaded cells over once: the journal keeps no
+// copy, so a second Replay feeds nothing.
 func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 	return sim.OpenCellJournal(path, resume)
 }

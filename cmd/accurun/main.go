@@ -546,11 +546,16 @@ func runRepeated(out io.Writer, protocol accu.Protocol, factory accu.PolicyFacto
 		float64(sumFriends)/float64(n), summary.CautiousFriends(factory.Name).Mean())
 	fmt.Fprintf(out, "timing:  %v wall, %.1f runs/sec\n",
 		wall.Round(time.Millisecond), float64(n)/wall.Seconds())
-	if dig != nil && digest {
-		fmt.Fprintf(out, "digest:  %s\n", dig.Sum())
+	// The result carries the digest, so the record set is sorted and
+	// hashed once for both the digest line and -out.
+	var res *serv.Result
+	if dig != nil {
+		res = serv.BuildResult(dig, summary)
+	}
+	if digest {
+		fmt.Fprintf(out, "digest:  %s\n", res.Digest)
 	}
 	if outPath != "" {
-		res := serv.BuildResult(dig, summary)
 		data, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return err

@@ -347,7 +347,7 @@ func TestJournalFlag(t *testing.T) {
 
 // TestStoreOutAndQuery pins the result-store path end to end: a
 // Monte-Carlo run writes both a columnar store and an aggregated result
-// JSON; querying the store must reproduce the exact sketch quantiles of
+// JSON whose digest its -digest line prints; querying the store must reproduce the exact sketch quantiles of
 // the live run (the store holds exact float64 benefits, so the replayed
 // sketch is byte-identical).
 func TestStoreOutAndQuery(t *testing.T) {
@@ -357,7 +357,7 @@ func TestStoreOutAndQuery(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
 		"-preset", "slashdot", "-scale", "0.02", "-k", "10",
-		"-cautious", "5", "-runs", "6", "-store", store, "-out", outJSON,
+		"-cautious", "5", "-runs", "6", "-store", store, "-out", outJSON, "-digest",
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -386,6 +386,9 @@ func TestStoreOutAndQuery(t *testing.T) {
 	}
 	if res.Records != 6 || len(res.Policies) != 1 || res.Digest == "" {
 		t.Fatalf("result = %+v", res)
+	}
+	if got := printedDigest(t, buf.String()); got != res.Digest {
+		t.Errorf("digest line %s, -out digest %s", got, res.Digest)
 	}
 	live := res.Policies[0]
 

@@ -1,0 +1,350 @@
+package sim
+
+import (
+	"bufio"
+	"encoding/json"
+	"io"
+	"strconv"
+
+	"github.com/accu-sim/accu/internal/core"
+	"github.com/accu-sim/accu/internal/osn"
+)
+
+// cellDecoder decodes cell-journal lines. Its fast path parses, without
+// reflection, exactly the bytes json.Marshal writes for a CellLine: the
+// fields in declaration order, no whitespace, strings without escapes or
+// non-ASCII bytes, and JSON-grammar numbers. Any other line goes to
+// json.Unmarshal, so the grammar a journal accepts stays encoding/json's
+// and both paths decode a line to the same CellLine. A decoder reuses its
+// scratch slices across lines, so it is for one goroutine.
+type cellDecoder struct {
+	b   []byte // the line the fast path is parsing
+	i   int    // read offset in b
+	bad bool   // the fast path gave up on b
+
+	steps []core.Step
+	ints  []int
+}
+
+// decode decodes one journal line (without its newline).
+func (d *cellDecoder) decode(line []byte) (CellLine, error) {
+	var cl CellLine
+	if d.fast(line, &cl) {
+		return cl, nil
+	}
+	cl = CellLine{}
+	err := json.Unmarshal(line, &cl)
+	return cl, err
+}
+
+// fast decodes line into cl and reports whether it could; on false cl
+// holds partial garbage.
+func (d *cellDecoder) fast(line []byte, cl *CellLine) bool {
+	d.b, d.i, d.bad = line, 0, false
+	d.lit(`{"network":`)
+	cl.Network = d.int()
+	d.lit(`,"run":`)
+	cl.Run = d.int()
+	d.lit(`,"records":`)
+	if d.array() {
+		cl.Records = []Record{}
+		for d.next(len(cl.Records)) {
+			cl.Records = append(cl.Records, d.record())
+		}
+	}
+	d.lit(`}`)
+	ok := !d.bad && d.i == len(d.b)
+	d.b = nil
+	return ok
+}
+
+func (d *cellDecoder) record() Record {
+	var r Record
+	d.lit(`{"Policy":`)
+	r.Policy = d.str()
+	d.lit(`,"Network":`)
+	r.Network = d.int()
+	d.lit(`,"Run":`)
+	r.Run = d.int()
+	d.lit(`,"Result":`)
+	if !d.null() {
+		r.Result = d.result()
+	}
+	d.lit(`}`)
+	return r
+}
+
+func (d *cellDecoder) result() *core.Result {
+	res := new(core.Result)
+	d.lit(`{"Policy":`)
+	res.Policy = d.str()
+	d.lit(`,"Steps":`)
+	if d.array() {
+		d.steps = d.steps[:0]
+		for d.next(len(d.steps)) {
+			d.steps = append(d.steps, d.step())
+		}
+		res.Steps = clone(d.steps)
+	}
+	d.lit(`,"Benefit":`)
+	res.Benefit = d.float()
+	d.lit(`,"Friends":`)
+	res.Friends = d.int()
+	d.lit(`,"CautiousFriends":`)
+	res.CautiousFriends = d.int()
+	d.lit(`,"Journal":`)
+	if !d.null() {
+		res.Journal = new(osn.Journal)
+		d.lit(`{"Users":`)
+		res.Journal.Users = d.intList()
+		d.lit(`,"BatchSizes":`)
+		res.Journal.BatchSizes = d.intList()
+		d.lit(`}`)
+	}
+	d.lit(`}`)
+	return res
+}
+
+func (d *cellDecoder) step() core.Step {
+	var s core.Step
+	d.lit(`{"User":`)
+	s.User = d.int()
+	d.lit(`,"Accepted":`)
+	s.Accepted = d.bool()
+	d.lit(`,"Cautious":`)
+	s.Cautious = d.bool()
+	d.lit(`,"Gain":`)
+	s.Gain = d.float()
+	d.lit(`,"BenefitAfter":`)
+	s.BenefitAfter = d.float()
+	d.lit(`,"CautiousFriendsAfter":`)
+	s.CautiousFriendsAfter = d.int()
+	d.lit(`}`)
+	return s
+}
+
+// intList decodes a null or an array of ints.
+func (d *cellDecoder) intList() []int {
+	if !d.array() {
+		return nil
+	}
+	d.ints = d.ints[:0]
+	for d.next(len(d.ints)) {
+		d.ints = append(d.ints, d.int())
+	}
+	return clone(d.ints)
+}
+
+// clone copies s into an exactly sized slice; an empty s gives an empty
+// non-nil slice, as json.Unmarshal decodes [].
+func clone[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// skip consumes s if the input continues with it.
+func (d *cellDecoder) skip(s string) bool {
+	if d.bad || len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+		return false
+	}
+	d.i += len(s)
+	return true
+}
+
+// lit consumes s or fails the fast path.
+func (d *cellDecoder) lit(s string) {
+	if !d.skip(s) {
+		d.bad = true
+	}
+}
+
+// null consumes a null; it also reports true once the fast path has
+// failed, so callers skip the value.
+func (d *cellDecoder) null() bool {
+	return d.bad || d.skip(`null`)
+}
+
+// array consumes a null (false) or an array's opening bracket (true).
+func (d *cellDecoder) array() bool {
+	if d.null() {
+		return false
+	}
+	d.lit(`[`)
+	return !d.bad
+}
+
+// next reports whether the array holds another element after the n
+// already decoded, consuming the separating comma or the closing bracket.
+func (d *cellDecoder) next(n int) bool {
+	if d.bad || d.skip(`]`) {
+		return false
+	}
+	if n > 0 {
+		d.lit(`,`)
+	}
+	return !d.bad
+}
+
+func (d *cellDecoder) bool() bool {
+	switch {
+	case d.skip(`true`):
+		return true
+	case !d.skip(`false`):
+		d.bad = true
+	}
+	return false
+}
+
+// str decodes a string of ASCII bytes from 0x20 up without escapes,
+// which encoding/json decodes byte for byte; anything else is left to it.
+func (d *cellDecoder) str() string {
+	d.lit(`"`)
+	for start := d.i; !d.bad && d.i < len(d.b); d.i++ {
+		switch c := d.b[d.i]; {
+		case c == '"':
+			s := string(d.b[start:d.i])
+			d.i++
+			return s
+		case c < 0x20 || c == '\\' || c >= 0x80:
+			d.bad = true
+		}
+	}
+	d.bad = true
+	return ""
+}
+
+// number consumes a JSON-grammar number and returns its bytes and
+// whether it has neither a fraction nor an exponent.
+func (d *cellDecoder) number() (num []byte, integer bool) {
+	if d.bad {
+		return nil, false
+	}
+	b, i := d.b, d.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && '1' <= b[i] && b[i] <= '9':
+		i = digits(b, i)
+	default:
+		d.bad = true
+		return nil, false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		integer = false
+		if i = digits(b, i+1); b[i-1] == '.' {
+			d.bad = true
+			return nil, false
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		integer = false
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			d.bad = true
+			return nil, false
+		}
+		i = j
+	}
+	num, d.i = b[d.i:i], i
+	return num, integer
+}
+
+func digits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// int decodes an integer the way encoding/json does for an int; numbers
+// with a fraction or an exponent, and ones out of range, are left to
+// encoding/json.
+func (d *cellDecoder) int() int {
+	num, integer := d.number()
+	if d.bad {
+		return 0
+	}
+	neg := num[0] == '-'
+	if neg {
+		num = num[1:]
+	}
+	if !integer || len(num) > 19 { // 19 digits cannot overflow a uint64
+		d.bad = true
+		return 0
+	}
+	var u uint64
+	for _, c := range num {
+		u = u*10 + uint64(c-'0')
+	}
+	n := int64(u)
+	switch {
+	case neg && u <= 1<<63:
+		n = -n
+	case neg || u >= 1<<63:
+		d.bad = true
+		return 0
+	}
+	if int64(int(n)) != n {
+		d.bad = true
+	}
+	return int(n)
+}
+
+// float decodes a number the way encoding/json does for a float64.
+func (d *cellDecoder) float() float64 {
+	num, _ := d.number()
+	if d.bad {
+		return 0
+	}
+	f, err := strconv.ParseFloat(string(num), 64)
+	if err != nil {
+		d.bad = true
+	}
+	return f
+}
+
+// journalReadBuffer is the journal reader's buffer: lines up to this
+// size are decoded in place, longer ones are assembled in a copy.
+const journalReadBuffer = 256 << 10
+
+// lineReader streams newline-terminated lines from a journal file.
+type lineReader struct {
+	r    *bufio.Reader
+	long []byte // a line longer than r's buffer, assembled across reads
+	// n counts the bytes read, a torn trailing line included.
+	n int64
+}
+
+func newLineReader(r io.Reader) *lineReader {
+	return &lineReader{r: bufio.NewReaderSize(r, journalReadBuffer)}
+}
+
+// next returns the next line without its newline, valid until the next
+// call. At the end of the file, and after a torn trailing line (one
+// without a newline, which it counts in n but never returns), it
+// returns io.EOF.
+func (lr *lineReader) next() ([]byte, error) {
+	lr.long = lr.long[:0]
+	for {
+		chunk, err := lr.r.ReadSlice('\n')
+		lr.n += int64(len(chunk))
+		switch {
+		case err == bufio.ErrBufferFull:
+			lr.long = append(lr.long, chunk...)
+		case err != nil:
+			return nil, err
+		case len(lr.long) == 0:
+			return chunk[:len(chunk)-1], nil
+		default:
+			lr.long = append(lr.long, chunk...)
+			return lr.long[:len(lr.long)-1], nil
+		}
+	}
+}

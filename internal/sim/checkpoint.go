@@ -78,7 +78,7 @@ type CellJournal struct {
 	mu    sync.Mutex
 	f     vfs.File
 	done  map[CellKey]bool
-	lines []CellLine // cells loaded at resume, in journal order (for Replay)
+	lines []CellLine // cells loaded at resume, in journal order, until Replay hands them over
 	// syncEvery > 0 fsyncs after every syncEvery-th newly committed
 	// cell; sinceSync counts commits since the last fsync.
 	syncEvery int
@@ -124,9 +124,9 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 // ResumeJournal opens the journal at path like OpenCellJournal, logs
 // through logf how many completed cells it resumes and how many valid
 // cells a corrupt line discarded (they re-run), then replays the loaded
-// records into collect. Every entry point that checkpoints a grid starts
-// it this way, so a resumed grid aggregates the same record set whichever
-// program runs it.
+// records into collect; the journal keeps no copy of them (see Replay).
+// Every entry point that checkpoints a grid starts it this way, so a
+// resumed grid aggregates the same record set whichever program runs it.
 func ResumeJournal(path string, resume bool, collect func(Record), logf func(format string, args ...any)) (*CellJournal, error) {
 	j, err := OpenCellJournal(path, resume)
 	if err != nil {
@@ -142,30 +142,32 @@ func ResumeJournal(path string, resume bool, collect func(Record), logf func(for
 	return j, nil
 }
 
-// load parses the journal's existing lines and positions the file for
+// load streams the journal's existing lines and positions the file for
 // appending. Parsing stops at the first torn or corrupt line, which is
 // truncated away together with everything after it — those cells simply
 // re-run. Valid cells discarded behind a corrupt line are counted in
 // Dropped so callers can surface the loss instead of silently paying the
 // recomputation.
 func (j *CellJournal) load() error {
-	data, err := io.ReadAll(j.f)
-	if err != nil {
-		return err
-	}
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn trailing line
+	lr := newLineReader(j.f)
+	var dec cellDecoder
+	var off int64 // end of the last line kept
+	for {
+		line, err := lr.next()
+		if err == io.EOF {
+			break // end of the journal, or a torn trailing line
 		}
-		line := data[off : off+nl]
+		if err != nil {
+			return err
+		}
 		if len(bytes.TrimSpace(line)) > 0 {
-			var cl CellLine
-			if err := json.Unmarshal(line, &cl); err != nil {
+			cl, err := dec.decode(line)
+			if err != nil {
 				// Corrupt line: truncate it and everything after, but
 				// count the valid cells the truncation throws away.
-				j.dropped = countValidCells(data[off+nl+1:], j.done)
+				if j.dropped, err = countValidCells(lr, &dec, j.done); err != nil {
+					return err
+				}
 				break
 			}
 			if !j.done[cl.CellKey] {
@@ -173,40 +175,40 @@ func (j *CellJournal) load() error {
 				j.lines = append(j.lines, cl)
 			}
 		}
-		off += nl + 1
+		off += int64(len(line)) + 1
 	}
-	if off < len(data) {
-		if err := j.f.Truncate(int64(off)); err != nil {
+	if off < lr.n {
+		if err := j.f.Truncate(off); err != nil {
 			return fmt.Errorf("truncate torn tail: %w", err)
 		}
 	}
-	_, err = j.f.Seek(int64(off), io.SeekStart)
+	_, err := j.f.Seek(off, io.SeekStart)
 	return err
 }
 
-// countValidCells counts the parseable, non-duplicate cells in the
-// journal region behind the first corrupt line — the valid work the
+// countValidCells counts the parseable, non-duplicate cells in the rest
+// of the journal behind the first corrupt line — the valid work the
 // truncate-forward recovery is about to discard. A torn trailing line is
 // not counted: it is the normal crash artifact, not lost work.
-func countValidCells(data []byte, done map[CellKey]bool) int {
+func countValidCells(lr *lineReader, dec *cellDecoder, done map[CellKey]bool) (int, error) {
 	dropped := 0
 	seen := make(map[CellKey]bool)
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
+	for {
+		line, err := lr.next()
+		if err == io.EOF {
+			return dropped, nil
 		}
-		line := data[off : off+nl]
-		if len(bytes.TrimSpace(line)) > 0 {
-			var cl CellLine
-			if err := json.Unmarshal(line, &cl); err == nil && !done[cl.CellKey] && !seen[cl.CellKey] {
-				seen[cl.CellKey] = true
-				dropped++
-			}
+		if err != nil {
+			return 0, err
 		}
-		off += nl + 1
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
+		}
+		if cl, err := dec.decode(line); err == nil && !done[cl.CellKey] && !seen[cl.CellKey] {
+			seen[cl.CellKey] = true
+			dropped++
+		}
 	}
-	return dropped
 }
 
 // Dropped returns the number of valid cells load discarded behind the
@@ -240,7 +242,7 @@ func (j *CellJournal) Done(key CellKey) bool {
 
 // Commit implements Checkpointer as a batch of one (see CommitBatch).
 // Committed records are not retained in memory — only resumed cells
-// are, for Replay.
+// are, until Replay hands them over.
 func (j *CellJournal) Commit(key CellKey, recs []Record) error {
 	return j.CommitBatch([]CellLine{{CellKey: key, Records: recs}})
 }
@@ -324,9 +326,14 @@ func (j *CellJournal) Cells() int {
 // the already-completed cells; Run itself never re-delivers checkpointed
 // records. Cells committed after opening are not replayed — the caller's
 // collect already saw them live.
+//
+// Replay hands the loaded cells over once: the journal drops them, so
+// their memory is freed once collect lets go of the records, and a
+// second Replay feeds nothing. Done and Cells still count them.
 func (j *CellJournal) Replay(collect func(Record)) {
 	j.mu.Lock()
 	lines := j.lines
+	j.lines = nil
 	j.mu.Unlock()
 	for _, cl := range lines {
 		for _, rec := range cl.Records {

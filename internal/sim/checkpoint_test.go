@@ -9,6 +9,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -248,6 +249,70 @@ func TestCellJournalCountsDroppedCells(t *testing.T) {
 	}
 }
 
+// TestCellJournalLoadsLongLines streams lines longer than the loader's
+// read buffer: a long cell between two short ones, then a torn trailing
+// line longer than the buffer, which is truncated away. The long cell
+// replays intact, and the journal stays re-appendable after it.
+func TestCellJournalLoadsLongLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j, err := OpenCellJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]core.Step, 3*journalReadBuffer/100) // ~100 bytes a step
+	for i := range steps {
+		steps[i] = core.Step{User: i, Accepted: i%3 == 0, Gain: float64(i) / 7, BenefitAfter: float64(i)}
+	}
+	long := []Record{{Policy: "abm", Run: 1, Result: &core.Result{Policy: "abm", Steps: steps, Benefit: 3}}}
+	for run, recs := range [][]Record{{{Policy: "abm"}}, long, {{Policy: "abm", Run: 2}}} {
+		if err := j.Commit(CellKey{Run: run}, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn, err := json.Marshal(CellLine{CellKey: CellKey{Run: 3}, Records: long})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)-1]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	r, err := OpenCellJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	r.Replay(func(rec Record) { recs = append(recs, rec) })
+	if r.Cells() != 3 || r.Done(CellKey{Run: 3}) || len(recs) != 3 {
+		t.Fatalf("resumed %d cells, %d records, torn cell done %v; want 3, 3, false", r.Cells(), len(recs), r.Done(CellKey{Run: 3}))
+	}
+	if !reflect.DeepEqual(recs[1], long[0]) {
+		t.Error("the long cell replayed altered")
+	}
+	if err := r.Commit(CellKey{Run: 4}, []Record{{Policy: "abm", Run: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err = OpenCellJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if r.Cells() != 4 || r.Dropped() != 0 {
+		t.Errorf("after re-append: %d cells, %d dropped; want 4, 0", r.Cells(), r.Dropped())
+	}
+}
+
 // TestCellJournalSyncEvery exercises the sync-on-commit path: with
 // SyncEvery(1) every commit fsyncs (observable only as "still correct"),
 // duplicates do not reset the cadence, and the journal round-trips.
@@ -433,6 +498,69 @@ func TestRunCheckpointFullyResumedGrid(t *testing.T) {
 	}
 	if !bytes.Equal(marshalRecords(t, replayed), marshalRecords(t, first)) {
 		t.Error("replayed records differ from the original run")
+	}
+}
+
+// TestResumeJournalHandsOverCells pins that Replay hands the loaded
+// cells over once: the journal keeps no copy after ResumeJournal has
+// replayed them, so a second Replay feeds nothing, and the resumed
+// digest still equals the uninterrupted run's.
+func TestResumeJournalHandsOverCells(t *testing.T) {
+	p := testProtocol()
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewRecordDigest()
+	if err := Run(context.Background(), p, factories, want.Collect); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	j, err := OpenCellJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := p
+	killed.Checkpoint = j
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := 0
+	err = Run(ctx, killed, factories, func(Record) {
+		if seen++; seen == 9 {
+			cancel()
+		}
+	})
+	cancel()
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := NewRecordDigest()
+	r, err := ResumeJournal(path, true, got.Collect, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cells() == 0 {
+		t.Fatal("the killed run journaled no cell")
+	}
+	again := 0
+	r.Replay(func(Record) { again++ })
+	if again != 0 {
+		t.Errorf("second Replay fed %d records, want 0", again)
+	}
+	resumed := p
+	resumed.Checkpoint = r
+	if err := Run(context.Background(), resumed, factories, got.Collect); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got.Count() != want.Count() || got.Sum() != want.Sum() {
+		t.Errorf("resumed digest %s over %d records, want %s over %d", got.Sum(), got.Count(), want.Sum(), want.Count())
 	}
 }
 

@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"github.com/accu-sim/accu/internal/core"
 )
 
 // FuzzCellJournalReplay feeds arbitrary bytes to the journal loader's
@@ -66,6 +70,55 @@ func FuzzCellJournalReplay(f *testing.F) {
 		}
 		if got := j2.Cells(); got != cells+added {
 			t.Fatalf("resume after recovered append: got %d cells, want %d", got, cells+added)
+		}
+	})
+}
+
+// FuzzDecodeCellLine checks the journal decoder's fast path against
+// encoding/json: whenever the fast path accepts a line, json.Unmarshal
+// must accept it too and decode the same CellLine. The seeds are lines
+// the engine journals, one request at a time and in batches of 2; they
+// are kept short (one policy, four requests) because the fuzzer spends
+// its time minimizing long inputs.
+func FuzzDecodeCellLine(f *testing.F) {
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range []int{1, 2} {
+		p := benchProtocol(1, 1, 1)
+		p.K, p.BatchSize = 4, b
+		var recs []Record
+		if err := Run(context.Background(), p, factories[len(factories)-1:], func(r Record) { recs = append(recs, r) }); err != nil {
+			f.Fatal(err)
+		}
+		line, err := json.Marshal(&CellLine{Records: recs})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	f.Add([]byte(`{"network":0,"run":0,"records":null}`))
+	// Near misses of encoding/json's grammar and of the Go types, which
+	// the fast path must reject or decode as encoding/json does.
+	for _, n := range []string{"01", "-", "-0", "+1", "1.", "1.5", "1e", "1e2", "9223372036854775807", "9223372036854775808", "-9223372036854775809", "12345678901234567890"} {
+		f.Add([]byte(`{"network":` + n + `,"run":0,"records":null}`))
+		f.Add([]byte(`{"network":0,"run":0,"records":[{"Policy":"a","Network":0,"Run":0,"Result":{"Policy":"a","Steps":null,"Benefit":` + n + `,"Friends":0,"CautiousFriends":0,"Journal":null}}]}`))
+	}
+	f.Add([]byte(`{"network":0,"run":0,"records":[{"Policy":"a\u0062","Network":0,"Run":0,"Result":null}]} `))
+	f.Add([]byte(`{"network":-1,"run":2,"records":[{"Policy":"a","Network":0,"Run":0,"Result":{"Policy":"a","Steps":[],"Benefit":1e-7,"Friends":0,"CautiousFriends":0,"Journal":null}}]}`))
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var d cellDecoder
+		var got CellLine
+		if !d.fast(line, &got) {
+			return
+		}
+		var want CellLine
+		if err := json.Unmarshal(line, &want); err != nil {
+			t.Fatalf("fast path accepted a line encoding/json rejects (%v): %q", err, line)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fast path decoded %q as\n%+v\nencoding/json as\n%+v", line, got, want)
 		}
 	})
 }
