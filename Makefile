@@ -1,4 +1,5 @@
 GO ?= go
+FUZZTIME ?= 10s
 
 .PHONY: all build test race lint fmt-check vet fuzz-smoke bench serve service-e2e clean
 
@@ -32,17 +33,18 @@ vet:
 # decoder, cell-journal resume and its line decoder against
 # encoding/json, request-journal read and replay,
 # accuserv submit and job documents,
-# accudist cell upload, accudist lease and fail) and the graph builder.
+# accudist cell upload, accudist lease and fail) and the graph builder,
+# each for FUZZTIME (CI runs `make fuzz-smoke FUZZTIME=30s`).
 fuzz-smoke:
-	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDecodeCellLine -fuzztime 10s
-	$(GO) test ./internal/osn -run '^$$' -fuzz FuzzReadJournalReplay -fuzztime 10s
-	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime 10s
-	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzLoadJobs -fuzztime 10s
-	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime 10s
-	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzLeaseAndFail -fuzztime 10s
-	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime 10s
+	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDecodeCellLine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/osn -run '^$$' -fuzz FuzzReadJournalReplay -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzLoadJobs -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzLeaseAndFail -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

@@ -497,25 +497,9 @@ func runRepeated(out io.Writer, protocol accu.Protocol, factory accu.PolicyFacto
 		}
 	}
 
-	var cells *accu.CellJournal
-	if checkpoint != "" {
-		j, err := sim.ResumeJournal(checkpoint, resume, collect, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "accurun: "+format+"\n", args...)
-		})
-		if err != nil {
-			return err
-		}
-		cells = j
-		protocol.Checkpoint = cells
-	}
-
 	start := time.Now()
-	err := accu.MonteCarlo(context.Background(), protocol, []accu.PolicyFactory{factory}, collect)
-	if cells != nil {
-		if cerr := cells.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("close checkpoint journal: %w", cerr)
-		}
-	}
+	err := sim.RunJournaled(context.Background(), protocol, []accu.PolicyFactory{factory}, checkpoint, resume, collect, nil,
+		func(format string, args ...any) { fmt.Fprintf(os.Stderr, "accurun: "+format+"\n", args...) })
 	if sw != nil {
 		if cerr := sw.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("close result store: %w", cerr)

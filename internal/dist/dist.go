@@ -101,9 +101,6 @@ type Coordinator struct {
 	finished bool
 	done     chan struct{} // closed once every cell is durable
 	failures []string
-
-	reaperStop chan struct{}
-	reaperDone chan struct{}
 }
 
 // New opens (or resumes) the journal under cfg.Dir and builds the lease
@@ -134,22 +131,20 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	// Acked cells must survive a coordinator crash: fsync every commit.
-	journal.SyncEvery(1)
+	journal.SyncEachCommit()
 
 	c := &Coordinator{
-		cfg:        cfg,
-		total:      cfg.Spec.Networks * cfg.Spec.Runs,
-		ttl:        cfg.LeaseTTL,
-		journal:    journal,
-		logf:       logf,
-		met:        newMetrics(cfg.Metrics),
-		now:        time.Now,
-		workers:    make(map[string]time.Time),
-		summary:    summary,
-		digest:     digest,
-		done:       make(chan struct{}),
-		reaperStop: make(chan struct{}),
-		reaperDone: make(chan struct{}),
+		cfg:     cfg,
+		total:   cfg.Spec.Networks * cfg.Spec.Runs,
+		ttl:     cfg.LeaseTTL,
+		journal: journal,
+		logf:    logf,
+		met:     newMetrics(cfg.Metrics),
+		now:     time.Now,
+		workers: make(map[string]time.Time),
+		summary: summary,
+		digest:  digest,
+		done:    make(chan struct{}),
 	}
 	for start := 0; start < c.total; start += cfg.RangeSize {
 		end := start + cfg.RangeSize
@@ -168,46 +163,20 @@ func New(cfg Config) (*Coordinator, error) {
 		c.finished = true
 		close(c.done)
 	}
-	go c.reaper()
 	return c, nil
 }
 
 // Done returns a channel closed once every cell of the grid is durable.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
-// reaper expires leases that have gone a full TTL without durable
-// progress, releasing their ranges for reassignment.
-func (c *Coordinator) reaper() {
-	defer close(c.reaperDone)
-	tick := time.NewTicker(c.ttl / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.reaperStop:
-			return
-		case <-tick.C:
-			c.expireLeases()
-		}
-	}
-}
-
-func (c *Coordinator) expireLeases() {
-	now := c.now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.ranges {
-		if r.leaseID != "" && r.remaining > 0 && now.After(r.deadline) {
-			c.logf("dist: lease %s on range [%d,%d) expired (worker %s); reassigning",
-				r.leaseID, r.start, r.end, r.worker)
-			r.leaseID, r.worker = "", ""
-			c.met.leasesExpired.Inc()
-		}
-	}
-	c.updateWorkersLive(now)
+// leased reports whether r is held by a lease whose deadline has not
+// passed; an expired lease leaves its range free. Callers hold c.mu.
+func (r *cellRange) leased(now time.Time) bool {
+	return r.leaseID != "" && !now.After(r.deadline)
 }
 
 // updateWorkersLive recomputes the liveness gauge: workers heard from
-// within one TTL. Callers hold c.mu.
+// within one TTL. Every request and read calls it; callers hold c.mu.
 func (c *Coordinator) updateWorkersLive(now time.Time) {
 	live := 0
 	for _, last := range c.workers {
@@ -234,11 +203,12 @@ func (c *Coordinator) Lease(worker string) (lease *Lease, done bool) {
 		if r.remaining == 0 {
 			continue
 		}
-		if r.leaseID != "" && !now.After(r.deadline) {
+		if r.leased(now) {
 			continue
 		}
 		if r.leaseID != "" {
-			// Deadline passed but the reaper has not ticked yet.
+			c.logf("dist: lease %s on range [%d,%d) expired (worker %s); reassigning",
+				r.leaseID, r.start, r.end, r.worker)
 			c.met.leasesExpired.Inc()
 		}
 		r.assignments++
@@ -269,9 +239,10 @@ func (c *Coordinator) Lease(worker string) (lease *Lease, done bool) {
 // validLine) is rejected before it reaches the journal, so it can neither
 // poison a resume nor the aggregation. The fresh cells of the batch are
 // committed with one CommitBatch, so one fsync covers them all (the
-// journal runs SyncEvery(1)); only then are they aggregated and the
+// journal runs SyncEachCommit); only then are they aggregated and the
 // matching lease's deadline extended, so durable progress keeps a slow
-// worker's lease alive. A failed commit accepts none of them.
+// worker's lease alive; an expired lease stays expired. A failed commit
+// accepts none of them.
 func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (UploadResponse, error) {
 	now := c.now()
 	runs := c.cfg.Spec.Runs
@@ -319,10 +290,10 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	if resp.Duplicate > 0 {
 		c.logf("dist: upload from %s (lease %s): %d duplicate cell(s) dropped", worker, leaseID, resp.Duplicate)
 	}
-	// Durable progress is the heartbeat: extend the matching lease.
+	// Durable progress is the heartbeat: extend the matching live lease.
 	if resp.Accepted > 0 {
 		for _, r := range c.ranges {
-			if r.leaseID == leaseID {
+			if r.leaseID == leaseID && r.leased(now) {
 				r.deadline = now.Add(c.ttl)
 				break
 			}
@@ -390,10 +361,12 @@ func (c *Coordinator) Fail(req FailRequest) {
 	}
 }
 
-// Status snapshots coordinator state for polling.
+// Status snapshots coordinator state for polling; expired leases show free.
 func (c *Coordinator) Status() Status {
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.updateWorkersLive(now)
 	st := Status{
 		Total:     c.total,
 		Committed: c.journal.Cells(),
@@ -405,13 +378,11 @@ func (c *Coordinator) Status() Status {
 	}
 	sort.Strings(st.Workers)
 	for _, r := range c.ranges {
-		st.Ranges = append(st.Ranges, RangeStatus{
-			Start:     r.start,
-			End:       r.end,
-			Remaining: r.remaining,
-			Worker:    r.worker,
-			Lease:     r.leaseID,
-		})
+		rs := RangeStatus{Start: r.start, End: r.end, Remaining: r.remaining}
+		if r.leased(now) {
+			rs.Worker, rs.Lease = r.worker, r.leaseID
+		}
+		st.Ranges = append(st.Ranges, rs)
 	}
 	return st
 }
@@ -436,10 +407,8 @@ func (c *Coordinator) Result() (*serv.Result, error) {
 // Spec returns the grid description workers build their protocol from.
 func (c *Coordinator) Spec() serv.Spec { return c.cfg.Spec }
 
-// Close stops the reaper and closes the journal. The coordinator must
-// not serve requests after Close.
+// Close closes the journal. The coordinator must not serve requests
+// after Close.
 func (c *Coordinator) Close() error {
-	close(c.reaperStop)
-	<-c.reaperDone
 	return c.journal.Close()
 }

@@ -528,6 +528,47 @@ func TestFailWithoutWorkerIsRejected(t *testing.T) {
 	}
 }
 
+// TestLeaseExpiresAtItsDeadline pins that a lease expires when its
+// deadline passes, with nothing ticking: once the clock is past it, and
+// before any Lease call, Status shows the range free and counts no live
+// worker, a late upload under the stale lease is accepted but does not
+// revive the lease, and the next Lease hands the range on, counting the
+// expiry once.
+func TestLeaseExpiresAtItsDeadline(t *testing.T) {
+	spec := testSpec()
+	reg := obs.New()
+	coord, _ := newTestCoordinator(t, spec, 3, time.Hour, reg)
+	clock := time.Unix(1e9, 0)
+	coord.now = func() time.Time { return clock }
+
+	lease, done := coord.Lease("A")
+	if done || lease == nil {
+		t.Fatalf("lease = %v, done = %v", lease, done)
+	}
+	clock = clock.Add(time.Hour + time.Second)
+
+	if r := coord.Status().Ranges[0]; r.Worker != "" || r.Lease != "" {
+		t.Errorf("expired range held by %q under %q, want it free", r.Worker, r.Lease)
+	}
+	if got := reg.Gauge("dist.workers_live").Value(); got != 0 {
+		t.Errorf("dist.workers_live = %v after a TTL of silence, want 0", got)
+	}
+	resp, err := coord.Upload(lease.ID, "A", []sim.CellLine{wellFormedLine(spec, cellOf(lease.Start, spec.Runs))})
+	if err != nil || resp.Accepted != 1 {
+		t.Fatalf("late upload: %+v, %v; want 1 cell accepted", resp, err)
+	}
+	if r := coord.Status().Ranges[0]; r.Lease != "" {
+		t.Errorf("late upload revived lease %q", r.Lease)
+	}
+	next, _ := coord.Lease("B")
+	if next == nil || next.Start != lease.Start {
+		t.Fatalf("next lease = %+v, want the expired range [%d,%d)", next, lease.Start, lease.End)
+	}
+	if got := counterValue(reg, "dist.leases_expired"); got != 1 {
+		t.Errorf("dist.leases_expired = %d, want 1", got)
+	}
+}
+
 // TestFailedCommitIsNotAcked pins fsync-before-ack at the wire: when the
 // coordinator cannot commit a cell to its journal, the upload must not
 // answer 200, and the worker's flush must surface the failure so the

@@ -134,6 +134,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	c.updateWorkersLive(c.now())
+	c.mu.Unlock()
 	snap := c.cfg.Metrics.Snapshot()
 	if snap == nil {
 		writeJSON(w, http.StatusOK, struct{}{})

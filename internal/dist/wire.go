@@ -10,14 +10,16 @@
 // coordinator's aggregated digest matches a local `accurun -digest` of
 // the same protocol by construction.
 //
-// Fault model: leases expire after a TTL without durable progress; an
-// expired range is reassigned to the next worker that asks (straggler
-// detection). Uploads are accepted from any lease holder, current or
-// stale — the journal dedups by cell key, so the first durably committed
-// copy of a cell wins and later duplicates are counted and dropped.
-// Workers upload completed cells in batches, and the coordinator commits
-// each accepted batch with one write and one fsync before acking
-// (CellJournal.CommitBatch under SyncEvery(1)), which makes "first
+// Fault model: a lease expires once it has gone a TTL without durable
+// progress. Nothing ticks: every reader checks the deadline itself, so an
+// expired range is free in Status and is reassigned to the next worker
+// that asks (straggler detection), and a late upload does not revive the
+// lease. Uploads are accepted from any lease holder, current or stale —
+// the journal dedups by cell key, so the first durably committed copy of
+// a cell wins and later duplicates are counted and dropped. Workers
+// upload completed cells in batches, and the coordinator commits each
+// accepted batch with one write and one fsync before acking
+// (CellJournal.CommitBatch under SyncEachCommit), which makes "first
 // durable commit wins" literal: an acked cell can never be lost to a
 // coordinator crash.
 package dist

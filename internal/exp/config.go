@@ -155,34 +155,19 @@ func (c Config) protocol(g gen.Generator, s osn.Setup, seed rng.Seed) sim.Protoc
 // run executes one Monte-Carlo protocol with the config's checkpoint
 // settings applied. name identifies the protocol within the experiment
 // (it keys the checkpoint journal, so it must be stable across resumes
-// and unique within CheckpointDir). When CheckpointDir is set, completed
-// cells from a resumed journal are replayed into collect before the
-// engine starts and freshly completed cells are committed as they
-// finish; the resume and any cells a corrupt journal line discarded are
-// reported on stderr (see sim.ResumeJournal).
+// and unique within CheckpointDir). When CheckpointDir is set, the grid
+// runs journaled (sim.RunJournaled), logging resumes on stderr.
 func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, factories []sim.PolicyFactory, collect func(sim.Record)) error {
-	var journal *sim.CellJournal
+	path := ""
 	if c.CheckpointDir != "" {
 		if err := os.MkdirAll(c.CheckpointDir, 0o755); err != nil {
 			return fmt.Errorf("exp: %s: %w", name, err)
 		}
-		path := filepath.Join(c.CheckpointDir, sanitizeName(name)+".jsonl")
-		j, err := sim.ResumeJournal(path, c.Resume, collect, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
-		})
-		if err != nil {
-			return fmt.Errorf("exp: %s: %w", name, err)
-		}
-		journal = j
-		protocol.Checkpoint = journal
+		path = filepath.Join(c.CheckpointDir, sanitizeName(name)+".jsonl")
 	}
-	err := sim.Run(ctx, protocol, factories, collect)
-	if journal != nil {
-		if cerr := journal.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("exp: %s: close journal: %w", name, cerr)
-		}
-	}
-	return err
+	return sim.RunJournaled(ctx, protocol, factories, path, c.Resume, collect, nil, func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
+	})
 }
 
 // abmCell runs ABM with the config's weights alone over one built

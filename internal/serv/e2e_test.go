@@ -111,7 +111,7 @@ func TestCancelResumeBitIdentical(t *testing.T) {
 	if cancelled.Progress.Done >= int64(wantRecords) {
 		t.Fatalf("cancelled after %d/%d records: interruption landed too late", cancelled.Progress.Done, wantRecords)
 	}
-	if !s.store.checkpointExists(job.ID) {
+	if _, err := os.Stat(s.store.checkpointPath(job.ID)); err != nil {
 		t.Fatal("no checkpoint journal after cancelled run")
 	}
 

@@ -92,10 +92,3 @@ func (s *store) loadJobs() ([]Job, error) {
 	}
 	return jobs, nil
 }
-
-// checkpointExists reports whether the job already has a cell journal —
-// the resume-vs-fresh decision when (re)starting an execution.
-func (s *store) checkpointExists(id string) bool {
-	_, err := os.Stat(s.checkpointPath(id))
-	return err == nil
-}

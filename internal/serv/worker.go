@@ -2,7 +2,6 @@ package serv
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/accu-sim/accu/internal/sim"
 )
@@ -31,14 +30,6 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 		summary.Collect(rec)
 		digest.Collect(rec)
 	}
-	journal, err := sim.ResumeJournal(s.store.checkpointPath(id), s.store.checkpointExists(id), collect,
-		func(format string, args ...any) { s.logf("job "+id+": "+format, args...) })
-	if err != nil {
-		return nil, err
-	}
-	e.resumed.Store(int64(digest.Count()))
-
-	protocol.Checkpoint = journal
 	protocol.OnProgress = func(pr sim.Progress) {
 		e.done.Store(int64(pr.Done))
 		e.resumed.Store(int64(pr.Resumed))
@@ -47,13 +38,11 @@ func (s *Server) executeJob(ctx context.Context, e *entry) (*Result, error) {
 		s.mutate(&protocol)
 	}
 
-	err = sim.Run(ctx, protocol, factories, collect)
-	cerr := journal.Close()
-	if err != nil {
+	// A job always resumes its own checkpoint; a missing one is created.
+	if err := sim.RunJournaled(ctx, protocol, factories, s.store.checkpointPath(id), true, collect,
+		func() { e.resumed.Store(int64(digest.Count())) },
+		func(format string, args ...any) { s.logf("job "+id+": "+format, args...) }); err != nil {
 		return nil, err
-	}
-	if cerr != nil {
-		return nil, fmt.Errorf("serv: close checkpoint journal: %w", cerr)
 	}
 	return BuildResult(digest, summary), nil
 }

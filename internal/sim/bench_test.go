@@ -76,7 +76,7 @@ func BenchmarkCellSchedulerAllocs(b *testing.B) {
 
 // BenchmarkCellJournalCommit measures the durable step of a cell: one op
 // makes 16 cells of benchProtocol durable in a journal under a temporary
-// directory with SyncEvery(1). sync-each commits them one by one (16
+// directory under SyncEachCommit. sync-each commits them one by one (16
 // writes and fsyncs); batch commits them with one CommitBatch, which
 // writes once and fsyncs once.
 func BenchmarkCellJournalCommit(b *testing.B) {
@@ -98,7 +98,7 @@ func BenchmarkCellJournalCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer j.Close()
-			j.SyncEvery(1)
+			j.SyncEachCommit()
 			lines := make([]CellLine, cells)
 			b.ReportAllocs()
 			b.ResetTimer()

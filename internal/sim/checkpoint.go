@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,9 +35,9 @@ type Checkpointer interface {
 	Done(key CellKey) bool
 	// Commit records one completed cell with its records. Each
 	// implementation defines its own durability point: CellJournal
-	// reaches stable storage at Sync/Close (or per commit under
-	// SyncEvery); the internal/dist worker's checkpointer buffers cells
-	// and counts them only once the coordinator has fsynced their
+	// reaches stable storage at Close, or at every commit under
+	// SyncEachCommit; the internal/dist worker's checkpointer buffers
+	// cells and counts them only once the coordinator has fsynced their
 	// batch (one fsync per accepted batch).
 	Commit(key CellKey, recs []Record) error
 }
@@ -60,17 +61,17 @@ type CellLine struct {
 // journal's replayed records and a resumed Run's records is
 // bit-identical to an uninterrupted run at any worker count.
 //
-// Durability: Commit and CommitBatch append with a single write but do
-// not fsync by default — a cell is only guaranteed to survive power loss
-// after Sync or Close. Callers that ack commits to another party (the
-// internal/dist coordinator acking a worker's upload, for example) must
-// either enable SyncEvery or call Sync before acking, or an acked cell
-// can vanish.
+// Durability has two modes. By default a commit appends with a single
+// write and Close fsyncs once: a cell survives power loss only after
+// Close returned nil, which suits every grid run (RunJournaled). A
+// journal whose commits are acked to another party — the internal/dist
+// coordinator acking an upload — turns on SyncEachCommit, so a commit
+// returns only once its cells are on stable storage.
 //
 // A failed write or fsync fails the journal: the file may end in a torn
 // line, and an append behind it would merge with it into one corrupt
 // line that load truncates together with every cell after it. So every
-// later Commit, CommitBatch and Sync returns that first error and marks
+// later Commit, CommitBatch and Close returns that first error and marks
 // nothing done; reopening with resume truncates the torn tail.
 type CellJournal struct {
 	// mu is held across every append, fsync and close: entries serialize,
@@ -79,10 +80,8 @@ type CellJournal struct {
 	f     vfs.File
 	done  map[CellKey]bool
 	lines []CellLine // cells loaded at resume, in journal order, until Replay hands them over
-	// syncEvery > 0 fsyncs after every syncEvery-th newly committed
-	// cell; sinceSync counts commits since the last fsync.
-	syncEvery int
-	sinceSync int
+	// syncEach fsyncs every commit that wrote a cell (SyncEachCommit).
+	syncEach bool
 	// dropped counts valid cells discarded by load's truncate-forward
 	// corruption recovery (everything after the first corrupt line).
 	dropped int
@@ -125,8 +124,9 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 // through logf how many completed cells it resumes and how many valid
 // cells a corrupt line discarded (they re-run), then replays the loaded
 // records into collect; the journal keeps no copy of them (see Replay).
-// Every entry point that checkpoints a grid starts it this way, so a
-// resumed grid aggregates the same record set whichever program runs it.
+// Every journal that resumes a grid opens this way (RunJournaled, the
+// internal/dist coordinator), so a resumed grid aggregates the same
+// record set whichever program runs it.
 func ResumeJournal(path string, resume bool, collect func(Record), logf func(format string, args ...any)) (*CellJournal, error) {
 	j, err := OpenCellJournal(path, resume)
 	if err != nil {
@@ -140,6 +140,31 @@ func ResumeJournal(path string, resume bool, collect func(Record), logf func(for
 	}
 	j.Replay(collect)
 	return j, nil
+}
+
+// RunJournaled runs p like Run, journaled at path: it opens the journal
+// through ResumeJournal, which replays a resumed journal's records into
+// collect, calls replayed (if non-nil), runs with the journal as p's
+// Checkpoint, and closes it. A run error wins over a close error; an
+// empty path runs p unjournaled. Every entry point that checkpoints a
+// grid runs it this way.
+func RunJournaled(ctx context.Context, p Protocol, factories []PolicyFactory, path string, resume bool, collect func(Record), replayed func(), logf func(format string, args ...any)) error {
+	if path == "" {
+		return Run(ctx, p, factories, collect)
+	}
+	j, err := ResumeJournal(path, resume, collect, logf)
+	if err != nil {
+		return err
+	}
+	if replayed != nil {
+		replayed()
+	}
+	p.Checkpoint = j
+	err = Run(ctx, p, factories, collect)
+	if cerr := j.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("sim: close checkpoint journal %s: %w", path, cerr)
+	}
+	return err
 }
 
 // load streams the journal's existing lines and positions the file for
@@ -221,16 +246,16 @@ func (j *CellJournal) Dropped() int {
 	return j.dropped
 }
 
-// SyncEvery makes Commit fsync after every n-th newly committed cell
-// (n == 1 syncs every commit; n <= 0 restores the default of syncing
-// only at Sync/Close). Use it on any journal whose commits are acked to
-// another party — the internal/dist coordinator acks worker uploads only
-// after the cells are on stable storage, so "first durable commit wins"
-// is literal.
-func (j *CellJournal) SyncEvery(n int) {
+// SyncEachCommit makes every later Commit and CommitBatch that writes a
+// cell fsync before it returns, instead of leaving the one fsync to
+// Close. Use it on any journal whose commits are acked to another party
+// — the internal/dist coordinator acks worker uploads only after the
+// cells are on stable storage, so "first durable commit wins" is
+// literal.
+func (j *CellJournal) SyncEachCommit() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.syncEvery = n
+	j.syncEach = true
 }
 
 // Done implements Checkpointer.
@@ -249,9 +274,9 @@ func (j *CellJournal) Commit(key CellKey, recs []Record) error {
 
 // CommitBatch appends every line whose cell is not yet done, skipping
 // repeats of a key within lines, as JSONL in a single write, then fsyncs
-// once if SyncEvery makes one due. The cells count as done only after
-// that write (and the fsync) succeeded; on any error none of them does,
-// and the journal is failed (see CellJournal).
+// once under SyncEachCommit. The cells count as done only after that
+// write (and the fsync) succeeded; on any error none of them does, and
+// the journal is failed (see CellJournal).
 func (j *CellJournal) CommitBatch(lines []CellLine) error {
 	encoded := make([][]byte, len(lines)) // marshalled outside the lock
 	for i := range lines {
@@ -298,13 +323,11 @@ func (j *CellJournal) CommitBatch(lines []CellLine) error {
 		j.err = fmt.Errorf("append %d cell(s): %w", len(fresh), err)
 		return j.err
 	}
-	j.sinceSync += len(fresh)
-	if j.syncEvery > 0 && j.sinceSync >= j.syncEvery {
+	if j.syncEach {
 		if err := j.f.Sync(); err != nil {
 			j.err = fmt.Errorf("sync %d cell(s): %w", len(fresh), err)
 			return j.err
 		}
-		j.sinceSync = 0
 	}
 	// Only now are the cells committed.
 	for key := range fresh {
@@ -342,30 +365,18 @@ func (j *CellJournal) Replay(collect func(Record)) {
 	}
 }
 
-// Sync flushes the journal to stable storage (fsync). A failed Sync
-// fails the journal: what the page cache held is no longer known to
-// reach the disk.
-func (j *CellJournal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	if err := j.f.Sync(); err != nil {
-		j.err = fmt.Errorf("sync: %w", err)
-		return j.err
-	}
-	j.sinceSync = 0
-	return nil
-}
-
-// Close syncs and closes the journal file.
+// Close fsyncs and closes the journal file. It returns the journal's
+// first failed write or fsync, if any, before a failure of its own.
 func (j *CellJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.f.Sync(); err != nil {
-		j.f.Close()
+	if j.err == nil {
+		if err := j.f.Sync(); err != nil {
+			j.err = fmt.Errorf("sync: %w", err)
+		}
+	}
+	if err := j.f.Close(); err != nil && j.err == nil {
 		return err
 	}
-	return j.f.Close()
+	return j.err
 }

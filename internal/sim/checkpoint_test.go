@@ -313,16 +313,17 @@ func TestCellJournalLoadsLongLines(t *testing.T) {
 	}
 }
 
-// TestCellJournalSyncEvery exercises the sync-on-commit path: with
-// SyncEvery(1) every commit fsyncs (observable only as "still correct"),
-// duplicates do not reset the cadence, and the journal round-trips.
-func TestCellJournalSyncEvery(t *testing.T) {
+// TestCellJournalSyncEachCommit exercises the sync-on-commit path: under
+// SyncEachCommit every commit fsyncs (observable only as "still
+// correct"), a duplicate commit writes nothing, and the journal
+// round-trips.
+func TestCellJournalSyncEachCommit(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cells.jsonl")
 	j, err := OpenCellJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SyncEvery(1)
+	j.SyncEachCommit()
 	for run := 0; run < 3; run++ {
 		if err := j.Commit(CellKey{Network: 0, Run: run}, []Record{{Policy: "a", Network: 0, Run: run}}); err != nil {
 			t.Fatal(err)
@@ -356,7 +357,7 @@ func TestCellJournalSyncEvery(t *testing.T) {
 
 // TestCellJournalFailedSyncLeavesCellUndone pins that a cell is done only
 // after its fsync succeeded. The journal's file is a pipe's write end,
-// which accepts the write and fails Sync (EINVAL). Under SyncEvery(1) the
+// which accepts the write and fails Sync (EINVAL). Under SyncEachCommit the
 // failed Commit must leave the cell undone and uncounted, and a retry must
 // fail again rather than return nil as a duplicate; an accudist
 // coordinator would otherwise ack the retried upload without ever making
@@ -369,7 +370,7 @@ func TestCellJournalFailedSyncLeavesCellUndone(t *testing.T) {
 	defer r.Close()
 	j := &CellJournal{f: w, done: make(map[CellKey]bool)}
 	defer j.Close()
-	j.SyncEvery(1)
+	j.SyncEachCommit()
 	key := CellKey{Network: 0, Run: 0}
 	recs := []Record{{Policy: "a", Network: 0, Run: 0, Result: &core.Result{Benefit: 1}}}
 	if err := j.Commit(key, recs); err == nil {
@@ -564,6 +565,73 @@ func TestResumeJournalHandsOverCells(t *testing.T) {
 	}
 }
 
+// TestRunJournaled pins the journaled grid run every entry point shares.
+// A resumed run logs the resume before the first replayed record reaches
+// collect, calls replayed once every replayed record has, and reproduces
+// the uninterrupted digest. A failed fsync at Close surfaces when the run
+// succeeded, and a run error wins over it.
+func TestRunJournaled(t *testing.T) {
+	p := testProtocol()
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewRecordDigest()
+	if err := Run(context.Background(), p, factories, want.Collect); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "cells.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := 0
+	err = RunJournaled(ctx, p, factories, path, false, func(Record) {
+		if seen++; seen == 9 {
+			cancel()
+		}
+	}, nil, t.Logf)
+	cancel()
+	if err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed run: %v", err)
+	}
+
+	got := NewRecordDigest()
+	loggedAt, replayedAt := -1, -1
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(format, "resuming ") {
+			loggedAt = got.Count()
+		}
+	}
+	if err := RunJournaled(context.Background(), p, factories, path, true, got.Collect,
+		func() { replayedAt = got.Count() }, logf); err != nil {
+		t.Fatal(err)
+	}
+	if loggedAt != 0 {
+		t.Errorf("resume logged after %d records reached collect, want before the first", loggedAt)
+	}
+	if replayedAt <= 0 || replayedAt >= want.Count() {
+		t.Errorf("replayed called after %d of %d records, want after the replay alone", replayedAt, want.Count())
+	}
+	if got.Count() != want.Count() || got.Sum() != want.Sum() {
+		t.Errorf("resumed digest %s over %d records, want %s over %d", got.Sum(), got.Count(), want.Sum(), want.Count())
+	}
+
+	rec := &vfs.Recorder{}
+	defer vfs.Swap(rec)()
+	closeFault := vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO}
+	rec.Fail(closeFault)
+	err = RunJournaled(context.Background(), p, factories, filepath.Join(t.TempDir(), "cells.jsonl"), false, func(Record) {}, nil, t.Logf)
+	if !errors.Is(err, syscall.EIO) {
+		t.Errorf("run with a failed Close: err = %v, want the fsync's EIO", err)
+	}
+	rec.Fail(closeFault)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = RunJournaled(cancelled, p, factories, filepath.Join(t.TempDir(), "cells.jsonl"), false, func(Record) {}, nil, t.Logf)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, syscall.EIO) {
+		t.Errorf("failed run with a failed Close: err = %v, want the run's context.Canceled alone", err)
+	}
+}
+
 // failingCheckpointer commits successfully n times, then fails. Run
 // calls Commit from several workers at once, so n is locked.
 type failingCheckpointer struct {
@@ -619,8 +687,8 @@ func TestRunCheckpointCommitErrorIsFatal(t *testing.T) {
 // TestCellJournalSurfacesFileFaults injects one file fault into each
 // durable step of a journal — an append torn by a short write or a full
 // disk, a failed per-commit fsync of the file or of its new directory
-// entry under SyncEvery(1), the same four under a three-cell CommitBatch,
-// a failed Sync, and a failed fsync or close inside Close — and requires
+// entry under SyncEachCommit, the same four under a three-cell
+// CommitBatch, and a failed fsync or close inside Close — and requires
 // the step to return it with no cell of it done. A swallowed error would
 // let a caller (the dist coordinator acking an upload, accurun exiting 0)
 // report cells durable that are not.
@@ -637,19 +705,18 @@ func TestCellJournalSurfacesFileFaults(t *testing.T) {
 		dirFsync   = vfs.Fault{Kind: vfs.OpSyncDir, Err: syscall.EIO}
 	)
 	for name, tc := range map[string]struct {
-		fault     vfs.Fault
-		syncEvery int
-		step      func(*CellJournal) error
+		fault    vfs.Fault
+		syncEach bool
+		step     func(*CellJournal) error
 	}{
 		"commit short write": {fault: shortWrite, step: commit},
 		"commit ENOSPC":      {fault: enospc, step: commit},
-		"commit fsync":       {fault: fsync, syncEvery: 1, step: commit},
-		"commit dir fsync":   {fault: dirFsync, syncEvery: 1, step: commit},
+		"commit fsync":       {fault: fsync, syncEach: true, step: commit},
+		"commit dir fsync":   {fault: dirFsync, syncEach: true, step: commit},
 		"batch short write":  {fault: shortWrite, step: batch},
 		"batch ENOSPC":       {fault: enospc, step: batch},
-		"batch fsync":        {fault: fsync, syncEvery: 1, step: batch},
-		"batch dir fsync":    {fault: dirFsync, syncEvery: 1, step: batch},
-		"sync":               {fault: fsync, step: (*CellJournal).Sync},
+		"batch fsync":        {fault: fsync, syncEach: true, step: batch},
+		"batch dir fsync":    {fault: dirFsync, syncEach: true, step: batch},
 		"close fsync":        {fault: fsync, step: (*CellJournal).Close},
 		"close":              {fault: vfs.Fault{Kind: vfs.OpClose, Path: "cells.jsonl", Err: syscall.EIO}, step: (*CellJournal).Close},
 	} {
@@ -661,7 +728,9 @@ func TestCellJournalSurfacesFileFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			j.SyncEvery(tc.syncEvery)
+			if tc.syncEach {
+				j.SyncEachCommit()
+			}
 			rec.Fail(tc.fault)
 			if err := tc.step(j); !errors.Is(err, tc.fault.Err) {
 				t.Fatalf("err = %v, want %v", err, tc.fault.Err)
@@ -680,7 +749,7 @@ func TestCellJournalSurfacesFileFaults(t *testing.T) {
 // after it. A short write leaves half a line at the end of the file; an
 // append behind it would merge with it into one corrupt line that resume
 // truncates together with every later cell. After either fault every
-// commit (retries included) and Sync must return the fault, and every
+// commit (retries included) and Close must return the fault, and every
 // cell that was acked must resume.
 func TestCellJournalFailsAfterFault(t *testing.T) {
 	for name, fault := range map[string]vfs.Fault{
@@ -695,7 +764,7 @@ func TestCellJournalFailsAfterFault(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			j.SyncEvery(1)
+			j.SyncEachCommit()
 			rec.Fail(fault) // the second commit's write or fsync
 			var acked []CellKey
 			for run := 0; run < 5; run++ {
@@ -714,10 +783,9 @@ func TestCellJournalFailsAfterFault(t *testing.T) {
 			if len(acked) != 1 {
 				t.Errorf("%d cells acked, want only the one before the fault", len(acked))
 			}
-			if err := j.Sync(); !errors.Is(err, fault.Err) {
-				t.Errorf("Sync after the fault: err = %v, want %v", err, fault.Err)
+			if err := j.Close(); !errors.Is(err, fault.Err) {
+				t.Errorf("Close after the fault: err = %v, want %v", err, fault.Err)
 			}
-			j.Close()
 
 			r, err := OpenCellJournal(path, true)
 			if err != nil {

@@ -89,7 +89,8 @@ type Protocol struct {
 	// cell is committed after its records are delivered, and cells the
 	// checkpoint already holds are skipped on start (surfaced via the
 	// sim.cells_skipped counter). Skipped cells' records are NOT
-	// re-delivered to collect — replay them first via CellJournal.Replay.
+	// re-delivered to collect — replay them first via CellJournal.Replay,
+	// as RunJournaled does.
 	// Because each cell reseeds from its (network, run) coordinates
 	// alone, a resumed grid's merged record set is bit-identical to an
 	// uninterrupted run's.
