@@ -33,8 +33,9 @@ vet:
 # decoder, cell-journal resume and its line decoder against
 # encoding/json, request-journal read and replay,
 # accuserv submit and job documents,
-# accudist cell upload, accudist lease and fail) and the graph builder,
-# each for FUZZTIME (CI runs `make fuzz-smoke FUZZTIME=30s`).
+# accudist cell upload, accudist lease and fail), the graph builder and
+# graph.FromPairs against it, each for FUZZTIME (CI runs
+# `make fuzz-smoke FUZZTIME=30s`).
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime $(FUZZTIME)
@@ -45,6 +46,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzLeaseAndFail -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzFromPairs -fuzztime $(FUZZTIME)
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...

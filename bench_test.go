@@ -312,24 +312,36 @@ func BenchmarkSetupBuild(b *testing.B) {
 }
 
 // BenchmarkStaticRankInit measures a reused static baseline's Init on the
-// same instance, which is what a worker's cell loop pays per cell.
+// same instance, which is what a worker's cell loop pays per cell. The
+// -fresh cases alternate between two instances on equal but distinct
+// graphs, so every Init ranks the network anew, as on a worker's first
+// cell of each network.
 func BenchmarkStaticRankInit(b *testing.B) {
 	_, re := benchInstance(b, 0.05)
+	_, other := benchInstance(b, 0.05)
 	mk := map[string]func() accu.Policy{
 		"maxdegree": accu.NewMaxDegree,
 		"pagerank":  accu.NewPageRank,
 	}
 	for _, name := range []string{"maxdegree", "pagerank"} {
-		b.Run(name, func(b *testing.B) {
-			pol, st := mk[name](), accu.NewAttack(re)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pol.Init(st); err != nil {
-					b.Fatal(err)
-				}
+		for _, fresh := range []bool{false, true} {
+			states := []*accu.State{accu.NewAttack(re)}
+			caseName := name
+			if fresh {
+				states = append(states, accu.NewAttack(other))
+				caseName += "-fresh"
 			}
-		})
+			b.Run(caseName, func(b *testing.B) {
+				pol := mk[name]()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := pol.Init(states[i%len(states)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/osn"
@@ -32,18 +33,38 @@ var _ Policy = (*StaticRank)(nil)
 func NewMaxDegree() *StaticRank {
 	return &StaticRank{
 		name: "maxdegree",
-		rank: func(g *graph.Graph) ([]int, error) {
-			order := identity(g.N())
-			sort.SliceStable(order, func(i, j int) bool {
-				return g.Degree(order[i]) > g.Degree(order[j])
-			})
-			return order, nil
-		},
+		rank: func(g *graph.Graph) ([]int, error) { return degreeOrder(g), nil },
 	}
 }
 
+// degreeOrder orders the users by descending degree, ties toward lower
+// ids, by counting sort: ids are scattered in ascending order into one
+// bucket per degree, highest degree first. O(N + max degree).
+func degreeOrder(g *graph.Graph) []int {
+	n, maxDeg := g.N(), 0
+	for u := range n {
+		maxDeg = max(maxDeg, g.Degree(u))
+	}
+	// Bucket i = maxDeg-d holds the users of degree d; at[i] is where the
+	// next one goes.
+	at := make([]int, maxDeg+2)
+	for u := range n {
+		at[maxDeg-g.Degree(u)+1]++
+	}
+	for i := 1; i <= maxDeg; i++ {
+		at[i] += at[i-1]
+	}
+	order := make([]int, n)
+	for u := range n {
+		i := maxDeg - g.Degree(u)
+		order[at[i]] = u
+		at[i]++
+	}
+	return order
+}
+
 // NewPageRank returns the PageRank baseline: pick users by descending
-// PageRank score on the potential graph.
+// PageRank score on the potential graph, ties toward lower ids.
 func NewPageRank() *StaticRank {
 	return &StaticRank{
 		name: "pagerank",
@@ -53,8 +74,11 @@ func NewPageRank() *StaticRank {
 				return nil, fmt.Errorf("core: pagerank baseline: %w", err)
 			}
 			order := identity(len(scores))
-			sort.SliceStable(order, func(i, j int) bool {
-				return scores[order[i]] > scores[order[j]]
+			slices.SortFunc(order, func(a, b int) int {
+				if c := cmp.Compare(scores[b], scores[a]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
 			})
 			return order, nil
 		},

@@ -67,7 +67,14 @@ func (g Collaboration) Generate(seed rng.Seed) (*graph.Graph, error) {
 		}
 	}
 
-	b := graph.NewBuilder(g.N)
+	// Accepted pairs go to an endpoint list, sized for the expected
+	// number of them; FromPairs drops the pairs that two shared
+	// communities repeat.
+	pairs := 0
+	for _, members := range communities {
+		pairs += len(members) * (len(members) - 1) / 2
+	}
+	ends := make([]int32, 0, 2*int(float64(pairs)*g.PIntra))
 	for _, members := range communities {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
@@ -75,14 +82,12 @@ func (g Collaboration) Generate(seed rng.Seed) (*graph.Graph, error) {
 					continue
 				}
 				if rng.Bernoulli(r, g.PIntra) {
-					if _, err := b.AddEdge(int(members[i]), int(members[j])); err != nil {
-						return nil, err
-					}
+					ends = append(ends, members[i], members[j])
 				}
 			}
 		}
 	}
-	return b.Freeze(), nil
+	return graph.FromPairs(g.N, ends)
 }
 
 // sampleCommunitySize draws one power-law community size in [3, maxSize]

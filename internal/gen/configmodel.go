@@ -48,14 +48,8 @@ func (g PowerLawConfig) Generate(seed rng.Seed) (*graph.Graph, error) {
 	}
 	rng.Shuffle(r, stubs)
 
-	b := graph.NewBuilder(g.N)
-	// Match consecutive stub pairs; self-loops and duplicate edges are
-	// rejected, which slightly truncates the degree sequence — the
-	// standard "erased configuration model".
-	for i := 0; i+1 < len(stubs); i += 2 {
-		if _, err := b.AddEdge(int(stubs[i]), int(stubs[i+1])); err != nil {
-			return nil, err
-		}
-	}
-	return b.Freeze(), nil
+	// Match consecutive stub pairs, ignoring a trailing odd stub;
+	// self-loops and duplicate edges are dropped, which slightly truncates
+	// the degree sequence — the standard "erased configuration model".
+	return graph.FromPairs(g.N, stubs[:len(stubs)&^1])
 }

@@ -1,9 +1,11 @@
 // Package graph provides the undirected-graph substrate used throughout the
-// ACCU reproduction: a mutable builder for generators and a frozen,
-// cache-friendly CSR (compressed sparse row) form for the attack loops.
+// ACCU reproduction: a mutable builder for generators that query the
+// graph while they build it, FromPairs for those that only emit edges, and
+// a frozen, cache-friendly CSR (compressed sparse row) form for the attack
+// loops.
 //
 // Nodes are dense integers in [0, N). Self-loops and parallel edges are
-// rejected at build time, matching the simple-graph assumption of the
+// dropped at build time, matching the simple-graph assumption of the
 // paper's network model.
 package graph
 
@@ -123,31 +125,105 @@ func (b *Builder) Degree(u int) int {
 	return int(b.deg[u])
 }
 
-// Freeze converts the builder into an immutable CSR graph by counting
-// sort: row offsets come from the degrees, one pass over the edge set
-// scatters both directions of each edge, and each row is then sorted. The
-// builder remains usable afterwards.
+// Freeze converts the builder into an immutable CSR graph: row offsets
+// come from the degrees, one pass over the edge set scatters both
+// directions of each edge, and fromRows sorts the rows by transposing
+// them. The builder remains usable afterwards.
 func (b *Builder) Freeze() *Graph {
 	offsets := make([]int64, b.n+1)
 	for u, d := range b.deg {
 		offsets[u+1] = offsets[u] + int64(d)
 	}
-	neighbors := make([]int32, offsets[b.n])
+	rows := make([]int32, offsets[b.n])
 	next := slices.Clone(offsets[:b.n])
 	for _, k := range b.keys {
 		if k == 0 {
 			continue
 		}
 		u, v := int32(k>>32), int32(uint32(k))
-		neighbors[next[u]] = v
+		rows[next[u]] = v
 		next[u]++
-		neighbors[next[v]] = u
+		rows[next[v]] = u
 		next[v]++
 	}
-	for u := 0; u < b.n; u++ {
-		slices.Sort(neighbors[offsets[u]:offsets[u+1]])
+	return fromRows(b.n, offsets, rows)
+}
+
+// FromPairs builds the simple graph on n nodes whose edges are the
+// endpoint pairs (ends[0], ends[1]), (ends[2], ends[3]), …: the CSR that
+// adding each pair to a Builder and freezing it gives, without the
+// Builder's edge set. Self-loops and repeated pairs are dropped. An
+// endpoint outside [0, n) or an odd-length list returns ErrNodeRange.
+func FromPairs(n int, ends []int32) (*Graph, error) {
+	n = max(n, 0)
+	if len(ends)%2 != 0 {
+		return nil, fmt.Errorf("%w: odd endpoint list of length %d", ErrNodeRange, len(ends))
 	}
-	return &Graph{n: b.n, m: b.m, offsets: offsets, neighbors: neighbors}
+	offsets := make([]int64, n+1)
+	for i := 0; i < len(ends); i += 2 {
+		u, v := ends[i], ends[i+1]
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("%w: (%d, %d) with n=%d", ErrNodeRange, u, v, n)
+		}
+		if u != v {
+			offsets[u+1]++
+			offsets[v+1]++
+		}
+	}
+	for u := range n {
+		offsets[u+1] += offsets[u]
+	}
+	rows := make([]int32, offsets[n])
+	next := slices.Clone(offsets[:n])
+	for i := 0; i < len(ends); i += 2 {
+		u, v := ends[i], ends[i+1]
+		if u == v {
+			continue
+		}
+		rows[next[u]] = v
+		next[u]++
+		rows[next[v]] = u
+		next[v]++
+	}
+	return fromRows(n, offsets, rows), nil
+}
+
+// fromRows turns symmetric, unsorted rows into the CSR graph: row u is
+// rows[offsets[u]:offsets[u+1]], holding u's neighbours in any order,
+// possibly repeated, and v is in row u exactly when u is in row v. It
+// takes ownership of offsets and rows.
+//
+// The rows are sorted by transposing them, a second counting sort: walk
+// the rows in ascending u and append u to the row of each neighbour v.
+// By symmetry row v receives exactly its own neighbours, and in
+// ascending order; a repeated neighbour is appended twice in a row, so
+// it is dropped as it is copied. Rows with no repeats fill the new array
+// exactly; otherwise it is compacted into a fresh one.
+func fromRows(n int, offsets []int64, rows []int32) *Graph {
+	out := make([]int32, len(rows))
+	next := slices.Clone(offsets[:n])
+	dropped := 0
+	for u := range n {
+		for _, v := range rows[offsets[u]:offsets[u+1]] {
+			k := next[v]
+			if k > offsets[v] && out[k-1] == int32(u) {
+				dropped++
+				continue
+			}
+			out[k] = int32(u)
+			next[v] = k + 1
+		}
+	}
+	if dropped > 0 {
+		compact := make([]int32, len(out)-dropped)
+		at, start := int64(0), int64(0)
+		for v := range n {
+			at += int64(copy(compact[at:], out[start:next[v]]))
+			start, offsets[v+1] = offsets[v+1], at
+		}
+		out = compact
+	}
+	return &Graph{n: n, m: len(out) / 2, offsets: offsets, neighbors: out}
 }
 
 // Graph is an immutable undirected simple graph in CSR form. Adjacency

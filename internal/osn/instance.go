@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/obs"
@@ -116,6 +117,21 @@ type Params struct {
 // NewInstance validates the parameters and builds an immutable instance.
 // All slices are copied at the boundary.
 func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
+	return newInstance(g, Params{
+		Kind:       slices.Clone(p.Kind),
+		AcceptProb: slices.Clone(p.AcceptProb),
+		Theta:      slices.Clone(p.Theta),
+		BFriend:    slices.Clone(p.BFriend),
+		BFof:       slices.Clone(p.BFof),
+		EdgeProb:   slices.Clone(p.EdgeProb),
+		QLow:       slices.Clone(p.QLow),
+		QHigh:      slices.Clone(p.QHigh),
+	})
+}
+
+// newInstance is NewInstance without the copy: the instance takes
+// ownership of p's slices, so the caller must not use them again.
+func newInstance(g *graph.Graph, p Params) (*Instance, error) {
 	n := g.N()
 	if len(p.Kind) != n || len(p.AcceptProb) != n || len(p.Theta) != n ||
 		len(p.BFriend) != n || len(p.BFof) != n {
@@ -134,19 +150,20 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 
 	inst := &Instance{
 		g:          g,
-		kind:       append([]Kind(nil), p.Kind...),
-		acceptProb: append([]float64(nil), p.AcceptProb...),
-		theta:      append([]int(nil), p.Theta...),
-		bFriend:    append([]float64(nil), p.BFriend...),
-		bFof:       append([]float64(nil), p.BFof...),
+		kind:       p.Kind,
+		acceptProb: p.AcceptProb,
+		theta:      p.Theta,
+		bFriend:    p.BFriend,
+		bFof:       p.BFof,
+		edgeProb:   p.EdgeProb,
+		qLow:       p.QLow,
+		qHigh:      p.QHigh,
 	}
 	if p.EdgeProb == nil {
 		inst.edgeProb = make([]float64, g.AdjSize())
 		for i := range inst.edgeProb {
 			inst.edgeProb[i] = 1
 		}
-	} else {
-		inst.edgeProb = append([]float64(nil), p.EdgeProb...)
 	}
 	if p.QLow == nil {
 		// The paper's deterministic linear-threshold model.
@@ -155,9 +172,6 @@ func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
 		for i := range inst.qHigh {
 			inst.qHigh[i] = 1
 		}
-	} else {
-		inst.qLow = append([]float64(nil), p.QLow...)
-		inst.qHigh = append([]float64(nil), p.QHigh...)
 	}
 
 	for u := 0; u < n; u++ {

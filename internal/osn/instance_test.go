@@ -129,16 +129,25 @@ func TestNewInstanceValueErrors(t *testing.T) {
 	}
 }
 
+// TestNewInstanceCopiesSlices writes to every caller slice after
+// NewInstance and requires the instance to keep its own values.
 func TestNewInstanceCopiesSlices(t *testing.T) {
 	g := buildGraph(t, 2, [][2]int{{0, 1}})
 	p := uniformParams(2)
+	p.Kind[1], p.Theta[1] = Cautious, 1
+	p.EdgeProb = []float64{0.5, 0.5}
+	p.QLow, p.QHigh = []float64{0, 0.2}, []float64{1, 0.8}
 	inst, err := NewInstance(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.BFriend[0] = 99
-	if inst.BFriend(0) == 99 {
-		t.Error("instance aliases caller slice")
+	p.Kind[1], p.AcceptProb[0], p.Theta[1] = Reckless, 0.5, 7
+	p.BFriend[0], p.BFof[0], p.EdgeProb[0] = 99, 0.5, 0.25
+	p.QLow[1], p.QHigh[1] = 0.3, 0.4
+	if inst.Kind(1) != Cautious || inst.AcceptProb(0) != 1 || inst.Theta(1) != 1 ||
+		inst.BFriend(0) != 2 || inst.BFof(0) != 1 || inst.EdgeProb(0) != 0.5 ||
+		inst.QLow(1) != 0.2 || inst.QHigh(1) != 0.8 {
+		t.Error("instance aliases a caller slice")
 	}
 }
 

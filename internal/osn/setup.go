@@ -134,7 +134,7 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 		p.EdgeProb[vu] = pe
 		return true
 	})
-	return NewInstance(g, p)
+	return newInstance(g, p)
 }
 
 // thetaFor computes the cautious threshold for a node of the given degree.

@@ -384,6 +384,20 @@ func TestCellJournalFailedSyncLeavesCellUndone(t *testing.T) {
 	}
 }
 
+// cancelAfterCommit is a Checkpointer that cancels the run once its
+// first Commit has returned.
+type cancelAfterCommit struct {
+	Checkpointer
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterCommit) Commit(key CellKey, recs []Record) error {
+	err := c.Checkpointer.Commit(key, recs)
+	c.once.Do(c.cancel)
+	return err
+}
+
 // TestRunCheckpointKillAndResume pins the resume-determinism contract:
 // kill a checkpointed grid mid-run, reopen the journal, and the union of
 // replayed and freshly computed records is byte-identical to an
@@ -410,15 +424,11 @@ func TestRunCheckpointKillAndResume(t *testing.T) {
 		}
 		pp := p
 		pp.Workers = workers
-		pp.Checkpoint = j
+		// Kill mid-grid: once the first cell is committed, while the other
+		// workers are mid-cell.
 		ctx, cancel := context.WithCancel(context.Background())
-		killed := 0
-		err = Run(ctx, pp, factories, func(Record) {
-			killed++
-			if killed == 9 { // mid-grid, mid-cell
-				cancel()
-			}
-		})
+		pp.Checkpoint = &cancelAfterCommit{Checkpointer: j, cancel: cancel}
+		err = Run(ctx, pp, factories, func(Record) {})
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: killed run: %v", workers, err)
