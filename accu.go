@@ -126,10 +126,6 @@ func NewABM(w Weights, opts ...core.Option) (*ABM, error) { return core.NewABM(w
 // WithFullRescan disables ABM's lazy re-scoring (ablation).
 func WithFullRescan() core.Option { return core.WithFullRescan() }
 
-// WithMetrics records ABM's work counters (heap pops, stale skips,
-// rescores, eager-set sizes) into the given registry.
-func WithMetrics(reg *Metrics) core.Option { return core.WithMetrics(reg) }
-
 // NewPureGreedy returns the classical adaptive greedy (w_D=1, w_I=0).
 func NewPureGreedy() *ABM { return core.NewPureGreedy() }
 
@@ -263,9 +259,10 @@ func OpenCellJournal(path string, resume bool) (*CellJournal, error) {
 // Observability types, re-exported from the metrics layer.
 type (
 	// Metrics is a registry of atomic counters, gauges and histograms;
-	// attach one via Protocol.Metrics, ExperimentConfig.Metrics or
-	// WithMetrics. A nil *Metrics disables instrumentation at near-zero
-	// cost.
+	// attach one via Protocol.Metrics or ExperimentConfig.Metrics, and the
+	// engine instruments every instance and policy it builds (outside the
+	// engine, Instance.Instrument and ABM.Instrument). A nil *Metrics
+	// disables instrumentation at near-zero cost.
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a registry, renderable
 	// as result tables and marshalable to JSON.
@@ -290,10 +287,7 @@ func MonteCarlo(ctx context.Context, p Protocol, factories []PolicyFactory, coll
 }
 
 // DefaultFactories returns the §IV policy roster (ABM + baselines).
-// opts (e.g. WithMetrics) are applied to the ABM policy.
-func DefaultFactories(w Weights, opts ...core.Option) ([]PolicyFactory, error) {
-	return sim.DefaultFactories(w, opts...)
-}
+func DefaultFactories(w Weights) ([]PolicyFactory, error) { return sim.DefaultFactories(w) }
 
 // Experiment harness types.
 type (

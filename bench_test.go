@@ -147,10 +147,11 @@ func BenchmarkABMPaperScale(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pol, err := accu.NewABM(accu.DefaultWeights(), accu.WithMetrics(reg))
+		pol, err := accu.NewABM(accu.DefaultWeights())
 		if err != nil {
 			b.Fatal(err)
 		}
+		pol.Instrument(reg)
 		if _, err := accu.Run(pol, re, 50); err != nil {
 			b.Fatal(err)
 		}
@@ -175,10 +176,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pol, err := accu.NewABM(accu.DefaultWeights(), accu.WithMetrics(reg))
+				pol, err := accu.NewABM(accu.DefaultWeights())
 				if err != nil {
 					b.Fatal(err)
 				}
+				pol.Instrument(reg)
 				if _, err := accu.Run(pol, re, 60); err != nil {
 					b.Fatal(err)
 				}

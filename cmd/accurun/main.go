@@ -8,11 +8,13 @@
 //
 // Policies: abm, greedy, maxdegree, pagerank, random. The flags describe
 // a serv.Spec (the accuserv job payload and the accudist -spec file) with
-// one network, and both modes run the protocol that spec builds, so a
-// spec's ABM default applies here too: -wd 0 -wi 0 means the paper's
-// balanced weights.
+// one network, and both modes run the protocol that spec builds through
+// the Monte-Carlo engine, so a spec's ABM default applies here too: -wd 0
+// -wi 0 means the paper's balanced weights. The trace is the grid's cell
+// (0, 0): `accurun -seed S` prints the attack that `accurun -runs N
+// -seed S` records for network 0, run 0, for any N.
 //
-// With -runs N (N > 1) accurun instead runs the Monte-Carlo engine on the
+// With -runs N (N > 1) accurun instead runs every cell of the
 // single-network protocol — N independent realizations of one network,
 // fanned out over -workers — and prints summary statistics (mean, std,
 // exact min/max and sketch-backed p50/p90/p99). This is the "one dataset,
@@ -158,7 +160,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	factory := factories[0]
 	if *runs > 1 {
 		if *asJSON || *journal != "" {
 			return fmt.Errorf("-runs > 1 prints summary statistics; -json and -journal apply to single runs only")
@@ -172,32 +173,22 @@ func run(args []string, out io.Writer) error {
 			"seed":     fmt.Sprintf("%d", *seed),
 			"runs":     fmt.Sprintf("%d", *runs),
 		}
-		return runRepeated(out, protocol, factory, *checkpoint, *resume, *digest, *store, *outFile, meta)
+		return runRepeated(out, protocol, factories[0], *checkpoint, *resume, *digest, *store, *outFile, meta)
 	}
 	if *checkpoint != "" || *digest || *store != "" || *outFile != "" {
 		return fmt.Errorf("-checkpoint, -digest, -store and -out apply to the -runs > 1 Monte-Carlo mode only")
 	}
-	// One cell of the same protocol, traced request by request.
-	root := protocol.Seed
-	g, err := protocol.Gen.Generate(root.Split("network"))
-	if err != nil {
+	// The trace is cell (0, 0) of the grid: the engine derives its seeds
+	// exactly as for -runs N, and the wrapped setup keeps the network's
+	// instance for the header.
+	setup := &keptSetup{Builder: protocol.Setup}
+	protocol.Setup = setup
+	var res *accu.Result
+	if err := accu.MonteCarlo(context.Background(), protocol, factories, func(r accu.Record) { res = r.Result }); err != nil {
 		return err
 	}
-	inst, err := protocol.Setup.Build(g, root.Split("setup"))
-	if err != nil {
-		return err
-	}
-	inst.Instrument(reg)
-	re := inst.SampleRealization(root.Split("realization"))
-	pol, err := factory.New(root.Split("random-policy"))
-	if err != nil {
-		return err
-	}
+	inst := setup.inst
 	p, err := accu.PresetByName(*preset) // for the canonical preset key
-	if err != nil {
-		return err
-	}
-	res, err := accu.Run(pol, re, *k)
 	if err != nil {
 		return err
 	}
@@ -213,8 +204,8 @@ func run(args []string, out io.Writer) error {
 		return enc.Encode(traceJSON{
 			Preset:          p.Key,
 			Scale:           *scale,
-			Nodes:           g.N(),
-			Edges:           g.M(),
+			Nodes:           inst.N(),
+			Edges:           inst.Graph().M(),
 			Cautious:        inst.NumCautious(),
 			Policy:          res.Policy,
 			Budget:          *k,
@@ -227,7 +218,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	fmt.Fprintf(out, "network: %s scale %.3f — %d nodes, %d edges, %d cautious\n",
-		p.Key, *scale, g.N(), g.M(), inst.NumCautious())
+		p.Key, *scale, inst.N(), inst.Graph().M(), inst.NumCautious())
 	fmt.Fprintf(out, "policy:  %s, budget %d\n\n", res.Policy, *k)
 	for i, s := range res.Steps {
 		if !s.Accepted && !*verbose {
@@ -250,6 +241,18 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "\n-- metrics --\n%s", snap.Render())
 	}
 	return nil
+}
+
+// keptSetup is a Builder that keeps the last instance it built.
+type keptSetup struct {
+	accu.Builder
+	inst *accu.Instance
+}
+
+func (s *keptSetup) Build(g *accu.Graph, seed accu.Seed) (*accu.Instance, error) {
+	inst, err := s.Builder.Build(g, seed)
+	s.inst = inst
+	return inst, err
 }
 
 // queryPolicy is one policy's re-aggregated statistics in a query result.

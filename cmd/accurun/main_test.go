@@ -112,6 +112,81 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
+// TestTraceIsCellZeroOfGrid pins that the single-run trace is cell
+// (0, 0) of the grid the same flags describe: its -json steps and totals
+// equal that cell's record in an engine run of `-runs 2`.
+func TestTraceIsCellZeroOfGrid(t *testing.T) {
+	for _, policy := range []string{"abm", "random"} {
+		var buf bytes.Buffer
+		if err := run([]string{
+			"-preset", "slashdot", "-scale", "0.02", "-k", "20", "-cautious", "5",
+			"-seed", "11", "-policy", policy, "-json",
+		}, &buf); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		var trace traceJSON
+		if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		cautious := 5
+		spec := serv.Spec{
+			Preset: "slashdot", Scale: 0.02, Cautious: &cautious,
+			Policies: []serv.PolicySpec{{Name: policy, WD: 0.5, WI: 0.5}},
+			Networks: 1, Runs: 2, K: 20, Seed: 11,
+		}
+		protocol, factories, err := spec.Build(nil)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", policy, err)
+		}
+		var cell *sim.Record
+		err = sim.Run(context.Background(), protocol, factories, func(r sim.Record) {
+			if r.Network == 0 && r.Run == 0 {
+				cell = &r
+			}
+		})
+		if err != nil || cell == nil {
+			t.Fatalf("%s: grid run: %v (cell (0,0) found: %v)", policy, err, cell != nil)
+		}
+		want := cell.Result
+		got, _ := json.Marshal(trace.Steps)
+		wantSteps, _ := json.Marshal(want.Steps)
+		if trace.Benefit != want.Benefit || trace.Friends != want.Friends ||
+			trace.CautiousFriends != want.CautiousFriends || !bytes.Equal(got, wantSteps) {
+			t.Errorf("%s: trace benefit %v friends %d (%d cautious), cell (0,0) benefit %v friends %d (%d cautious); steps equal %v",
+				policy, trace.Benefit, trace.Friends, trace.CautiousFriends,
+				want.Benefit, want.Friends, want.CautiousFriends, bytes.Equal(got, wantSteps))
+		}
+	}
+}
+
+// TestMetricsNamesPerPolicy pins which instruments -metrics prints: every
+// policy reports the osn.* environment counters, and abm and greedy (ABM
+// with w_I = 0) also report the abm.* work counters.
+func TestMetricsNamesPerPolicy(t *testing.T) {
+	abmNames := []string{"abm.heap_pops", "abm.stale_skips", "abm.rescores", "abm.dirty_size", "abm.heap_compactions"}
+	osnNames := []string{"osn.requests", "osn.accepts", "osn.edges_revealed", "osn.reveal_ns", "osn.sample_realization_ns"}
+	for _, policy := range []string{"abm", "greedy", "random"} {
+		var buf bytes.Buffer
+		if err := run([]string{
+			"-preset", "slashdot", "-scale", "0.02", "-k", "20", "-cautious", "5",
+			"-policy", policy, "-metrics",
+		}, &buf); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		out := buf.String()
+		for _, name := range osnNames {
+			if !strings.Contains(out, name) {
+				t.Errorf("%s: -metrics lacks %s:\n%s", policy, name, out)
+			}
+		}
+		for _, name := range abmNames {
+			if got, want := strings.Contains(out, name), policy != "random"; got != want {
+				t.Errorf("%s: -metrics shows %s = %v, want %v:\n%s", policy, name, got, want, out)
+			}
+		}
+	}
+}
+
 func TestRepeatedRunsSummary(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{

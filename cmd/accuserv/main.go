@@ -44,7 +44,7 @@ func run(args []string, stderr io.Writer) error {
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8470", "listen address")
 		dataDir      = fs.String("data", "accuserv-data", "state directory (job documents and checkpoints)")
-		workers      = fs.Int("workers", 0, "concurrent jobs (0 = number of CPUs)")
+		workers      = fs.Int("workers", 0, "concurrent jobs (0 = one at a time)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint and park on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -14,6 +16,18 @@ import (
 	"testing"
 	"time"
 )
+
+// TestWorkersHelp pins that -workers documents what serv.New does with
+// 0: it runs one job at a time, not one per CPU.
+func TestWorkersHelp(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run([]string{"-h"}, &buf); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: err = %v, want flag.ErrHelp", err)
+	}
+	if !strings.Contains(buf.String(), "concurrent jobs (0 = one at a time)") {
+		t.Errorf("-workers help does not say 0 runs one job at a time:\n%s", buf.String())
+	}
+}
 
 // TestSIGTERMAsSoonAsHealthy builds the binary and sends the server
 // SIGTERM the moment /healthz first answers 200. The signal must take the

@@ -42,7 +42,7 @@ type ABM struct {
 	// applies several acceptances before they are observed.
 	seenMutual []int32
 
-	// Instruments resolved once by WithMetrics; nil (no-op) by default.
+	// Instruments resolved once by Instrument; nil (no-op) by default.
 	// See DESIGN.md "Reading a metrics dump" for what each one means.
 	mHeapPops    *obs.Counter   // heap entries popped in SelectNext
 	mStaleSkips  *obs.Counter   // popped entries not selected: superseded, requested or stale-high
@@ -59,19 +59,19 @@ func WithFullRescan() Option {
 	return func(a *ABM) { a.fullRescan = true }
 }
 
-// WithMetrics records the policy's work counters — heap pops, stale-entry
+// Instrument records the policy's work counters — heap pops, stale-entry
 // skips, rescores and per-acceptance eager-set sizes — into the given
-// registry. The instruments are shared and atomic, so many concurrent
-// attacks may report into one registry; a nil registry leaves the policy
-// uninstrumented (the counters stay no-ops).
-func WithMetrics(reg *obs.Registry) Option {
-	return func(a *ABM) {
-		a.mHeapPops = reg.Counter("abm.heap_pops")
-		a.mStaleSkips = reg.Counter("abm.stale_skips")
-		a.mRescores = reg.Counter("abm.rescores")
-		a.mDirtySize = reg.Histogram("abm.dirty_size")
-		a.mCompactions = reg.Counter("abm.heap_compactions")
-	}
+// registry. The simulator calls it on every policy it builds, so call it
+// directly only when running ABM outside sim.Run. The instruments are
+// shared and atomic, so many concurrent attacks may report into one
+// registry; a nil registry leaves the policy uninstrumented (the counters
+// stay no-ops).
+func (a *ABM) Instrument(reg *obs.Registry) {
+	a.mHeapPops = reg.Counter("abm.heap_pops")
+	a.mStaleSkips = reg.Counter("abm.stale_skips")
+	a.mRescores = reg.Counter("abm.rescores")
+	a.mDirtySize = reg.Histogram("abm.dirty_size")
+	a.mCompactions = reg.Counter("abm.heap_compactions")
 }
 
 // NewABM builds an ABM policy with the given potential weights.

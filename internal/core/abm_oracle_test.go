@@ -77,10 +77,11 @@ func TestABMLazyScoresMatchFreshPotential(t *testing.T) {
 					label := fmt.Sprintf("%s %+v b=%d seed %d", name, w, b, seed)
 					re := inst.SampleRealization(rng.NewSeed(seed, 77))
 					reg := obs.New()
-					a, err := NewABM(w, WithMetrics(reg))
+					a, err := NewABM(w)
 					if err != nil {
 						t.Fatal(err)
 					}
+					a.Instrument(reg)
 					st := osn.NewState(re)
 					if err := a.Init(st); err != nil {
 						t.Fatal(err)

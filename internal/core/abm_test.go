@@ -252,10 +252,11 @@ func TestABMHeapCompactionBoundsGrowth(t *testing.T) {
 	n := inst.N()
 	re := inst.SampleRealization(rng.NewSeed(11, 12))
 	reg := obs.New()
-	a, err := NewABM(DefaultWeights(), WithFullRescan(), WithMetrics(reg))
+	a, err := NewABM(DefaultWeights(), WithFullRescan())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Instrument(reg)
 	st := osn.NewState(re)
 	if err := a.Init(st); err != nil {
 		t.Fatal(err)

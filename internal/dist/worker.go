@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/serv"
 	"github.com/accu-sim/accu/internal/sim"
 )
@@ -41,11 +40,6 @@ type Worker struct {
 	// a worker down so stragglers and mid-range kills are reproducible.
 	// Above uploadEvery it makes every cell upload alone.
 	Throttle time.Duration
-	// MaxRetries bounds consecutive transient network failures before
-	// Run gives up (default 5).
-	MaxRetries int
-	// Metrics receives engine instrumentation for this worker (optional).
-	Metrics *obs.Registry
 	// Logf logs worker events (nil disables).
 	Logf func(format string, args ...any)
 	// Mutate, when non-nil, adjusts the built protocol before each range
@@ -53,10 +47,14 @@ type Worker struct {
 	Mutate func(p *sim.Protocol)
 }
 
+// maxRetries bounds consecutive transient network failures before
+// Worker.Run gives up.
+const maxRetries = 5
+
 // Run executes ranges until the coordinator reports the grid done (nil),
 // a cell fails (its *sim.CellError, after releasing the lease), the
 // context is canceled, or the coordinator stays unreachable past
-// MaxRetries consecutive attempts.
+// maxRetries consecutive attempts.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.ID == "" {
 		return fmt.Errorf("dist: worker without ID")
@@ -69,16 +67,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
-	maxRetries := w.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 5
-	}
 
 	var spec serv.Spec
 	if err := w.getJSON(ctx, "/api/v1/dist/spec", &spec); err != nil {
 		return fmt.Errorf("dist: fetch spec: %w", err)
 	}
-	protocol, factories, err := spec.Build(w.Metrics)
+	protocol, factories, err := spec.Build(nil)
 	if err != nil {
 		return fmt.Errorf("dist: build spec: %w", err)
 	}

@@ -175,7 +175,7 @@ func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, fac
 // cautious-friend accumulators: one point of a sweep that varies the
 // setup or the batch size.
 func (c Config) abmCell(ctx context.Context, name string, protocol sim.Protocol) (benefit, cautious *stats.Welford, err error) {
-	abm, err := sim.ABMFactory(c.Weights, c.abmOptions()...)
+	abm, err := sim.ABMFactory(c.Weights)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -199,15 +199,6 @@ func sanitizeName(name string) string {
 			return '-'
 		}
 	}, name)
-}
-
-// abmOptions returns the policy options every experiment applies to its
-// ABM instances (currently just metrics wiring; no-ops when disabled).
-func (c Config) abmOptions() []core.Option {
-	if c.Metrics == nil {
-		return nil
-	}
-	return []core.Option{core.WithMetrics(c.Metrics)}
 }
 
 // generator resolves a preset at the configured scale.

@@ -31,7 +31,7 @@ func checkpoints(k int) []int {
 // returns the roster, ABM first, with its summary: Fig. 2's benefit
 // curves and the final benefits the claims checklist compares.
 func fig2Data(ctx context.Context, cfg Config, dataset string) ([]sim.PolicyFactory, *sim.Summary, error) {
-	factories, err := sim.DefaultFactories(cfg.Weights, cfg.abmOptions()...)
+	factories, err := sim.DefaultFactories(cfg.Weights)
 	if err != nil {
 		return nil, nil, err
 	}

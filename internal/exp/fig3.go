@@ -18,7 +18,7 @@ func Fig3(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	abm, err := sim.ABMFactory(cfg.Weights, cfg.abmOptions()...)
+	abm, err := sim.ABMFactory(cfg.Weights)
 	if err != nil {
 		return nil, err
 	}

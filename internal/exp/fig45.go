@@ -41,7 +41,7 @@ func fig4Data(ctx context.Context, cfg Config) (dataset string, benefit, cautiou
 	cautious = stats.NewSeries("cautious-friends", xs)
 	factories := make([]sim.PolicyFactory, 0, len(xs))
 	for _, wi := range xs {
-		f, err := sim.ABMFactory(core.Weights{WD: 1 - wi, WI: wi}, cfg.abmOptions()...)
+		f, err := sim.ABMFactory(core.Weights{WD: 1 - wi, WI: wi})
 		if err != nil {
 			return "", nil, nil, err
 		}
@@ -121,7 +121,7 @@ func Fig5(ctx context.Context, cfg Config) (*Report, error) {
 	series := make(map[string]*stats.Series, len(sweep))
 	ordered := make([]*stats.Series, 0, len(sweep))
 	for _, wi := range sweep {
-		f, err := sim.ABMFactory(core.Weights{WD: 1 - wi, WI: wi}, cfg.abmOptions()...)
+		f, err := sim.ABMFactory(core.Weights{WD: 1 - wi, WI: wi})
 		if err != nil {
 			return nil, err
 		}

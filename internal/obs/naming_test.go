@@ -53,7 +53,7 @@ func TestRegistryNames(t *testing.T) {
 		Workers:  2,
 		Metrics:  reg,
 	}
-	factories, err := sim.DefaultFactories(core.DefaultWeights(), core.WithMetrics(reg))
+	factories, err := sim.DefaultFactories(core.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}

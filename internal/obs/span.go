@@ -3,26 +3,17 @@ package obs
 import "time"
 
 // Span measures one timed phase into a duration histogram (nanoseconds).
-// The zero Span — returned by StartSpan on a nil registry — is a no-op
+// The zero Span — returned by StartSpan on a nil histogram — is a no-op
 // that never reads the clock.
 type Span struct {
 	h     *Histogram
 	start time.Time
 }
 
-// StartSpan begins timing the named phase. On a nil registry the
-// returned Span is inert and costs nothing beyond the nil check.
-func (r *Registry) StartSpan(name string) Span {
-	if r == nil {
-		return Span{}
-	}
-	return Span{h: r.Histogram(name), start: time.Now()}
-}
-
-// StartSpan begins timing into this histogram directly, avoiding the
-// registry lookup — the form to use inside hot loops where the
-// histogram was resolved once up front. On a nil histogram the returned
-// Span is inert.
+// StartSpan begins timing into a histogram resolved once up front, so
+// hot loops pay no registry lookup. On a nil histogram (as a nil
+// registry returns) the returned Span is inert and costs nothing beyond
+// the nil check.
 func StartSpan(h *Histogram) Span {
 	if h == nil {
 		return Span{}
@@ -37,15 +28,4 @@ func (s Span) End() {
 		return
 	}
 	s.h.Observe(int64(time.Since(s.start)))
-}
-
-// Time runs fn under a span for the named phase.
-func (r *Registry) Time(name string, fn func()) {
-	if r == nil {
-		fn()
-		return
-	}
-	sp := r.StartSpan(name)
-	fn()
-	sp.End()
 }

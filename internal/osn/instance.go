@@ -117,21 +117,6 @@ type Params struct {
 // NewInstance validates the parameters and builds an immutable instance.
 // All slices are copied at the boundary.
 func NewInstance(g *graph.Graph, p Params) (*Instance, error) {
-	return newInstance(g, Params{
-		Kind:       slices.Clone(p.Kind),
-		AcceptProb: slices.Clone(p.AcceptProb),
-		Theta:      slices.Clone(p.Theta),
-		BFriend:    slices.Clone(p.BFriend),
-		BFof:       slices.Clone(p.BFof),
-		EdgeProb:   slices.Clone(p.EdgeProb),
-		QLow:       slices.Clone(p.QLow),
-		QHigh:      slices.Clone(p.QHigh),
-	})
-}
-
-// newInstance is NewInstance without the copy: the instance takes
-// ownership of p's slices, so the caller must not use them again.
-func newInstance(g *graph.Graph, p Params) (*Instance, error) {
 	n := g.N()
 	if len(p.Kind) != n || len(p.AcceptProb) != n || len(p.Theta) != n ||
 		len(p.BFriend) != n || len(p.BFof) != n {
@@ -147,7 +132,28 @@ func newInstance(g *graph.Graph, p Params) (*Instance, error) {
 	if (p.QLow == nil) != (p.QHigh == nil) {
 		return nil, fmt.Errorf("%w: QLow and QHigh must be provided together", ErrShapeMismatch)
 	}
+	inst := newInstance(g, Params{
+		Kind:       slices.Clone(p.Kind),
+		AcceptProb: slices.Clone(p.AcceptProb),
+		Theta:      slices.Clone(p.Theta),
+		BFriend:    slices.Clone(p.BFriend),
+		BFof:       slices.Clone(p.BFof),
+		EdgeProb:   slices.Clone(p.EdgeProb),
+		QLow:       slices.Clone(p.QLow),
+		QHigh:      slices.Clone(p.QHigh),
+	})
+	if err := inst.validate(); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
 
+// newInstance assembles an instance from well-shaped params without
+// checking their values: NewInstance validates what enters from outside,
+// and Setup.Build checks its own fields before it fills p. The instance
+// takes ownership of p's slices, so the caller must not use them again.
+func newInstance(g *graph.Graph, p Params) *Instance {
+	n := g.N()
 	inst := &Instance{
 		g:          g,
 		kind:       p.Kind,
@@ -173,53 +179,58 @@ func newInstance(g *graph.Graph, p Params) (*Instance, error) {
 			inst.qHigh[i] = 1
 		}
 	}
+	for u, k := range inst.kind {
+		if k == Cautious {
+			inst.cautious = append(inst.cautious, u)
+		}
+	}
+	return inst
+}
 
-	for u := 0; u < n; u++ {
-		switch inst.kind[u] {
+// validate checks every node's parameters, every edge probability and
+// the symmetry p(u,v) == p(v,u).
+func (in *Instance) validate() error {
+	for u, k := range in.kind {
+		switch k {
 		case Reckless:
-			if bad(inst.acceptProb[u]) {
-				return nil, fmt.Errorf("%w: q(%d) = %v", ErrBadProbability, u, inst.acceptProb[u])
+			if bad(in.acceptProb[u]) {
+				return fmt.Errorf("%w: q(%d) = %v", ErrBadProbability, u, in.acceptProb[u])
 			}
 		case Cautious:
-			if inst.theta[u] < 1 {
-				return nil, fmt.Errorf("%w: θ(%d) = %d", ErrBadThreshold, u, inst.theta[u])
+			if in.theta[u] < 1 {
+				return fmt.Errorf("%w: θ(%d) = %d", ErrBadThreshold, u, in.theta[u])
 			}
-			if bad(inst.qLow[u]) || bad(inst.qHigh[u]) || inst.qLow[u] > inst.qHigh[u] {
-				return nil, fmt.Errorf("%w: cautious %d qLow=%v qHigh=%v",
-					ErrBadProbability, u, inst.qLow[u], inst.qHigh[u])
+			if bad(in.qLow[u]) || bad(in.qHigh[u]) || in.qLow[u] > in.qHigh[u] {
+				return fmt.Errorf("%w: cautious %d qLow=%v qHigh=%v",
+					ErrBadProbability, u, in.qLow[u], in.qHigh[u])
 			}
-			inst.cautious = append(inst.cautious, u)
 		default:
-			return nil, fmt.Errorf("osn: node %d has invalid kind %d", u, inst.kind[u])
+			return fmt.Errorf("osn: node %d has invalid kind %d", u, k)
 		}
-		if inst.bFriend[u] < 0 || inst.bFof[u] < 0 ||
-			math.IsNaN(inst.bFriend[u]) || math.IsNaN(inst.bFof[u]) {
-			return nil, fmt.Errorf("%w: node %d B_f=%v B_fof=%v", ErrBadBenefit, u, inst.bFriend[u], inst.bFof[u])
+		if in.bFriend[u] < 0 || in.bFof[u] < 0 ||
+			math.IsNaN(in.bFriend[u]) || math.IsNaN(in.bFof[u]) {
+			return fmt.Errorf("%w: node %d B_f=%v B_fof=%v", ErrBadBenefit, u, in.bFriend[u], in.bFof[u])
 		}
-		if inst.bFriend[u] < inst.bFof[u] {
-			return nil, fmt.Errorf("%w: node %d B_f=%v < B_fof=%v (paper requires B_f >= B_fof)",
-				ErrBadBenefit, u, inst.bFriend[u], inst.bFof[u])
+		if in.bFriend[u] < in.bFof[u] {
+			return fmt.Errorf("%w: node %d B_f=%v < B_fof=%v (paper requires B_f >= B_fof)",
+				ErrBadBenefit, u, in.bFriend[u], in.bFof[u])
 		}
 	}
-	for i, pe := range inst.edgeProb {
+	for i, pe := range in.edgeProb {
 		if bad(pe) {
-			return nil, fmt.Errorf("%w: edge slot %d = %v", ErrBadProbability, i, pe)
+			return fmt.Errorf("%w: edge slot %d = %v", ErrBadProbability, i, pe)
 		}
 	}
-	// Symmetry check: p(u,v) == p(v,u).
 	var symErr error
-	g.EachEdgeSlot(func(u, v, uv, vu int) bool {
-		if inst.edgeProb[uv] != inst.edgeProb[vu] {
+	in.g.EachEdgeSlot(func(u, v, uv, vu int) bool {
+		if in.edgeProb[uv] != in.edgeProb[vu] {
 			symErr = fmt.Errorf("osn: edge (%d,%d) probability asymmetric: %v vs %v",
-				u, v, inst.edgeProb[uv], inst.edgeProb[vu])
+				u, v, in.edgeProb[uv], in.edgeProb[vu])
 			return false
 		}
 		return true
 	})
-	if symErr != nil {
-		return nil, symErr
-	}
-	return inst, nil
+	return symErr
 }
 
 func bad(p float64) bool { return p < 0 || p > 1 || math.IsNaN(p) }

@@ -55,16 +55,26 @@ func DefaultSetup() Setup {
 // probabilities are drawn uniformly from [0, 1); cautious users are drawn
 // from the degree band, iteratively, skipping any node adjacent to an
 // already-selected cautious user so that V_C is an independent set.
+// Build checks its own fields first; what it then fills is valid by
+// construction, so it skips NewInstance's per-node and per-edge checks.
 func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 	if s.NumCautious < 0 {
 		return nil, fmt.Errorf("osn: NumCautious %d must be >= 0", s.NumCautious)
 	}
-	if s.ThetaFraction <= 0 || s.ThetaFraction > 1 {
+	if !(s.ThetaFraction > 0 && s.ThetaFraction <= 1) { // also rejects NaN
 		return nil, fmt.Errorf("osn: ThetaFraction %v not in (0, 1]", s.ThetaFraction)
 	}
-	if s.BFriendReckless < s.BFof || s.BFriendCautious < s.BFof {
-		return nil, fmt.Errorf("%w: B_f (%v, %v) below B_fof %v",
+	// B_fof >= 0 and B_f >= B_fof for both kinds; NaN fails every test.
+	if !(s.BFof >= 0 && s.BFriendReckless >= s.BFof && s.BFriendCautious >= s.BFof) {
+		return nil, fmt.Errorf("%w: B_f (%v, %v), B_fof %v: want B_f >= B_fof >= 0",
 			ErrBadBenefit, s.BFriendReckless, s.BFriendCautious, s.BFof)
+	}
+	qLow, qHigh := s.QLowCautious, s.QHighCautious
+	if qLow == 0 && qHigh == 0 {
+		qHigh = 1 // the paper's deterministic model
+	}
+	if !(0 <= qLow && qLow <= qHigh && qHigh <= 1) { // also rejects NaN
+		return nil, fmt.Errorf("%w: QLowCautious=%v QHighCautious=%v", ErrBadProbability, qLow, qHigh)
 	}
 	n := g.N()
 	r := seed.Split("osn-setup").Rand()
@@ -95,13 +105,6 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 			ErrNotEnoughCandidates, s.NumCautious, selected, s.DegreeLo, s.DegreeHi)
 	}
 
-	qLow, qHigh := s.QLowCautious, s.QHighCautious
-	if qLow == 0 && qHigh == 0 {
-		qHigh = 1 // the paper's deterministic model
-	}
-	if qLow < 0 || qHigh > 1 || qLow > qHigh {
-		return nil, fmt.Errorf("%w: QLowCautious=%v QHighCautious=%v", ErrBadProbability, qLow, qHigh)
-	}
 	p := Params{
 		Kind:       make([]Kind, n),
 		AcceptProb: make([]float64, n),
@@ -134,7 +137,7 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 		p.EdgeProb[vu] = pe
 		return true
 	})
-	return newInstance(g, p)
+	return newInstance(g, p), nil
 }
 
 // thetaFor computes the cautious threshold for a node of the given degree.

@@ -6,7 +6,6 @@ import (
 
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/gen"
-	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
@@ -86,16 +85,16 @@ func (s Spec) Cells() int64 {
 	return int64(s.Networks) * int64(s.Runs) * int64(len(s.Policies))
 }
 
-// Validate checks the spec without building anything expensive: preset
-// and policy names resolve, weights validate, and the grid dimensions
-// satisfy sim.Protocol.Validate. It is the submission-time gate, so a
-// queued job cannot fail on a typo hours later.
+// Validate checks the spec by building it: preset, scale and policy
+// names resolve, weights validate, and the grid dimensions satisfy
+// sim.Protocol.Validate. Build generates nothing, so this is cheap; it
+// is the submission-time gate, so a queued job cannot fail on a typo
+// hours later. Validate adds the three checks Build cannot make: an
+// empty roster, a repeated policy name and a negative cautious count.
 func (s Spec) Validate() error {
-	if _, err := gen.PresetByName(s.Preset); err != nil {
+	p, _, err := s.Build(nil)
+	if err != nil {
 		return err
-	}
-	if sc := s.scale(); !(sc > 0 && sc <= 1) { // also rejects NaN
-		return fmt.Errorf("serv: scale %v not in (0, 1]", sc)
 	}
 	if s.cautious() < 0 {
 		return fmt.Errorf("serv: cautious %d must be >= 0", s.cautious())
@@ -109,36 +108,14 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("serv: duplicate policy %q", ps.Name)
 		}
 		seen[ps.Name] = true
-		if _, err := ps.Factory(nil); err != nil {
-			return err
-		}
-	}
-	p := sim.Protocol{
-		Gen:       probeGen{},
-		Setup:     osn.DefaultSetup(),
-		Networks:  s.Networks,
-		Runs:      s.Runs,
-		K:         s.K,
-		BatchSize: s.BatchSize,
-		Workers:   s.Workers,
 	}
 	return p.Validate()
 }
 
-// probeGen satisfies gen.Generator so Spec.Validate can reuse the
-// engine's own protocol validation without building a real generator; it
-// must never actually run.
-type probeGen struct{}
-
-func (probeGen) Generate(rng.Seed) (*graph.Graph, error) {
-	return nil, fmt.Errorf("serv: probe generator must not run")
-}
-
-func (probeGen) Name() string { return "probe" }
-
 // Build materializes the spec into a runnable protocol and policy roster.
-// reg becomes the job-scoped metrics registry (engine instrumentation and
-// ABM work counters); nil disables instrumentation.
+// reg becomes the protocol's Metrics, the job-scoped registry that the
+// engine attaches to every instance and policy; nil disables
+// instrumentation.
 func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error) {
 	preset, err := gen.PresetByName(s.Preset)
 	if err != nil {
@@ -152,7 +129,7 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 	setup.NumCautious = s.cautious()
 	factories := make([]sim.PolicyFactory, 0, len(s.Policies))
 	for _, ps := range s.Policies {
-		f, err := ps.Factory(reg)
+		f, err := ps.Factory()
 		if err != nil {
 			return sim.Protocol{}, nil, err
 		}
@@ -175,40 +152,30 @@ func (s Spec) Build(reg *obs.Registry) (sim.Protocol, []sim.PolicyFactory, error
 
 // Factory builds the engine factory for one policy spec. It is the only
 // policy-name lookup: accurun, accuserv and accudist all reach the roster
-// through it, so their record digests agree by construction. reg receives
-// ABM's work counters (nil disables).
-func (ps PolicySpec) Factory(reg *obs.Registry) (sim.PolicyFactory, error) {
+// through it, so their record digests agree by construction. The
+// factories themselves are sim's; only the record name "abm" is the
+// spec's own.
+func (ps PolicySpec) Factory() (sim.PolicyFactory, error) {
+	var w core.Weights
 	switch ps.Name {
 	case "abm":
-		w := core.Weights{WD: ps.WD, WI: ps.WI}
+		w = core.Weights{WD: ps.WD, WI: ps.WI}
 		if ps.WD == 0 && ps.WI == 0 {
 			w = core.DefaultWeights()
 		}
-		if err := w.Validate(); err != nil {
-			return sim.PolicyFactory{}, err
-		}
-		return sim.PolicyFactory{Name: "abm", New: func(rng.Seed) (core.Policy, error) {
-			return core.NewABM(w, core.WithMetrics(reg))
-		}}, nil
 	case "greedy":
-		return sim.PolicyFactory{Name: "greedy", New: func(rng.Seed) (core.Policy, error) {
-			return core.NewPureGreedy(), nil
-		}}, nil
-	case "maxdegree":
-		return sim.PolicyFactory{Name: "maxdegree", New: func(rng.Seed) (core.Policy, error) {
-			return core.NewMaxDegree(), nil
-		}}, nil
-	case "pagerank":
-		return sim.PolicyFactory{Name: "pagerank", New: func(rng.Seed) (core.Policy, error) {
-			return core.NewPageRank(), nil
-		}}, nil
-	case "random":
-		return sim.PolicyFactory{Name: "random", New: func(s rng.Seed) (core.Policy, error) {
-			return core.NewRandom(s), nil
-		}}, nil
+		w = core.Weights{WD: 1, WI: 0}
 	default:
+		for _, f := range sim.Baselines() {
+			if f.Name == ps.Name {
+				return f, nil
+			}
+		}
 		return sim.PolicyFactory{}, fmt.Errorf("serv: unknown policy %q (want abm|greedy|maxdegree|pagerank|random)", ps.Name)
 	}
+	f, err := sim.ABMFactory(w)
+	f.Name = ps.Name // records say "abm" whatever the weights
+	return f, err
 }
 
 // jobIDPattern constrains job identifiers: metric-name-safe lowercase

@@ -71,10 +71,12 @@ type Protocol struct {
 	// rather than silently shrinking the pool to Networks as earlier
 	// versions did.
 	Workers int
-	// Metrics, when non-nil, receives engine instrumentation: per-cell
-	// and per-network wall time, worker busy time and utilisation, and —
-	// via Instance.Instrument — the osn environment counters. ABM policy
-	// counters are separate; see core.WithMetrics.
+	// Metrics, when non-nil, receives all of the grid's instrumentation:
+	// per-cell and per-network wall time, worker busy time and
+	// utilisation, the osn environment counters (Run calls
+	// Instance.Instrument on every instance it builds) and the policy
+	// work counters (Run calls Instrument on every policy it builds that
+	// has one, such as ABM and greedy).
 	Metrics *obs.Registry
 	// OnProgress, when non-nil, is invoked serially (same goroutine as
 	// collect, no locking needed) after every collected cell record, so
@@ -144,16 +146,15 @@ type PolicyFactory struct {
 	New func(runSeed rng.Seed) (core.Policy, error)
 }
 
-// ABMFactory builds an ABM policy factory with the given weights. opts
-// (e.g. core.WithMetrics) are applied to every policy instance built.
-func ABMFactory(w Weights, opts ...core.Option) (PolicyFactory, error) {
+// ABMFactory builds an ABM policy factory with the given weights.
+func ABMFactory(w Weights) (PolicyFactory, error) {
 	if err := w.Validate(); err != nil {
 		return PolicyFactory{}, err
 	}
 	return PolicyFactory{
 		Name: w.PolicyName(),
 		New: func(rng.Seed) (core.Policy, error) {
-			return core.NewABM(w, opts...)
+			return core.NewABM(w)
 		},
 	}, nil
 }
@@ -161,20 +162,24 @@ func ABMFactory(w Weights, opts ...core.Option) (PolicyFactory, error) {
 // Weights aliases core.Weights for caller convenience.
 type Weights = core.Weights
 
-// DefaultFactories returns the §IV policy roster: ABM with the given
-// weights plus the MaxDegree, PageRank and Random baselines. opts are
-// applied to the ABM policy only.
-func DefaultFactories(w Weights, opts ...core.Option) ([]PolicyFactory, error) {
-	abm, err := ABMFactory(w, opts...)
-	if err != nil {
-		return nil, err
-	}
+// Baselines returns the §IV baseline factories, MaxDegree, PageRank and
+// Random, named as their records are.
+func Baselines() []PolicyFactory {
 	return []PolicyFactory{
-		abm,
 		{Name: "maxdegree", New: func(rng.Seed) (core.Policy, error) { return core.NewMaxDegree(), nil }},
 		{Name: "pagerank", New: func(rng.Seed) (core.Policy, error) { return core.NewPageRank(), nil }},
 		{Name: "random", New: func(s rng.Seed) (core.Policy, error) { return core.NewRandom(s), nil }},
-	}, nil
+	}
+}
+
+// DefaultFactories returns the §IV policy roster: ABM with the given
+// weights plus the Baselines.
+func DefaultFactories(w Weights) ([]PolicyFactory, error) {
+	abm, err := ABMFactory(w)
+	if err != nil {
+		return nil, err
+	}
+	return append([]PolicyFactory{abm}, Baselines()...), nil
 }
 
 // Record is the outcome of one (policy, network, run) cell. It rides
@@ -476,8 +481,9 @@ func newScratch(nfactories int) *scratch {
 }
 
 // policy returns factory fi's policy for a cell seeded by seed, reusing a
-// cached Reusable instance when one exists.
-func (sc *scratch) policy(f PolicyFactory, fi int, seed rng.Seed) (core.Policy, error) {
+// cached Reusable instance when one exists. A freshly built policy that
+// reports work counters is attached to reg.
+func (sc *scratch) policy(f PolicyFactory, fi int, seed rng.Seed, reg *obs.Registry) (core.Policy, error) {
 	if cached := sc.pols[fi]; cached != nil {
 		cached.Reseed(seed)
 		return cached, nil
@@ -485,6 +491,9 @@ func (sc *scratch) policy(f PolicyFactory, fi int, seed rng.Seed) (core.Policy, 
 	pol, err := f.New(seed)
 	if err != nil {
 		return nil, fmt.Errorf("sim: build policy %s: %w", f.Name, err)
+	}
+	if m, ok := pol.(interface{ Instrument(*obs.Registry) }); ok && reg != nil {
+		m.Instrument(reg)
 	}
 	if r, ok := pol.(core.Reusable); ok {
 		sc.pols[fi] = r
@@ -548,7 +557,7 @@ func (e *engine) computeCell(sc *scratch, i, j int) ([]Record, string, error) {
 	re := inst.SampleRealization(runSeed.Split("realization"))
 	recs := make([]Record, 0, len(e.factories))
 	for fi, f := range e.factories {
-		pol, err := sc.policy(f, fi, runSeed.SplitN("policy", fi))
+		pol, err := sc.policy(f, fi, runSeed.SplitN("policy", fi), e.p.Metrics)
 		if err != nil {
 			return nil, f.Name, err
 		}

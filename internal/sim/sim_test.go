@@ -451,7 +451,7 @@ func TestRunRecordsMetrics(t *testing.T) {
 	p := testProtocol()
 	reg := obs.New()
 	p.Metrics = reg
-	factories, err := DefaultFactories(core.DefaultWeights(), core.WithMetrics(reg))
+	factories, err := DefaultFactories(core.DefaultWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
