@@ -284,16 +284,24 @@ func BenchmarkGenerators(b *testing.B) {
 	}
 }
 
-// BenchmarkRealizationSample measures ground-truth sampling.
+// BenchmarkRealizationSample measures ground-truth sampling on slashdot
+// at ×0.05 and at ×1 (77k nodes), the realization draw every cell pays.
 func BenchmarkRealizationSample(b *testing.B) {
-	inst, _ := benchInstance(b, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		re := inst.SampleRealization(accu.NewSeed(uint64(i), 7))
-		if re == nil {
-			b.Fatal("nil realization")
-		}
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"x0.05", 0.05}, {"x1", 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			inst, _ := benchInstance(b, c.scale)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				re := inst.SampleRealization(accu.NewSeed(uint64(i), 7))
+				if re == nil {
+					b.Fatal("nil realization")
+				}
+			}
+		})
 	}
 }
 

@@ -183,10 +183,11 @@ func run(args []string, out io.Writer) error {
 	// instance for the header.
 	setup := &keptSetup{Builder: protocol.Setup}
 	protocol.Setup = setup
-	var res *accu.Result
-	if err := accu.MonteCarlo(context.Background(), protocol, factories, func(r accu.Record) { res = r.Result }); err != nil {
+	var rec accu.Record
+	if err := accu.MonteCarlo(context.Background(), protocol, factories, func(r accu.Record) { rec = r }); err != nil {
 		return err
 	}
+	res := rec.Result
 	inst := setup.inst
 	p, err := accu.PresetByName(*preset) // for the canonical preset key
 	if err != nil {
@@ -207,7 +208,7 @@ func run(args []string, out io.Writer) error {
 			Nodes:           inst.N(),
 			Edges:           inst.Graph().M(),
 			Cautious:        inst.NumCautious(),
-			Policy:          res.Policy,
+			Policy:          rec.Policy,
 			Budget:          *k,
 			Benefit:         res.Benefit,
 			Friends:         res.Friends,
@@ -219,7 +220,7 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "network: %s scale %.3f — %d nodes, %d edges, %d cautious\n",
 		p.Key, *scale, inst.N(), inst.Graph().M(), inst.NumCautious())
-	fmt.Fprintf(out, "policy:  %s, budget %d\n\n", res.Policy, *k)
+	fmt.Fprintf(out, "policy:  %s, budget %d\n\n", rec.Policy, *k)
 	for i, s := range res.Steps {
 		if !s.Accepted && !*verbose {
 			continue

@@ -30,6 +30,51 @@ func TestRunABMTrace(t *testing.T) {
 	}
 }
 
+// TestTracePolicyIsRecordName pins the policy name of the single-run
+// trace, in -json and in text, to the name every record, digest and
+// `-runs 2` summary carries: the factory name, not the configured
+// policy's own name (ABM's carries its weights).
+func TestTracePolicyIsRecordName(t *testing.T) {
+	policyLine := func(out string) string {
+		for _, l := range strings.Split(out, "\n") {
+			if name, ok := strings.CutPrefix(l, "policy:  "); ok {
+				return name[:strings.Index(name, ", budget")]
+			}
+		}
+		t.Fatalf("no policy line in:\n%s", out)
+		return ""
+	}
+	for _, policy := range []string{"abm", "greedy", "random"} {
+		flags := []string{"-preset", "slashdot", "-scale", "0.02", "-k", "5", "-cautious", "5", "-policy", policy}
+		var text, asJSON, repeated bytes.Buffer
+		if err := run(flags, &text); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		if err := run(append(flags, "-json"), &asJSON); err != nil {
+			t.Fatalf("%s -json: %v", policy, err)
+		}
+		if err := run(append(flags, "-runs", "2"), &repeated); err != nil {
+			t.Fatalf("%s -runs 2: %v", policy, err)
+		}
+		var trace struct {
+			Policy string `json:"policy"`
+		}
+		if err := json.Unmarshal(asJSON.Bytes(), &trace); err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		want := policyLine(repeated.String())
+		if want != policy {
+			t.Errorf("%s: -runs 2 prints policy %q", policy, want)
+		}
+		if got := policyLine(text.String()); got != want {
+			t.Errorf("%s: text trace prints policy %q, records say %q", policy, got, want)
+		}
+		if trace.Policy != want {
+			t.Errorf("%s: -json trace has policy %q, records say %q", policy, trace.Policy, want)
+		}
+	}
+}
+
 func TestAllPolicies(t *testing.T) {
 	for _, policy := range []string{"abm", "greedy", "maxdegree", "pagerank", "random"} {
 		var buf bytes.Buffer

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/graph"
@@ -37,7 +38,8 @@ func builderPowerLaw(t *testing.T, g PowerLawConfig, seed rng.Seed) *graph.Graph
 // pair with AddEdge.
 func builderCollaboration(t *testing.T, g Collaboration, seed rng.Seed) *graph.Graph {
 	t.Helper()
-	r := seed.Rand()
+	src := seed.PCG()
+	r := rand.New(src)
 	var communities [][]int32
 	for next := 0; next < g.N; {
 		size, err := sampleCommunitySize(r, g.MeanCommunity, 10*g.MeanCommunity)
@@ -53,7 +55,7 @@ func builderCollaboration(t *testing.T, g Collaboration, seed rng.Seed) *graph.G
 		next += size
 	}
 	for u := 0; u < g.N; u++ {
-		if rng.Bernoulli(r, g.PBridge) {
+		if rng.Bernoulli(src, g.PBridge) {
 			c := r.IntN(len(communities))
 			communities[c] = append(communities[c], int32(u))
 		}
@@ -62,7 +64,7 @@ func builderCollaboration(t *testing.T, g Collaboration, seed rng.Seed) *graph.G
 	for _, members := range communities {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				if members[i] != members[j] && rng.Bernoulli(r, g.PIntra) {
+				if members[i] != members[j] && rng.Bernoulli(src, g.PIntra) {
 					if _, err := b.AddEdge(int(members[i]), int(members[j])); err != nil {
 						t.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/rng"
@@ -37,7 +38,8 @@ func (g Collaboration) Generate(seed rng.Seed) (*graph.Graph, error) {
 	if g.N < 1 || g.MeanCommunity < 2 || g.PIntra <= 0 || g.PIntra > 1 || g.PBridge < 0 || g.PBridge > 1 {
 		return nil, fmt.Errorf("%w: collab %+v", ErrBadParam, g)
 	}
-	r := seed.Rand()
+	src := seed.PCG()
+	r := rand.New(src)
 
 	// Carve the node range into communities with power-law sizes.
 	var communities [][]int32
@@ -61,7 +63,7 @@ func (g Collaboration) Generate(seed rng.Seed) (*graph.Graph, error) {
 
 	// Bridge nodes join one extra, uniformly random community.
 	for u := 0; u < g.N; u++ {
-		if rng.Bernoulli(r, g.PBridge) {
+		if rng.Bernoulli(src, g.PBridge) {
 			c := r.IntN(len(communities))
 			communities[c] = append(communities[c], int32(u))
 		}
@@ -81,7 +83,7 @@ func (g Collaboration) Generate(seed rng.Seed) (*graph.Graph, error) {
 				if members[i] == members[j] {
 					continue
 				}
-				if rng.Bernoulli(r, g.PIntra) {
+				if rng.Bernoulli(src, g.PIntra) {
 					ends = append(ends, members[i], members[j])
 				}
 			}

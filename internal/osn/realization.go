@@ -1,6 +1,7 @@
 package osn
 
 import (
+	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/rng"
 )
@@ -28,7 +29,7 @@ type Realization struct {
 // accepts with probability q(u).
 func (in *Instance) SampleRealization(seed rng.Seed) *Realization {
 	defer obs.StartSpan(in.mSampleNS).End()
-	r := seed.Split("osn-realization").Rand()
+	src := seed.Split("osn-realization").PCG()
 	re := &Realization{
 		inst:        in,
 		edgeExists:  make([]bool, in.g.AdjSize()),
@@ -36,20 +37,17 @@ func (in *Instance) SampleRealization(seed rng.Seed) *Realization {
 		acceptsLow:  make([]bool, in.N()),
 		acceptsHigh: make([]bool, in.N()),
 	}
-	in.g.EachEdgeSlot(func(_, _, uv, vu int) bool {
-		if rng.Bernoulli(r, in.edgeProb[uv]) {
-			re.edgeExists[uv] = true
-			re.edgeExists[vu] = true
-		}
-		return true
+	edgeProb := in.edgeProb
+	graph.FillEdgeSlots(in.g, re.edgeExists, func(uv int) bool {
+		return rng.Bernoulli(src, edgeProb[uv])
 	})
 	for u := 0; u < in.N(); u++ {
 		switch in.kind[u] {
 		case Reckless:
-			re.accepts[u] = rng.Bernoulli(r, in.acceptProb[u])
+			re.accepts[u] = rng.Bernoulli(src, in.acceptProb[u])
 		case Cautious:
-			re.acceptsLow[u] = rng.Bernoulli(r, in.qLow[u])
-			re.acceptsHigh[u] = rng.Bernoulli(r, in.qHigh[u])
+			re.acceptsLow[u] = rng.Bernoulli(src, in.qLow[u])
+			re.acceptsHigh[u] = rng.Bernoulli(src, in.qHigh[u])
 		}
 	}
 	return re

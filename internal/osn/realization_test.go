@@ -1,6 +1,7 @@
 package osn
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -8,9 +9,21 @@ import (
 	"github.com/accu-sim/accu/internal/rng"
 )
 
+// bernoulliRand is rng.Bernoulli drawn through *rand.Rand, the
+// references' coin: certain for p <= 0 and p >= 1, else one Float64.
+func bernoulliRand(r *rand.Rand, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
 // sampleRealizationIndexOf is SampleRealization written with IndexOf, three
-// binary searches per undirected edge. It is the reference the slot-pair
-// kernel is checked against.
+// binary searches per undirected edge, drawing through *rand.Rand. It is
+// the reference the slot-fill kernel is checked against.
 func sampleRealizationIndexOf(in *Instance, seed rng.Seed) *Realization {
 	r := seed.Split("osn-realization").Rand()
 	re := &Realization{
@@ -21,7 +34,7 @@ func sampleRealizationIndexOf(in *Instance, seed rng.Seed) *Realization {
 		acceptsHigh: make([]bool, in.N()),
 	}
 	in.g.EachEdge(func(u, v int) bool {
-		if rng.Bernoulli(r, in.edgeProb[in.g.IndexOf(u, v)]) {
+		if bernoulliRand(r, in.edgeProb[in.g.IndexOf(u, v)]) {
 			re.edgeExists[in.g.IndexOf(u, v)] = true
 			re.edgeExists[in.g.IndexOf(v, u)] = true
 		}
@@ -30,10 +43,10 @@ func sampleRealizationIndexOf(in *Instance, seed rng.Seed) *Realization {
 	for u := 0; u < in.N(); u++ {
 		switch in.kind[u] {
 		case Reckless:
-			re.accepts[u] = rng.Bernoulli(r, in.acceptProb[u])
+			re.accepts[u] = bernoulliRand(r, in.acceptProb[u])
 		case Cautious:
-			re.acceptsLow[u] = rng.Bernoulli(r, in.qLow[u])
-			re.acceptsHigh[u] = rng.Bernoulli(r, in.qHigh[u])
+			re.acceptsLow[u] = bernoulliRand(r, in.qLow[u])
+			re.acceptsHigh[u] = bernoulliRand(r, in.qHigh[u])
 		}
 	}
 	return re

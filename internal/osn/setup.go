@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/rng"
@@ -77,12 +78,12 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 		return nil, fmt.Errorf("%w: QLowCautious=%v QHighCautious=%v", ErrBadProbability, qLow, qHigh)
 	}
 	n := g.N()
-	r := seed.Split("osn-setup").Rand()
+	src := seed.Split("osn-setup").PCG()
 
 	// Cautious selection: shuffle the degree band, greedily take
 	// non-adjacent nodes.
 	band := g.NodesInDegreeBand(s.DegreeLo, s.DegreeHi)
-	rng.Shuffle(r, band)
+	rng.Shuffle(rand.New(src), band)
 	isCautious := make([]bool, n)
 	blocked := make([]bool, n)
 	selected := 0
@@ -127,16 +128,11 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 			continue
 		}
 		p.Kind[u] = Reckless
-		p.AcceptProb[u] = r.Float64()
+		p.AcceptProb[u] = rng.Float64(src)
 		p.BFriend[u] = s.BFriendReckless
 	}
 	// Symmetric uniform edge probabilities.
-	g.EachEdgeSlot(func(_, _, uv, vu int) bool {
-		pe := r.Float64()
-		p.EdgeProb[uv] = pe
-		p.EdgeProb[vu] = pe
-		return true
-	})
+	graph.FillEdgeSlots(g, p.EdgeProb, func(int) float64 { return rng.Float64(src) })
 	return newInstance(g, p), nil
 }
 

@@ -70,13 +70,21 @@ func SampleWithoutReplacement(r *rand.Rand, n, k int) ([]int, error) {
 	return out, nil
 }
 
-// Bernoulli reports true with probability p.
-func Bernoulli(r *rand.Rand, p float64) bool {
+// Float64 returns a uniform value in [0, 1) from src: the draw
+// rand.New(src).Float64 makes, one Uint64, without the interface call.
+func Float64(src *rand.PCG) float64 {
+	return float64(src.Uint64()<<11>>11) / (1 << 53)
+}
+
+// Bernoulli reports true with probability p. A p <= 0 or p >= 1 is
+// certain and draws nothing; any other p, NaN included, draws one
+// Float64 (NaN then reports false).
+func Bernoulli(src *rand.PCG, p float64) bool {
 	if p <= 0 {
 		return false
 	}
 	if p >= 1 {
 		return true
 	}
-	return r.Float64() < p
+	return Float64(src) < p
 }

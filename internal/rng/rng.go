@@ -56,15 +56,20 @@ func (s Seed) SplitN(label string, n int) Seed {
 	return child.Split(label)
 }
 
-// onRand, when set, sees every seed that reaches Rand. Only tests set
-// it, to catch one stream drawn twice where two were meant.
+// onRand, when set, sees every seed that reaches PCG, and so Rand. Only
+// tests set it, to catch one stream drawn twice where two were meant.
 var onRand func(Seed)
 
-// Rand returns a new generator for this seed. Each call returns an
-// independent generator object positioned at the start of the same stream.
-func (s Seed) Rand() *rand.Rand {
+// PCG returns a new PCG source positioned at the start of this seed's
+// stream. Hot loops draw from it directly (Float64, Bernoulli), with no
+// interface call per draw; a rand.New of it shares its position.
+func (s Seed) PCG() *rand.PCG {
 	if onRand != nil {
 		onRand(s)
 	}
-	return rand.New(rand.NewPCG(s.hi, s.lo))
+	return rand.NewPCG(s.hi, s.lo)
 }
+
+// Rand returns a new generator for this seed. Each call returns an
+// independent generator object positioned at the start of the same stream.
+func (s Seed) Rand() *rand.Rand { return rand.New(s.PCG()) }

@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -189,7 +192,7 @@ func TestSampleWithoutReplacementProperty(t *testing.T) {
 }
 
 func TestBernoulli(t *testing.T) {
-	r := NewSeed(9, 9).Rand()
+	r := NewSeed(9, 9).PCG()
 	if Bernoulli(r, 0) {
 		t.Error("p=0 returned true")
 	}
@@ -212,6 +215,49 @@ func TestBernoulli(t *testing.T) {
 	freq := float64(hits) / draws
 	if math.Abs(freq-0.3) > 0.01 {
 		t.Errorf("p=0.3: frequency %.4f", freq)
+	}
+}
+
+// TestPCGDrawsMatchRand is the oracle for the bare-PCG draws: over many
+// seeds, Float64 and Bernoulli on a PCG give what rand.New of an equal
+// PCG gives, draw for draw, for p in {-1, 0, 0.3, 1, 2, NaN}, and leave
+// the stream at the same position after every call.
+func TestPCGDrawsMatchRand(t *testing.T) {
+	// bernoulliRand is Bernoulli as written on *rand.Rand.
+	bernoulliRand := func(r *rand.Rand, p float64) bool {
+		if p <= 0 {
+			return false
+		}
+		if p >= 1 {
+			return true
+		}
+		return r.Float64() < p
+	}
+	ps := []float64{-1, 0, 0.3, 1, 2, math.NaN()}
+	for s := uint64(0); s < 300; s++ {
+		seed := NewSeed(s*0x9e3779b97f4a7c15, s+1)
+		src := seed.PCG()
+		refSrc := rand.NewPCG(seed.hi, seed.lo)
+		ref := rand.New(refSrc)
+		samePosition := func(call string) {
+			a, _ := src.MarshalBinary()
+			b, _ := refSrc.MarshalBinary()
+			if !bytes.Equal(a, b) {
+				t.Fatalf("seed %d: stream positions differ after %s", s, call)
+			}
+		}
+		for i := range 60 {
+			if got, want := Float64(src), ref.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 = %v, rand.Rand gives %v", s, i, got, want)
+			}
+			samePosition("Float64")
+			for _, p := range ps {
+				if got, want := Bernoulli(src, p), bernoulliRand(ref, p); got != want {
+					t.Fatalf("seed %d draw %d: Bernoulli(%v) = %v, rand.Rand gives %v", s, i, p, got, want)
+				}
+				samePosition(fmt.Sprintf("Bernoulli(%v)", p))
+			}
+		}
 	}
 }
 
