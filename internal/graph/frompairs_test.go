@@ -10,7 +10,7 @@ import (
 // checkFromPairs builds ends with FromPairs and with the Builder oracle
 // (NewBuilder, AddEdge on every pair, Freeze) and fails unless both give
 // the same CSR, or both reject the list with ErrNodeRange. On the built
-// graph it also runs checkFillEdgeSlots.
+// graph it also runs checkEdgeSlots.
 func checkFromPairs(t *testing.T, n int, ends []int32) {
 	t.Helper()
 	got, err := FromPairs(n, ends)
@@ -32,33 +32,28 @@ func checkFromPairs(t *testing.T, n int, ends []int32) {
 		t.Fatalf("FromPairs(%d, %v): %v", n, ends, err)
 	}
 	sameCSR(t, got, b.Freeze())
-	checkFillEdgeSlots(t, got)
+	checkEdgeSlots(t, got)
 }
 
-// checkFillEdgeSlots fails unless FillEdgeSlots walks the (uv, vu) slot
-// pairs EachEdgeSlot hands out, in the same order: draw sees each uv in
-// turn, and the value it returns lands at that edge's uv and vu.
-func checkFillEdgeSlots(t *testing.T, g *Graph) {
+// checkEdgeSlots fails unless EachEdgeSlot visits EachEdge's edges in
+// its order and hands out, for each, the two slots IndexOf finds.
+func checkEdgeSlots(t *testing.T, g *Graph) {
 	t.Helper()
-	var want [][2]int
-	g.EachEdgeSlot(func(_, _, uv, vu int) bool {
-		want = append(want, [2]int{uv, vu})
+	want := g.Edges()
+	i := 0
+	g.EachEdgeSlot(func(u, v, uv, vu int) bool {
+		if i >= len(want) {
+			t.Fatalf("EachEdgeSlot walks more than EachEdge's %d edges", len(want))
+		}
+		if (Edge{U: u, V: v}) != want[i] || uv != g.IndexOf(u, v) || vu != g.IndexOf(v, u) {
+			t.Fatalf("edge %d: EachEdgeSlot gives (%d, %d) at slots (%d, %d); EachEdge and IndexOf give %v at (%d, %d)",
+				i, u, v, uv, vu, want[i], g.IndexOf(u, v), g.IndexOf(v, u))
+		}
+		i++
 		return true
 	})
-	var drawn []int
-	dst := make([]int, g.AdjSize())
-	FillEdgeSlots(g, dst, func(uv int) int {
-		drawn = append(drawn, uv)
-		return len(drawn)
-	})
-	if len(drawn) != len(want) {
-		t.Fatalf("FillEdgeSlots drew %d values, EachEdgeSlot walks %d edges", len(drawn), len(want))
-	}
-	for i, w := range want {
-		if drawn[i] != w[0] || dst[w[0]] != i+1 || dst[w[1]] != i+1 {
-			t.Fatalf("edge %d: EachEdgeSlot slots (%d, %d); FillEdgeSlots drew at %d and stored %d, %d",
-				i, w[0], w[1], drawn[i], dst[w[0]], dst[w[1]])
-		}
+	if i != len(want) {
+		t.Fatalf("EachEdgeSlot walked %d edges, EachEdge %d", i, len(want))
 	}
 }
 
@@ -125,7 +120,7 @@ func TestFromPairsDropsRepeats(t *testing.T) {
 }
 
 // FuzzFromPairs checks FromPairs against the Builder oracle, and
-// FillEdgeSlots against EachEdgeSlot on the graph it builds. data[0] is
+// EachEdgeSlot against IndexOf on the graph it builds. data[0] is
 // the node count (0–255); bit 0 of data[1] lets endpoints fall in
 // [-2, n+2) instead of [0, n), and bit 1 drops the last endpoint so the
 // list has odd length. Every following byte is one endpoint.

@@ -310,8 +310,8 @@ func (g *Graph) AdjSize() int { return len(g.neighbors) }
 
 // IndexOf returns the global CSR index of neighbor v within u's row, or
 // -1 when the edge does not exist. It binary-searches the row, so it is
-// for point queries; a walk over every edge should use EachEdgeSlot or
-// FillEdgeSlots, which hand out both slots of each edge in O(1).
+// for point queries; a walk over every edge should use EachEdgeSlot,
+// which hands out both slots of each edge in O(1).
 func (g *Graph) IndexOf(u, v int) int {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return -1
@@ -357,29 +357,6 @@ func (g *Graph) EachEdgeSlot(fn func(u, v, uv, vu int) bool) {
 			if !fn(u, int(v), int(uv), int(vu)) {
 				return
 			}
-		}
-	}
-}
-
-// FillEdgeSlots calls draw once per undirected edge, in EachEdge's
-// order, with the edge's slot uv in the lower endpoint's row, and stores
-// the value at both of the edge's slots in dst, which must have length
-// AdjSize. It is the hot-path form of EachEdgeSlot: a per-row cursor,
-// which starts as a copy of the row offsets, points at each row's next
-// unfilled slot. Row u's lower neighbours fill its lower part before u is
-// reached, so the walk of row u starts at its cursor; each upper
-// neighbour v receives the value at its own cursor, which is u's slot in
-// v's row, and the cursor moves on. Both stores happen on every edge.
-func FillEdgeSlots[T any](g *Graph, dst []T, draw func(uv int) T) {
-	dst = dst[:len(g.neighbors)]
-	next := slices.Clone(g.offsets[:g.n])
-	for u := range g.n {
-		for uv := next[u]; uv < g.offsets[u+1]; uv++ {
-			v := g.neighbors[uv]
-			x := draw(int(uv))
-			dst[uv] = x
-			dst[next[v]] = x
-			next[v]++
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package osn
 
 import (
-	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/rng"
 )
@@ -37,9 +36,10 @@ func (in *Instance) SampleRealization(seed rng.Seed) *Realization {
 		acceptsLow:  make([]bool, in.N()),
 		acceptsHigh: make([]bool, in.N()),
 	}
-	edgeProb := in.edgeProb
-	graph.FillEdgeSlots(in.g, re.edgeExists, func(uv int) bool {
-		return rng.Bernoulli(src, edgeProb[uv])
+	in.g.EachEdgeSlot(func(_, _, uv, vu int) bool {
+		x := rng.Bernoulli(src, in.edgeProb[uv])
+		re.edgeExists[uv], re.edgeExists[vu] = x, x
+		return true
 	})
 	for u := 0; u < in.N(); u++ {
 		switch in.kind[u] {

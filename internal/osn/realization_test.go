@@ -23,7 +23,7 @@ func bernoulliRand(r *rand.Rand, p float64) bool {
 
 // sampleRealizationIndexOf is SampleRealization written with IndexOf, three
 // binary searches per undirected edge, drawing through *rand.Rand. It is
-// the reference the slot-fill kernel is checked against.
+// the reference the slot-pair kernel is checked against.
 func sampleRealizationIndexOf(in *Instance, seed rng.Seed) *Realization {
 	r := seed.Split("osn-realization").Rand()
 	re := &Realization{

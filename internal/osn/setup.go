@@ -132,7 +132,12 @@ func (s Setup) Build(g *graph.Graph, seed rng.Seed) (*Instance, error) {
 		p.BFriend[u] = s.BFriendReckless
 	}
 	// Symmetric uniform edge probabilities.
-	graph.FillEdgeSlots(g, p.EdgeProb, func(int) float64 { return rng.Float64(src) })
+	g.EachEdgeSlot(func(_, _, uv, vu int) bool {
+		pe := rng.Float64(src)
+		p.EdgeProb[uv] = pe
+		p.EdgeProb[vu] = pe
+		return true
+	})
 	return newInstance(g, p), nil
 }
 

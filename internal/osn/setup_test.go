@@ -71,7 +71,7 @@ func TestSetupRejectsBadValues(t *testing.T) {
 // IndexOf and *rand.Rand: it replays the set-up stream (the band shuffle,
 // then one Float64 per reckless user) and stores each edge's p(u, v) at
 // both of its slots, found by binary search. It is the reference the
-// slot-fill kernel is checked against.
+// slot-pair walk is checked against.
 func setupProbsIndexOf(in *Instance, s Setup, seed rng.Seed) (acceptProb, edgeProb []float64) {
 	g := in.g
 	r := seed.Split("osn-setup").Rand()
