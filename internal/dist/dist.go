@@ -237,12 +237,12 @@ func (c *Coordinator) Lease(worker string) (lease *Lease, done bool) {
 // particular — because the journal dedups by key and the first durable
 // commit wins. A line that is not a complete cell of this grid (see
 // validLine) is rejected before it reaches the journal, so it can neither
-// poison a resume nor the aggregation. The fresh cells of the batch are
-// committed with one CommitBatch, so one fsync covers them all (the
-// journal runs SyncEachCommit); only then are they aggregated and the
-// matching lease's deadline extended, so durable progress keeps a slow
-// worker's lease alive; an expired lease stays expired. A failed commit
-// accepts none of them.
+// poison a resume nor the aggregation. The valid lines go to one
+// CommitBatch, which skips the cells already done and writes the rest
+// with one fsync (the journal runs SyncEachCommit); only then are they
+// aggregated and the matching lease's deadline extended, so durable
+// progress keeps a slow worker's lease alive; an expired lease stays
+// expired. A failed commit accepts none of them.
 func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (UploadResponse, error) {
 	now := c.now()
 	runs := c.cfg.Spec.Runs
@@ -254,27 +254,22 @@ func (c *Coordinator) Upload(leaseID, worker string, lines []sim.CellLine) (Uplo
 	c.updateWorkersLive(now)
 	c.met.uploadRequests.Inc()
 	c.met.uploads.Add(int64(len(lines)))
-	var fresh []sim.CellLine
-	inBatch := make(map[sim.CellKey]bool, len(lines))
+	valid := make([]sim.CellLine, 0, len(lines))
 	for _, cl := range lines {
-		switch {
-		case !c.validLine(cl):
-			resp.Rejected++
-		case inBatch[cl.CellKey] || c.journal.Done(cl.CellKey):
-			resp.Duplicate++
-		default:
-			inBatch[cl.CellKey] = true
-			fresh = append(fresh, cl)
+		if c.validLine(cl) {
+			valid = append(valid, cl)
 		}
 	}
-	c.met.cellsDuplicate.Add(int64(resp.Duplicate))
+	resp.Rejected = len(lines) - len(valid)
 	c.met.cellsRejected.Add(int64(resp.Rejected))
-	if err := c.journal.CommitBatch(fresh); err != nil {
+	fresh, err := c.journal.CommitBatch(valid)
+	if err != nil {
 		// Not durable: the worker must not treat any cell as committed.
-		return resp, fmt.Errorf("dist: commit %d cell(s): %w", len(fresh), err)
+		return resp, fmt.Errorf("dist: commit %d cell(s): %w", len(valid), err)
 	}
-	resp.Accepted = len(fresh)
+	resp.Accepted, resp.Duplicate = len(fresh), len(valid)-len(fresh)
 	c.met.cellsAccepted.Add(int64(resp.Accepted))
+	c.met.cellsDuplicate.Add(int64(resp.Duplicate))
 	for _, cl := range fresh {
 		for _, rec := range cl.Records {
 			c.summary.Collect(rec)

@@ -8,6 +8,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -777,5 +779,134 @@ func TestCoordinatorCloseSurfacesJournalFault(t *testing.T) {
 	rec.Fail(vfs.Fault{Kind: vfs.OpSync, Path: "cells.jsonl", Err: syscall.EIO})
 	if err := coord.Close(); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Close err = %v, want the journal's fsync error", err)
+	}
+}
+
+// postCells posts body as a cell upload and decodes the answer of a 200.
+func postCells(t *testing.T, srv *httptest.Server, body []byte) (int, UploadResponse) {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/api/v1/dist/cells?worker=w1", "application/jsonl", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var up UploadResponse
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, up
+}
+
+// TestUploadBodyGrammar pins the upload grammar: one JSON cell line per
+// line, blank lines (JSON whitespace only) skipped, CRLF endings and a
+// last line without its newline accepted; two values on one line, one
+// value over several lines, or a line of other whitespace answered 400.
+func TestUploadBodyGrammar(t *testing.T) {
+	spec := testSpec()
+	var encoded [][]byte
+	for run := 0; run < 2; run++ {
+		cl := wellFormedLine(spec, sim.CellKey{Network: 0, Run: run})
+		b, err := sim.EncodeCellLine(&cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encoded = append(encoded, b)
+	}
+	a, b := encoded[0], encoded[1]
+	noNL := func(line []byte) string { return strings.TrimSuffix(string(line), "\n") }
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, a, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   string
+		status int
+		lines  int
+	}{
+		{"journal lines", string(a) + string(b), http.StatusOK, 2},
+		{"empty body", "", http.StatusOK, 0},
+		{"blank lines", "\n \t\n" + string(a) + "\r\n\n" + string(b) + "\n", http.StatusOK, 2},
+		{"CRLF endings", noNL(a) + "\r\n" + noNL(b) + "\r\n", http.StatusOK, 2},
+		{"last line without newline", string(a) + noNL(b), http.StatusOK, 2},
+		{"two values on one line", noNL(a) + noNL(b) + "\n", http.StatusBadRequest, 0},
+		{"value over several lines", pretty.String(), http.StatusBadRequest, 0},
+		{"line of non-JSON whitespace", string(a) + "\v\n", http.StatusBadRequest, 0},
+	} {
+		_, srv := newTestCoordinator(t, spec, 2, time.Minute, nil)
+		status, up := postCells(t, srv, []byte(tc.body))
+		if status != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, status, tc.status)
+		}
+		if up.Accepted != tc.lines || up.Duplicate != 0 || up.Rejected != 0 {
+			t.Errorf("%s: upload response %+v, want %d accepted", tc.name, up, tc.lines)
+		}
+	}
+}
+
+// TestJournalIsUploadBody checks that the journal and the upload are one
+// format, both ways: a local RunJournaled journal posted whole to a
+// fresh coordinator is accepted cell for cell and reaches the local
+// digest, and a local run resumed from the coordinator's cells.jsonl
+// computes no cell and reaches the same digest.
+func TestJournalIsUploadBody(t *testing.T) {
+	spec := testSpec()
+	protocol, factories, err := spec.Build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	local := filepath.Join(t.TempDir(), "local.jsonl")
+	dig := sim.NewRecordDigest()
+	if err := sim.RunJournaled(ctx, protocol, factories, local, false, dig.Collect, nil, t.Logf); err != nil {
+		t.Fatal(err)
+	}
+	want := dig.Sum()
+	body, err := os.ReadFile(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	coord, err := New(Config{Spec: spec, Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newStrictServer(t, coord.Handler())
+	status, up := postCells(t, srv, body)
+	srv.Close()
+	cells := spec.Networks * spec.Runs
+	if status != http.StatusOK || up.Accepted != cells || up.Duplicate != 0 || up.Rejected != 0 || !up.Done {
+		t.Fatalf("posting the journal: status %d, response %+v; want all %d cells accepted", status, up, cells)
+	}
+	res, err := coord.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Digest != want {
+		t.Errorf("coordinator digest %s, want the local %s", res.Digest, want)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := sim.NewRecordDigest()
+	replayed, computed := false, 0
+	err = sim.RunJournaled(ctx, protocol, factories, filepath.Join(dir, "cells.jsonl"), true, func(rec sim.Record) {
+		resumed.Collect(rec)
+		if replayed {
+			computed++
+		}
+	}, func() { replayed = true }, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if computed != 0 {
+		t.Errorf("resuming from the coordinator's journal computed %d record(s), want 0", computed)
+	}
+	if got := resumed.Sum(); got != want {
+		t.Errorf("digest resumed from the coordinator's journal %s, want %s", got, want)
 	}
 }

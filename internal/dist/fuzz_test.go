@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,11 +17,32 @@ import (
 	"github.com/accu-sim/accu/internal/sim"
 )
 
+// decodeCellLinesReference is the upload decoder the coordinator used
+// before it read uploads with the journal's decoder: a json.Decoder loop
+// over concatenated JSON values, whatever whitespace separates them. It
+// accepts a superset of sim.ReadCellLines' one-value-per-line grammar,
+// and is kept as that reader's oracle.
+func decodeCellLinesReference(r io.Reader) ([]sim.CellLine, error) {
+	dec := json.NewDecoder(r)
+	var lines []sim.CellLine
+	for {
+		var cl sim.CellLine
+		if err := dec.Decode(&cl); err != nil {
+			if errors.Is(err, io.EOF) {
+				return lines, nil
+			}
+			return nil, err
+		}
+		lines = append(lines, cl)
+	}
+}
+
 // FuzzUpload feeds arbitrary cell-upload bodies through the coordinator's
-// decoder and Upload, then resumes the journal they left behind. Neither
-// step may panic, Upload accounts for every line as accepted, duplicate
-// or rejected, and the resumed journal holds exactly the accepted cells,
-// never more than the grid has.
+// reader (sim.ReadCellLines) and Upload, then resumes the journal they
+// left behind. Whatever the reader accepts, decodeCellLinesReference must
+// decode to the same lines. Neither step may panic, Upload accounts for
+// every line as accepted, duplicate or rejected, and the resumed journal
+// holds exactly the accepted cells, never more than the grid has.
 func FuzzUpload(f *testing.F) {
 	spec := testSpec()
 	// A real journal line: cell (0,0) of the same roster at a small K.
@@ -33,11 +58,11 @@ func FuzzUpload(f *testing.F) {
 	}); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := json.Marshal(line)
+	valid, err := sim.EncodeCellLine(&line)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append(valid, '\n'))
+	f.Add(valid)
 	malformed := []byte(`{"network":0,"run":0,"records":[{"Policy":"abm","Network":0,"Run":0,"Result":null}]}`)
 	f.Add(malformed)
 	// A batch as a worker uploads it: several cells, one of them twice,
@@ -49,18 +74,36 @@ func FuzzUpload(f *testing.F) {
 			rec.Network, rec.Run = key.Network, key.Run
 			cl.Records = append(cl.Records, rec)
 		}
-		b, err := json.Marshal(cl)
+		b, err := sim.EncodeCellLine(&cl)
 		if err != nil {
 			f.Fatal(err)
 		}
-		batch = append(append(batch, b...), '\n')
+		batch = append(batch, b...)
 	}
 	f.Add(append(batch, malformed...))
+	// The edges of the one-value-per-line grammar.
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, valid, "", "  "); err != nil {
+		f.Fatal(err)
+	}
+	oneLine := bytes.TrimSuffix(valid, []byte("\n"))
+	f.Add(append(slices.Clip(oneLine), malformed...))            // two values on one line
+	f.Add(pretty.Bytes())                                        // one value over several lines
+	f.Add(bytes.ReplaceAll(batch, []byte("\n"), []byte("\r\n"))) // CRLF line endings
+	f.Add([]byte("\n \t\n" + string(valid) + "\r\n\n"))          // blank lines
+	f.Add(bytes.TrimSuffix(batch, []byte("\n")))                 // last line without its newline
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		lines, err := decodeCellLines(bytes.NewReader(body))
+		lines, err := sim.ReadCellLines(bytes.NewReader(body))
 		if err != nil {
 			return // answered 400 before Upload
+		}
+		want, err := decodeCellLinesReference(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("ReadCellLines accepted %d line(s) the reference decoder rejects: %v", len(lines), err)
+		}
+		if !reflect.DeepEqual(lines, want) {
+			t.Fatalf("ReadCellLines decoded %+v, the reference decoder %+v", lines, want)
 		}
 		dir := t.TempDir()
 		coord, err := New(Config{Spec: spec, Dir: dir})

@@ -2,8 +2,6 @@ package dist
 
 import (
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 
 	"github.com/accu-sim/accu/internal/sim"
@@ -20,8 +18,11 @@ import (
 //	GET  /metrics              dist.* instruments
 //	GET  /healthz              liveness probe
 //
-// The cell-upload body is the journal's own line format: a journal file
-// is a valid upload body and vice versa.
+// The cell-upload body is the journal's own line format, read by the
+// journal's decoder (sim.ReadCellLines): one JSON CellLine per line,
+// blank lines skipped, the last line with or without its newline. A
+// line holding two values, or a value spread over several lines, is a
+// 400. A journal file is a valid upload body and vice versa.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/dist/lease", c.handleLease)
@@ -69,7 +70,7 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "cell upload without worker"})
 		return
 	}
-	lines, err := decodeCellLines(r.Body)
+	lines, err := sim.ReadCellLines(r.Body)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad cell upload: " + err.Error()})
 		return
@@ -82,24 +83,6 @@ func (c *Coordinator) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// decodeCellLines reads a JSONL (or concatenated-JSON) stream of cell
-// lines. json.Decoder handles arbitrary line lengths without a scanner
-// buffer limit — cell records carry full attack traces.
-func decodeCellLines(r io.Reader) ([]sim.CellLine, error) {
-	dec := json.NewDecoder(r)
-	var lines []sim.CellLine
-	for {
-		var cl sim.CellLine
-		if err := dec.Decode(&cl); err != nil {
-			if errors.Is(err, io.EOF) {
-				return lines, nil
-			}
-			return nil, err
-		}
-		lines = append(lines, cl)
-	}
 }
 
 func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {

@@ -176,7 +176,7 @@ type rangeCheckpointer struct {
 
 	// mu serializes Commit (called from every engine worker) and flush.
 	mu    sync.Mutex
-	buf   []byte    // marshalled cell lines not yet uploaded
+	buf   []byte    // encoded cell lines not yet uploaded
 	cells int       // cell lines in buf
 	last  time.Time // when the range started or last uploaded
 }
@@ -192,13 +192,13 @@ func (rc *rangeCheckpointer) Commit(key sim.CellKey, recs []sim.Record) error {
 			return rc.ctx.Err()
 		}
 	}
-	line, err := json.Marshal(sim.CellLine{CellKey: key, Records: recs})
+	line, err := sim.EncodeCellLine(&sim.CellLine{CellKey: key, Records: recs})
 	if err != nil {
-		return fmt.Errorf("marshal cell: %w", err)
+		return err
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	rc.buf = append(append(rc.buf, line...), '\n')
+	rc.buf = append(rc.buf, line...)
 	rc.cells++
 	if rc.cells >= uploadBatch || time.Since(rc.last) >= uploadEvery {
 		return rc.flushLocked()

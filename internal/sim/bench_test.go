@@ -107,7 +107,7 @@ func BenchmarkCellJournalCommit(b *testing.B) {
 					lines[run] = CellLine{CellKey: CellKey{Network: i, Run: run}, Records: recs[run]}
 				}
 				if mode == "batch" {
-					err = j.CommitBatch(lines)
+					_, err = j.CommitBatch(lines)
 				} else {
 					for _, cl := range lines {
 						if err = j.Commit(cl.CellKey, cl.Records); err != nil {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strconv"
 
@@ -314,7 +316,8 @@ func (d *cellDecoder) float() float64 {
 // size are decoded in place, longer ones are assembled in a copy.
 const journalReadBuffer = 256 << 10
 
-// lineReader streams newline-terminated lines from a journal file.
+// lineReader streams newline-terminated lines from a journal file or an
+// upload body.
 type lineReader struct {
 	r    *bufio.Reader
 	long []byte // a line longer than r's buffer, assembled across reads
@@ -327,9 +330,9 @@ func newLineReader(r io.Reader) *lineReader {
 }
 
 // next returns the next line without its newline, valid until the next
-// call. At the end of the file, and after a torn trailing line (one
-// without a newline, which it counts in n but never returns), it
-// returns io.EOF.
+// call. At the end of the input it returns io.EOF together with the bytes
+// after the last newline (empty if the input ends with one): in a journal
+// that is a torn trailing line, in an upload body the last line.
 func (lr *lineReader) next() ([]byte, error) {
 	lr.long = lr.long[:0]
 	for {
@@ -339,12 +342,55 @@ func (lr *lineReader) next() ([]byte, error) {
 		case err == bufio.ErrBufferFull:
 			lr.long = append(lr.long, chunk...)
 		case err != nil:
-			return nil, err
+			return append(lr.long, chunk...), err
 		case len(lr.long) == 0:
 			return chunk[:len(chunk)-1], nil
 		default:
 			lr.long = append(lr.long, chunk...)
 			return lr.long[:len(lr.long)-1], nil
+		}
+	}
+}
+
+// blank reports whether line holds nothing but JSON whitespace. Blank
+// lines carry no cell; any other line must hold exactly one CellLine.
+func blank(line []byte) bool {
+	return len(bytes.Trim(line, " \t\r")) == 0
+}
+
+// EncodeCellLine returns cl's journal line, newline included: the bytes
+// a CellJournal appends for the cell and an accudist worker uploads.
+func EncodeCellLine(cl *CellLine) ([]byte, error) {
+	b, err := json.Marshal(cl)
+	if err != nil {
+		return nil, fmt.Errorf("marshal cell: %w", err)
+	}
+	return append(b, '\n'), nil
+}
+
+// ReadCellLines decodes a body of cell lines, such as an accudist upload,
+// with the journal's decoder: one CellLine per line, blank lines skipped.
+// Unlike a journal's, the last line needs no newline, since a body has a
+// known end and so no torn tail. A line that holds two JSON values, or
+// only part of one, is an error. A journal file is a valid body.
+func ReadCellLines(r io.Reader) ([]CellLine, error) {
+	lr := newLineReader(r)
+	var dec cellDecoder
+	var lines []CellLine
+	for n := 1; ; n++ {
+		line, err := lr.next()
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		if !blank(line) {
+			cl, derr := dec.decode(line)
+			if derr != nil {
+				return nil, fmt.Errorf("line %d: %w", n, derr)
+			}
+			lines = append(lines, cl)
+		}
+		if err == io.EOF {
+			return lines, nil
 		}
 	}
 }

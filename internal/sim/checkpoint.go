@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -168,15 +166,18 @@ func RunJournaled(ctx context.Context, p Protocol, factories []PolicyFactory, pa
 }
 
 // load streams the journal's existing lines and positions the file for
-// appending. Parsing stops at the first torn or corrupt line, which is
-// truncated away together with everything after it — those cells simply
-// re-run. Valid cells discarded behind a corrupt line are counted in
-// Dropped so callers can surface the loss instead of silently paying the
-// recomputation.
+// appending. Parsing keeps nothing from the first torn or corrupt line
+// on: it is truncated away together with everything after it, and those
+// cells simply re-run. The valid, distinct cells behind a corrupt line
+// are counted in Dropped so callers can surface the loss instead of
+// silently paying the recomputation; a torn trailing line is the normal
+// crash artifact, not lost work, and is not counted.
 func (j *CellJournal) load() error {
 	lr := newLineReader(j.f)
 	var dec cellDecoder
 	var off int64 // end of the last line kept
+	corrupt := false
+	dropped := make(map[CellKey]bool)
 	for {
 		line, err := lr.next()
 		if err == io.EOF {
@@ -185,23 +186,24 @@ func (j *CellJournal) load() error {
 		if err != nil {
 			return err
 		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			cl, err := dec.decode(line)
-			if err != nil {
-				// Corrupt line: truncate it and everything after, but
-				// count the valid cells the truncation throws away.
-				if j.dropped, err = countValidCells(lr, &dec, j.done); err != nil {
-					return err
+		if !blank(line) {
+			switch cl, err := dec.decode(line); {
+			case err != nil:
+				corrupt = true
+			case corrupt:
+				if !j.done[cl.CellKey] {
+					dropped[cl.CellKey] = true
 				}
-				break
-			}
-			if !j.done[cl.CellKey] {
+			case !j.done[cl.CellKey]:
 				j.done[cl.CellKey] = true
 				j.lines = append(j.lines, cl)
 			}
 		}
-		off += int64(len(line)) + 1
+		if !corrupt {
+			off += int64(len(line)) + 1
+		}
 	}
+	j.dropped = len(dropped)
 	if off < lr.n {
 		if err := j.f.Truncate(off); err != nil {
 			return fmt.Errorf("truncate torn tail: %w", err)
@@ -209,31 +211,6 @@ func (j *CellJournal) load() error {
 	}
 	_, err := j.f.Seek(off, io.SeekStart)
 	return err
-}
-
-// countValidCells counts the parseable, non-duplicate cells in the rest
-// of the journal behind the first corrupt line — the valid work the
-// truncate-forward recovery is about to discard. A torn trailing line is
-// not counted: it is the normal crash artifact, not lost work.
-func countValidCells(lr *lineReader, dec *cellDecoder, done map[CellKey]bool) (int, error) {
-	dropped := 0
-	seen := make(map[CellKey]bool)
-	for {
-		line, err := lr.next()
-		if err == io.EOF {
-			return dropped, nil
-		}
-		if err != nil {
-			return 0, err
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if cl, err := dec.decode(line); err == nil && !done[cl.CellKey] && !seen[cl.CellKey] {
-			seen[cl.CellKey] = true
-			dropped++
-		}
-	}
 }
 
 // Dropped returns the number of valid cells load discarded behind the
@@ -269,71 +246,67 @@ func (j *CellJournal) Done(key CellKey) bool {
 // Committed records are not retained in memory — only resumed cells
 // are, until Replay hands them over.
 func (j *CellJournal) Commit(key CellKey, recs []Record) error {
-	return j.CommitBatch([]CellLine{{CellKey: key, Records: recs}})
+	_, err := j.CommitBatch([]CellLine{{CellKey: key, Records: recs}})
+	return err
 }
 
-// CommitBatch appends every line whose cell is not yet done, skipping
-// repeats of a key within lines, as JSONL in a single write, then fsyncs
-// once under SyncEachCommit. The cells count as done only after that
-// write (and the fsync) succeeded; on any error none of them does, and
-// the journal is failed (see CellJournal).
-func (j *CellJournal) CommitBatch(lines []CellLine) error {
-	encoded := make([][]byte, len(lines)) // marshalled outside the lock
+// CommitBatch appends every line whose cell is not yet done, keeping the
+// first of a key's repeats within lines, as JSONL in a single write,
+// then fsyncs once under SyncEachCommit. It returns the lines it
+// appended, in order. The cells count as done only after that write
+// (and the fsync) succeeded; on any error none of them does, and the
+// journal is failed (see CellJournal).
+func (j *CellJournal) CommitBatch(lines []CellLine) ([]CellLine, error) {
+	encoded := make([][]byte, len(lines)) // encoded outside the lock
+	size := 0
 	for i := range lines {
-		b, err := json.Marshal(&lines[i])
+		b, err := EncodeCellLine(&lines[i])
 		if err != nil {
-			return fmt.Errorf("marshal cell: %w", err)
+			return nil, err
 		}
 		encoded[i] = b
+		size += len(b)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return j.err
+		return nil, j.err
 	}
-	// Keep the first line of each fresh key; nil marks a skipped one.
-	fresh := make(map[CellKey]bool, len(lines))
-	size := 0
+	var fresh []CellLine
+	var out []byte
+	inBatch := make(map[CellKey]bool, len(lines))
 	for i, cl := range lines {
-		if j.done[cl.CellKey] || fresh[cl.CellKey] {
-			encoded[i] = nil
+		if j.done[cl.CellKey] || inBatch[cl.CellKey] {
 			continue
 		}
-		fresh[cl.CellKey] = true
-		size += len(encoded[i]) + 1
+		inBatch[cl.CellKey] = true
+		fresh = append(fresh, cl)
+		if out == nil {
+			// Grow the first line's own buffer once to hold the batch,
+			// so a lone line is written without a copy.
+			out = slices.Grow(encoded[i], size-len(encoded[i]))
+		} else {
+			out = append(out, encoded[i]...)
+		}
 	}
 	if len(fresh) == 0 {
-		return nil
-	}
-	var out []byte
-	for _, b := range encoded {
-		switch {
-		case b == nil:
-			continue
-		case out == nil:
-			// Grow the first line's own buffer once to hold the batch; a
-			// lone line usually has room for its newline already.
-			out = slices.Grow(b, size-len(b))
-		default:
-			out = append(out, b...)
-		}
-		out = append(out, '\n')
+		return nil, nil
 	}
 	if _, err := j.f.Write(out); err != nil {
 		j.err = fmt.Errorf("append %d cell(s): %w", len(fresh), err)
-		return j.err
+		return nil, j.err
 	}
 	if j.syncEach {
 		if err := j.f.Sync(); err != nil {
 			j.err = fmt.Errorf("sync %d cell(s): %w", len(fresh), err)
-			return j.err
+			return nil, j.err
 		}
 	}
 	// Only now are the cells committed.
-	for key := range fresh {
-		j.done[key] = true
+	for _, cl := range fresh {
+		j.done[cl.CellKey] = true
 	}
-	return nil
+	return fresh, nil
 }
 
 // Cells returns the number of completed cells the journal holds (loaded

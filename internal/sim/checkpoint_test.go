@@ -707,7 +707,13 @@ func TestCellJournalSurfacesFileFaults(t *testing.T) {
 		return CellLine{CellKey: CellKey{Run: run}, Records: []Record{{Policy: "a", Run: run, Result: &core.Result{Benefit: 1}}}}
 	}
 	commit := func(j *CellJournal) error { return j.Commit(CellKey{}, line(0).Records) }
-	batch := func(j *CellJournal) error { return j.CommitBatch([]CellLine{line(0), line(1), line(2)}) }
+	batch := func(j *CellJournal) error {
+		committed, err := j.CommitBatch([]CellLine{line(0), line(1), line(2)})
+		if err != nil && committed != nil {
+			t.Errorf("failed CommitBatch reported %d line(s) committed", len(committed))
+		}
+		return err
+	}
 	var (
 		shortWrite = vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: io.ErrShortWrite}
 		enospc     = vfs.Fault{Kind: vfs.OpWrite, Path: "cells.jsonl", Err: syscall.ENOSPC}
@@ -828,12 +834,17 @@ func TestCellJournalBatchRepeatsKeyOnce(t *testing.T) {
 	if err := j.Commit(a, []Record{{Policy: "first"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.CommitBatch([]CellLine{
+	batch := []CellLine{
 		{CellKey: b, Records: []Record{{Policy: "first"}}},
 		{CellKey: a, Records: []Record{{Policy: "second"}}},
 		{CellKey: b, Records: []Record{{Policy: "second"}}},
-	}); err != nil {
+	}
+	committed, err := j.CommitBatch(batch)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(committed, batch[:1]) {
+		t.Errorf("CommitBatch reported %+v committed, want only the first line", committed)
 	}
 	if j.Cells() != 2 || !j.Done(b) {
 		t.Errorf("Cells() = %d, Done(b) = %v; want 2, true", j.Cells(), j.Done(b))

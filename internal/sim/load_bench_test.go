@@ -9,6 +9,20 @@ import (
 	"github.com/accu-sim/accu/internal/sim"
 )
 
+// resumeLocalSpec is a one-network grid of bench/'s resume-local shape:
+// slashdot ×0.02, random, k = 100, one ~10.6 KB journal line a cell.
+func resumeLocalSpec(runs int) serv.Spec {
+	return serv.Spec{
+		Preset:   "slashdot",
+		Scale:    0.02,
+		Policies: []serv.PolicySpec{{Name: "random"}},
+		Networks: 1,
+		Runs:     runs,
+		K:        100,
+		Seed:     11,
+	}
+}
+
 // BenchmarkCellJournalLoad measures what a resume pays for its journal:
 // one op opens a 128-cell journal of bench/'s resume-local shape
 // (slashdot ×0.02, random, k = 100, ~10.6 KB a line) with resume, which
@@ -16,16 +30,7 @@ import (
 // journal (an fsync) is outside the timer.
 func BenchmarkCellJournalLoad(b *testing.B) {
 	const cells = 128
-	spec := serv.Spec{
-		Preset:   "slashdot",
-		Scale:    0.02,
-		Policies: []serv.PolicySpec{{Name: "random"}},
-		Networks: 1,
-		Runs:     cells,
-		K:        100,
-		Seed:     11,
-	}
-	protocol, factories, err := spec.Build(nil)
+	protocol, factories, err := resumeLocalSpec(cells).Build(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,4 +65,32 @@ func BenchmarkCellJournalLoad(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cells), "ns/cell")
+}
+
+// BenchmarkRecordDigest measures the digest half of record collection:
+// one op folds 128 records of bench/'s resume-local shape into a fresh
+// RecordDigest with Collect, which marshals each record to its canonical
+// JSON line, and takes the Sum, which sorts the lines and hashes them.
+func BenchmarkRecordDigest(b *testing.B) {
+	const records = 128
+	protocol, factories, err := resumeLocalSpec(records).Build(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var recs []sim.Record
+	if err := sim.Run(context.Background(), protocol, factories, func(r sim.Record) { recs = append(recs, r) }); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := sim.NewRecordDigest()
+		for _, r := range recs {
+			d.Collect(r)
+		}
+		if d.Sum() == "" || d.Count() != records {
+			b.Fatalf("digest of %d records", d.Count())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
 }

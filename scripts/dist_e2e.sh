@@ -8,7 +8,7 @@
 # when the coordinator itself is SIGKILLed and restarted with -resume.
 #
 #   1. compute the reference digest and result JSON with
-#      `accurun -digest -out` (no dist)
+#      `accurun -digest -out -checkpoint` (no dist), journaling its cells
 #   2. write the same parameters as a grid spec and start the coordinator
 #      on it with small ranges and a short lease TTL
 #   3. start two workers: wa throttled (the doomed straggler), wb free
@@ -21,6 +21,9 @@
 #   8. on a fresh directory, SIGKILL the coordinator mid-grid, restart it
 #      with -resume, finish the grid with a new worker, and assert 6–7's
 #      digest and result equality again
+#   9. on a fresh directory, post step 1's journal file whole as one cell
+#      upload with curl (a journal is an upload body): every cell must be
+#      accepted, and 6–7's digest and result equality must hold again
 #
 # Requires: curl, jq. Runs from anywhere inside the repo.
 set -euo pipefail
@@ -70,7 +73,7 @@ go build -o "$WORK/accurun" ./cmd/accurun
 log "computing reference digest and result with accurun (uninterrupted local run)"
 "$WORK/accurun" -preset "$PRESET" -scale "$SCALE" -cautious "$CAUTIOUS" \
     -policy "$POLICY" -k "$K" -seed "$SEED" -runs "$RUNS" -digest \
-    -out "$WORK/local.json" \
+    -out "$WORK/local.json" -checkpoint "$WORK/local.jsonl" \
     >"$WORK/reference.txt"
 REF_DIGEST=$(awk '/^digest:/ {print $2}' "$WORK/reference.txt")
 [ -n "$REF_DIGEST" ] || fail "no digest in accurun output"
@@ -209,4 +212,13 @@ check_result "$WORK/out2.json"
 wait "$WC_PID" 2>/dev/null || true
 WC_PID=
 
-log "PASS: distributed results with a SIGKILLed worker and a SIGKILLed coordinator are bit-identical to the uninterrupted local run"
+log "journal upload: fresh grid, post the local run's journal file as one upload body"
+start_coordinator "$WORK/data3" "$WORK/out3.json"
+UPLOAD=$(curl -sf -H 'Content-Type: application/jsonl' --data-binary @"$WORK/local.jsonl" \
+    "$BASE/api/v1/dist/cells?worker=journal") || fail "posting the local journal failed"
+ACCEPTED=$(echo "$UPLOAD" | jq -r '.accepted')
+[ "$ACCEPTED" = "$RUNS" ] || fail "journal upload accepted $ACCEPTED cells, want $RUNS: $UPLOAD"
+wait_coordinator
+check_result "$WORK/out3.json"
+
+log "PASS: distributed results with a SIGKILLed worker and a SIGKILLed coordinator, and a local journal posted as one upload, are bit-identical to the uninterrupted local run"
