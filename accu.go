@@ -24,7 +24,6 @@ package accu
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"github.com/accu-sim/accu/internal/core"
@@ -311,17 +310,9 @@ func Experiments() []string { return exp.IDs() }
 // RunExperiment executes the experiment with the given id. When
 // cfg.Metrics is set, the report embeds a metrics snapshot taken after
 // the run (Report.Metrics).
-func RunExperiment(ctx context.Context, id string, cfg ExperimentConfig) (*Report, error) {
-	runner, ok := exp.Registry()[id]
-	if !ok {
-		return nil, fmt.Errorf("accu: unknown experiment %q (have %v)", id, exp.IDs())
-	}
-	rep, err := runner(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep.MetricsSnapshot = cfg.Metrics.Snapshot()
-	return rep, nil
+func RunExperiment(ctx context.Context, id string, cfg ExperimentConfig) (rep *Report, err error) {
+	err = exp.Run(ctx, []string{id}, cfg, func(r *Report) { rep = r })
+	return rep, err
 }
 
 // Theory helpers (exhaustive; tiny instances only).

@@ -12,6 +12,9 @@
 //
 // The default configuration is laptop-scale; pass -scale 1 -networks 100
 // -runs 30 -k 500 -cautious 100 for the paper's full protocol.
+// One invocation simulates each grid once (claims reads Fig. 2's and
+// Fig. 4's, Fig. 7 Fig. 6's) and -checkpoint DIR journals it once, at
+// DIR/<grid>.jsonl.
 package main
 
 import (
@@ -26,6 +29,7 @@ import (
 	"time"
 
 	accu "github.com/accu-sim/accu"
+	"github.com/accu-sim/accu/internal/exp"
 	"github.com/accu-sim/accu/internal/prof"
 )
 
@@ -53,10 +57,10 @@ func run(args []string, out *os.File) error {
 		seed     = fs.Uint64("seed", 20191243, "root random seed")
 		workers  = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 
-		checkpoint = fs.String("checkpoint", "", "journal completed Monte-Carlo cells under this directory (DIR/<experiment>/<grid>.jsonl)")
+		checkpoint = fs.String("checkpoint", "", "journal completed Monte-Carlo cells under this directory, one journal per grid (DIR/<grid>.jsonl)")
 		resume     = fs.Bool("resume", false, "reopen journals in the -checkpoint directory and compute only missing cells")
 
-		metrics    = fs.Bool("metrics", false, "collect engine metrics and print a table after each report")
+		metrics    = fs.Bool("metrics", false, "collect engine metrics and print a table after each report, covering the cells that report simulated (a grid an earlier report ran is not simulated again)")
 		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -126,33 +130,29 @@ func run(args []string, out *os.File) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	if *metrics {
+		cfg.Metrics = accu.NewMetrics()
+	}
 	var reports []*accu.Report
-	for _, id := range ids {
-		if *metrics {
-			// Fresh registry per experiment so each report's snapshot
-			// covers exactly its own runs.
-			cfg.Metrics = accu.NewMetrics()
-		}
-		start := time.Now()
-		if *verbose {
-			fmt.Fprintf(os.Stderr, "accubench: running %s...\n", id)
-		}
-		rep, err := accu.RunExperiment(ctx, id, cfg)
+	start := time.Now()
+	err = exp.Run(ctx, ids, cfg, func(rep *accu.Report) {
 		endProgress()
-		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
 		if *verbose {
-			fmt.Fprintf(os.Stderr, "accubench: %s done in %v\n", id, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "accubench: %s done in %v\n", rep.ID, time.Since(start).Round(time.Millisecond))
+			start = time.Now()
 		}
 		if *asJSON {
 			reports = append(reports, rep)
-			continue
+			return
 		}
 		fmt.Fprintln(out, rep.String())
 		if snap := rep.Metrics(); !snap.Empty() {
-			fmt.Fprintf(out, "-- %s metrics --\n%s\n", id, snap.Render())
+			fmt.Fprintf(out, "-- %s metrics --\n%s\n", rep.ID, snap.Render())
 		}
+	})
+	endProgress()
+	if err != nil {
+		return err
 	}
 	if *asJSON {
 		enc := json.NewEncoder(out)

@@ -132,12 +132,12 @@ func TestJSONReports(t *testing.T) {
 	}
 }
 
-// TestCheckpointJournalsPerExperiment runs experiments that share grids
-// under one -checkpoint directory: fig6 and fig7 both run the heat-*
-// sweep, and claims runs fig2's and fig4's grids. Each experiment
-// journals under DIR/<experiment>/, so none collides, and a -resume rerun
-// simulates no cell and prints the same reports.
-func TestCheckpointJournalsPerExperiment(t *testing.T) {
+// TestCheckpointJournalsPerGrid runs experiments that share grids under
+// one -checkpoint directory: fig6 and fig7 both read the heat-* sweep, and
+// claims reads fig2's and fig4's grids. Each grid is simulated once and
+// journaled once, at DIR/<grid>.jsonl with no subdirectory, and a -resume
+// rerun simulates no cell and prints the same reports.
+func TestCheckpointJournalsPerGrid(t *testing.T) {
 	type report struct {
 		ID      string          `json:"id"`
 		Tables  json.RawMessage `json:"tables"`
@@ -177,9 +177,25 @@ func TestCheckpointJournalsPerExperiment(t *testing.T) {
 				t.Fatal(err)
 			}
 			first := parse(out)
-			for _, grid := range []string{"fig6/heat-slashdot-0.1-20.jsonl", "fig7/heat-slashdot-0.1-20.jsonl", "claims/fig2-slashdot.jsonl", "claims/fig4-slashdot.jsonl"} {
-				if _, err := os.Stat(filepath.Join(dir, grid)); err != nil {
-					t.Errorf("journal %s: %v", grid, err)
+			for _, r := range first {
+				if r.ID == "fig7" && cells(r) != 0 {
+					t.Errorf("fig7 simulated %d cells after fig6 ran its sweep", cells(r))
+				}
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journals := map[string]bool{}
+			for _, e := range entries {
+				if e.IsDir() {
+					t.Errorf("checkpoint directory holds a subdirectory %s", e.Name())
+				}
+				journals[e.Name()] = true
+			}
+			for _, grid := range []string{"heat-slashdot-0.1-20.jsonl", "fig2-slashdot.jsonl", "fig4-slashdot.jsonl"} {
+				if !journals[grid] {
+					t.Errorf("no journal %s in %v", grid, entries)
 				}
 			}
 
@@ -239,7 +255,7 @@ func TestJSONIdenticalAcrossWorkersAndResume(t *testing.T) {
 	if got := runWith("-workers", "4", "-checkpoint", dir); got != want {
 		t.Fatalf("-checkpoint run differs from -workers 1:\n got %s\nwant %s", got, want)
 	}
-	journals, err := filepath.Glob(filepath.Join(dir, "*", "*.jsonl"))
+	journals, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
 	if err != nil || len(journals) == 0 {
 		t.Fatalf("no journals under %s (%v)", dir, err)
 	}

@@ -17,7 +17,7 @@ import (
 // steps, grids and seeds. Only the Fig. 7 claim runs grids of its own (a
 // θ pair), because the default B_f(c) is not on the Fig. 6/7 axis.
 func Claims(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("claims")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}

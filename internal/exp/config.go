@@ -12,7 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/gen"
@@ -43,30 +43,29 @@ type Config struct {
 	Weights core.Weights
 	// Seed roots all randomness.
 	Seed rng.Seed
-	// Workers bounds the simulation worker pool (0 = GOMAXPROCS). The
-	// pool is sized against (network, run) cells, so values above
-	// Networks still help as long as Networks×Runs cells exist; anything
-	// beyond the cell count is clamped.
+	// Workers bounds the simulation worker pool (0 = GOMAXPROCS). It is
+	// sized against (network, run) cells and clamped to their count.
 	Workers int
 	// Metrics, when non-nil, collects engine/environment/policy counters
-	// across every Monte-Carlo run of the experiment; snapshot it after
-	// RunExperiment (reports embed the snapshot automatically).
+	// across the Monte-Carlo runs of an experiment; each report embeds a
+	// snapshot of the cells its experiment simulated (see Run).
 	Metrics *obs.Registry
 	// OnProgress, when non-nil, is forwarded to every Monte-Carlo run so
 	// long experiments can report liveness. Note an experiment may run
 	// several protocols (one per dataset or grid cell); Done/Total reset
 	// for each.
 	OnProgress func(sim.Progress)
-	// CheckpointDir, when non-empty, journals every completed Monte-Carlo
-	// cell to one JSONL file per protocol under this directory, at
-	// CheckpointDir/<experiment id>/<grid>.jsonl, so an interrupted
-	// experiment can resume without recomputing finished cells and two
-	// experiments that run the same grid keep separate journals.
+	// CheckpointDir, when non-empty, journals each grid's completed cells
+	// at CheckpointDir/<grid>.jsonl, so an interrupted experiment resumes
+	// without recomputing them. A grid's name is its only key: experiments
+	// run together by Run share the journal of a grid they both read.
 	CheckpointDir string
 	// Resume reopens existing journals in CheckpointDir, replays their
 	// cells and computes only what is missing. Without Resume a leftover
 	// journal is an error (refusing to silently mix two runs).
 	Resume bool
+	// grids holds the result of each grid run so far, by grid name (Run).
+	grids map[string]*sim.Summary
 }
 
 // QuickConfig returns a configuration sized for interactive use
@@ -91,9 +90,9 @@ func PaperConfig() Config {
 	}
 }
 
-// normalize fills derived defaults, validates, and scopes CheckpointDir
-// to the experiment id.
-func (c Config) normalize(id string) (Config, error) {
+// normalize fills derived defaults, validates, names each dataset by its
+// preset key, and attaches a grid table unless the config holds one.
+func (c Config) normalize() (Config, error) {
 	if c.Scale <= 0 || c.Scale > 1 {
 		return c, fmt.Errorf("exp: scale %v not in (0, 1]", c.Scale)
 	}
@@ -115,14 +114,22 @@ func (c Config) normalize(id string) (Config, error) {
 	if len(c.Datasets) == 0 {
 		c.Datasets = []string{"facebook", "slashdot", "twitter", "dblp"}
 	}
+	c.Datasets = slices.Clone(c.Datasets)
+	for i, ds := range c.Datasets {
+		p, err := gen.PresetByName(ds)
+		if err != nil {
+			return c, err
+		}
+		c.Datasets[i] = p.Key
+	}
 	if c.Weights == (core.Weights{}) {
 		c.Weights = core.DefaultWeights()
 	}
 	if err := c.Weights.Validate(); err != nil {
 		return c, err
 	}
-	if c.CheckpointDir != "" {
-		c.CheckpointDir = filepath.Join(c.CheckpointDir, id)
+	if c.grids == nil {
+		c.grids = make(map[string]*sim.Summary)
 	}
 	return c, nil
 }
@@ -152,53 +159,49 @@ func (c Config) protocol(g gen.Generator, s osn.Setup, seed rng.Seed) sim.Protoc
 	}
 }
 
-// run executes one Monte-Carlo protocol with the config's checkpoint
-// settings applied. name identifies the protocol within the experiment
-// (it keys the checkpoint journal, so it must be stable across resumes
-// and unique within CheckpointDir). When CheckpointDir is set, the grid
-// runs journaled (sim.RunJournaled), logging resumes on stderr.
+// run executes grid name, journaled at CheckpointDir/<name>.jsonl when
+// CheckpointDir is set (sim.RunJournaled, logging resumes on stderr).
+// Every name is a preset key and numeric literals: a plain file name.
 func (c Config) run(ctx context.Context, name string, protocol sim.Protocol, factories []sim.PolicyFactory, collect func(sim.Record)) error {
 	path := ""
 	if c.CheckpointDir != "" {
 		if err := os.MkdirAll(c.CheckpointDir, 0o755); err != nil {
 			return fmt.Errorf("exp: %s: %w", name, err)
 		}
-		path = filepath.Join(c.CheckpointDir, sanitizeName(name)+".jsonl")
+		path = filepath.Join(c.CheckpointDir, name+".jsonl")
 	}
 	return sim.RunJournaled(ctx, protocol, factories, path, c.Resume, collect, nil, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "exp: "+format+"\n", args...)
 	})
 }
 
-// abmCell runs ABM with the config's weights alone over one built
-// protocol (journaled as name) and returns its final-benefit and
-// cautious-friend accumulators: one point of a sweep that varies the
-// setup or the batch size.
+// summary returns the Summary of grid name (curves at checkpoints, if
+// any), simulating the grid only if the config's table lacks it.
+func (c Config) summary(ctx context.Context, name string, protocol sim.Protocol, factories []sim.PolicyFactory, checkpoints []int) (*sim.Summary, error) {
+	if sum, ok := c.grids[name]; ok {
+		return sum, nil
+	}
+	sum := sim.NewSummary(checkpoints)
+	if err := c.run(ctx, name, protocol, factories, sum.Collect); err != nil {
+		return nil, err
+	}
+	c.grids[name] = sum
+	return sum, nil
+}
+
+// abmCell runs ABM with the config's weights alone as grid name and
+// returns its final-benefit and cautious-friend accumulators: one point
+// of a sweep that varies the setup or the batch size.
 func (c Config) abmCell(ctx context.Context, name string, protocol sim.Protocol) (benefit, cautious *stats.Welford, err error) {
 	abm, err := sim.ABMFactory(c.Weights)
 	if err != nil {
 		return nil, nil, err
 	}
-	sum := sim.NewSummary(nil)
-	if err := c.run(ctx, name, protocol, []sim.PolicyFactory{abm}, sum.Collect); err != nil {
+	sum, err := c.summary(ctx, name, protocol, []sim.PolicyFactory{abm}, nil)
+	if err != nil {
 		return nil, nil, err
 	}
 	return sum.FinalBenefit(abm.Name), sum.CautiousFriends(abm.Name), nil
-}
-
-// sanitizeName maps a protocol name to a filesystem-safe journal stem:
-// anything outside [A-Za-z0-9._-] becomes '-'.
-func sanitizeName(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		case r == '.' || r == '_' || r == '-':
-			return r
-		default:
-			return '-'
-		}
-	}, name)
 }
 
 // generator resolves a preset at the configured scale.

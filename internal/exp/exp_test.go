@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,7 +29,7 @@ func tinyConfig() Config {
 
 func TestNormalizeDefaults(t *testing.T) {
 	c := QuickConfig()
-	n, err := c.normalize("x")
+	n, err := c.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,6 +42,12 @@ func TestNormalizeDefaults(t *testing.T) {
 	if n.Weights != core.DefaultWeights() {
 		t.Errorf("weights = %+v", n.Weights)
 	}
+	// A dataset is named by its preset key, which grid names and journal
+	// file names are built from; the caller's slice is left as it was.
+	c.Datasets = []string{"SlashDot", "dblp"}
+	if n, err = c.normalize(); err != nil || n.Datasets[0] != "slashdot" || c.Datasets[0] != "SlashDot" {
+		t.Errorf("normalize(%v) = %v, %v; want preset keys in a new slice", c.Datasets, n.Datasets, err)
+	}
 }
 
 func TestNormalizeValidation(t *testing.T) {
@@ -51,11 +59,12 @@ func TestNormalizeValidation(t *testing.T) {
 		func(c *Config) { c.K = -1 },
 		func(c *Config) { c.NumCautious = -1 },
 		func(c *Config) { c.Weights = core.Weights{WD: -1, WI: 1} },
+		func(c *Config) { c.Datasets = []string{"slashdot", "nope"} },
 	}
 	for i, mutate := range cases {
 		c := tinyConfig()
 		mutate(&c)
-		if _, err := c.normalize("x"); err == nil {
+		if _, err := c.normalize(); err == nil {
 			t.Errorf("case %d: want error", i)
 		}
 	}
@@ -331,5 +340,73 @@ func TestClaimsCellCount(t *testing.T) {
 	want := int64(cfg.Networks * cfg.Runs * (4*len(cfg.Datasets) + 9))
 	if got := cfg.Metrics.Counter("sim.cells").Value(); got != want {
 		t.Errorf("sim.cells = %d, want %d", got, want)
+	}
+}
+
+// TestRunAllCellCount pins what one Run over every experiment simulates:
+// each grid once, N·R·(5D + 47) records, where running the experiments
+// one by one simulates N·R·(9D + 79). Claims reads Fig. 2's and Fig. 4's
+// grids and Fig. 7 reads Fig. 6's sweep, so those reports count no cell
+// of their own; each grid has one journal, CheckpointDir/<grid>.jsonl,
+// 2D + 39 in all; and every report is the one its experiment renders
+// when run alone.
+func TestRunAllCellCount(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.K = 10
+	cfg.Datasets = []string{"slashdot", "dblp"}
+	cfg.Metrics = obs.New()
+	cfg.CheckpointDir = t.TempDir()
+	d := len(cfg.Datasets)
+	alone := cfg
+	alone.Metrics, alone.CheckpointDir = nil, ""
+	cells := map[string]int64{}
+	var total int64
+	err := Run(context.Background(), IDs(), cfg, func(rep *Report) {
+		for _, c := range rep.Metrics().Counters {
+			if c.Name == "sim.cells" {
+				cells[rep.ID] = c.Value
+				total += c.Value
+			}
+		}
+		own, err := Registry()[rep.ID](context.Background(), alone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own.String() != rep.String() {
+			t.Errorf("%s in Run differs from %s alone:\n%s\n%s", rep.ID, rep.ID, rep, own)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(cfg.Networks * cfg.Runs * (5*d + 47)); total != want {
+		t.Errorf("Run(all) simulated %d records (%v), want %d", total, cells, want)
+	}
+	for _, id := range []string{"fig2", "fig4", "fig7"} {
+		if cells[id] != 0 {
+			t.Errorf("%s simulated %d records; its grids were run earlier in the same Run", id, cells[id])
+		}
+	}
+	entries, err := os.ReadDir(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := regexp.MustCompile(`^[a-z0-9.-]+\.jsonl$`)
+	for _, e := range entries {
+		if e.IsDir() || !journal.MatchString(e.Name()) {
+			t.Errorf("checkpoint entry %q is not a grid journal", e.Name())
+		}
+	}
+	if len(entries) != 2*d+39 {
+		t.Errorf("%d checkpoint entries, want %d", len(entries), 2*d+39)
+	}
+}
+
+func TestRunRejectsUnknownAndRepeatedIDs(t *testing.T) {
+	emit := func(*Report) { t.Error("an experiment ran") }
+	for _, ids := range [][]string{{"thm1", "nope"}, {"thm1", "thm1"}} {
+		if err := Run(context.Background(), ids, tinyConfig(), emit); err == nil {
+			t.Errorf("Run(%v): want error", ids)
+		}
 	}
 }

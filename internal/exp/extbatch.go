@@ -18,7 +18,7 @@ var batchSizes = []int{1, 5, 10, 25}
 // batch cannot court a cautious user and then immediately exploit the
 // unlocked threshold.
 func ExtBatch(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("ext-batch")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,7 @@ var softGrid = []struct{ qLow, qHigh float64 }{
 // 1 − (1 − 1/(δk))^k guarantee — the bound the paper shows degenerates to
 // 0 as qLow → 0, motivating the adaptive submodular ratio.
 func ExtSoft(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("ext-soft")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -47,12 +47,9 @@ func ExtSoft(ctx context.Context, cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("exp: extsoft (%v, %v): %w", cell.qLow, cell.qHigh, err)
 		}
 
-		delta := math.Inf(1)
+		delta, deltaStr := math.Inf(1), "inf"
 		if cell.qLow > 0 {
 			delta = cell.qHigh / cell.qLow
-		}
-		deltaStr := "inf"
-		if !math.IsInf(delta, 1) {
 			deltaStr = fmt.Sprintf("%.1f", delta)
 		}
 		rows = append(rows, []string{

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
@@ -12,19 +13,23 @@ import (
 // checkpoints returns the request counts at which benefit is sampled —
 // ten evenly spaced points up to k, matching the x-axis of Fig. 2.
 func checkpoints(k int) []int {
-	const points = 10
-	if k <= points {
-		out := make([]int, k)
-		for i := range out {
-			out[i] = i + 1
-		}
-		return out
-	}
-	out := make([]int, points)
+	out := make([]int, min(k, 10))
 	for i := range out {
-		out[i] = (i + 1) * k / points
+		out[i] = (i + 1) * k / len(out)
 	}
 	return out
+}
+
+// buckets splits steps at the request counts cps (see checkpoints) and
+// calls add with each non-empty bucket, in order.
+func buckets(cps []int, steps []core.Step, add func(i int, bucket []core.Step)) {
+	lo := 0
+	for i, hi := range cps {
+		if hi = min(hi, len(steps)); lo < hi {
+			add(i, steps[lo:hi])
+		}
+		lo = hi
+	}
 }
 
 // fig2Data runs the §IV roster on one dataset (grid fig2-<dataset>) and
@@ -39,9 +44,9 @@ func fig2Data(ctx context.Context, cfg Config, dataset string) ([]sim.PolicyFact
 	if err != nil {
 		return nil, nil, err
 	}
-	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig2-"+dataset))
-	sum := sim.NewSummary(checkpoints(cfg.K))
-	if err := cfg.run(ctx, "fig2-"+dataset, protocol, factories, sum.Collect); err != nil {
+	name := "fig2-" + dataset
+	sum, err := cfg.summary(ctx, name, cfg.protocol(g, cfg.setup(), cfg.Seed.Split(name)), factories, checkpoints(cfg.K))
+	if err != nil {
 		return nil, nil, fmt.Errorf("exp: fig2 %s: %w", dataset, err)
 	}
 	return factories, sum, nil
@@ -50,7 +55,7 @@ func fig2Data(ctx context.Context, cfg Config, dataset string) ([]sim.PolicyFact
 // Fig2 reproduces Fig. 2: total benefit vs number of requests k for ABM,
 // MaxDegree, PageRank and Random on every dataset.
 func Fig2(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("fig2")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
@@ -14,7 +15,7 @@ import (
 // (the paper plots per-request curves; buckets keep the table readable
 // while preserving the shape — the cautious-gain concentration region).
 func Fig3(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("fig3")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -40,27 +41,21 @@ func Fig3(ctx context.Context, cfg Config) (*Report, error) {
 		reckless := stats.NewSeries("from-reckless", xs)
 		protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig3-"+name))
 		err = cfg.run(ctx, "fig3-"+name, protocol, []sim.PolicyFactory{abm}, func(rec sim.Record) {
-			lo := 0
-			for i, hi := range cps {
+			buckets(cps, rec.Result.Steps, func(i int, bucket []core.Step) {
 				var sumT, sumC, sumR float64
-				n := 0
-				for s := lo; s < hi && s < len(rec.Result.Steps); s++ {
-					step := rec.Result.Steps[s]
+				for _, step := range bucket {
 					sumT += step.Gain
 					if step.Cautious {
 						sumC += step.Gain
 					} else {
 						sumR += step.Gain
 					}
-					n++
 				}
-				if n > 0 {
-					total.Add(i, sumT/float64(n))
-					cautious.Add(i, sumC/float64(n))
-					reckless.Add(i, sumR/float64(n))
-				}
-				lo = hi
-			}
+				n := float64(len(bucket))
+				total.Add(i, sumT/n)
+				cautious.Add(i, sumC/n)
+				reckless.Add(i, sumR/n)
+			})
 		})
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig3 %s: %w", name, err)

@@ -48,9 +48,9 @@ func fig4Data(ctx context.Context, cfg Config) (dataset string, benefit, cautiou
 		f.Name = fmt.Sprintf("wI=%.1f", wi)
 		factories = append(factories, f)
 	}
-	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig4-"+dataset))
-	sum := sim.NewSummary(nil)
-	if err := cfg.run(ctx, "fig4-"+dataset, protocol, factories, sum.Collect); err != nil {
+	name := "fig4-" + dataset
+	sum, err := cfg.summary(ctx, name, cfg.protocol(g, cfg.setup(), cfg.Seed.Split(name)), factories, nil)
+	if err != nil {
 		return "", nil, nil, fmt.Errorf("exp: fig4 %s: %w", dataset, err)
 	}
 	for i, f := range factories {
@@ -62,7 +62,7 @@ func fig4Data(ctx context.Context, cfg Config) (dataset string, benefit, cautiou
 // Fig4 reproduces Fig. 4: total benefit and number of cautious friends
 // after k requests on Twitter, varying w_I with w_D = 1 − w_I.
 func Fig4(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("fig4")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -70,24 +70,15 @@ func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	var notes []string
-	bm := benefit.Means()
-	best := 0
-	for i := range bm {
-		if bm[i] > bm[best] {
-			best = i
-		}
-	}
-	notes = append(notes, fmt.Sprintf("%s: benefit peaks at wI=%.1f", dataset, fig45Weights[best]))
-	cm := cautious.Means()
+	bm, cm := benefit.Means(), cautious.Means()
 	monotone := true
 	for i := 1; i < len(cm); i++ {
-		if cm[i] < cm[i-1]-1e-9 {
-			monotone = false
-			break
-		}
+		monotone = monotone && cm[i] >= cm[i-1]-1e-9
 	}
-	notes = append(notes, fmt.Sprintf("%s: cautious friends monotone in wI: %v", dataset, monotone))
+	notes := []string{
+		fmt.Sprintf("%s: benefit peaks at wI=%.1f", dataset, fig45Weights[slices.Index(bm, slices.Max(bm))]),
+		fmt.Sprintf("%s: cautious friends monotone in wI: %v", dataset, monotone),
+	}
 
 	tab, err := stats.SeriesTable(dataset, "wI", []*stats.Series{benefit, cautious})
 	if err != nil {
@@ -101,7 +92,7 @@ func Fig4(ctx context.Context, cfg Config) (*Report, error) {
 // targets a cautious user, for several w_I settings (bucketed in ten
 // request-index groups).
 func Fig5(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("fig5")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -134,21 +125,15 @@ func Fig5(ctx context.Context, cfg Config) (*Report, error) {
 
 	protocol := cfg.protocol(g, cfg.setup(), cfg.Seed.Split("fig5-"+dataset))
 	err = cfg.run(ctx, "fig5-"+dataset, protocol, factories, func(rec sim.Record) {
-		s := series[rec.Policy]
-		lo := 0
-		for i, hi := range cps {
-			n, c := 0, 0
-			for idx := lo; idx < hi && idx < len(rec.Result.Steps); idx++ {
-				n++
-				if rec.Result.Steps[idx].Cautious {
+		buckets(cps, rec.Result.Steps, func(i int, bucket []core.Step) {
+			c := 0
+			for _, step := range bucket {
+				if step.Cautious {
 					c++
 				}
 			}
-			if n > 0 {
-				s.Add(i, float64(c)/float64(n))
-			}
-			lo = hi
-		}
+			series[rec.Policy].Add(i, float64(c)/float64(len(bucket)))
+		})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exp: fig5 %s: %w", dataset, err)
@@ -170,11 +155,8 @@ func Fig5(ctx context.Context, cfg Config) (*Report, error) {
 		}
 		return num / den
 	}
-	if len(ordered) >= 2 {
-		lo, hi := center(ordered[0]), center(ordered[len(ordered)-1])
-		if lo > 0 && hi > 0 {
-			notes = append(notes, fmt.Sprintf("%s: cautious-request center shifts %.0f → %.0f as wI grows (earlier = smaller)", dataset, lo, hi))
-		}
+	if lo, hi := center(ordered[0]), center(ordered[len(ordered)-1]); lo > 0 && hi > 0 {
+		notes = append(notes, fmt.Sprintf("%s: cautious-request center shifts %.0f → %.0f as wI grows (earlier = smaller)", dataset, lo, hi))
 	}
 
 	tab, err := stats.SeriesTable(dataset+" fraction of requests sent to cautious users", "k", ordered)

@@ -14,11 +14,10 @@ var (
 	heatThetas   = []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 )
 
-// heatmap runs the Fig. 6/7 sweep for experiment id (one ABM grid
-// heat-<dataset>-<θ>-<Bf> per cell) and returns ABM's benefit and
-// cautious-friend grids.
-func heatmap(ctx context.Context, cfg Config, id string) (benefit, cautious *stats.Grid, dataset string, err error) {
-	cfg, err = cfg.normalize(id)
+// heatmap runs the Fig. 6/7 sweep (one ABM grid heat-<dataset>-<θ>-<Bf>
+// per cell) and returns ABM's benefit and cautious-friend grids.
+func heatmap(ctx context.Context, cfg Config) (benefit, cautious *stats.Grid, dataset string, err error) {
+	cfg, err = cfg.normalize()
 	if err != nil {
 		return nil, nil, "", err
 	}
@@ -68,7 +67,7 @@ func heatNotes(grid *stats.Grid, dataset, what string) []string {
 // Fig6 reproduces Fig. 6: the total-benefit heat map over cautious-user
 // benefit and threshold fraction.
 func Fig6(ctx context.Context, cfg Config) (*Report, error) {
-	grid, _, dataset, err := heatmap(ctx, cfg, "fig6")
+	grid, _, dataset, err := heatmap(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +78,7 @@ func Fig6(ctx context.Context, cfg Config) (*Report, error) {
 // Fig7 reproduces Fig. 7: the cautious-friend-count heat map over the
 // same grid.
 func Fig7(ctx context.Context, cfg Config) (*Report, error) {
-	_, grid, dataset, err := heatmap(ctx, cfg, "fig7")
+	_, grid, dataset, err := heatmap(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -3,10 +3,11 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"github.com/accu-sim/accu/internal/obs"
+	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
 )
 
@@ -81,13 +82,40 @@ func Registry() map[string]Runner {
 	}
 }
 
+// Run runs the experiments ids in order under one config, handing each
+// report to emit. It owns the call's grid table: each named grid is
+// simulated at most once, and its readers share the result (claims reads
+// Fig. 2's and Fig. 4's grids, Fig. 7 Fig. 6's). With cfg.Metrics set,
+// each report's snapshot covers the cells its experiment simulated: the
+// first counts into cfg.Metrics, each later one into a fresh registry.
+func Run(ctx context.Context, ids []string, cfg Config, emit func(*Report)) error {
+	reg := Registry()
+	for i, id := range ids {
+		if reg[id] == nil || slices.Contains(ids[:i], id) {
+			return fmt.Errorf("exp: unknown or repeated experiment %q (have %v)", id, IDs())
+		}
+	}
+	cfg.grids = make(map[string]*sim.Summary)
+	for i, id := range ids {
+		if i > 0 && cfg.Metrics != nil {
+			cfg.Metrics = obs.New()
+		}
+		rep, err := reg[id](ctx, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		rep.MetricsSnapshot = cfg.Metrics.Snapshot()
+		emit(rep)
+	}
+	return nil
+}
+
 // IDs returns the registry keys in stable order.
 func IDs() []string {
-	reg := Registry()
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
+	var ids []string
+	for id := range Registry() {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	return ids
 }

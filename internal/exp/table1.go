@@ -14,7 +14,7 @@ import (
 // configured scale, plus the degree-band population that the cautious
 // selection protocol depends on.
 func Table1(ctx context.Context, cfg Config) (*Report, error) {
-	cfg, err := cfg.normalize("table1")
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
@@ -119,6 +123,75 @@ func FuzzDecodeCellLine(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("fast path decoded %q as\n%+v\nencoding/json as\n%+v", line, got, want)
+		}
+	})
+}
+
+// decodeCellLinesReference is the upload decoder the accudist coordinator
+// used before it read uploads with the journal's decoder: a json.Decoder
+// loop over concatenated JSON values, whatever whitespace separates them.
+// It accepts a superset of ReadCellLines' one-value-per-line grammar, and
+// is kept as that reader's oracle.
+func decodeCellLinesReference(r io.Reader) ([]CellLine, error) {
+	dec := json.NewDecoder(r)
+	var lines []CellLine
+	for {
+		var cl CellLine
+		if err := dec.Decode(&cl); err != nil {
+			if errors.Is(err, io.EOF) {
+				return lines, nil
+			}
+			return nil, err
+		}
+		lines = append(lines, cl)
+	}
+}
+
+// FuzzReadCellLines checks the upload reader against
+// decodeCellLinesReference: whatever ReadCellLines accepts, the reference
+// decoder must accept too and decode to the same lines. It needs no disk,
+// so it spends its budget on the decoder alone; FuzzUpload in
+// internal/dist drives the same bodies through the coordinator. The seeds
+// are the edges of the one-value-per-line grammar.
+func FuzzReadCellLines(f *testing.F) {
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := benchProtocol(1, 2, 1)
+	p.K = 4
+	var batch []byte
+	if err := Run(context.Background(), p, factories[len(factories)-1:], func(r Record) {
+		line, err := EncodeCellLine(&CellLine{CellKey: CellKey{Network: r.Network, Run: r.Run}, Records: []Record{r}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		batch = append(batch, line...)
+	}); err != nil {
+		f.Fatal(err)
+	}
+	valid := batch[:bytes.IndexByte(batch, '\n')+1]
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, valid, "", "  "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(batch)
+	f.Add(append(slices.Clip(bytes.TrimSuffix(valid, []byte("\n"))), valid...)) // two values on one line
+	f.Add(pretty.Bytes())                                                       // one value over several lines
+	f.Add(bytes.ReplaceAll(batch, []byte("\n"), []byte("\r\n")))                // CRLF line endings
+	f.Add([]byte("\n \t\n" + string(valid) + "\r\n\n"))                         // blank lines
+	f.Add(bytes.TrimSuffix(batch, []byte("\n")))                                // last line without its newline
+	f.Fuzz(func(t *testing.T, body []byte) {
+		lines, err := ReadCellLines(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		want, err := decodeCellLinesReference(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("ReadCellLines accepted %d line(s) the reference decoder rejects: %v", len(lines), err)
+		}
+		if !reflect.DeepEqual(lines, want) {
+			t.Fatalf("ReadCellLines decoded %+v, the reference decoder %+v", lines, want)
 		}
 	})
 }
