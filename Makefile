@@ -34,8 +34,8 @@ vet:
 # encoding/json, the upload reader against a json.Decoder loop,
 # request-journal read and replay,
 # accuserv submit and job documents,
-# accudist cell upload, accudist lease and fail), the graph builder and
-# graph.FromPairs against it, each for FUZZTIME (CI runs
+# accudist cell upload, accudist lease and fail) and graph.FromPairs
+# against a per-node-set model, each for FUZZTIME (CI runs
 # `make fuzz-smoke FUZZTIME=30s`).
 fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME)
@@ -47,7 +47,6 @@ fuzz-smoke:
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzLoadJobs -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzUpload -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/dist -run '^$$' -fuzz FuzzLeaseAndFail -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzBuilder -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/graph -run '^$$' -fuzz FuzzFromPairs -fuzztime $(FUZZTIME)
 
 bench:

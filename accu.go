@@ -43,8 +43,6 @@ import (
 type (
 	// Graph is an immutable undirected simple graph in CSR form.
 	Graph = graph.Graph
-	// GraphBuilder accumulates edges before freezing into a Graph.
-	GraphBuilder = graph.Builder
 	// Edge is an undirected edge.
 	Edge = graph.Edge
 	// Instance is a fully specified ACCU problem instance.
@@ -95,8 +93,10 @@ const (
 // NewSeed builds a deterministic seed from two words of entropy.
 func NewSeed(hi, lo uint64) Seed { return rng.NewSeed(hi, lo) }
 
-// NewGraphBuilder returns a builder for a graph with n nodes.
-func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
+// GraphFromPairs builds the simple graph on n nodes whose edges are the
+// endpoint pairs (ends[0], ends[1]), (ends[2], ends[3]), …; self-loops
+// and repeated pairs are dropped.
+func GraphFromPairs(n int, ends []int32) (*Graph, error) { return graph.FromPairs(n, ends) }
 
 // ReadEdgeList parses a SNAP-style edge list into a Graph, compacting
 // sparse node ids and collapsing directed duplicates.

@@ -48,14 +48,19 @@ func TestEndToEndQuickstart(t *testing.T) {
 	}
 }
 
-func TestPublicPolicies(t *testing.T) {
-	b := accu.NewGraphBuilder(6)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {3, 4}, {4, 5}} {
-		if _, err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+// mustGraph builds the graph on n nodes from the endpoint list ends with
+// GraphFromPairs, failing the test on error.
+func mustGraph(t *testing.T, n int, ends ...int32) *accu.Graph {
+	t.Helper()
+	g, err := accu.GraphFromPairs(n, ends)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := b.Freeze()
+	return g
+}
+
+func TestPublicPolicies(t *testing.T) {
+	g := mustGraph(t, 6, 0, 1, 0, 2, 0, 3, 3, 4, 4, 5)
 	p := accu.Params{
 		Kind:       make([]accu.Kind, 6),
 		AcceptProb: make([]float64, 6),
@@ -92,13 +97,7 @@ func TestPublicPolicies(t *testing.T) {
 }
 
 func TestPublicAttackStateAndPotential(t *testing.T) {
-	b := accu.NewGraphBuilder(3)
-	for _, e := range [][2]int{{0, 1}, {1, 2}} {
-		if _, err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.Freeze()
+	g := mustGraph(t, 3, 0, 1, 1, 2)
 	p := accu.Params{
 		Kind:       []accu.Kind{accu.Reckless, accu.Reckless, accu.Reckless},
 		AcceptProb: []float64{1, 1, 1},
@@ -124,11 +123,7 @@ func TestPublicAttackStateAndPotential(t *testing.T) {
 }
 
 func TestPublicEdgeListRoundTrip(t *testing.T) {
-	b := accu.NewGraphBuilder(3)
-	if _, err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Freeze()
+	g := mustGraph(t, 3, 0, 1)
 	var buf bytes.Buffer
 	if err := accu.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
@@ -143,14 +138,7 @@ func TestPublicEdgeListRoundTrip(t *testing.T) {
 }
 
 func TestPublicPageRank(t *testing.T) {
-	b := accu.NewGraphBuilder(3)
-	if _, err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.AddEdge(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	scores, err := accu.PageRankScores(b.Freeze())
+	scores, err := accu.PageRankScores(mustGraph(t, 3, 0, 1, 0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +174,7 @@ func TestRunExperimentRegistry(t *testing.T) {
 
 func TestPublicTheoryHelpers(t *testing.T) {
 	// Fig. 1 instance: cautious 0 (θ=1) — reckless 1.
-	b := accu.NewGraphBuilder(2)
-	if _, err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := accu.NewInstance(b.Freeze(), accu.Params{
+	inst, err := accu.NewInstance(mustGraph(t, 2, 0, 1), accu.Params{
 		Kind:       []accu.Kind{accu.Cautious, accu.Reckless},
 		AcceptProb: []float64{0, 1},
 		Theta:      []int{1, 0},

@@ -620,3 +620,14 @@ func TestCheckpointCloseErrorFailsRun(t *testing.T) {
 		t.Fatalf("err = %v, want the journal's close error", err)
 	}
 }
+
+// TestTooFewCautiousCandidates checks that a preset whose network lacks
+// cautious-user candidates for the default count fails the run, with
+// the shortfall as its cause (main exits non-zero on any error).
+func TestTooFewCautiousCandidates(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-preset", "facebook", "-scale", "0.02", "-k", "5"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "not enough cautious-user candidates") {
+		t.Fatalf("err = %v, want the shortfall of cautious-user candidates", err)
+	}
+}

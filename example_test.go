@@ -44,11 +44,11 @@ func Example() {
 // cautious user that only accepts once it shares a mutual friend with
 // the attacker.
 func ExampleNewInstance() {
-	b := accu.NewGraphBuilder(2)
-	if _, err := b.AddEdge(0, 1); err != nil {
+	g, err := accu.GraphFromPairs(2, []int32{0, 1})
+	if err != nil {
 		panic(err)
 	}
-	inst, err := accu.NewInstance(b.Freeze(), accu.Params{
+	inst, err := accu.NewInstance(g, accu.Params{
 		Kind:       []accu.Kind{accu.Cautious, accu.Reckless},
 		AcceptProb: []float64{0, 1},
 		Theta:      []int{1, 0},

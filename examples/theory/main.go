@@ -14,13 +14,11 @@ import (
 // buildThresholdStar builds the running example: reckless users 0, 1, 2
 // (q = 1) around a cautious hub 3 with θ = 2 and B_f = 50.
 func buildThresholdStar() (*accu.Instance, error) {
-	b := accu.NewGraphBuilder(4)
-	for _, e := range [][2]int{{0, 3}, {1, 3}, {0, 1}, {1, 2}} {
-		if _, err := b.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
+	g, err := accu.GraphFromPairs(4, []int32{0, 3, 1, 3, 0, 1, 1, 2})
+	if err != nil {
+		return nil, err
 	}
-	return accu.NewInstance(b.Freeze(), accu.Params{
+	return accu.NewInstance(g, accu.Params{
 		Kind:       []accu.Kind{accu.Reckless, accu.Reckless, accu.Reckless, accu.Cautious},
 		AcceptProb: []float64{1, 1, 1, 0},
 		Theta:      []int{0, 0, 0, 2},

@@ -5,7 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/accu-sim/accu/internal/graph"
+	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/obs"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
@@ -15,14 +15,10 @@ import (
 // users for integration-style tests.
 func randomInstance(t *testing.T, seed uint64) *osn.Instance {
 	t.Helper()
-	b := graph.NewBuilder(300)
-	r := rng.NewSeed(seed, seed+1).Rand()
-	for b.M() < 3000 {
-		if _, err := b.AddEdge(r.IntN(300), r.IntN(300)); err != nil {
-			t.Fatal(err)
-		}
+	g, err := gen.ErdosRenyi{N: 300, M: 3000}.Generate(rng.NewSeed(seed, seed+1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := b.Freeze()
 	s := osn.DefaultSetup()
 	s.NumCautious = 8
 	inst, err := s.Build(g, rng.NewSeed(seed+2, seed+3))

@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"github.com/accu-sim/accu/internal/graph"
+	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 )
@@ -20,14 +20,11 @@ import (
 // batches. Benefits are integers, so the engine's running sum is exact.
 func TestAllRecklessClosedForm(t *testing.T) {
 	const n, m, k = 300, 600, 40
-	r := rng.NewSeed(5, 17).Rand()
-	b := graph.NewBuilder(n)
-	for b.M() < m {
-		if _, err := b.AddEdge(r.IntN(n), r.IntN(n)); err != nil {
-			t.Fatal(err)
-		}
+	g, err := gen.ErdosRenyi{N: n, M: m}.Generate(rng.NewSeed(5, 17))
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := b.Freeze()
+	r := rng.NewSeed(5, 18).Rand()
 	p := osn.Params{
 		Kind:       make([]osn.Kind, n),
 		AcceptProb: make([]float64, n),

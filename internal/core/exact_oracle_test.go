@@ -31,13 +31,14 @@ type exactEdge struct {
 
 func exactInstance(t *testing.T, users []exactUser, edges []exactEdge) *osn.Instance {
 	t.Helper()
-	b := graph.NewBuilder(len(users))
+	var ends []int32
 	for _, e := range edges {
-		if _, err := b.AddEdge(e.u, e.v); err != nil {
-			t.Fatal(err)
-		}
+		ends = append(ends, int32(e.u), int32(e.v))
 	}
-	g := b.Freeze()
+	g, err := graph.FromPairs(len(users), ends)
+	if err != nil {
+		t.Fatal(err)
+	}
 	n := len(users)
 	p := osn.Params{
 		Kind:       make([]osn.Kind, n),

@@ -19,13 +19,15 @@ func sampleUsers(r *rand.Rand, n, k int) ([]int, error) {
 
 func buildGraph(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(n)
+	ends := make([]int32, 0, 2*len(edges))
 	for _, e := range edges {
-		if _, err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+		ends = append(ends, int32(e[0]), int32(e[1]))
 	}
-	return b.Freeze()
+	g, err := graph.FromPairs(n, ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func uniformParams(n int) osn.Params {

@@ -22,15 +22,12 @@ type thm1Case struct {
 // with a threshold chain, a shared-friend pair of cautious users
 // (Lemma 5's regime), probabilistic acceptance, and probabilistic edges.
 func thm1Cases() []thm1Case {
-	mk := func(n int, edges [][2]int, mutate func(*osn.Params)) func() (*osn.Instance, error) {
+	mk := func(n int, ends []int32, mutate func(*osn.Params)) func() (*osn.Instance, error) {
 		return func() (*osn.Instance, error) {
-			b := graph.NewBuilder(n)
-			for _, e := range edges {
-				if _, err := b.AddEdge(e[0], e[1]); err != nil {
-					return nil, err
-				}
+			g, err := graph.FromPairs(n, ends)
+			if err != nil {
+				return nil, err
 			}
-			g := b.Freeze()
 			p := osn.Params{
 				Kind:       make([]osn.Kind, n),
 				AcceptProb: make([]float64, n),
@@ -58,14 +55,14 @@ func thm1Cases() []thm1Case {
 		{
 			name: "threshold-2-star",
 			k:    3,
-			build: mk(4, [][2]int{{0, 3}, {1, 3}, {0, 1}, {1, 2}}, func(p *osn.Params) {
+			build: mk(4, []int32{0, 3, 1, 3, 0, 1, 1, 2}, func(p *osn.Params) {
 				cautious(p, 3, 2)
 			}),
 		},
 		{
 			name: "probabilistic-acceptance",
 			k:    3,
-			build: mk(4, [][2]int{{0, 3}, {1, 3}, {1, 2}}, func(p *osn.Params) {
+			build: mk(4, []int32{0, 3, 1, 3, 1, 2}, func(p *osn.Params) {
 				cautious(p, 3, 1)
 				p.AcceptProb[0] = 0.5
 				p.AcceptProb[2] = 0.7
@@ -74,7 +71,7 @@ func thm1Cases() []thm1Case {
 		{
 			name: "shared-friend-two-cautious",
 			k:    3,
-			build: mk(5, [][2]int{{0, 3}, {0, 4}, {1, 3}, {2, 4}}, func(p *osn.Params) {
+			build: mk(5, []int32{0, 3, 0, 4, 1, 3, 2, 4}, func(p *osn.Params) {
 				cautious(p, 3, 2)
 				cautious(p, 4, 2)
 			}),

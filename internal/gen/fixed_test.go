@@ -10,11 +10,10 @@ import (
 )
 
 func TestFixedGenerator(t *testing.T) {
-	b := graph.NewBuilder(3)
-	if _, err := b.AddEdge(0, 1); err != nil {
+	g, err := graph.FromPairs(3, []int32{0, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	g := b.Freeze()
 	f := Fixed{G: g, Label: "toy"}
 	if f.Name() != "fixed(toy)" {
 		t.Errorf("name = %q", f.Name())
@@ -43,11 +42,11 @@ func TestFixedNilGraph(t *testing.T) {
 }
 
 func TestFixedUnlabeledName(t *testing.T) {
-	b := graph.NewBuilder(2)
-	if _, err := b.AddEdge(0, 1); err != nil {
+	g, err := graph.FromPairs(2, []int32{0, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	f := Fixed{G: b.Freeze()}
+	f := Fixed{G: g}
 	if !strings.Contains(f.Name(), "n=2") {
 		t.Errorf("name = %q", f.Name())
 	}

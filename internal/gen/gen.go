@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/rng"
@@ -46,14 +47,18 @@ func (g ErdosRenyi) Generate(seed rng.Seed) (*graph.Graph, error) {
 		return nil, fmt.Errorf("%w: er n=%d m=%d", ErrBadParam, g.N, g.M)
 	}
 	r := seed.Rand()
-	b := graph.NewBuilder(g.N)
-	for b.M() < g.M {
-		u, v := r.IntN(g.N), r.IntN(g.N)
-		if _, err := b.AddEdge(u, v); err != nil {
-			return nil, err
+	ends := make([]int32, 0, 2*g.M)
+	drawn := make(map[[2]int32]bool, g.M)
+	for len(ends) < 2*g.M {
+		u, v := int32(r.IntN(g.N)), int32(r.IntN(g.N))
+		key := [2]int32{min(u, v), max(u, v)}
+		if u == v || drawn[key] {
+			continue
 		}
+		drawn[key] = true
+		ends = append(ends, u, v)
 	}
-	return b.Freeze(), nil
+	return graph.FromPairs(g.N, ends)
 }
 
 // HolmeKim generates a Barabási–Albert graph with triad formation: after
@@ -84,71 +89,60 @@ func (g HolmeKim) Generate(seed rng.Seed) (*graph.Graph, error) {
 }
 
 // generatePA is the shared preferential-attachment core: pTriad = 0 gives
-// plain Barabási–Albert. The repeated-endpoint list gives O(1) sampling
-// proportional to degree.
+// plain Barabási–Albert. The endpoint list holds every edge once, so it
+// gives O(1) sampling proportional to degree and is the pair list of the
+// finished graph.
 func generatePA(seed rng.Seed, n, mAttach int, pTriad float64) (*graph.Graph, error) {
 	if n < 1 || mAttach < 1 || mAttach >= n {
 		return nil, fmt.Errorf("%w: pa n=%d mAttach=%d", ErrBadParam, n, mAttach)
 	}
 	r := seed.Rand()
-	b := graph.NewBuilder(n)
 	adj := make([][]int32, n) // parallel adjacency for O(1) neighbor sampling
-
-	addEdge := func(u, v int) error {
-		ok, err := b.AddEdge(u, v)
-		if err != nil || !ok {
-			return err
-		}
-		adj[u] = append(adj[u], int32(v))
-		adj[v] = append(adj[v], int32(u))
-		return nil
+	endpoints := make([]int32, 0, 2*n*mAttach)
+	addEdge := func(u, v int32) {
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
+		endpoints = append(endpoints, u, v)
 	}
 
 	// Seed clique of mAttach+1 nodes.
 	seedSize := mAttach + 1
-	endpoints := make([]int32, 0, 2*n*mAttach)
 	for u := 0; u < seedSize; u++ {
 		for v := u + 1; v < seedSize; v++ {
-			if err := addEdge(u, v); err != nil {
-				return nil, err
-			}
-			endpoints = append(endpoints, int32(u), int32(v))
+			addEdge(int32(u), int32(v))
 		}
 	}
 
-	// While u attaches, its builder edges are exactly the targets added
-	// so far: its degree counts them and HasEdge tests membership.
+	// While u attaches, its edges are exactly the targets in adj[u]: no
+	// later node has attached to it yet.
 	for u := seedSize; u < n; u++ {
 		lastTarget := int32(-1)
-		for b.Degree(u) < mAttach {
+		for len(adj[u]) < mAttach {
 			var target int32
 			if lastTarget >= 0 && pTriad > 0 && r.Float64() < pTriad {
 				// Triad step: connect to a random neighbor of the last
 				// target that we are not already connected to.
-				target = pickTriadTarget(b, adj, r, lastTarget, u)
+				target = pickTriadTarget(adj, r, lastTarget, u)
 				if target < 0 {
 					target = endpoints[r.IntN(len(endpoints))]
 				}
 			} else {
 				target = endpoints[r.IntN(len(endpoints))]
 			}
-			if int(target) == u || b.HasEdge(u, int(target)) {
+			if int(target) == u || slices.Contains(adj[u], target) {
 				continue
 			}
-			if err := addEdge(u, int(target)); err != nil {
-				return nil, err
-			}
+			addEdge(int32(u), target)
 			lastTarget = target
-			endpoints = append(endpoints, int32(u), target)
 		}
 	}
-	return b.Freeze(), nil
+	return graph.FromPairs(n, endpoints)
 }
 
 // pickTriadTarget returns a random neighbor of lastTarget not yet linked
 // to u, or -1 if a few tries fail (the caller falls back to preferential
 // attachment, as in the Holme–Kim construction).
-func pickTriadTarget(b *graph.Builder, adj [][]int32, r *rand.Rand, lastTarget int32, u int) int32 {
+func pickTriadTarget(adj [][]int32, r *rand.Rand, lastTarget int32, u int) int32 {
 	nbrs := adj[lastTarget]
 	if len(nbrs) == 0 {
 		return -1
@@ -156,7 +150,7 @@ func pickTriadTarget(b *graph.Builder, adj [][]int32, r *rand.Rand, lastTarget i
 	const tries = 4
 	for i := 0; i < tries; i++ {
 		cand := nbrs[r.IntN(len(nbrs))]
-		if int(cand) != u && !b.HasEdge(u, int(cand)) {
+		if int(cand) != u && !slices.Contains(adj[u], cand) {
 			return cand
 		}
 	}

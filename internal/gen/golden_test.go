@@ -11,10 +11,10 @@ import (
 )
 
 // goldenCSR pins the frozen CSR of every preset, keyed "preset/scale/seed".
-// Each value is csrDigest of the generated graph. A graph-builder change
-// must leave every pin as it is: the generators draw randomness based on
-// the builder's AddEdge/HasEdge answers, and every record digest and
-// sketch byte downstream depends on the CSR's row order.
+// Each value is csrDigest of the generated graph. A change to graph
+// construction must leave every pin as it is: Holme–Kim draws randomness
+// based on which edges the attaching node already has, and every record
+// digest and sketch byte downstream depends on the CSR's row order.
 var goldenCSR = map[string]string{
 	"dblp/0.01/0":     "d0a2560be4b1dd32bed150e5b2c11f27d7ca53614aa9038ef5065f25b2d7517d",
 	"dblp/0.01/1":     "ad191ce6b668fb8616843afcf9e9ee644dad98294f8529c824678da3d8ed361f",

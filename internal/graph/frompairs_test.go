@@ -7,22 +7,66 @@ import (
 	"testing"
 )
 
-// checkFromPairs builds ends with FromPairs and with the Builder oracle
-// (NewBuilder, AddEdge on every pair, Freeze) and fails unless both give
-// the same CSR, or both reject the list with ErrNodeRange. On the built
-// graph it also runs checkEdgeSlots.
+// pairModel is the reference FromPairs must answer exactly like: one Go
+// map of neighbours per node, filled pair by pair.
+type pairModel struct {
+	adj []map[int]bool
+	m   int
+}
+
+// newPairModel adds the pairs of ends to a model on max(n, 0) nodes. It
+// reports false where FromPairs must return ErrNodeRange: an odd-length
+// list or an endpoint outside [0, n).
+func newPairModel(n int, ends []int32) (*pairModel, bool) {
+	md := &pairModel{adj: make([]map[int]bool, max(n, 0))}
+	for u := range md.adj {
+		md.adj[u] = map[int]bool{}
+	}
+	if len(ends)%2 != 0 {
+		return nil, false
+	}
+	for i := 0; i < len(ends); i += 2 {
+		u, v := int(ends[i]), int(ends[i+1])
+		if u < 0 || u >= len(md.adj) || v < 0 || v >= len(md.adj) {
+			return nil, false
+		}
+		if u != v && !md.adj[u][v] {
+			md.adj[u][v], md.adj[v][u] = true, true
+			md.m++
+		}
+	}
+	return md, true
+}
+
+// checkFrozen compares a CSR with the model: every row holds exactly the
+// model's neighbours in strictly ascending order.
+func checkFrozen(t *testing.T, g *Graph, md *pairModel) {
+	t.Helper()
+	if g.N() != len(md.adj) || g.M() != md.m || g.AdjSize() != 2*md.m {
+		t.Fatalf("N, M, AdjSize = %d, %d, %d; want %d, %d, %d",
+			g.N(), g.M(), g.AdjSize(), len(md.adj), md.m, 2*md.m)
+	}
+	for u, nbrs := range md.adj {
+		row := g.Neighbors(u)
+		if len(row) != len(nbrs) {
+			t.Fatalf("row %d = %v, want %d neighbours", u, row, len(nbrs))
+		}
+		for i, v := range row {
+			if !nbrs[int(v)] || (i > 0 && row[i-1] >= v) {
+				t.Fatalf("row %d = %v: not the model's neighbours in ascending order", u, row)
+			}
+		}
+	}
+}
+
+// checkFromPairs builds ends with FromPairs and with pairModel and fails
+// unless the CSR holds the model's graph, or both reject the list with
+// ErrNodeRange. On the built graph it also runs checkEdgeSlots.
 func checkFromPairs(t *testing.T, n int, ends []int32) {
 	t.Helper()
 	got, err := FromPairs(n, ends)
-
-	b := NewBuilder(n)
-	wantErr := len(ends)%2 != 0
-	for i := 0; i+1 < len(ends) && !wantErr; i += 2 {
-		if _, err := b.AddEdge(int(ends[i]), int(ends[i+1])); err != nil {
-			wantErr = true
-		}
-	}
-	if wantErr {
+	md, ok := newPairModel(n, ends)
+	if !ok {
 		if !errors.Is(err, ErrNodeRange) {
 			t.Fatalf("FromPairs(%d, %v) = %v, want ErrNodeRange", n, ends, err)
 		}
@@ -31,7 +75,7 @@ func checkFromPairs(t *testing.T, n int, ends []int32) {
 	if err != nil {
 		t.Fatalf("FromPairs(%d, %v): %v", n, ends, err)
 	}
-	sameCSR(t, got, b.Freeze())
+	checkFrozen(t, got, md)
 	checkEdgeSlots(t, got)
 }
 
@@ -57,27 +101,11 @@ func checkEdgeSlots(t *testing.T, g *Graph) {
 	}
 }
 
-// sameCSR fails unless got and want have the same node and edge counts,
-// row offsets and rows.
-func sameCSR(t *testing.T, got, want *Graph) {
-	t.Helper()
-	if got.N() != want.N() || got.M() != want.M() || got.AdjSize() != want.AdjSize() {
-		t.Fatalf("N, M, AdjSize = %d, %d, %d; want %d, %d, %d",
-			got.N(), got.M(), got.AdjSize(), want.N(), want.M(), want.AdjSize())
-	}
-	if !slices.Equal(got.offsets, want.offsets) {
-		t.Fatalf("offsets = %v, want %v", got.offsets, want.offsets)
-	}
-	if !slices.Equal(got.neighbors, want.neighbors) {
-		t.Fatalf("neighbors = %v, want %v", got.neighbors, want.neighbors)
-	}
-}
-
-// TestFromPairsMatchesBuilder runs random pair lists through
+// TestFromPairsMatchesModel runs random pair lists through
 // checkFromPairs: dense lists on few nodes (many repeats and self-loops),
-// sparse lists on many nodes (isolated nodes), n of 0 and 1, and lists
-// with an out-of-range endpoint or an odd length.
-func TestFromPairsMatchesBuilder(t *testing.T) {
+// sparse lists on many nodes (isolated nodes), n of 0, 1 and below 0, and
+// lists with an out-of-range endpoint or an odd length.
+func TestFromPairsMatchesModel(t *testing.T) {
 	r := rand.New(rand.NewPCG(37, 1))
 	for _, n := range []int{0, 1, 2, 3, 7, 40, 300} {
 		for _, pairs := range []int{0, 1, 5, 60, 2000} {
@@ -119,7 +147,7 @@ func TestFromPairsDropsRepeats(t *testing.T) {
 	}
 }
 
-// FuzzFromPairs checks FromPairs against the Builder oracle, and
+// FuzzFromPairs checks FromPairs against pairModel, and
 // EachEdgeSlot against IndexOf on the graph it builds. data[0] is
 // the node count (0–255); bit 0 of data[1] lets endpoints fall in
 // [-2, n+2) instead of [0, n), and bit 1 drops the last endpoint so the

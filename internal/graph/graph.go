@@ -1,8 +1,7 @@
 // Package graph provides the undirected-graph substrate used throughout the
-// ACCU reproduction: a mutable builder for generators that query the
-// graph while they build it, FromPairs for those that only emit edges, and
-// a frozen, cache-friendly CSR (compressed sparse row) form for the attack
-// loops.
+// ACCU reproduction: a frozen, cache-friendly CSR (compressed sparse row)
+// form for the attack loops, built by FromPairs from a list of endpoint
+// pairs.
 //
 // Nodes are dense integers in [0, N). Self-loops and parallel edges are
 // dropped at build time, matching the simple-graph assumption of the
@@ -12,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 )
@@ -20,140 +18,11 @@ import (
 // ErrNodeRange is returned when a node id is outside [0, N).
 var ErrNodeRange = errors.New("graph: node id out of range")
 
-// Builder accumulates edges for an undirected simple graph. The zero value
-// is not usable; construct with NewBuilder.
-//
-// Edges live in one flat open-addressing set of u<<32|v keys with u < v:
-// linear probing over a power-of-two table that doubles at load ½. Key 0
-// marks an empty slot; it would be the self-loop (0, 0), which is never
-// stored. Per-node degrees are kept beside the set, so Freeze is a counting
-// sort that needs no per-node structure.
-type Builder struct {
-	n    int
-	deg  []int32
-	keys []uint64
-	m    int
-}
-
-// NewBuilder returns a builder for a graph with n nodes and no edges.
-func NewBuilder(n int) *Builder {
-	if n < 0 {
-		n = 0
-	}
-	return &Builder{n: n, deg: make([]int32, n)}
-}
-
-// N reports the number of nodes.
-func (b *Builder) N() int { return b.n }
-
-// M reports the number of (undirected) edges added so far.
-func (b *Builder) M() int { return b.m }
-
-// edgeKey packs the undirected edge (u, v), u != v, into its set key.
-func edgeKey(u, v int) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(u)<<32 | uint64(v)
-}
-
-// slot returns the table index where key lives, or the empty slot where
-// it would be inserted. The table must be non-empty and not full.
-func (b *Builder) slot(key uint64) int {
-	mask := uint64(len(b.keys) - 1)
-	// Fibonacci hashing: the multiply mixes both endpoints into the high
-	// bits, and the shift keeps log2(len) of them.
-	i := key * 0x9E3779B97F4A7C15 >> (bits.LeadingZeros64(mask) & 63)
-	for b.keys[i] != 0 && b.keys[i] != key {
-		i = (i + 1) & mask
-	}
-	return int(i)
-}
-
-// grow doubles the table (or allocates the first one) and reinserts every
-// key.
-func (b *Builder) grow() {
-	old := b.keys
-	b.keys = make([]uint64, max(16, 2*len(old)))
-	for _, k := range old {
-		if k != 0 {
-			b.keys[b.slot(k)] = k
-		}
-	}
-}
-
-// AddEdge inserts the undirected edge (u, v). It reports whether the edge
-// was newly added; self-loops and duplicates are ignored with ok=false.
-// It returns ErrNodeRange if either endpoint is out of range.
-func (b *Builder) AddEdge(u, v int) (ok bool, err error) {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		return false, fmt.Errorf("%w: (%d, %d) with n=%d", ErrNodeRange, u, v, b.n)
-	}
-	if u == v {
-		return false, nil
-	}
-	if 2*(b.m+1) > len(b.keys) {
-		b.grow()
-	}
-	key := edgeKey(u, v)
-	i := b.slot(key)
-	if b.keys[i] == key {
-		return false, nil
-	}
-	b.keys[i] = key
-	b.deg[u]++
-	b.deg[v]++
-	b.m++
-	return true, nil
-}
-
-// HasEdge reports whether the edge (u, v) exists. Out-of-range endpoints
-// report false.
-func (b *Builder) HasEdge(u, v int) bool {
-	if u < 0 || u >= b.n || v < 0 || v >= b.n || u == v || len(b.keys) == 0 {
-		return false
-	}
-	key := edgeKey(u, v)
-	return b.keys[b.slot(key)] == key
-}
-
-// Degree reports the degree of u, or 0 if out of range.
-func (b *Builder) Degree(u int) int {
-	if u < 0 || u >= b.n {
-		return 0
-	}
-	return int(b.deg[u])
-}
-
-// Freeze converts the builder into an immutable CSR graph: row offsets
-// come from the degrees, one pass over the edge set scatters both
-// directions of each edge, and fromRows sorts the rows by transposing
-// them. The builder remains usable afterwards.
-func (b *Builder) Freeze() *Graph {
-	offsets := make([]int64, b.n+1)
-	for u, d := range b.deg {
-		offsets[u+1] = offsets[u] + int64(d)
-	}
-	rows := make([]int32, offsets[b.n])
-	next := slices.Clone(offsets[:b.n])
-	for _, k := range b.keys {
-		if k == 0 {
-			continue
-		}
-		u, v := int32(k>>32), int32(uint32(k))
-		rows[next[u]] = v
-		next[u]++
-		rows[next[v]] = u
-		next[v]++
-	}
-	return fromRows(b.n, offsets, rows)
-}
-
 // FromPairs builds the simple graph on n nodes whose edges are the
-// endpoint pairs (ends[0], ends[1]), (ends[2], ends[3]), …: the CSR that
-// adding each pair to a Builder and freezing it gives, without the
-// Builder's edge set. Self-loops and repeated pairs are dropped. An
-// endpoint outside [0, n) or an odd-length list returns ErrNodeRange.
+// endpoint pairs (ends[0], ends[1]), (ends[2], ends[3]), …. Self-loops
+// and repeated pairs, in either direction, are dropped. An endpoint
+// outside [0, n) or an odd-length list returns ErrNodeRange. It is the
+// one constructor of a Graph: two counting sorts, with no edge set.
 func FromPairs(n int, ends []int32) (*Graph, error) {
 	n = max(n, 0)
 	if len(ends)%2 != 0 {

@@ -1,106 +1,45 @@
 package graph
 
 import (
-	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
 
+// pairs builds the graph on n nodes from the endpoint list ends with
+// FromPairs, failing the test on error.
+func pairs(t testing.TB, n int, ends ...int32) *Graph {
+	t.Helper()
+	g, err := FromPairs(n, ends)
+	if err != nil {
+		t.Fatalf("FromPairs(%d, %v): %v", n, ends, err)
+	}
+	return g
+}
+
+// randomPairs draws m endpoint pairs, each endpoint uniform on [0, n).
+func randomPairs(r *rand.Rand, n, m int) []int32 {
+	ends := make([]int32, 2*m)
+	for i := range ends {
+		ends[i] = int32(r.IntN(n))
+	}
+	return ends
+}
+
 // path builds a path graph 0-1-2-...-(n-1).
 func path(t *testing.T, n int) *Graph {
 	t.Helper()
-	b := NewBuilder(n)
+	var ends []int32
 	for i := 0; i+1 < n; i++ {
-		mustAdd(t, b, i, i+1)
+		ends = append(ends, int32(i), int32(i+1))
 	}
-	return b.Freeze()
+	return pairs(t, n, ends...)
 }
 
-func mustAdd(t *testing.T, b *Builder, u, v int) {
-	t.Helper()
-	ok, err := b.AddEdge(u, v)
-	if err != nil {
-		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
-	}
-	if !ok {
-		t.Fatalf("AddEdge(%d,%d): duplicate", u, v)
-	}
-}
-
-func TestBuilderBasics(t *testing.T) {
-	b := NewBuilder(4)
-	if b.N() != 4 || b.M() != 0 {
-		t.Fatalf("fresh builder: N=%d M=%d", b.N(), b.M())
-	}
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	if b.M() != 2 {
-		t.Fatalf("M = %d, want 2", b.M())
-	}
-	if !b.HasEdge(0, 1) || !b.HasEdge(1, 0) {
-		t.Error("edge (0,1) missing or not symmetric")
-	}
-	if b.HasEdge(0, 2) {
-		t.Error("phantom edge (0,2)")
-	}
-	if b.Degree(1) != 2 {
-		t.Errorf("Degree(1) = %d, want 2", b.Degree(1))
-	}
-}
-
-func TestBuilderRejectsSelfLoop(t *testing.T) {
-	b := NewBuilder(3)
-	ok, err := b.AddEdge(1, 1)
-	if err != nil || ok {
-		t.Fatalf("self loop: ok=%v err=%v, want silently ignored", ok, err)
-	}
-	if b.M() != 0 {
-		t.Error("self loop counted as edge")
-	}
-}
-
-func TestBuilderRejectsDuplicate(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1)
-	for _, pair := range [][2]int{{0, 1}, {1, 0}} {
-		ok, err := b.AddEdge(pair[0], pair[1])
-		if err != nil || ok {
-			t.Fatalf("duplicate (%d,%d): ok=%v err=%v", pair[0], pair[1], ok, err)
-		}
-	}
-	if b.M() != 1 {
-		t.Errorf("M = %d, want 1", b.M())
-	}
-}
-
-func TestBuilderRangeError(t *testing.T) {
-	b := NewBuilder(3)
-	for _, pair := range [][2]int{{-1, 0}, {0, 3}, {5, 5}} {
-		if _, err := b.AddEdge(pair[0], pair[1]); !errors.Is(err, ErrNodeRange) {
-			t.Errorf("AddEdge(%d,%d): err=%v, want ErrNodeRange", pair[0], pair[1], err)
-		}
-	}
-}
-
-func TestNewBuilderNegativeN(t *testing.T) {
-	b := NewBuilder(-5)
-	if b.N() != 0 {
-		t.Errorf("N = %d, want 0", b.N())
-	}
-	g := b.Freeze()
-	if g.N() != 0 || g.M() != 0 {
-		t.Errorf("frozen empty: N=%d M=%d", g.N(), g.M())
-	}
-}
-
+// TestFreezeSortedRows checks that FromPairs sorts each row ascending,
+// whatever the order of the pairs.
 func TestFreezeSortedRows(t *testing.T) {
-	b := NewBuilder(5)
-	mustAdd(t, b, 0, 3)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 0, 4)
-	mustAdd(t, b, 0, 2)
-	g := b.Freeze()
+	g := pairs(t, 5, 0, 3, 0, 1, 0, 4, 0, 2)
 	row := g.Neighbors(0)
 	want := []int32{1, 2, 3, 4}
 	if len(row) != len(want) {
@@ -110,20 +49,6 @@ func TestFreezeSortedRows(t *testing.T) {
 		if row[i] != want[i] {
 			t.Fatalf("row = %v, want %v", row, want)
 		}
-	}
-}
-
-func TestFreezeBuilderStillUsable(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1)
-	g1 := b.Freeze()
-	mustAdd(t, b, 1, 2)
-	g2 := b.Freeze()
-	if g1.M() != 1 || g2.M() != 2 {
-		t.Errorf("snapshots not independent: M1=%d M2=%d", g1.M(), g2.M())
-	}
-	if g1.HasEdge(1, 2) {
-		t.Error("old snapshot sees new edge")
 	}
 }
 
@@ -139,12 +64,7 @@ func TestGraphHasEdge(t *testing.T) {
 
 func TestMutualCount(t *testing.T) {
 	// Star plus triangle: 0 connected to 1,2,3; 1 connected to 2.
-	b := NewBuilder(4)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 0, 2)
-	mustAdd(t, b, 0, 3)
-	mustAdd(t, b, 1, 2)
-	g := b.Freeze()
+	g := pairs(t, 4, 0, 1, 0, 2, 0, 3, 1, 2)
 	if got := g.MutualCount(1, 2); got != 1 { // share node 0
 		t.Errorf("MutualCount(1,2) = %d, want 1", got)
 	}
@@ -162,11 +82,7 @@ func TestMutualCount(t *testing.T) {
 func TestMutualCountMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewPCG(11, 12))
 	const n = 60
-	b := NewBuilder(n)
-	for i := 0; i < 300; i++ {
-		_, _ = b.AddEdge(r.IntN(n), r.IntN(n))
-	}
-	g := b.Freeze()
+	g := pairs(t, n, randomPairs(r, n, 300)...)
 	for trial := 0; trial < 200; trial++ {
 		u, v := r.IntN(n), r.IntN(n)
 		brute := 0
@@ -223,11 +139,7 @@ func TestNeighborsOutOfRange(t *testing.T) {
 }
 
 func TestComponents(t *testing.T) {
-	b := NewBuilder(6)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	mustAdd(t, b, 3, 4)
-	g := b.Freeze()
+	g := pairs(t, 6, 0, 1, 1, 2, 3, 4)
 	labels, count := g.Components()
 	if count != 3 {
 		t.Fatalf("count = %d, want 3 (labels %v)", count, labels)
@@ -247,11 +159,7 @@ func TestGraphPropertySymmetry(t *testing.T) {
 	r := rand.New(rand.NewPCG(21, 22))
 	f := func(seed uint32) bool {
 		n := int(seed%50) + 2
-		b := NewBuilder(n)
-		for i := 0; i < n*2; i++ {
-			_, _ = b.AddEdge(r.IntN(n), r.IntN(n))
-		}
-		g := b.Freeze()
+		g := pairs(t, n, randomPairs(r, n, 2*n)...)
 		// Symmetry: HasEdge(u,v) == HasEdge(v,u); degree sum == 2M.
 		sum := 0
 		for u := 0; u < n; u++ {

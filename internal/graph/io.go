@@ -51,8 +51,7 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // (both "u v" and "v u") collapse to one undirected edge, matching how
 // the paper treats the SNAP social graphs as undirected.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	type rawEdge struct{ u, v int }
-	var edges []rawEdge
+	var ends []int32
 	remap := make(map[int]int)
 	nextID := 0
 	mapID := func(raw int) int {
@@ -85,17 +84,11 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, fmt.Errorf("graph: line %d: parse %q: %w", lineNo, fields[1], err)
 		}
-		edges = append(edges, rawEdge{u: mapID(u), v: mapID(v)})
+		ends = append(ends, int32(mapID(u)), int32(mapID(v)))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: scan: %w", err)
 	}
 
-	b := NewBuilder(nextID)
-	for _, e := range edges {
-		if _, err := b.AddEdge(e.u, e.v); err != nil {
-			return nil, err
-		}
-	}
-	return b.Freeze(), nil
+	return FromPairs(nextID, ends)
 }

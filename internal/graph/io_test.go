@@ -7,11 +7,7 @@ import (
 )
 
 func TestRoundTripEdgeList(t *testing.T) {
-	b := NewBuilder(5)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	mustAdd(t, b, 3, 4)
-	g := b.Freeze()
+	g := pairs(t, 5, 0, 1, 1, 2, 3, 4)
 
 	var buf bytes.Buffer
 	if err := WriteEdgeList(&buf, g); err != nil {

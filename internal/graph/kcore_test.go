@@ -15,13 +15,13 @@ func TestCoreNumbersPath(t *testing.T) {
 }
 
 func TestCoreNumbersClique(t *testing.T) {
-	b := NewBuilder(5)
-	for i := 0; i < 5; i++ {
+	var ends []int32
+	for i := int32(0); i < 5; i++ {
 		for j := i + 1; j < 5; j++ {
-			mustAdd(t, b, i, j)
+			ends = append(ends, i, j)
 		}
 	}
-	g := b.Freeze()
+	g := pairs(t, 5, ends...)
 	for u, c := range g.CoreNumbers() {
 		if c != 4 {
 			t.Errorf("K5 coreness[%d] = %d, want 4", u, c)
@@ -34,11 +34,7 @@ func TestCoreNumbersClique(t *testing.T) {
 
 func TestCoreNumbersCliqueWithTail(t *testing.T) {
 	// Triangle {0,1,2} plus tail 2-3-4: triangle is 2-core, tail 1-core.
-	b := NewBuilder(5)
-	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}} {
-		mustAdd(t, b, e[0], e[1])
-	}
-	g := b.Freeze()
+	g := pairs(t, 5, 0, 1, 1, 2, 0, 2, 2, 3, 3, 4)
 	cores := g.CoreNumbers()
 	want := []int{2, 2, 2, 1, 1}
 	for u := range want {
@@ -49,14 +45,12 @@ func TestCoreNumbersCliqueWithTail(t *testing.T) {
 }
 
 func TestCoreNumbersIsolatedAndEmpty(t *testing.T) {
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1)
-	g := b.Freeze()
+	g := pairs(t, 3, 0, 1)
 	cores := g.CoreNumbers()
 	if cores[2] != 0 {
 		t.Errorf("isolated coreness = %d", cores[2])
 	}
-	empty := NewBuilder(0).Freeze()
+	empty := pairs(t, 0)
 	if got := empty.CoreNumbers(); len(got) != 0 {
 		t.Errorf("empty graph cores = %v", got)
 	}
@@ -71,11 +65,7 @@ func TestCoreNumbersMatchBruteForce(t *testing.T) {
 	r := rand.New(rand.NewPCG(41, 42))
 	for trial := 0; trial < 10; trial++ {
 		n := 30 + r.IntN(30)
-		b := NewBuilder(n)
-		for i := 0; i < n*3; i++ {
-			_, _ = b.AddEdge(r.IntN(n), r.IntN(n))
-		}
-		g := b.Freeze()
+		g := pairs(t, n, randomPairs(r, n, 3*n)...)
 		got := g.CoreNumbers()
 		want := bruteForceCores(g)
 		for u := range want {

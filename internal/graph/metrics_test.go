@@ -8,11 +8,7 @@ import (
 
 func TestComputeDegreeStats(t *testing.T) {
 	// Star graph: center degree 4, leaves degree 1.
-	b := NewBuilder(5)
-	for i := 1; i < 5; i++ {
-		mustAdd(t, b, 0, i)
-	}
-	g := b.Freeze()
+	g := pairs(t, 5, 0, 1, 0, 2, 0, 3, 0, 4)
 	st := g.ComputeDegreeStats(2, 10)
 	if st.Min != 1 || st.Max != 4 {
 		t.Errorf("min/max = %d/%d, want 1/4", st.Min, st.Max)
@@ -26,7 +22,7 @@ func TestComputeDegreeStats(t *testing.T) {
 }
 
 func TestComputeDegreeStatsEmpty(t *testing.T) {
-	g := NewBuilder(0).Freeze()
+	g := pairs(t, 0)
 	st := g.ComputeDegreeStats(1, 10)
 	if st.Min != 0 || st.Max != 0 || st.Mean != 0 || st.InBand != 0 {
 		t.Errorf("empty graph stats: %+v", st)
@@ -56,11 +52,7 @@ func TestPercentileSorted(t *testing.T) {
 
 func TestLocalClustering(t *testing.T) {
 	// Triangle: clustering 1 everywhere.
-	b := NewBuilder(3)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	mustAdd(t, b, 0, 2)
-	tri := b.Freeze()
+	tri := pairs(t, 3, 0, 1, 1, 2, 0, 2)
 	for u := 0; u < 3; u++ {
 		if c := tri.LocalClustering(u); c != 1 {
 			t.Errorf("triangle clustering(%d) = %v", u, c)
@@ -77,12 +69,8 @@ func TestLocalClustering(t *testing.T) {
 }
 
 func TestAverageClustering(t *testing.T) {
-	b := NewBuilder(4)
-	mustAdd(t, b, 0, 1)
-	mustAdd(t, b, 1, 2)
-	mustAdd(t, b, 0, 2)
 	// node 3 isolated
-	g := b.Freeze()
+	g := pairs(t, 4, 0, 1, 1, 2, 0, 2)
 	got := g.AverageClustering(0)
 	want := 3.0 / 4.0 // three nodes at 1, one at 0
 	if math.Abs(got-want) > 1e-12 {
@@ -92,17 +80,13 @@ func TestAverageClustering(t *testing.T) {
 	if c := g.AverageClustering(2); c < 0 || c > 1 {
 		t.Errorf("sampled clustering out of range: %v", c)
 	}
-	if c := NewBuilder(0).Freeze().AverageClustering(0); c != 0 {
+	if c := pairs(t, 0).AverageClustering(0); c != 0 {
 		t.Errorf("empty graph clustering = %v", c)
 	}
 }
 
 func TestNodesInDegreeBand(t *testing.T) {
-	b := NewBuilder(5)
-	for i := 1; i < 5; i++ {
-		mustAdd(t, b, 0, i)
-	}
-	g := b.Freeze()
+	g := pairs(t, 5, 0, 1, 0, 2, 0, 3, 0, 4)
 	band := g.NodesInDegreeBand(1, 1)
 	if len(band) != 4 {
 		t.Fatalf("band = %v", band)
@@ -118,11 +102,7 @@ func TestNodesInDegreeBand(t *testing.T) {
 
 func TestDegreeAssortativityStar(t *testing.T) {
 	// Star: perfect disassortativity (every edge joins degree n-1 to 1).
-	b := NewBuilder(6)
-	for i := 1; i < 6; i++ {
-		mustAdd(t, b, 0, i)
-	}
-	g := b.Freeze()
+	g := pairs(t, 6, 0, 1, 0, 2, 0, 3, 0, 4, 0, 5)
 	if r := g.DegreeAssortativity(); math.Abs(r-(-1)) > 1e-9 {
 		t.Errorf("star assortativity = %v, want -1", r)
 	}
@@ -130,29 +110,21 @@ func TestDegreeAssortativityStar(t *testing.T) {
 
 func TestDegreeAssortativityRegular(t *testing.T) {
 	// Cycle: all degrees equal — zero variance, defined as 0.
-	b := NewBuilder(5)
-	for i := 0; i < 5; i++ {
-		mustAdd(t, b, i, (i+1)%5)
-	}
-	g := b.Freeze()
+	g := pairs(t, 5, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0)
 	if r := g.DegreeAssortativity(); r != 0 {
 		t.Errorf("cycle assortativity = %v, want 0", r)
 	}
 }
 
 func TestDegreeAssortativityEdgeCases(t *testing.T) {
-	if r := NewBuilder(3).Freeze().DegreeAssortativity(); r != 0 {
+	if r := pairs(t, 3).DegreeAssortativity(); r != 0 {
 		t.Errorf("edgeless assortativity = %v", r)
 	}
 }
 
 func TestDegreeAssortativityRange(t *testing.T) {
-	b := NewBuilder(40)
 	r := rand.New(rand.NewPCG(3, 4))
-	for i := 0; i < 150; i++ {
-		_, _ = b.AddEdge(r.IntN(40), r.IntN(40))
-	}
-	g := b.Freeze()
+	g := pairs(t, 40, randomPairs(r, 40, 150)...)
 	if a := g.DegreeAssortativity(); a < -1-1e-9 || a > 1+1e-9 {
 		t.Errorf("assortativity %v outside [-1, 1]", a)
 	}

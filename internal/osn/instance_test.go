@@ -4,19 +4,22 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/graph"
 	"github.com/accu-sim/accu/internal/rng"
 )
 
 func buildGraph(t testing.TB, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(n)
+	ends := make([]int32, 0, 2*len(edges))
 	for _, e := range edges {
-		if _, err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+		ends = append(ends, int32(e[0]), int32(e[1]))
 	}
-	return b.Freeze()
+	g, err := graph.FromPairs(n, ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // uniformParams builds all-reckless params with q=1, B_f=2, B_fof=1 and
@@ -216,14 +219,7 @@ func TestSetupBuildProtocol(t *testing.T) {
 
 func gen400(t *testing.T) (*graph.Graph, error) {
 	t.Helper()
-	b := graph.NewBuilder(400)
-	r := rng.NewSeed(77, 78).Rand()
-	for b.M() < 4000 {
-		if _, err := b.AddEdge(r.IntN(400), r.IntN(400)); err != nil {
-			return nil, err
-		}
-	}
-	return b.Freeze(), nil
+	return gen.ErdosRenyi{N: 400, M: 4000}.Generate(rng.NewSeed(77, 78))
 }
 
 func TestSetupBuildDeterministic(t *testing.T) {

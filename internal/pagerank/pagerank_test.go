@@ -9,13 +9,15 @@ import (
 
 func build(t *testing.T, n int, edges [][2]int) *graph.Graph {
 	t.Helper()
-	b := graph.NewBuilder(n)
+	ends := make([]int32, 0, 2*len(edges))
 	for _, e := range edges {
-		if _, err := b.AddEdge(e[0], e[1]); err != nil {
-			t.Fatal(err)
-		}
+		ends = append(ends, int32(e[0]), int32(e[1]))
 	}
-	return b.Freeze()
+	g, err := graph.FromPairs(n, ends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestScoresSumToOne(t *testing.T) {
@@ -89,7 +91,7 @@ func TestScoresDanglingNodes(t *testing.T) {
 }
 
 func TestScoresEmptyGraph(t *testing.T) {
-	g := graph.NewBuilder(0).Freeze()
+	g := build(t, 0, nil)
 	scores, err := Scores(g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

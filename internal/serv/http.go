@@ -17,6 +17,11 @@ import (
 //	POST /api/v1/jobs/{id}/resume  requeue a failed/cancelled job
 //	GET  /metrics                  merged metrics snapshot (?job=<id>)
 //	GET  /healthz                  liveness (503 while draining)
+//
+// A submit is admitted on the spec's shape alone (Spec.Validate): no
+// network is generated at admission, so a spec whose networks turn out
+// too small for its cautious count is accepted and the job ends failed,
+// its error naming the set-up's shortfall.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -668,5 +669,32 @@ func TestMetricsMerge(t *testing.T) {
 	}
 	if _, err := s.Metrics("nosuch"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Metrics(unknown) err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestAdmissionChecksShapeOnly pins the admission contract: a spec whose
+// networks have too few cautious-user candidates passes Submit, which
+// generates nothing, and the job then ends failed with the set-up's
+// shortfall as its error.
+func TestAdmissionChecksShapeOnly(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.Start()
+	defer drain(t, s)
+	spec := Spec{
+		Preset:   "facebook",
+		Scale:    0.02,
+		Policies: []PolicySpec{{Name: "random"}},
+		Networks: 1,
+		Runs:     1,
+		K:        5,
+		Seed:     1,
+	}
+	job, err := s.Submit(SubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatalf("Submit: %v, want the spec admitted on its shape", err)
+	}
+	failed := waitState(t, s, job.ID, StateFailed)
+	if !strings.Contains(failed.Error, "not enough cautious-user candidates") {
+		t.Errorf("Error = %q, want the shortfall of cautious-user candidates", failed.Error)
 	}
 }

@@ -91,6 +91,12 @@ func (s Spec) Cells() int64 {
 // is the submission-time gate, so a queued job cannot fail on a typo
 // hours later. Validate adds the three checks Build cannot make: an
 // empty roster, a repeated policy name and a negative cautious count.
+//
+// Admission checks only the spec's shape. Whether a network has enough
+// cautious-user candidates in its degree band depends on the generated
+// graph, so a spec such as {preset: facebook, scale: 0.02, k: 5} is
+// accepted and its job then fails, with the set-up error (the shortfall
+// of candidates) as its error.
 func (s Spec) Validate() error {
 	p, _, err := s.Build(nil)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/osn"
@@ -325,6 +326,11 @@ type lineReader struct {
 	n int64
 }
 
+// bodyReaders recycles ReadCellLines' buffered readers, so an upload
+// costs no fresh journalReadBuffer. Reuse is safe: the decoder copies
+// every string and number out of the line it reads.
+var bodyReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, journalReadBuffer) }}
+
 func newLineReader(r io.Reader) *lineReader {
 	return &lineReader{r: bufio.NewReaderSize(r, journalReadBuffer)}
 }
@@ -374,7 +380,13 @@ func EncodeCellLine(cl *CellLine) ([]byte, error) {
 // known end and so no torn tail. A line that holds two JSON values, or
 // only part of one, is an error. A journal file is a valid body.
 func ReadCellLines(r io.Reader) ([]CellLine, error) {
-	lr := newLineReader(r)
+	br := bodyReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		bodyReaders.Put(br)
+	}()
+	lr := &lineReader{r: br}
 	var dec cellDecoder
 	var lines []CellLine
 	for n := 1; ; n++ {

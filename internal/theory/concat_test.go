@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"github.com/accu-sim/accu/internal/core"
-	"github.com/accu-sim/accu/internal/graph"
+	"github.com/accu-sim/accu/internal/gen"
 	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/rng"
 )
@@ -34,16 +34,13 @@ func concat(seqA, seqB []int) []int {
 func TestLemma2Commutativity(t *testing.T) {
 	// A random instance with enough reckless users that neither policy
 	// needs to burn requests on locked cautious users.
-	b := graph.NewBuilder(120)
-	r := rng.NewSeed(201, 202).Rand()
-	for b.M() < 900 {
-		if _, err := b.AddEdge(r.IntN(120), r.IntN(120)); err != nil {
-			t.Fatal(err)
-		}
+	g, err := gen.ErdosRenyi{N: 120, M: 900}.Generate(rng.NewSeed(201, 202))
+	if err != nil {
+		t.Fatal(err)
 	}
 	s := osn.DefaultSetup()
 	s.NumCautious = 4
-	inst, err := s.Build(b.Freeze(), rng.NewSeed(203, 204))
+	inst, err := s.Build(g, rng.NewSeed(203, 204))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +84,7 @@ func TestLemma2Commutativity(t *testing.T) {
 // NOT order-commutable.
 func TestLemma2FailsWithoutGreedyDiscipline(t *testing.T) {
 	// cautious 0 (θ=1) — reckless 1.
-	b := graph.NewBuilder(2)
-	if _, err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	inst, err := osn.NewInstance(b.Freeze(), osn.Params{
+	inst, err := osn.NewInstance(buildGraph(t, 2, [][2]int{{0, 1}}), osn.Params{
 		Kind:       []osn.Kind{osn.Cautious, osn.Reckless},
 		AcceptProb: []float64{0, 1},
 		Theta:      []int{1, 0},

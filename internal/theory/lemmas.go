@@ -132,11 +132,10 @@ type Witness struct {
 // Δ(v1|∅) = 0 < Δ(v1|{v2 accepted}) = B_f(v1) − B_fof(v1), proving the
 // ACCU benefit function is not adaptive submodular.
 func NonSubmodularWitness() (Witness, error) {
-	b := graph.NewBuilder(2)
-	if _, err := b.AddEdge(0, 1); err != nil {
+	g, err := graph.FromPairs(2, []int32{0, 1})
+	if err != nil {
 		return Witness{}, err
 	}
-	g := b.Freeze()
 	inst, err := osn.NewInstance(g, osn.Params{
 		Kind:       []osn.Kind{osn.Cautious, osn.Reckless},
 		AcceptProb: []float64{0, 1},
