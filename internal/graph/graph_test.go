@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -34,6 +35,60 @@ func path(t *testing.T, n int) *Graph {
 		ends = append(ends, int32(i), int32(i+1))
 	}
 	return pairs(t, n, ends...)
+}
+
+// TestBuilderBasics checks N, M, HasEdge and Degree on a small graph
+// built from pairs.
+func TestBuilderBasics(t *testing.T) {
+	if g := pairs(t, 4); g.N() != 4 || g.M() != 0 {
+		t.Fatalf("no pairs: N=%d M=%d", g.N(), g.M())
+	}
+	g := pairs(t, 4, 0, 1, 1, 2)
+	if g.M() != 2 {
+		t.Fatalf("M = %d, want 2", g.M())
+	}
+	if !g.HasEdge(0, 1) || !g.HasEdge(1, 0) {
+		t.Error("edge (0,1) missing or not symmetric")
+	}
+	if g.HasEdge(0, 2) {
+		t.Error("phantom edge (0,2)")
+	}
+	if g.Degree(1) != 2 {
+		t.Errorf("Degree(1) = %d, want 2", g.Degree(1))
+	}
+}
+
+func TestBuilderRejectsSelfLoop(t *testing.T) {
+	g := pairs(t, 3, 1, 1)
+	if g.M() != 0 || g.Degree(1) != 0 || g.HasEdge(1, 1) {
+		t.Fatalf("self loop kept: M=%d Degree(1)=%d", g.M(), g.Degree(1))
+	}
+}
+
+func TestBuilderRejectsDuplicate(t *testing.T) {
+	g := pairs(t, 3, 0, 1, 0, 1, 1, 0)
+	if g.M() != 1 || g.Degree(0) != 1 || g.Degree(1) != 1 {
+		t.Errorf("M = %d, degrees %d %d; want 1, 1 1", g.M(), g.Degree(0), g.Degree(1))
+	}
+}
+
+func TestBuilderRangeError(t *testing.T) {
+	for _, ends := range [][]int32{{-1, 0}, {0, 3}, {5, 5}, {0, 1, 2}} {
+		if _, err := FromPairs(3, ends); !errors.Is(err, ErrNodeRange) {
+			t.Errorf("FromPairs(3, %v): err=%v, want ErrNodeRange", ends, err)
+		}
+	}
+}
+
+// TestNewBuilderNegativeN checks that a negative node count builds the
+// empty graph, on which every endpoint is out of range.
+func TestNewBuilderNegativeN(t *testing.T) {
+	if g := pairs(t, -5); g.N() != 0 || g.M() != 0 {
+		t.Errorf("empty: N=%d M=%d", g.N(), g.M())
+	}
+	if _, err := FromPairs(-5, []int32{0, 0}); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("FromPairs(-5, [0 0]): err=%v, want ErrNodeRange", err)
+	}
 }
 
 // TestFreezeSortedRows checks that FromPairs sorts each row ascending,
