@@ -30,7 +30,7 @@ vet:
 
 # fuzz-smoke runs each native fuzz target briefly against its committed
 # corpus plus fresh mutations: the decoder surfaces (store block
-# decoder, cell-journal resume and its line decoder against
+# decoder, cell-journal resume and its line decoder and encoder against
 # encoding/json, the upload reader against a json.Decoder loop,
 # request-journal read and replay,
 # accuserv submit and job documents,
@@ -41,6 +41,7 @@ fuzz-smoke:
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzDecodeBlock -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzCellJournalReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDecodeCellLine -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEncodeCellLine -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzReadCellLines -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/osn -run '^$$' -fuzz FuzzReadJournalReplay -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serv -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)

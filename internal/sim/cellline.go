@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 
@@ -302,9 +303,21 @@ func (d *cellDecoder) int() int {
 
 // float decodes a number the way encoding/json does for a float64.
 func (d *cellDecoder) float() float64 {
-	num, _ := d.number()
+	num, integer := d.number()
 	if d.bad {
 		return 0
+	}
+	// An integer of at most 15 digits is exact through its int value;
+	// "-0" is not, since the int has no sign to keep.
+	if digs := bytes.TrimPrefix(num, []byte("-")); integer && len(digs) <= 15 && string(num) != "-0" {
+		var n int64
+		for _, c := range digs {
+			n = n*10 + int64(c-'0')
+		}
+		if len(digs) < len(num) {
+			n = -n
+		}
+		return float64(n)
 	}
 	f, err := strconv.ParseFloat(string(num), 64)
 	if err != nil {
@@ -364,14 +377,195 @@ func blank(line []byte) bool {
 	return len(bytes.Trim(line, " \t\r")) == 0
 }
 
-// EncodeCellLine returns cl's journal line, newline included: the bytes
-// a CellJournal appends for the cell and an accudist worker uploads.
-func EncodeCellLine(cl *CellLine) ([]byte, error) {
-	b, err := json.Marshal(cl)
-	if err != nil {
-		return nil, fmt.Errorf("marshal cell: %w", err)
+// cellEncoder appends, without reflection, exactly the bytes json.Marshal
+// writes for a CellLine, a Record and the values inside them: the fields
+// in declaration order under their literal keys, no whitespace, null for
+// nil slices and pointers, and numbers and strings as encoding/json
+// formats them. Like json.Marshal it refuses NaN and ±Inf; the first such
+// value is kept in err and the bytes are then garbage.
+type cellEncoder struct {
+	b   []byte
+	err error
+}
+
+func (e *cellEncoder) cellLine(cl *CellLine) {
+	e.lit(`{"network":`)
+	e.int(cl.Network)
+	e.lit(`,"run":`)
+	e.int(cl.Run)
+	e.lit(`,"records":`)
+	if cl.Records == nil {
+		e.lit(`null`)
+	} else {
+		e.lit(`[`)
+		for i := range cl.Records {
+			if i > 0 {
+				e.lit(`,`)
+			}
+			e.record(&cl.Records[i])
+		}
+		e.lit(`]`)
 	}
-	return append(b, '\n'), nil
+	e.lit(`}`)
+}
+
+func (e *cellEncoder) record(r *Record) {
+	e.lit(`{"Policy":`)
+	e.str(r.Policy)
+	e.lit(`,"Network":`)
+	e.int(r.Network)
+	e.lit(`,"Run":`)
+	e.int(r.Run)
+	e.lit(`,"Result":`)
+	if r.Result == nil {
+		e.lit(`null`)
+	} else {
+		e.result(r.Result)
+	}
+	e.lit(`}`)
+}
+
+func (e *cellEncoder) result(res *core.Result) {
+	e.lit(`{"Policy":`)
+	e.str(res.Policy)
+	e.lit(`,"Steps":`)
+	if res.Steps == nil {
+		e.lit(`null`)
+	} else {
+		e.lit(`[`)
+		for i := range res.Steps {
+			if i > 0 {
+				e.lit(`,`)
+			}
+			e.step(&res.Steps[i])
+		}
+		e.lit(`]`)
+	}
+	e.lit(`,"Benefit":`)
+	e.float(res.Benefit)
+	e.lit(`,"Friends":`)
+	e.int(res.Friends)
+	e.lit(`,"CautiousFriends":`)
+	e.int(res.CautiousFriends)
+	e.lit(`,"Journal":`)
+	if res.Journal == nil {
+		e.lit(`null`)
+	} else {
+		e.lit(`{"Users":`)
+		e.intList(res.Journal.Users)
+		e.lit(`,"BatchSizes":`)
+		e.intList(res.Journal.BatchSizes)
+		e.lit(`}`)
+	}
+	e.lit(`}`)
+}
+
+func (e *cellEncoder) step(s *core.Step) {
+	e.lit(`{"User":`)
+	e.int(s.User)
+	e.lit(`,"Accepted":`)
+	e.b = strconv.AppendBool(e.b, s.Accepted)
+	e.lit(`,"Cautious":`)
+	e.b = strconv.AppendBool(e.b, s.Cautious)
+	e.lit(`,"Gain":`)
+	e.float(s.Gain)
+	e.lit(`,"BenefitAfter":`)
+	e.float(s.BenefitAfter)
+	e.lit(`,"CautiousFriendsAfter":`)
+	e.int(s.CautiousFriendsAfter)
+	e.lit(`}`)
+}
+
+func (e *cellEncoder) intList(l []int) {
+	if l == nil {
+		e.lit(`null`)
+		return
+	}
+	e.lit(`[`)
+	for i, n := range l {
+		if i > 0 {
+			e.lit(`,`)
+		}
+		e.int(n)
+	}
+	e.lit(`]`)
+}
+
+func (e *cellEncoder) lit(s string) { e.b = append(e.b, s...) }
+
+func (e *cellEncoder) int(n int) { e.b = strconv.AppendInt(e.b, int64(n), 10) }
+
+// str writes s raw when every byte is printable ASCII that encoding/json
+// does not escape (it escapes '"', '\\' and, for HTML safety, '<', '>'
+// and '&'); any other string goes through json.Marshal itself.
+func (e *cellEncoder) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			e.b = append(e.b, q...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
+}
+
+// float writes f by encoding/json's rule for a float64: the shortest
+// 'f' form or, when |f| < 1e-6 or |f| >= 1e21, the shortest 'e' form
+// with a one-digit negative exponent unpadded (e-7, not e-07).
+func (e *cellEncoder) float(f float64) {
+	// An integer below 1e15 is its own shortest form; -0 is not an int.
+	if -1e15 < f && f < 1e15 {
+		if n := int64(f); float64(n) == f && (n != 0 || !math.Signbit(f)) {
+			e.b = strconv.AppendInt(e.b, n, 10)
+			return
+		}
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			e.err = fmt.Errorf("unsupported value: %v", f)
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	e.b = strconv.AppendFloat(e.b, f, format, -1, 64)
+	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+		e.b[n-2] = e.b[n-1] // e-09 to e-9
+		e.b = e.b[:n-1]
+	}
+}
+
+// cellLineSize estimates a cell's journal line from its step count, a
+// little over for integer gains, so EncodeCellLine allocates the line
+// once.
+func cellLineSize(cl *CellLine) int {
+	n := 64
+	for _, r := range cl.Records {
+		n += 128
+		if r.Result != nil {
+			n += 112 * len(r.Result.Steps)
+			if j := r.Result.Journal; j != nil {
+				n += 8 * (len(j.Users) + len(j.BatchSizes))
+			}
+		}
+	}
+	return n
+}
+
+// EncodeCellLine returns cl's journal line, newline included: the bytes
+// a CellJournal appends for the cell and an accudist worker uploads,
+// byte for byte what json.Marshal writes.
+func EncodeCellLine(cl *CellLine) ([]byte, error) {
+	e := cellEncoder{b: make([]byte, 0, cellLineSize(cl))}
+	e.cellLine(cl)
+	if e.err != nil {
+		return nil, fmt.Errorf("encode cell: %w", e.err)
+	}
+	return append(e.b, '\n'), nil
 }
 
 // ReadCellLines decodes a body of cell lines, such as an accudist upload,

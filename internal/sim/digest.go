@@ -3,7 +3,6 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -11,11 +10,12 @@ import (
 
 // RecordDigest accumulates a canonical fingerprint of a Monte-Carlo
 // record set. Because the engine delivers records in nondeterministic
-// cell order, the digest is order-insensitive: each record is marshaled
-// to its canonical JSON line and the SHA-256 runs over the sorted lines.
-// Two runs of the same protocol — uninterrupted, resumed from a
-// checkpoint, or executed at different worker counts — therefore produce
-// the same digest iff their record sets are bit-identical.
+// cell order, the digest is order-insensitive: each record is encoded
+// to its canonical JSON line (the bytes json.Marshal writes) and the
+// SHA-256 runs over the sorted lines. Two runs of the same protocol —
+// uninterrupted, resumed from a checkpoint, or executed at different
+// worker counts — therefore produce the same digest iff their record
+// sets are bit-identical.
 //
 // Feed it as (or from) a collect callback, and on resume feed
 // CellJournal.Replay through it first. Collect is safe for concurrent
@@ -28,16 +28,24 @@ type RecordDigest struct {
 // NewRecordDigest returns an empty digest accumulator.
 func NewRecordDigest() *RecordDigest { return &RecordDigest{} }
 
+// digestBuffers recycles Collect's encoding buffers; only the finished
+// line is copied into the digest.
+var digestBuffers = sync.Pool{New: func() any { return new(cellEncoder) }}
+
 // Collect folds one record into the digest.
 func (d *RecordDigest) Collect(rec Record) {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		// Record marshals by construction (plain structs, no cycles);
-		// a failure here is a programming error, not an input error.
-		panic(fmt.Sprintf("sim: marshal record for digest: %v", err))
+	e := digestBuffers.Get().(*cellEncoder)
+	e.b, e.err = e.b[:0], nil
+	e.record(&rec)
+	if e.err != nil {
+		// Records the engine builds hold finite numbers; a failure here
+		// is a programming error, not an input error.
+		panic(fmt.Sprintf("sim: encode record for digest: %v", e.err))
 	}
+	line := string(e.b)
+	digestBuffers.Put(e)
 	d.mu.Lock()
-	d.lines = append(d.lines, string(line))
+	d.lines = append(d.lines, line)
 	d.mu.Unlock()
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -124,6 +125,70 @@ func FuzzDecodeCellLine(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("fast path decoded %q as\n%+v\nencoding/json as\n%+v", line, got, want)
 		}
+		// reflect.DeepEqual holds -0 equal to 0; the bytes a journal
+		// re-encodes do not.
+		g, gerr := json.Marshal(&got)
+		w, werr := json.Marshal(&want)
+		if gerr != nil || werr != nil || !bytes.Equal(g, w) {
+			t.Fatalf("fast path's value of %q re-encodes as\n%s (%v)\nencoding/json's as\n%s (%v)", line, g, gerr, w, werr)
+		}
+	})
+}
+
+// FuzzEncodeCellLine checks the cell-line encoder against encoding/json:
+// for any line json.Unmarshal decodes into a CellLine, EncodeCellLine
+// writes exactly json.Marshal's bytes plus a newline, both before and
+// after a record carrying the float x and the string s is added; when x
+// is NaN or ±Inf both must fail. The floats seed the edges of
+// encoding/json's number format, the strings its escapes.
+func FuzzEncodeCellLine(f *testing.F) {
+	factories, err := DefaultFactories(core.DefaultWeights())
+	if err != nil {
+		f.Fatal(err)
+	}
+	p := benchProtocol(1, 1, 1)
+	p.K, p.BatchSize = 4, 2
+	var recs []Record
+	if err := Run(context.Background(), p, factories[len(factories)-1:], func(r Record) { recs = append(recs, r) }); err != nil {
+		f.Fatal(err)
+	}
+	line, err := json.Marshal(&CellLine{Records: recs})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, x := range []float64{math.Copysign(0, -1), 1e-7, 1e15, 999999999999999, 1e21, 0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f.Add(line, x, "abm")
+	}
+	for _, s := range []string{"a<b", "a&b", "a\x01b", "a\u2028b", "a\xffb"} {
+		f.Add(line, 1.0, s)
+	}
+	f.Add([]byte(`{"network":0,"run":0,"records":null}`), -1e-7, "")
+	f.Add([]byte(`{"network":0,"run":0,"records":[{"Policy":"\u003c\u2029\t","Result":{"Benefit":-0,"Journal":{}}}]}`), 123456789.5, "x")
+	f.Fuzz(func(t *testing.T, line []byte, x float64, s string) {
+		var cl CellLine
+		if json.Unmarshal(line, &cl) != nil {
+			return
+		}
+		// A decoded line holds no NaN or Inf; the added record does
+		// when x is one.
+		check := func(cl *CellLine, unsupported bool) {
+			got, gerr := EncodeCellLine(cl)
+			want, werr := json.Marshal(cl)
+			switch {
+			case unsupported:
+				if gerr == nil || werr == nil {
+					t.Fatalf("x = %v: EncodeCellLine error %v, json.Marshal error %v; want both to fail", x, gerr, werr)
+				}
+			case gerr != nil || werr != nil:
+				t.Fatalf("EncodeCellLine error %v, json.Marshal error %v", gerr, werr)
+			case !bytes.Equal(got, append(want, '\n')):
+				t.Fatalf("EncodeCellLine wrote\n%s\njson.Marshal writes\n%s", got, want)
+			}
+		}
+		check(&cl, false)
+		cl.Records = append(cl.Records, Record{Policy: s, Result: &core.Result{
+			Policy: s, Steps: []core.Step{{Gain: x, BenefitAfter: -x}}, Benefit: x}})
+		check(&cl, math.IsNaN(x) || math.IsInf(x, 0))
 	})
 }
 

@@ -69,8 +69,9 @@ func BenchmarkCellJournalLoad(b *testing.B) {
 
 // BenchmarkRecordDigest measures the digest half of record collection:
 // one op folds 128 records of bench/'s resume-local shape into a fresh
-// RecordDigest with Collect, which marshals each record to its canonical
-// JSON line, and takes the Sum, which sorts the lines and hashes them.
+// RecordDigest with Collect, which encodes each record to its canonical
+// JSON line (json.Marshal's bytes, written without reflection), and takes
+// the Sum, which sorts the lines and hashes them.
 func BenchmarkRecordDigest(b *testing.B) {
 	const records = 128
 	protocol, factories, err := resumeLocalSpec(records).Build(nil)

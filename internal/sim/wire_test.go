@@ -17,7 +17,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/accu-sim/accu/internal/core"
 	"github.com/accu-sim/accu/internal/dist"
+	"github.com/accu-sim/accu/internal/osn"
 	"github.com/accu-sim/accu/internal/serv"
 	"github.com/accu-sim/accu/internal/sim"
 	"github.com/accu-sim/accu/internal/stats"
@@ -296,20 +298,43 @@ func fileExists(path string) bool {
 }
 
 // TestCellLineWireFormat pins the exact journal-line encoding byte for
-// byte. CellLine is shared by the on-disk cell journal and the dist
-// cell-upload stream; any drift here breaks replay of existing journals
-// and mixed-version coordinator/worker clusters.
+// byte: the line EncodeCellLine writes, and json.Marshal's, its oracle.
+// CellLine is shared by the on-disk cell journal and the dist cell-upload
+// stream; any drift here breaks replay of existing journals and
+// mixed-version coordinator/worker clusters.
 func TestCellLineWireFormat(t *testing.T) {
 	line := sim.CellLine{
 		CellKey: sim.CellKey{Network: 2, Run: 7},
-		Records: []sim.Record{{Policy: "abm", Network: 2, Run: 7}},
+		Records: []sim.Record{
+			{Policy: "abm", Network: 2, Run: 7},
+			{Policy: "random", Network: 2, Run: 7, Result: &core.Result{
+				Policy: "random",
+				Steps: []core.Step{
+					{User: 41, Accepted: true, Gain: 52, BenefitAfter: 52},
+					{User: 9, Cautious: true, Gain: 0.5, BenefitAfter: 52.5, CautiousFriendsAfter: 1},
+				},
+				Benefit: 52.5, Friends: 1, CautiousFriends: 1,
+				Journal: &osn.Journal{Users: []int{41, 9}, BatchSizes: []int{2}},
+			}},
+		},
 	}
-	got, err := json.Marshal(line)
+	want := `{"network":2,"run":7,"records":[{"Policy":"abm","Network":2,"Run":7,"Result":null},` +
+		`{"Policy":"random","Network":2,"Run":7,"Result":{"Policy":"random","Steps":[` +
+		`{"User":41,"Accepted":true,"Cautious":false,"Gain":52,"BenefitAfter":52,"CautiousFriendsAfter":0},` +
+		`{"User":9,"Accepted":false,"Cautious":true,"Gain":0.5,"BenefitAfter":52.5,"CautiousFriendsAfter":1}],` +
+		`"Benefit":52.5,"Friends":1,"CautiousFriends":1,"Journal":{"Users":[41,9],"BatchSizes":[2]}}}]}`
+	got, err := sim.EncodeCellLine(&line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"network":2,"run":7,"records":[{"Policy":"abm","Network":2,"Run":7,"Result":null}]}`
-	if string(got) != want {
-		t.Errorf("CellLine wire format drifted:\n got %s\nwant %s", got, want)
+	if string(got) != want+"\n" {
+		t.Errorf("EncodeCellLine drifted:\n got %s\nwant %s", got, want)
+	}
+	oracle, err := json.Marshal(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(oracle) != want {
+		t.Errorf("CellLine wire format drifted:\n got %s\nwant %s", oracle, want)
 	}
 }
